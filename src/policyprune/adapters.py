@@ -1,4 +1,4 @@
-"""Dense matrix primitives, low-rank adapters, merging, and masked projection.
+"""Dense matrix primitives, low-rank adapters, and merging.
 
 All tensors are float64 numpy arrays in C (row-major) order. Matrices are
 validated once at construction: finite entries, 2-D shape. Adapter sets are
@@ -81,11 +81,6 @@ class LoraAdapter:
         return self.alpha / self.rank
 
 
-def lora_delta(adapter: LoraAdapter) -> np.ndarray:
-    """Dense update contributed by one adapter: (alpha/rank) * B @ A."""
-    return adapter.scale * (adapter.b @ adapter.a)
-
-
 @dataclass(frozen=True)
 class FrozenBackbone:
     """Fixed per-site base weights. Arrays are made read-only at construction."""
@@ -109,9 +104,6 @@ class FrozenBackbone:
 
     def site_ids(self) -> list[str]:
         return [sid for sid, _ in self.sites]
-
-    def checksum(self) -> str:
-        return array_checksum(*(w for _, w in self.sites))
 
 
 @dataclass
@@ -154,14 +146,6 @@ class MergedAdapterSet:
             out.append((tid + 1, s.site_id, "B", s.b))
             tid += 2
         return out
-
-    def tensor_index(self) -> dict[int, tuple[str, str, int]]:
-        """Map tensor id -> (site_id, factor, entry count)."""
-        return {tid: (sid, fac, arr.size) for tid, sid, fac, arr in self.tensors()}
-
-    @property
-    def total_entries(self) -> int:
-        return sum(arr.size for _, _, _, arr in self.tensors())
 
     def checksum(self) -> str:
         return array_checksum(*(arr for _, _, _, arr in self.tensors()))
@@ -206,45 +190,3 @@ def merge_adapter_sets(
         a, b = merge_adapters(at_site, sid)
         merged.sites.append(SiteFactors(sid, a, b))
     return merged
-
-
-def apply_projection(
-    h: np.ndarray,
-    backbone_site: np.ndarray,
-    a: np.ndarray,
-    b: np.ndarray,
-    mask_a: np.ndarray | None = None,
-    mask_b: np.ndarray | None = None,
-    scale: float = 1.0,
-) -> np.ndarray:
-    """Project inputs through a frozen weight plus a (masked) low-rank update.
-
-    h is (n, d_in) row-vectors; returns h @ W^T + scale * h @ (Mb*b @ Ma*a)^T.
-    Masks are keep-masks shaped like their factors; None means all-ones.
-    Merged factor pairs carry scale 1; a raw adapter would pass alpha/rank.
-    """
-    h = matrix(h)
-    w = matrix(backbone_site)
-    if h.shape[1] != w.shape[1]:
-        raise DimensionError(
-            f"input cols {h.shape[1]} do not match site d_in {w.shape[1]}"
-        )
-    if a.shape[0] != b.shape[1]:
-        raise DimensionError(
-            f"factor ranks disagree: A has {a.shape[0]} rows, B has {b.shape[1]} cols"
-        )
-    if a.shape[1] != w.shape[1] or b.shape[0] != w.shape[0]:
-        raise DimensionError("factor dimensions do not match the site weight")
-    am = a if mask_a is None else _masked(a, mask_a)
-    bm = b if mask_b is None else _masked(b, mask_b)
-    # (h @ am.T) @ bm.T keeps the low-rank bottleneck instead of forming b@a.
-    return h @ w.T + scale * ((h @ am.T) @ bm.T)
-
-
-def _masked(arr: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    mask = np.asarray(mask)
-    if mask.shape != arr.shape:
-        raise DimensionError(
-            f"mask shape {mask.shape} does not match factor shape {arr.shape}"
-        )
-    return arr * mask

@@ -34,11 +34,11 @@ from .training import (
     batch_indices,
     final_prune_finetune,
     microdev_loss,
+    microdev_slice,
     pipeline_rngs,
     run_pipeline,
     sparsity_policy_learning,
-    total_steps,
-    train_adapter,
+    train_and_merge,
 )
 
 __all__ = [
@@ -232,21 +232,10 @@ def run_noprune_baselines(
     against each other.
     """
     backbone = data.backbone
-    rngs = pipeline_rngs(seed)
-
-    source = train_adapter(
-        backbone, data.source_train, lora_cfg, train_cfg, rngs["source"]
-    )
-    target = train_adapter(
-        backbone, data.target_train, lora_cfg, train_cfg, rngs["target"]
-    )
+    _source, target, merged = train_and_merge(data, lora_cfg, train_cfg, seed)
     target_merged = merge_adapter_sets([target.adapters], backbone.site_ids())
-
-    merged = merge_adapter_sets(
-        [source.adapters, target.adapters], backbone.site_ids()
-    ).copy()
     opt = init_optimizer(merged, train_cfg.optimizer_config())
-    rng = rngs["phase3"]
+    rng = pipeline_rngs(seed)["phase3"]
     losses: list[float] = []
     best = microdev_loss(backbone, merged, data.dev)
     bad = 0
@@ -313,10 +302,12 @@ def compare_efficiency(
     """Time the 2-run policy pipeline against the full grid on one host.
 
     Both arms start from the same trained merge and run serialized in this
-    process. Wall clock is the best of `repeats` passes per arm (the
-    standard way to time under scheduler noise); the work itself is
-    deterministic, so repeats change nothing but the clock. Early stopping
-    must be off so every run spends an identical step budget.
+    process. The passes interleave (policy, grid, policy, grid, …), so a
+    drift in host speed hits both arms alike. Each arm's wall clock is the
+    best of its `repeats` passes (the standard way to time under scheduler
+    noise); the work itself is deterministic, so repeats change nothing but
+    the clock. Early stopping must be off so every run spends an identical
+    step budget.
     """
     if train_cfg.early_stop_patience is not None:
         raise UsageError(
@@ -327,21 +318,11 @@ def compare_efficiency(
         raise UsageError("repeats must be >= 1")
     grid = (grid or GridSpec()).validate()
     data = gen_toy_data(task_cfg, seed)
-    microdev = data.microdev.head(controller_cfg.microdev_n)
-    rngs = pipeline_rngs(seed)
-    source = train_adapter(
-        data.backbone, data.source_train, lora_cfg, train_cfg, rngs["source"]
-    )
-    target = train_adapter(
-        data.backbone, data.target_train, lora_cfg, train_cfg, rngs["target"]
-    )
-    merged_init = merge_adapter_sets(
-        [source.adapters, target.adapters], data.backbone.site_ids()
-    )
+    microdev = microdev_slice(data, controller_cfg)
+    _source, _target, merged_init = train_and_merge(data, lora_cfg, train_cfg, seed)
     scale = estimate_scale(microdev.x)
 
-    grasp_seconds = []
-    policy = final = None
+    grasp_seconds, grid_seconds = [], []
     for _ in range(repeats):
         reps = pipeline_rngs(seed)
         t0 = time.perf_counter()
@@ -354,17 +335,13 @@ def compare_efficiency(
             data.dev, scale, train_cfg, reps["phase3"],
             p_min=controller_cfg.p_min, p_max=controller_cfg.p_max,
         )
-        grasp_seconds.append(time.perf_counter() - t0)
-
-    grid_seconds = []
-    outcome = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
+        t1 = time.perf_counter()
         outcome = grid_search(
             data.backbone, merged_init, data.target_train, data.dev,
             scale, train_cfg, seed, grid=grid,
         )
-        grid_seconds.append(time.perf_counter() - t0)
+        grasp_seconds.append(t1 - t0)
+        grid_seconds.append(time.perf_counter() - t1)
 
     grasp_steps = policy.steps_run + final.steps_run
     grid_steps = outcome.total_steps
@@ -427,6 +404,27 @@ def _pipeline_cell(args: tuple) -> tuple[float, float]:
     return art.p_star, art.final.dev_loss
 
 
+def _sweep(
+    task_cfg: ToyTaskConfig, lora_cfg: LoraConfig, train_cfg: TrainConfig,
+    controller_cfgs: list[ControllerConfig], seeds: tuple[int, ...], workers: int,
+) -> list[tuple[float, float]]:
+    """One policy pipeline per (controller config, seed), on a pool of `workers`;
+    per config, the mean selected ratio and mean final dev loss over the seeds."""
+    if not seeds:
+        raise UsageError("need at least one seed")
+    cells = [
+        (task_cfg, lora_cfg, train_cfg, cfg.validate(), seed)
+        for cfg in controller_cfgs
+        for seed in seeds
+    ]
+    results = _pool_map(_pipeline_cell, cells, workers)
+    n = len(seeds)
+    return [
+        (float(np.mean([c[0] for c in chunk])), float(np.mean([c[1] for c in chunk])))
+        for chunk in (results[j * n: (j + 1) * n] for j in range(len(controller_cfgs)))
+    ]
+
+
 def ablate_regularizers(
     task_cfg: ToyTaskConfig,
     lora_cfg: LoraConfig,
@@ -442,25 +440,12 @@ def ablate_regularizers(
     and mean final dev loss over those seeds. `workers` > 1 spreads the
     independent (cell, seed) runs over a process pool.
     """
-    if not seeds:
-        raise UsageError("need at least one seed")
-    cells = []
-    for beta, tau in sweep:
-        cfg = replace(controller_cfg, beta=beta, tau_ent=tau).validate()
-        cells += [(task_cfg, lora_cfg, train_cfg, cfg, seed) for seed in seeds]
-    results = _pool_map(_pipeline_cell, cells, workers)
-    rows = []
-    for j, (beta, tau) in enumerate(sweep):
-        chunk = results[j * len(seeds): (j + 1) * len(seeds)]
-        rows.append(
-            RegularizerCell(
-                beta=beta,
-                tau=tau,
-                p_star=float(np.mean([c[0] for c in chunk])),
-                dev_loss=float(np.mean([c[1] for c in chunk])),
-            )
-        )
-    return rows
+    cfgs = [replace(controller_cfg, beta=beta, tau_ent=tau) for beta, tau in sweep]
+    means = _sweep(task_cfg, lora_cfg, train_cfg, cfgs, seeds, workers)
+    return [
+        RegularizerCell(beta=beta, tau=tau, p_star=p_star, dev_loss=dev_loss)
+        for (beta, tau), (p_star, dev_loss) in zip(sweep, means)
+    ]
 
 
 @dataclass(frozen=True)
@@ -486,33 +471,19 @@ def ablate_microdev(
     4-example slice is literally the first quarter of the 16-example one.
     `workers` > 1 spreads the independent (size, seed) runs over a pool.
     """
-    if not seeds:
-        raise UsageError("need at least one seed")
-    for m in sizes:
-        if m < 1:
-            raise UsageError(f"micro-dev size must be >= 1, got {m}")
+    for m in sizes:  # sizes below 1 fail the config check in _sweep
         if m > task_cfg.microdev_n:
             raise UsageError(
                 f"micro-dev size {m} exceeds the task's generated pool "
                 f"({task_cfg.microdev_n})"
             )
-    cells = []
-    for m in sizes:
-        cfg = replace(controller_cfg, microdev_n=m).validate()
-        cells += [(task_cfg, lora_cfg, train_cfg, cfg, seed) for seed in seeds]
-    results = _pool_map(_pipeline_cell, cells, workers)
-    rows = []
-    for j, m in enumerate(sizes):
-        chunk = results[j * len(seeds): (j + 1) * len(seeds)]
-        rows.append(
-            MicrodevCell(
-                m=m,
-                p_star=float(np.mean([c[0] for c in chunk])),
-                dev_loss=float(np.mean([c[1] for c in chunk])),
-                non_micro=m >= task_cfg.target_train_n,
-            )
-        )
-    return rows
+    cfgs = [replace(controller_cfg, microdev_n=m) for m in sizes]
+    means = _sweep(task_cfg, lora_cfg, train_cfg, cfgs, seeds, workers)
+    return [
+        MicrodevCell(m=m, p_star=p_star, dev_loss=dev_loss,
+                     non_micro=m >= task_cfg.target_train_n)
+        for m, (p_star, dev_loss) in zip(sizes, means)
+    ]
 
 
 def rolling_pcurr(
@@ -534,49 +505,34 @@ def rolling_pcurr(
     return out
 
 
-def write_grid_csv(path, outcome: GridOutcome) -> None:
+def _write_csv(path, header: list[str], rows) -> None:
+    """One CSV table. The csv module writes floats by repr, so values read
+    back bit for bit, and None as an empty cell."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["p", "dev_loss", "test_loss", "steps"])
-        for pt in outcome.points:
-            w.writerow([
-                repr(pt.p),
-                "" if pt.dev_loss is None else repr(pt.dev_loss),
-                "" if pt.test_loss is None else repr(pt.test_loss),
-                pt.steps,
-            ])
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_grid_csv(path, outcome: GridOutcome) -> None:
+    rows = [(pt.p, pt.dev_loss, pt.test_loss, pt.steps) for pt in outcome.points]
+    _write_csv(path, ["p", "dev_loss", "test_loss", "steps"], rows)
 
 
 def write_runtime_csv(path, comp: EfficiencyComparison, dataset: str = "toy-regression") -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["method", "dataset", "runs", "runtime", "speedup"])
-        for rep in (comp.grid, comp.grasp):
-            w.writerow([
-                rep.method, dataset, rep.run_count,
-                repr(rep.seconds), repr(rep.speedup),
-            ])
+    reports = (comp.grid, comp.grasp)
+    rows = [(r.method, dataset, r.run_count, r.seconds, r.speedup) for r in reports]
+    _write_csv(path, ["method", "dataset", "runs", "runtime", "speedup"], rows)
 
 
 def write_regularizer_csv(path, rows: list[RegularizerCell]) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["beta", "tau", "p_star", "dev_loss"])
-        for r in rows:
-            w.writerow([repr(r.beta), repr(r.tau), repr(r.p_star), repr(r.dev_loss)])
+    _write_csv(path, ["beta", "tau", "p_star", "dev_loss"],
+               [(r.beta, r.tau, r.p_star, r.dev_loss) for r in rows])
 
 
 def write_microdev_csv(path, rows: list[MicrodevCell]) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["m", "p_star", "dev_loss"])
-        for r in rows:
-            w.writerow([r.m, repr(r.p_star), repr(r.dev_loss)])
+    _write_csv(path, ["m", "p_star", "dev_loss"], [(r.m, r.p_star, r.dev_loss) for r in rows])
 
 
 def write_rolling_csv(path, series: list[tuple[int, float, float]]) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["round", "mean", "std"])
-        for rnd, mean, std in series:
-            w.writerow([rnd, repr(mean), repr(std)])
+    _write_csv(path, ["round", "mean", "std"], series)

@@ -55,9 +55,10 @@ from .errors import PolicyPruneError, StorageError, UsageError
 from .masking import estimate_scale
 from .adapters import merge_adapter_sets
 from .serialize import canonical_json, sha256_file
-from .toytask import ToyData, gen_toy_data
+from .toytask import gen_toy_data
 from .training import (
     final_prune_finetune,
+    microdev_slice,
     pipeline_rngs,
     sparsity_policy_learning,
     train_adapter,
@@ -180,20 +181,6 @@ def _inherited_seed(args, parent_seed: int) -> int:
     return int(args.seed) if args.seed is not None else parent_seed
 
 
-def _task_data(cfg: RunConfig, seed: int) -> ToyData:
-    return gen_toy_data(cfg.task, seed)
-
-
-def _microdev_slice(cfg: RunConfig, data: ToyData):
-    m = cfg.controller.microdev_n
-    if m > data.microdev.n:
-        raise UsageError(
-            f"controller wants m={m} micro-dev examples but the generated "
-            f"pool holds {data.microdev.n}"
-        )
-    return data.microdev.head(m)
-
-
 # --- subcommands -------------------------------------------------------------
 
 
@@ -202,7 +189,7 @@ def cmd_train_adapters(cfg: RunConfig, args) -> int:
     d = _prepare_phase_dir(root, "train-adapters", args.force)
     chash = _persist_config(d, cfg)
     seed = cfg.seed
-    data = _task_data(cfg, seed)
+    data = gen_toy_data(cfg.task, seed)
     rngs = pipeline_rngs(seed)
     source = train_adapter(
         data.backbone, data.source_train, cfg.lora, cfg.training, rngs["source"]
@@ -233,8 +220,8 @@ def cmd_controller(cfg: RunConfig, args) -> int:
     chash = config_hash(cfg)
     merged_init, parent_seed, parent = _load_parent_checkpoint(root, chash)
     seed = _inherited_seed(args, parent_seed)
-    data = _task_data(cfg, seed)
-    microdev = _microdev_slice(cfg, data)
+    data = gen_toy_data(cfg.task, seed)
+    microdev = microdev_slice(data, cfg.controller)
     rngs = pipeline_rngs(seed)
     d = _prepare_phase_dir(root, "controller", args.force)
     _persist_config(d, cfg)
@@ -297,8 +284,8 @@ def cmd_finalize(cfg: RunConfig, args) -> int:
     merged_init, parent_seed, parent = _load_parent_checkpoint(root, chash)
     p_star, p_star_source = _resolve_p_star(root, chash, args)
     seed = _inherited_seed(args, parent_seed)
-    data = _task_data(cfg, seed)
-    microdev = _microdev_slice(cfg, data)
+    data = gen_toy_data(cfg.task, seed)
+    microdev = microdev_slice(data, cfg.controller)
     rngs = pipeline_rngs(seed)
     d = _prepare_phase_dir(root, "finalize", args.force)
     _persist_config(d, cfg)
@@ -356,8 +343,8 @@ def cmd_grid(cfg: RunConfig, args) -> int:
     chash = config_hash(cfg)
     merged_init, parent_seed, parent = _load_parent_checkpoint(root, chash)
     seed = _inherited_seed(args, parent_seed)
-    data = _task_data(cfg, seed)
-    microdev = _microdev_slice(cfg, data)
+    data = gen_toy_data(cfg.task, seed)
+    microdev = microdev_slice(data, cfg.controller)
     d = _prepare_phase_dir(root, "grid", args.force)
     _persist_config(d, cfg)
     outcome = grid_search(
@@ -502,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", parents=[common],
                        help="runtime comparison and rolling ratio series")
     p.add_argument("--repeats", type=int, default=3,
-                   help="timing passes per arm; the best is reported")
+                   help="timing passes per arm, interleaved; each arm's best is reported")
     p.set_defaults(func=cmd_report)
 
     return parser

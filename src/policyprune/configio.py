@@ -207,17 +207,12 @@ def apply_ini(cfg: RunConfig, text: str) -> RunConfig:
     """Overlay an INI document on `cfg`; absent keys keep their values."""
     sections = _parse_ini(text)
     replacements: dict = {}
-    for section, cls_name in (
-        ("task", "task"),
-        ("lora", "lora"),
-        ("training", "training"),
-        ("controller", "controller"),
-    ):
+    for section in _DATACLASS_SECTIONS:
         if section in sections:
             overrides = _section_overrides(section, sections[section])
             if overrides:
-                replacements[cls_name] = dataclasses.replace(
-                    getattr(cfg, cls_name), **overrides
+                replacements[section] = dataclasses.replace(
+                    getattr(cfg, section), **overrides
                 )
     if "grid" in sections and "ratios" in sections["grid"]:
         ratios = _to_number_list(sections["grid"]["ratios"], float, "[grid] ratios")
@@ -267,13 +262,9 @@ def load_run_config(
 
 
 def _hash_payload(cfg: RunConfig) -> dict:
-    return {
-        "task": dataclasses.asdict(cfg.task),
-        "lora": dataclasses.asdict(cfg.lora),
-        "training": dataclasses.asdict(cfg.training),
-        "controller": dataclasses.asdict(cfg.controller),
-        "grid": {"ratios": list(cfg.grid.ratios)},
-    }
+    payload = {s: dataclasses.asdict(getattr(cfg, s)) for s in _DATACLASS_SECTIONS}
+    payload["grid"] = {"ratios": list(cfg.grid.ratios)}
+    return payload
 
 
 def config_hash(cfg: RunConfig) -> str:

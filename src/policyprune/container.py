@@ -26,7 +26,7 @@ import numpy as np
 
 from .adapters import LoraAdapter, MergedAdapterSet, SiteFactors
 from .errors import StorageError
-from .serialize import canonical_json, sha256_file
+from .serialize import canonical_json
 
 MAGIC = b"ADPACK01"
 
@@ -209,7 +209,3 @@ def load_merged(path) -> tuple[MergedAdapterSet, ContainerHeader]:
             raise StorageError(f"container missing factor for site {sid!r}") from exc
         merged.sites.append(SiteFactors(sid, a.copy(), b.copy()))
     return merged, header
-
-
-def checkpoint_hash(path) -> str:
-    return sha256_file(path)

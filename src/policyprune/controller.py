@@ -13,7 +13,6 @@ passed through).
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -59,6 +58,8 @@ class ControllerConfig:
             raise UsageError("delta_max and eta must be positive")
         if self.beta < 0 or self.tau_ent < 0:
             raise UsageError("beta and tau_ent must be non-negative")
+        if not (self.sigma_floor > 0 and math.isfinite(self.sigma_floor)):
+            raise UsageError(f"sigma_floor must be positive, got {self.sigma_floor}")
         return self
 
 
@@ -102,15 +103,16 @@ def centered_advantages(rewards: list[float]) -> list[float]:
 
 
 def score_gradients(
-    samples: list[tuple[float, float]], mu: float, sigma: float
+    samples: list[tuple[float, float]], mu: float, sigma: float, floor: float = SIGMA_FLOOR
 ) -> tuple[float, float]:
     """Monte-Carlo score-function estimators over (z_i, A_i) pairs.
 
     g_mu = (1/C) sum A_i (z_i - mu) / sigma^2
     g_sigma = (1/C) sum A_i ((z_i - mu)^2 - sigma^2) / sigma^3
+    sigma must be at least `floor`; rounds pass their config's `sigma_floor`.
     """
-    if sigma < SIGMA_FLOOR:
-        raise UsageError(f"sigma {sigma} below floor {SIGMA_FLOOR}")
+    if sigma < floor:
+        raise UsageError(f"sigma {sigma} below floor {floor}")
     c = len(samples)
     g_mu = sum(a * (z - mu) / sigma**2 for z, a in samples) / c
     g_sigma = sum(a * ((z - mu) ** 2 - sigma**2) / sigma**3 for z, a in samples) / c
@@ -270,7 +272,8 @@ def controller_round(
 
     advantages = centered_advantages([c.relative for c in alive])
     g_mu, g_sigma = score_gradients(
-        [(c.z, a) for c, a in zip(alive, advantages)], policy.mu, policy.sigma
+        [(c.z, a) for c, a in zip(alive, advantages)], policy.mu, policy.sigma,
+        cfg.sigma_floor,
     )
     new_policy = policy_update(policy, g_mu, g_sigma, cfg)
 
@@ -345,15 +348,6 @@ def audit_records(records: list[ControllerRecord], cfg: ControllerConfig) -> lis
     return problems
 
 
-def write_round_log(path, records: list[ControllerRecord]) -> None:
-    try:
-        with open(path, "w") as f:
-            for rec in records:
-                f.write(canonical_json_line(rec.to_obj()))
-    except OSError as exc:
-        raise StorageError(f"cannot write round log {path}: {exc}") from exc
-
-
 def append_round_log(path, record: ControllerRecord) -> None:
     try:
         with open(path, "a") as f:
@@ -375,22 +369,3 @@ def read_round_log(path) -> list[ControllerRecord]:
     except (json.JSONDecodeError, KeyError) as exc:
         raise StorageError(f"malformed round log {path}: {exc}") from exc
     return records
-
-
-def write_round_csv(path, records: list[ControllerRecord]) -> None:
-    """Per-round summary: the committed ratio trace used for rolling stats."""
-    try:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(
-                ["round", "step", "p_curr", "baseline_reward", "committed",
-                 "mu", "sigma"]
-            )
-            for rec in records:
-                base = "" if rec.baseline_reward is None else repr(rec.baseline_reward)
-                w.writerow(
-                    [rec.round, rec.step, repr(rec.p_curr_after), base,
-                     int(rec.committed), repr(rec.mu_after), repr(rec.sigma_after)]
-                )
-    except OSError as exc:
-        raise StorageError(f"cannot write round summary {path}: {exc}") from exc

@@ -9,7 +9,6 @@ are all pruned, so the realized fraction can slightly exceed the target.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,18 +90,11 @@ class SparsityMask:
         default_factory=dict, repr=False, compare=False
     )
 
-    @property
-    def realized_fractions(self) -> dict[int, float]:
-        return {tid: st.fraction for tid, st in self.stats.items()}
-
     def overall_fraction(self) -> float:
         pruned = sum(int(st.d - bits.sum()) for st, bits in
                      zip(self.stats.values(), self.per_tensor.values()))
         total = sum(st.d for st in self.stats.values())
         return pruned / total
-
-    def keep_bits(self, tensor_id: int, shape: tuple[int, int]) -> np.ndarray:
-        return self.per_tensor[tensor_id].reshape(shape)
 
     def keep_floats(self, tensor_id: int, shape: tuple[int, int]) -> np.ndarray:
         """Keep bits as float64, cached — the bits are fixed once built."""
@@ -160,13 +152,3 @@ def newly_pruned(old: SparsityMask, new: SparsityMask) -> dict[int, np.ndarray]:
             raise DimensionError(f"masks disagree on tensor {tid}")
         out[tid] = (old_bits == 1) & (new_bits == 0)
     return out
-
-
-def write_mask_csv(path, mask: SparsityMask) -> None:
-    """Debug dump, one row per tensor: tensor_id, d, k, tau, fraction."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["tensor_id", "d", "k", "tau", "fraction"])
-        for tid in sorted(mask.stats):
-            st = mask.stats[tid]
-            w.writerow([st.tensor_id, st.d, st.k, repr(st.tau), repr(st.fraction)])

@@ -96,9 +96,8 @@ def optimizer_step_and_reset(
     grads: dict[int, np.ndarray],
     state: OptimizerState,
     mask: SparsityMask | None = None,
-    newly: dict[int, np.ndarray] | None = None,
 ) -> None:
-    """One in-place update; optionally reset moments first and re-zero pruned.
+    """One in-place update; under a mask, re-zero the pruned coordinates.
 
     Kept coordinates receive the standard bias-corrected adaptive-moment
     update with decoupled weight decay. Masked coordinates contribute zero
@@ -107,8 +106,6 @@ def optimizer_step_and_reset(
     pruned — and the mask reapplication at the end keeps the parameters at
     exactly +0.0 regardless.
     """
-    if newly:
-        reset_moments(state, newly)
     state.step += 1
     cfg = state.config
     t = state.step

@@ -65,6 +65,8 @@ __all__ = [
     "init_adapter_factors",
     "factors_to_adapters",
     "train_adapter",
+    "train_and_merge",
+    "microdev_slice",
     "microdev_loss",
     "sparsity_policy_learning",
     "final_prune_finetune",
@@ -200,22 +202,35 @@ def batch_indices(n: int, cfg: TrainConfig, rng: np.random.Generator):
         yield order[start : start + cfg.batch_size]
 
 
-def _training_step(
-    backbone: FrozenBackbone,
-    merged: MergedAdapterSet,
-    split: DataSplit,
-    idx: np.ndarray,
-    opt: OptimizerState,
-    mask: SparsityMask | None,
-    step_losses: list[float],
-) -> None:
-    loss, grads = loss_and_gradients(backbone, merged, split.x[idx], split.y[idx])
-    if not math.isfinite(loss):
-        raise TrainingDivergedError(
-            f"training loss became non-finite ({loss}) at step {len(step_losses) + 1}"
-        )
-    optimizer_step_and_reset(merged, grads, opt, mask=mask)
-    step_losses.append(loss)
+def _train_loop(
+    backbone: FrozenBackbone, merged: MergedAdapterSet, split: DataSplit,
+    train_cfg: TrainConfig, rng: np.random.Generator, opt: OptimizerState,
+    current_mask=lambda: None, on_step=None, on_epoch=None,
+) -> tuple[list[float], bool]:
+    """The epoch/batch loop of every phase.
+
+    Each step is one optimizer step under `current_mask()`, the mask in
+    force at that step (None trains dense). `on_step(step)` runs after each
+    step with the 1-based step count: phase 2's controller rounds, which may
+    commit a new mask. `on_epoch()` runs after each epoch and returns True
+    to stop: phase 3's dev early stopping. Returns the per-step losses and
+    whether `on_epoch` stopped the run.
+    """
+    losses: list[float] = []
+    for _ in range(train_cfg.epochs):
+        for idx in batch_indices(split.n, train_cfg, rng):
+            loss, grads = loss_and_gradients(backbone, merged, split.x[idx], split.y[idx])
+            if not math.isfinite(loss):
+                raise TrainingDivergedError(
+                    f"training loss became non-finite ({loss}) at step {len(losses) + 1}"
+                )
+            optimizer_step_and_reset(merged, grads, opt, mask=current_mask())
+            losses.append(loss)
+            if on_step is not None:
+                on_step(len(losses))
+        if on_epoch is not None and on_epoch():
+            return losses, True
+    return losses, False
 
 
 def train_adapter(
@@ -229,13 +244,32 @@ def train_adapter(
     train_cfg.validate()
     merged = init_adapter_factors(backbone, lora_cfg, rng)
     opt = init_optimizer(merged, train_cfg.optimizer_config())
-    losses: list[float] = []
-    for _ in range(train_cfg.epochs):
-        for idx in batch_indices(split.n, train_cfg, rng):
-            _training_step(backbone, merged, split, idx, opt, None, losses)
+    losses, _ = _train_loop(backbone, merged, split, train_cfg, rng, opt)
     return AdapterTrainResult(
         adapters=factors_to_adapters(merged, lora_cfg), step_losses=losses
     )
+
+
+def train_and_merge(
+    data: ToyData, lora_cfg: LoraConfig, train_cfg: TrainConfig, seed: int
+) -> tuple[AdapterTrainResult, AdapterTrainResult, MergedAdapterSet]:
+    """Phase 1: the source and target adapters and their merge (merged_init)."""
+    rngs = pipeline_rngs(seed)
+    source = train_adapter(data.backbone, data.source_train, lora_cfg, train_cfg, rngs["source"])
+    target = train_adapter(data.backbone, data.target_train, lora_cfg, train_cfg, rngs["target"])
+    merged = merge_adapter_sets([source.adapters, target.adapters], data.backbone.site_ids())
+    return source, target, merged
+
+
+def microdev_slice(data: ToyData, controller_cfg: ControllerConfig) -> DataSplit:
+    """The controller's micro-dev slice: the head of the generated pool."""
+    m = controller_cfg.microdev_n
+    if m > data.microdev.n:
+        raise UsageError(
+            f"controller wants m={m} micro-dev examples but the generated "
+            f"pool holds {data.microdev.n}"
+        )
+    return data.microdev.head(m)
 
 
 def microdev_loss(
@@ -345,6 +379,16 @@ class PolicyLearningResult:
         return len(self.step_losses)
 
 
+def _masked_start(
+    merged_init: MergedAdapterSet, p: float, scale: ImportanceScale, train_cfg: TrainConfig
+) -> tuple[MergedAdapterSet, SparsityMask, OptimizerState]:
+    """Phases 2 and 3 start alike: copy, mask at p, fresh optimizer."""
+    merged = merged_init.copy()
+    mask = build_mask(merged, p, scale)
+    mask_apply_inplace(merged, mask)
+    return merged, mask, init_optimizer(merged, train_cfg.optimizer_config())
+
+
 def sparsity_policy_learning(
     backbone: FrozenBackbone,
     merged_init: MergedAdapterSet,
@@ -367,11 +411,8 @@ def sparsity_policy_learning(
     """
     controller_cfg.validate()
     train_cfg.validate()
-    merged = merged_init.copy()
     scale = estimate_scale(microdev.x)
-    mask = build_mask(merged, controller_cfg.p_init, scale)
-    mask_apply_inplace(merged, mask)
-    opt = init_optimizer(merged, train_cfg.optimizer_config())
+    merged, mask, opt = _masked_start(merged_init, controller_cfg.p_init, scale, train_cfg)
     env = MaskedTrainingEnv(
         backbone=backbone,
         merged=merged,
@@ -382,32 +423,35 @@ def sparsity_policy_learning(
     )
     policy = init_policy(controller_cfg)
     records: list[ControllerRecord] = []
-    losses: list[float] = []
-    step = 0
+
+    def round_hook(step: int) -> None:
+        nonlocal policy
+        if step % controller_cfg.round_every:
+            return
+        env.begin_round()
+        policy, rec = controller_round(
+            policy,
+            controller_cfg,
+            rng_policy,
+            env,
+            round_index=len(records),
+            step=step,
+        )
+        records.append(rec)
+        if on_round is not None:
+            on_round(rec)
+
     try:
-        for _ in range(train_cfg.epochs):
-            for idx in batch_indices(target_train.n, train_cfg, rng_train):
-                _training_step(backbone, merged, target_train, idx, opt, env.mask, losses)
-                step += 1
-                if step % controller_cfg.round_every == 0:
-                    env.begin_round()
-                    policy, rec = controller_round(
-                        policy,
-                        controller_cfg,
-                        rng_policy,
-                        env,
-                        round_index=len(records),
-                        step=step,
-                    )
-                    records.append(rec)
-                    if on_round is not None:
-                        on_round(rec)
+        losses, _ = _train_loop(
+            backbone, merged, target_train, train_cfg, rng_train, opt,
+            current_mask=lambda: env.mask, on_step=round_hook,
+        )
     except TrainingDivergedError as exc:
         exc.records = records
         raise
     if not records:
         raise UsageError(
-            f"step budget {step} is smaller than the controller interval "
+            f"step budget {len(losses)} is smaller than the controller interval "
             f"{controller_cfg.round_every}; no rounds ran"
         )
     return PolicyLearningResult(
@@ -459,30 +503,20 @@ def final_prune_finetune(
     train_cfg.validate()
     if not (p_min <= p_star <= p_max):
         raise UsageError(f"p_star {p_star} outside the prune range [{p_min}, {p_max}]")
-    merged = merged_init.copy()
-    mask = build_mask(merged, p_star, scale)
-    mask_apply_inplace(merged, mask)
-    opt = init_optimizer(merged, train_cfg.optimizer_config())
-
-    losses: list[float] = []
+    merged, mask, opt = _masked_start(merged_init, p_star, scale, train_cfg)
     dev_history = [microdev_loss(backbone, merged, dev)]
-    best = dev_history[0]
-    bad = 0
-    stopped = False
-    for _ in range(train_cfg.epochs):
-        for idx in batch_indices(target_train.n, train_cfg, rng):
-            _training_step(backbone, merged, target_train, idx, opt, mask, losses)
-        dev_now = microdev_loss(backbone, merged, dev)
-        dev_history.append(dev_now)
-        if train_cfg.early_stop_patience is not None:
-            if dev_now < best:
-                best = dev_now
-                bad = 0
-            else:
-                bad += 1
-                if bad >= train_cfg.early_stop_patience:
-                    stopped = True
-                    break
+    patience = train_cfg.early_stop_patience
+
+    def early_stop_hook() -> bool:
+        dev_history.append(microdev_loss(backbone, merged, dev))
+        # stop after `patience` epochs past the first strict dev minimum
+        best = min(range(len(dev_history)), key=dev_history.__getitem__)
+        return patience is not None and len(dev_history) - 1 - best >= patience
+
+    losses, stopped = _train_loop(
+        backbone, merged, target_train, train_cfg, rng, opt,
+        current_mask=lambda: mask, on_epoch=early_stop_hook,
+    )
     test_loss = microdev_loss(backbone, merged, test) if test is not None else None
     return FinalRunResult(
         merged=merged,
@@ -548,23 +582,13 @@ def run_pipeline(
     that slice.
     """
     data = data if data is not None else gen_toy_data(task_cfg, seed)
-    if controller_cfg.microdev_n > data.microdev.n:
-        raise UsageError(
-            f"controller wants m={controller_cfg.microdev_n} micro-dev examples "
-            f"but the generated pool holds {data.microdev.n}"
-        )
-    microdev = data.microdev.head(controller_cfg.microdev_n)
+    microdev = microdev_slice(data, controller_cfg)
     assert {r.tobytes() for r in data.dev.x}.isdisjoint(
         {r.tobytes() for r in microdev.x}
     ), "dev split overlaps the micro-dev slice"
     rngs = pipeline_rngs(seed)
     backbone = data.backbone
-
-    source = train_adapter(backbone, data.source_train, lora_cfg, train_cfg, rngs["source"])
-    target = train_adapter(backbone, data.target_train, lora_cfg, train_cfg, rngs["target"])
-    merged_init = merge_adapter_sets(
-        [source.adapters, target.adapters], backbone.site_ids()
-    )
+    source, target, merged_init = train_and_merge(data, lora_cfg, train_cfg, seed)
 
     policy = sparsity_policy_learning(
         backbone,

@@ -4,8 +4,6 @@ import pytest
 from policyprune.adapters import (
     FrozenBackbone,
     LoraAdapter,
-    apply_projection,
-    lora_delta,
     matrix,
     merge_adapter_sets,
     merge_adapters,
@@ -13,10 +11,16 @@ from policyprune.adapters import (
 from policyprune.errors import DimensionError, UsageError
 
 
+def _delta(ad: LoraAdapter) -> np.ndarray:
+    """An adapter's dense update, (alpha/rank) * B @ A, as its one-adapter merge."""
+    a, b = merge_adapters([ad], ad.site_id)
+    return b @ a
+
+
 def test_lora_delta_rank1_hand_value():
     ad = LoraAdapter("q", a=[[2.0, 3.0]], b=[[1.0], [0.0]], rank=1, alpha=1.0)
     expected = np.array([[2.0, 3.0], [0.0, 0.0]])
-    np.testing.assert_array_equal(lora_delta(ad), expected)
+    np.testing.assert_array_equal(_delta(ad), expected)
 
 
 def test_lora_delta_rank2_scaled_hand_value():
@@ -29,7 +33,7 @@ def test_lora_delta_rank2_scaled_hand_value():
         alpha=4.0,
     )
     expected = np.array([[2.0, 4.0, 8.0], [6.0, 8.0, 20.0]])
-    np.testing.assert_array_equal(lora_delta(ad), expected)
+    np.testing.assert_array_equal(_delta(ad), expected)
 
 
 def test_lora_delta_is_sum_of_scaled_outer_products():
@@ -38,7 +42,7 @@ def test_lora_delta_is_sum_of_scaled_outer_products():
     b = rng.normal(size=(4, 3))
     ad = LoraAdapter("q", a=a, b=b, rank=3, alpha=6.0)
     dense = sum(2.0 * np.outer(b[:, j], a[j]) for j in range(3))
-    np.testing.assert_allclose(lora_delta(ad), dense, atol=1e-12)
+    np.testing.assert_allclose(_delta(ad), dense, atol=1e-12)
 
 
 def test_merge_product_equals_sum_of_deltas():
@@ -47,7 +51,9 @@ def test_merge_product_equals_sum_of_deltas():
     am, bm = merge_adapters([a1, a2], "q")
     expected = np.array([[6.0, -1.0], [16.0, -16.0]])
     np.testing.assert_array_equal(bm @ am, expected)
-    np.testing.assert_array_equal(bm @ am, lora_delta(a1) + lora_delta(a2))
+    np.testing.assert_array_equal(
+        bm @ am, a1.scale * (a1.b @ a1.a) + a2.scale * (a2.b @ a2.a)
+    )
 
 
 def test_merge_random_adapters_matches_dense_sum():
@@ -64,7 +70,8 @@ def test_merge_random_adapters_matches_dense_sum():
     ]
     am, bm = merge_adapters(ads, "k")
     assert am.shape == (5, 6) and bm.shape == (4, 5)
-    np.testing.assert_allclose(bm @ am, sum(lora_delta(a) for a in ads), atol=1e-10)
+    dense = sum(ad.scale * (ad.b @ ad.a) for ad in ads)
+    np.testing.assert_allclose(bm @ am, dense, atol=1e-10)
 
 
 def test_merge_order_does_not_change_product():
@@ -104,54 +111,11 @@ def test_merged_set_tensor_ids_run_in_site_order():
     merged = merge_adapter_sets(sets, ["q", "v"])
     ids = [(tid, sid, fac) for tid, sid, fac, _ in merged.tensors()]
     assert ids == [(1, "q", "A"), (2, "q", "B"), (3, "v", "A"), (4, "v", "B")]
-    assert merged.total_entries == sum(
-        arr.size for _, _, _, arr in merged.tensors()
-    )
     # copy is deep: mutating the copy leaves the original untouched
     cp = merged.copy()
     cp.sites[0].a[:] = 0.0
     assert not np.array_equal(cp.sites[0].a, merged.sites[0].a)
     assert cp.checksum() != merged.checksum()
-
-
-def test_apply_projection_matches_dense_masked_update():
-    rng = np.random.default_rng(23)
-    w = rng.normal(size=(4, 6))
-    a = rng.normal(size=(3, 6))
-    b = rng.normal(size=(4, 3))
-    ma = (rng.random(size=a.shape) > 0.4).astype(np.float64)
-    mb = (rng.random(size=b.shape) > 0.4).astype(np.float64)
-    h = rng.normal(size=(5, 6))
-    got = apply_projection(h, w, a, b, mask_a=ma, mask_b=mb, scale=2.5)
-    dense = w + 2.5 * ((b * mb) @ (a * ma))
-    np.testing.assert_allclose(got, h @ dense.T, atol=1e-10)
-
-
-def test_apply_projection_no_mask_defaults_to_identity_mask():
-    rng = np.random.default_rng(29)
-    w = rng.normal(size=(3, 4))
-    a = rng.normal(size=(2, 4))
-    b = rng.normal(size=(3, 2))
-    h = rng.normal(size=(6, 4))
-    got = apply_projection(h, w, a, b)
-    ones_a, ones_b = np.ones_like(a), np.ones_like(b)
-    same = apply_projection(h, w, a, b, mask_a=ones_a, mask_b=ones_b)
-    np.testing.assert_array_equal(got, same)
-
-
-def test_apply_projection_rejects_bad_shapes():
-    w = np.zeros((3, 4))
-    a = np.zeros((2, 4))
-    b = np.zeros((3, 2))
-    h = np.zeros((5, 4))
-    with pytest.raises(DimensionError):
-        apply_projection(np.zeros((5, 3)), w, a, b)
-    with pytest.raises(DimensionError):
-        apply_projection(h, w, np.zeros((2, 3)), b)
-    with pytest.raises(DimensionError):
-        apply_projection(h, w, a, np.zeros((3, 1)))
-    with pytest.raises(DimensionError):
-        apply_projection(h, w, a, b, mask_a=np.ones((1, 4)))
 
 
 def test_backbone_arrays_are_read_only():

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from policyprune.controller import (
+    SIGMA_FLOOR,
     CandidateOutcome,
     ControllerConfig,
     ControllerRecord,
     PolicyState,
+    append_round_log,
     audit_records,
     centered_advantages,
     commit_decision,
@@ -21,8 +23,6 @@ from policyprune.controller import (
     score_gradients,
     select_p_star,
     policy_update,
-    write_round_csv,
-    write_round_log,
 )
 from policyprune.errors import ProbePurityError, RewardError, UsageError
 
@@ -180,6 +180,40 @@ def test_policy_update_sigma_floor_single_expression():
     assert out.sigma == 1e-3
 
 
+def test_sigma_floor_must_be_positive():
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(UsageError, match="sigma_floor"):
+            ControllerConfig(sigma_floor=bad).validate()
+    assert _cfg(sigma_floor=1e-5).sigma_floor == 1e-5
+    assert ControllerConfig().sigma_floor == SIGMA_FLOOR
+
+
+def test_score_gradients_check_sigma_against_the_given_floor():
+    samples = [(0.5, 1.0), (0.3, -1.0)]
+    with pytest.raises(UsageError, match="below floor"):
+        score_gradients(samples, 0.4, 1e-5)
+    g_mu, g_sigma = score_gradients(samples, 0.4, 1e-5, 1e-5)
+    assert math.isfinite(g_mu) and math.isfinite(g_sigma)
+    with pytest.raises(UsageError, match="below floor"):
+        score_gradients(samples, 0.4, 1e-5, 1e-4)
+
+
+def test_small_floor_config_runs_rounds_after_sigma_decays_below_stock_floor():
+    cfg = _cfg(sigma_floor=1e-5, tau_ent=0.0)
+    # sigma + eta*g_sigma = 0 -> floored at the config's 1e-5, not the stock 1e-3
+    policy = policy_update(PolicyState(mu=0.4, sigma=0.0, p_curr=0.4), 0.0, 0.0, cfg)
+    assert policy.sigma == 1e-5 < SIGMA_FLOOR
+    env = ScriptedEnv(baseline=-1.0, reward_fn=lambda p: -1.0 - (p - 0.45) ** 2)
+    rng = np.random.default_rng(0)
+    records = []
+    for k in range(3):
+        policy, rec = controller_round(policy, cfg, rng, env, k, (k + 1) * 10)
+        records.append(rec)
+    assert not any(rec.failed for rec in records)
+    assert all(rec.sigma_after >= 1e-5 for rec in records)
+    assert audit_records(records, cfg) == []
+
+
 def test_policy_update_clamps_mu_to_range():
     cfg = _cfg()
     pol = PolicyState(mu=0.78, sigma=0.1, p_curr=0.78)
@@ -288,7 +322,7 @@ def test_round_sequence_is_deterministic(tmp_path):
         for k in range(12):
             policy, rec = controller_round(policy, cfg, rng, env, k, (k + 1) * 10)
             records.append(rec)
-        write_round_log(path, records)
+            append_round_log(path, rec)
         return records
 
     r1 = run(tmp_path / "a.jsonl")
@@ -361,26 +395,14 @@ def test_round_log_json_round_trip(tmp_path):
         policy, rec = controller_round(policy, cfg, rng, env, k, (k + 1) * 10)
         records.append(rec)
     path = tmp_path / "rounds.jsonl"
-    write_round_log(path, records)
+    for rec in records:
+        append_round_log(path, rec)
     back = read_round_log(path)
     assert [r.to_obj() for r in back] == [r.to_obj() for r in records]
     # every line is standalone JSON with sorted keys
     for line in path.read_text().splitlines():
         obj = json.loads(line)
         assert list(obj) == sorted(obj)
-
-
-def test_round_csv_schema(tmp_path):
-    rec = ControllerRecord(
-        round=0, step=10, p_curr_before=0.4, baseline_reward=-1.25,
-        candidates=[], committed=True, p_curr_after=0.45, mu_after=0.42,
-        sigma_after=0.09,
-    )
-    path = tmp_path / "rounds.csv"
-    write_round_csv(path, [rec])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "round,step,p_curr,baseline_reward,committed,mu,sigma"
-    assert lines[1] == "0,10,0.45,-1.25,1,0.42,0.09"
 
 
 def test_audit_flags_violations():

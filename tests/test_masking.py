@@ -1,4 +1,3 @@
-import csv
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from policyprune.masking import (
     mask_apply,
     newly_pruned,
     prune_threshold,
-    write_mask_csv,
 )
 
 
@@ -195,15 +193,3 @@ def test_newly_pruned_sets():
     high = build_mask(merged, 0.6, scale)  # prunes 0.1, 0.3, 0.5
     fresh = newly_pruned(low, high)
     np.testing.assert_array_equal(fresh[1], [False, True, True, False, False])
-
-
-def test_mask_csv_export(tmp_path):
-    merged = _merged_from_flat([0.1, 0.5, 0.3, 0.9])
-    mask = build_mask(merged, 0.5, ImportanceScale(1.0))
-    path = tmp_path / "mask.csv"
-    write_mask_csv(path, mask)
-    rows = list(csv.reader(path.open()))
-    assert rows[0] == ["tensor_id", "d", "k", "tau", "fraction"]
-    assert rows[1] == ["1", "4", "2", "0.3", "0.5"]
-    # the dummy B tensor: single entry, k=0, sentinel threshold
-    assert rows[2] == ["2", "1", "0", "-inf", "0.0"]

@@ -108,7 +108,7 @@ def test_all_ones_mask_and_no_reset_is_a_plain_step():
     masked = one_site_set()
     state_m = init_optimizer(masked)
     optimizer_step_and_reset(
-        masked, grads_for(masked, grads_raw), state_m, mask=ones_mask(masked), newly={}
+        masked, grads_for(masked, grads_raw), state_m, mask=ones_mask(masked)
     )
     assert plain.checksum() == masked.checksum()
     for tid in (1, 2):

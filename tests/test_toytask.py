@@ -6,10 +6,10 @@ import pytest
 from policyprune.adapters import (
     MergedAdapterSet,
     SiteFactors,
-    apply_projection,
     array_checksum,
 )
-from policyprune.errors import UsageError
+from policyprune.errors import DimensionError, UsageError
+from policyprune.masking import ImportanceScale, build_mask, mask_apply
 from policyprune.toytask import (
     DataSplit,
     ToyTaskConfig,
@@ -138,10 +138,26 @@ def test_model_forward_matches_per_site_projection_sum():
     merged = random_adapter_set(data, rank=4, rng=rng)
     x = data.dev.x[:6]
     expected = sum(
-        apply_projection(x, data.backbone.site(s.site_id), s.a, s.b)
-        for s in merged.sites
+        x @ (data.backbone.site(s.site_id) + s.b @ s.a).T for s in merged.sites
     )
     np.testing.assert_allclose(model_forward(data.backbone, merged, x), expected, rtol=1e-12)
+    with pytest.raises(DimensionError):
+        model_forward(data.backbone, merged, x[:, :-1])
+
+
+def test_model_forward_of_a_masked_merge_matches_the_dense_masked_update():
+    data = gen_toy_data(ToyTaskConfig(n_sites=2), 23)
+    merged = random_adapter_set(data, rank=3, rng=np.random.default_rng(23))
+    mask = build_mask(merged, 0.4, ImportanceScale(1.0))
+    x = data.dev.x[:5]
+    expected = 0.0
+    for i, s in enumerate(merged.sites):
+        keep_a = mask.per_tensor[2 * i + 1].reshape(s.a.shape)
+        keep_b = mask.per_tensor[2 * i + 2].reshape(s.b.shape)
+        dense = data.backbone.site(s.site_id) + (s.b * keep_b) @ (s.a * keep_a)
+        expected = expected + x @ dense.T
+    got = model_forward(data.backbone, mask_apply(merged, mask), x)
+    np.testing.assert_allclose(got, expected, rtol=1e-12)
 
 
 def test_noise_free_targets_equal_teacher_forward():
