@@ -1,15 +1,18 @@
 """Dense matrix primitives, low-rank adapters, and merging.
 
 All tensors are float64 numpy arrays in C (row-major) order. Matrices are
-validated once at construction: finite entries, 2-D shape. Adapter sets are
-treated as immutable; operations that change values return new objects, and
-the training loop works on explicit copies.
+validated once at construction: finite entries, 2-D shape. A merged adapter
+set keeps every factor in one contiguous float64 arena (`MergedAdapterSet.flat`)
+and hands out each factor as a view into it, so training, masking and the
+optimizer update the set in place, one buffer at a time; phases that must not
+disturb their input work on an explicit `copy()`.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,15 +35,6 @@ def matrix(data, rows: int | None = None, cols: int | None = None) -> np.ndarray
     if not np.isfinite(arr).all():
         raise UsageError("matrix entries must be finite (no NaN/Inf)")
     return arr
-
-
-def array_checksum(*arrays: np.ndarray) -> str:
-    """SHA-256 over the raw bytes (and shapes) of the given arrays."""
-    h = hashlib.sha256()
-    for arr in arrays:
-        h.update(str(arr.shape).encode())
-        h.update(np.ascontiguousarray(arr).tobytes())
-    return h.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -106,49 +100,97 @@ class FrozenBackbone:
         return [sid for sid, _ in self.sites]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SiteFactors:
-    """Stacked merged factors at one site: a is (R, d_in), b is (d_out, R)."""
+    """Stacked merged factors at one site: a is (R, d_in), b is (d_out, R).
+
+    Inside a `MergedAdapterSet` both are views into the set's arena, so
+    writing through them writes the set; they cannot be rebound.
+    """
 
     site_id: str
     a: np.ndarray
     b: np.ndarray
 
 
-@dataclass
 class MergedAdapterSet:
     """Per-site stacked merged factors; the tensors that get scored and masked.
 
     Tensor ids run 1..T in site order, A factor before B factor, so
     T = 2 * len(sites). The factor product b @ a is the site's dense update
     (constituent scalings are folded in at merge time, see merge_adapters).
+
+    All factors live in one contiguous float64 vector, `flat`, in tensor-id
+    order, each factor row-major: the order the checkpoint container writes.
+    Tensor t occupies ``flat[offsets[t-1]:offsets[t]]``; `sites[i].a`/`.b`
+    and `self[t]` are 2-D views of it. Construction copies the given factors
+    into a fresh arena.
     """
 
-    sites: list[SiteFactors] = field(default_factory=list)
+    def __init__(self, sites=()):
+        sites = tuple(sites)
+        layout = tuple((s.site_id, np.shape(s.a), np.shape(s.b)) for s in sites)
+        size = sum(math.prod(a) + math.prod(b) for _sid, a, b in layout)
+        self._bind(layout, np.empty(size, dtype=np.float64))
+        for s, view in zip(sites, self.sites):
+            view.a[...] = s.a
+            view.b[...] = s.b
 
-    def copy(self) -> "MergedAdapterSet":
-        return MergedAdapterSet(
-            [SiteFactors(s.site_id, s.a.copy(), s.b.copy()) for s in self.sites]
+    def _bind(self, layout: tuple, flat: np.ndarray) -> None:
+        """Adopt `flat` as the arena and carve the per-factor views."""
+        shapes = [shape for _sid, a, b in layout for shape in (a, b)]
+        offsets = [0]
+        for shape in shapes:
+            offsets.append(offsets[-1] + math.prod(shape))
+        views = [flat[lo:hi].reshape(shape)
+                 for lo, hi, shape in zip(offsets, offsets[1:], shapes)]
+        self._layout = layout
+        self.flat = flat
+        self.offsets = tuple(offsets)
+        self.sites = tuple(
+            SiteFactors(sid, views[2 * i], views[2 * i + 1])
+            for i, (sid, _a, _b) in enumerate(layout)
+        )
+        self._tensors = tuple(
+            (t + 1, layout[t // 2][0], "AB"[t % 2], view) for t, view in enumerate(views)
         )
 
-    def site(self, site_id: str) -> SiteFactors:
-        for s in self.sites:
-            if s.site_id == site_id:
-                return s
-        raise UsageError(f"unknown site {site_id!r}")
+    def copy(self) -> "MergedAdapterSet":
+        return _from_arena(self._layout, self.flat.copy())
+
+    def empty_like(self) -> "MergedAdapterSet":
+        """A set of the same layout with an uninitialized arena (scratch)."""
+        return _from_arena(self._layout, np.empty_like(self.flat))
+
+    def same_layout(self, other: "MergedAdapterSet") -> bool:
+        return self._layout == other._layout
+
+    def __reduce__(self):
+        # pickled views would arrive as separate copies; rebuild them instead
+        return (_from_arena, (self._layout, self.flat))
+
+    def __getitem__(self, tensor_id: int) -> np.ndarray:
+        """The 2-D view of tensor `tensor_id` (1-based)."""
+        if not 1 <= tensor_id <= len(self._tensors):
+            raise UsageError(f"unknown tensor id {tensor_id!r}")
+        return self._tensors[tensor_id - 1][3]
 
     def tensors(self) -> list[tuple[int, str, str, np.ndarray]]:
-        """All maskable tensors as (tensor_id, site_id, factor, array)."""
-        out = []
-        tid = 1
-        for s in self.sites:
-            out.append((tid, s.site_id, "A", s.a))
-            out.append((tid + 1, s.site_id, "B", s.b))
-            tid += 2
-        return out
+        """All maskable tensors as (tensor_id, site_id, factor, view)."""
+        return list(self._tensors)
 
     def checksum(self) -> str:
-        return array_checksum(*(arr for _, _, _, arr in self.tensors()))
+        """SHA-256 over the layout and the arena's bytes."""
+        h = hashlib.sha256(repr(self._layout).encode())
+        h.update(self.flat)
+        return h.hexdigest()
+
+
+def _from_arena(layout: tuple, flat: np.ndarray) -> MergedAdapterSet:
+    """A set that adopts `flat` (no copy) as its arena."""
+    out = MergedAdapterSet.__new__(MergedAdapterSet)
+    out._bind(layout, flat)
+    return out
 
 
 def merge_adapters(
@@ -184,9 +226,9 @@ def merge_adapter_sets(
     adapter_sets: list[list[LoraAdapter]], site_ids: list[str]
 ) -> MergedAdapterSet:
     """Merge several trained adapter sets (one adapter per site each)."""
-    merged = MergedAdapterSet()
+    sites = []
     for sid in site_ids:
         at_site = [ad for ads in adapter_sets for ad in ads if ad.site_id == sid]
         a, b = merge_adapters(at_site, sid)
-        merged.sites.append(SiteFactors(sid, a, b))
-    return merged
+        sites.append(SiteFactors(sid, a, b))
+    return MergedAdapterSet(sites)

@@ -201,11 +201,10 @@ def save_merged(
 def load_merged(path) -> tuple[MergedAdapterSet, ContainerHeader]:
     header, tensors = read_container(path)
     by_name = dict(tensors)
-    merged = MergedAdapterSet()
+    sites = []
     for sid in header.sites:
         try:
-            a, b = by_name[f"{sid}.A"], by_name[f"{sid}.B"]
+            sites.append(SiteFactors(sid, by_name[f"{sid}.A"], by_name[f"{sid}.B"]))
         except KeyError as exc:
             raise StorageError(f"container missing factor for site {sid!r}") from exc
-        merged.sites.append(SiteFactors(sid, a.copy(), b.copy()))
-    return merged, header
+    return MergedAdapterSet(sites), header

@@ -9,6 +9,7 @@ are all pruned, so the realized fraction can slightly exceed the target.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,6 +71,21 @@ def prune_threshold(scores: np.ndarray, p: float) -> tuple[int, float]:
     return k, tau
 
 
+def sorted_threshold(sorted_scores: np.ndarray, p: float) -> tuple[int, float]:
+    """`prune_threshold` read off scores already sorted ascending.
+
+    The k-th smallest of a sorted vector is its entry k-1, the value
+    `np.partition` selects, so one sort serves every ratio probed against
+    the same scores.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise UsageError(f"prune ratio must lie in [0, 1], got {p}")
+    k = math.floor(p * sorted_scores.size)  # the integer np.floor gives
+    if k == 0:
+        return 0, float("-inf")
+    return k, float(sorted_scores[k - 1])
+
+
 @dataclass
 class TensorMaskStats:
     tensor_id: int
@@ -81,44 +97,67 @@ class TensorMaskStats:
 
 @dataclass
 class SparsityMask:
-    """Per-tensor keep bits (1 keeps, 0 prunes) for one prune ratio."""
+    """Keep bits (1 keeps, 0 prunes) for one prune ratio.
+
+    `keep` is one uint8 vector laid out like `MergedAdapterSet.flat`;
+    `per_tensor[tid]` is tensor tid's slice of it (a view) and `stats[tid]`
+    its threshold record. Tensors appear in id order in `stats`.
+    """
 
     ratio: float
-    per_tensor: dict[int, np.ndarray] = field(default_factory=dict)
-    stats: dict[int, TensorMaskStats] = field(default_factory=dict)
-    _floats: dict[int, np.ndarray] = field(
-        default_factory=dict, repr=False, compare=False
-    )
+    keep: np.ndarray
+    stats: dict[int, TensorMaskStats]
+    per_tensor: dict[int, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.per_tensor = {}
+        lo = 0
+        for tid, st in self.stats.items():
+            self.per_tensor[tid] = self.keep[lo : lo + st.d]
+            lo += st.d
 
     def overall_fraction(self) -> float:
-        pruned = sum(int(st.d - bits.sum()) for st, bits in
-                     zip(self.stats.values(), self.per_tensor.values()))
-        total = sum(st.d for st in self.stats.values())
-        return pruned / total
+        return (self.keep.size - np.count_nonzero(self.keep)) / self.keep.size
 
-    def keep_floats(self, tensor_id: int, shape: tuple[int, int]) -> np.ndarray:
-        """Keep bits as float64, cached — the bits are fixed once built."""
-        cached = self._floats.get(tensor_id)
-        if cached is None or cached.shape != shape:
-            cached = self.per_tensor[tensor_id].reshape(shape).astype(np.float64)
-            self._floats[tensor_id] = cached
-        return cached
+
+def keep_above(
+    scores: np.ndarray, offsets, thresholds: list[tuple[int, float]],
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Bool keep vector: each entry of `scores` (laid out like an arena with
+    these tensor `offsets`) above its tensor's tau; `thresholds[t-1]` is
+    tensor t's (k, tau). Written into `out` when given."""
+    keep = np.empty(scores.size, dtype=bool) if out is None else out
+    for lo, hi, (_k, tau) in zip(offsets, offsets[1:], thresholds):
+        np.greater(scores[lo:hi], tau, out=keep[lo:hi])
+    return keep
+
+
+def mask_from_thresholds(
+    merged: MergedAdapterSet, p: float, scores: np.ndarray,
+    thresholds: list[tuple[int, float]],
+) -> SparsityMask:
+    """The mask at ratio p from scores laid out like `merged.flat` and the
+    per-tensor (k, tau) that `prune_threshold` gives for them."""
+    offs = merged.offsets
+    keep = keep_above(scores, offs, thresholds)
+    stats = {}
+    for tid, (k, tau) in enumerate(thresholds, start=1):
+        d = offs[tid] - offs[tid - 1]
+        stats[tid] = TensorMaskStats(
+            tensor_id=tid, d=d, k=k, tau=tau,
+            fraction=(d - np.count_nonzero(keep[offs[tid - 1]:offs[tid]])) / d,
+        )
+    # numpy stores True as byte 1, so the bools read as 0/1 uint8 keep bits
+    return SparsityMask(ratio=float(p), keep=keep.view(np.uint8), stats=stats)
 
 
 def build_mask(merged: MergedAdapterSet, p: float, scale: ImportanceScale) -> SparsityMask:
     """Score every merged tensor and threshold it independently at ratio p."""
-    mask = SparsityMask(ratio=float(p))
-    for tid, _sid, _fac, arr in merged.tensors():
-        scores = importance_scores(arr, scale)
-        k, tau = prune_threshold(scores, p)
-        keep = (scores > tau).astype(np.uint8)
-        mask.per_tensor[tid] = keep
-        pruned = int(keep.size - keep.sum())
-        mask.stats[tid] = TensorMaskStats(
-            tensor_id=tid, d=keep.size, k=k, tau=tau,
-            fraction=pruned / keep.size,
-        )
-    return mask
+    scores = importance_scores(merged.flat, scale)
+    offs = merged.offsets
+    thresholds = [prune_threshold(scores[lo:hi], p) for lo, hi in zip(offs, offs[1:])]
+    return mask_from_thresholds(merged, p, scores, thresholds)
 
 
 def mask_apply(merged: MergedAdapterSet, mask: SparsityMask) -> MergedAdapterSet:
@@ -130,25 +169,20 @@ def mask_apply(merged: MergedAdapterSet, mask: SparsityMask) -> MergedAdapterSet
 
 def mask_apply_inplace(merged: MergedAdapterSet, mask: SparsityMask) -> None:
     """Zero pruned coordinates in place (the per-step reapplication path)."""
-    for tid, _sid, _fac, arr in merged.tensors():
-        bits = mask.per_tensor.get(tid)
-        if bits is None:
-            raise DimensionError(f"mask has no bits for tensor {tid}")
-        if bits.size != arr.size:
-            raise DimensionError(
-                f"mask length {bits.size} does not match tensor {tid} size {arr.size}"
-            )
-        np.multiply(arr, mask.keep_floats(tid, arr.shape), out=arr)
-        # multiplying a negative by 0 leaves -0.0; normalize to +0.0
-        np.add(arr, 0.0, out=arr)
+    flat = merged.flat
+    if mask.keep.size != flat.size:
+        raise DimensionError(
+            f"mask length {mask.keep.size} does not match the set's {flat.size} entries"
+        )
+    np.multiply(flat, mask.keep, out=flat)
+    # multiplying a negative by 0 leaves -0.0; normalize to +0.0
+    np.add(flat, 0.0, out=flat)
 
 
-def newly_pruned(old: SparsityMask, new: SparsityMask) -> dict[int, np.ndarray]:
-    """Indices kept by the old mask but pruned by the new (flat bool per tensor)."""
-    out = {}
-    for tid, new_bits in new.per_tensor.items():
-        old_bits = old.per_tensor.get(tid)
-        if old_bits is None or old_bits.size != new_bits.size:
-            raise DimensionError(f"masks disagree on tensor {tid}")
-        out[tid] = (old_bits == 1) & (new_bits == 0)
-    return out
+def newly_pruned(old: SparsityMask, new: SparsityMask) -> np.ndarray:
+    """Flat bool over the arena: kept by the old mask, pruned by the new."""
+    if old.keep.size != new.keep.size:
+        raise DimensionError(
+            f"masks disagree on size ({old.keep.size} vs {new.keep.size})"
+        )
+    return (old.keep == 1) & (new.keep == 0)

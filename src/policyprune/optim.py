@@ -2,8 +2,9 @@
 
 The optimizer is stateful on purpose: the commit rule requires clearing the
 moment estimates at newly pruned coordinates, which is only observable with
-per-parameter state. Moments are keyed by tensor id so they survive mask
-rebuilds and can be reset index-wise.
+per-parameter state. The moments are two flat vectors laid out like the
+adapter set's arena (`MergedAdapterSet.flat`), so one update and one reset
+each cover every tensor at once, and they survive mask rebuilds.
 """
 
 from __future__ import annotations
@@ -55,82 +56,91 @@ class OptimizerConfig:
 
 @dataclass
 class OptimizerState:
-    """Per-tensor first/second moments plus the shared step count."""
+    """First/second moments over the arena, the shared step count, and the
+    update's scratch vectors (same length as the moments)."""
 
     config: OptimizerConfig
-    first_moment: dict[int, np.ndarray] = field(default_factory=dict)
-    second_moment: dict[int, np.ndarray] = field(default_factory=dict)
+    first_moment: np.ndarray
+    second_moment: np.ndarray
     step: int = 0
+    _scratch: tuple[np.ndarray, np.ndarray] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        self._scratch = (
+            np.empty_like(self.first_moment), np.empty_like(self.first_moment)
+        )
 
 
 def init_optimizer(
     merged: MergedAdapterSet, config: OptimizerConfig | None = None
 ) -> OptimizerState:
-    """Zero-initialized moments shaped like every trainable tensor."""
+    """Zero-initialized moments shaped like the set's arena."""
     cfg = config or OptimizerConfig()
     cfg.validate()
-    state = OptimizerState(config=cfg)
-    for tid, _sid, _fac, arr in merged.tensors():
-        state.first_moment[tid] = np.zeros_like(arr)
-        state.second_moment[tid] = np.zeros_like(arr)
-    return state
+    return OptimizerState(
+        config=cfg,
+        first_moment=np.zeros_like(merged.flat),
+        second_moment=np.zeros_like(merged.flat),
+    )
 
 
-def reset_moments(state: OptimizerState, newly: dict[int, np.ndarray]) -> None:
-    """Zero both moments at the given flat indices (the commit-time reset)."""
-    for tid, idx in newly.items():
-        m = state.first_moment.get(tid)
-        v = state.second_moment.get(tid)
-        if m is None or v is None:
-            raise DimensionError(f"optimizer has no moments for tensor {tid}")
-        if idx.size != m.size:
-            raise DimensionError(
-                f"reset index length {idx.size} does not match tensor {tid} size {m.size}"
-            )
-        m.reshape(-1)[idx] = 0.0
-        v.reshape(-1)[idx] = 0.0
+def reset_moments(state: OptimizerState, newly: np.ndarray) -> None:
+    """Zero both moments where the flat bool `newly` is set (the commit-time reset)."""
+    if newly.size != state.first_moment.size:
+        raise DimensionError(
+            f"reset index length {newly.size} does not match the "
+            f"{state.first_moment.size} moments"
+        )
+    state.first_moment[newly] = 0.0
+    state.second_moment[newly] = 0.0
 
 
 def optimizer_step_and_reset(
     merged: MergedAdapterSet,
-    grads: dict[int, np.ndarray],
+    grads: MergedAdapterSet,
     state: OptimizerState,
     mask: SparsityMask | None = None,
 ) -> None:
-    """One in-place update; under a mask, re-zero the pruned coordinates.
+    """One in-place update over the whole arena; under a mask, re-zero the
+    pruned coordinates. It resets no moments: the commit-time reset is
+    `reset_moments`, called by `MaskedTrainingEnv.commit`.
 
-    Kept coordinates receive the standard bias-corrected adaptive-moment
-    update with decoupled weight decay. Masked coordinates contribute zero
-    gradient, so once their moments are cleared at commit time they stay
-    exactly zero (parameter and moments alike) for as long as they remain
-    pruned — and the mask reapplication at the end keeps the parameters at
-    exactly +0.0 regardless.
+    `grads` is a set of the same layout holding the gradient (see
+    `loss_and_gradients`); it is read, never written. Kept coordinates
+    receive the standard bias-corrected adaptive-moment update with
+    decoupled weight decay. Masked coordinates contribute zero gradient, so
+    once their moments are cleared at commit time they stay exactly zero
+    (parameter and moments alike) for as long as they remain pruned — and
+    the mask reapplication at the end keeps the parameters at exactly +0.0
+    regardless.
     """
+    if not merged.same_layout(grads):
+        raise DimensionError("gradient layout does not match the adapter set")
     state.step += 1
     cfg = state.config
     t = state.step
     bias1 = 1.0 - cfg.beta1**t
     bias2 = 1.0 - cfg.beta2**t
-    for tid, _sid, _fac, arr in merged.tensors():
-        g = grads.get(tid)
-        if g is None:
-            raise DimensionError(f"no gradient provided for tensor {tid}")
-        if g.shape != arr.shape:
-            raise DimensionError(
-                f"gradient shape {g.shape} does not match tensor {tid} shape {arr.shape}"
-            )
-        if mask is not None:
-            g = g * mask.keep_floats(tid, arr.shape)
-        m = state.first_moment[tid]
-        v = state.second_moment[tid]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        m_hat = m / bias1
-        v_hat = v / bias2
-        arr -= cfg.learning_rate * (
-            m_hat / (np.sqrt(v_hat) + cfg.epsilon) + cfg.weight_decay * arr
-        )
+    arr, m, v = merged.flat, state.first_moment, state.second_moment
+    s1, s2 = state._scratch
+    # The textbook update, one elementwise operation at a time and in its
+    # order, so every coordinate gets the per-coordinate formula's bits.
+    g = grads.flat
+    if mask is not None:
+        g = np.multiply(g, mask.keep, out=s1)
+    m *= cfg.beta1
+    m += np.multiply(g, 1.0 - cfg.beta1, out=s2)
+    v *= cfg.beta2
+    np.multiply(g, 1.0 - cfg.beta2, out=s2)
+    v += np.multiply(s2, g, out=s2)                  # (1 - beta2) * g * g
+    m_hat = np.divide(m, bias1, out=s1)
+    denom = np.sqrt(np.divide(v, bias2, out=s2), out=s2)
+    denom += cfg.epsilon
+    update = np.divide(m_hat, denom, out=s1)
+    update += np.multiply(arr, cfg.weight_decay, out=s2)
+    update *= cfg.learning_rate
+    arr -= update
     if mask is not None:
         mask_apply_inplace(merged, mask)

@@ -283,8 +283,13 @@ def mse_loss(pred: np.ndarray, y: np.ndarray) -> float:
     """Mean squared error over all examples and output coordinates."""
     if pred.shape != y.shape:
         raise DimensionError(f"prediction shape {pred.shape} != target shape {y.shape}")
-    diff = pred - y
-    return float(np.mean(diff * diff))
+    return _mean_square(pred - y)
+
+
+def _mean_square(diff: np.ndarray) -> float:
+    # np.mean's own arithmetic (one pairwise add.reduce, then / count)
+    # without its Python-level dispatch
+    return float(np.add.reduce(diff * diff, axis=None)) / diff.size
 
 
 def loss_and_gradients(
@@ -292,35 +297,35 @@ def loss_and_gradients(
     merged: MergedAdapterSet,
     x: np.ndarray,
     y: np.ndarray,
-) -> tuple[float, dict[int, np.ndarray]]:
+    out: MergedAdapterSet | None = None,
+) -> tuple[float, MergedAdapterSet]:
     """MSE loss plus exact analytic gradients for every factor tensor.
 
     With E = pred - y and G = 2 E / (n * d_out):
       dL/db = G^T (x a^T)        dL/da = (G b)^T x
-    keyed by the same tensor ids the masking and optimizer layers use.
+    The gradient is a set laid out like `merged` (so `grads[tid]` is tensor
+    tid's gradient and `grads.flat` the whole of it), written into `out`
+    when given — the training loop reuses one — else into a new set.
     """
     x = matrix(x)
     y = matrix(y)
-    hidden = {}
+    hidden = []
     pred = None
     for s in merged.sites:
         w = backbone.site(s.site_id)
         h = x @ s.a.T
-        hidden[s.site_id] = h
-        out = x @ w.T + h @ s.b.T
-        pred = out if pred is None else pred + out
+        hidden.append(h)
+        site_out = x @ w.T + h @ s.b.T
+        pred = site_out if pred is None else pred + site_out
     if pred is None:
         raise UsageError("adapter set has no sites")
     if pred.shape != y.shape:
         raise DimensionError(f"prediction shape {pred.shape} != target shape {y.shape}")
     diff = pred - y
-    loss = float(np.mean(diff * diff))
+    loss = _mean_square(diff)
     g_out = (2.0 / diff.size) * diff
-    grads: dict[int, np.ndarray] = {}
-    for tid, sid, fac, _arr in merged.tensors():
-        s = merged.site(sid)
-        if fac == "A":
-            grads[tid] = (g_out @ s.b).T @ x
-        else:
-            grads[tid] = g_out.T @ hidden[sid]
+    grads = merged.empty_like() if out is None else out
+    for s, g, h in zip(merged.sites, grads.sites, hidden):
+        np.matmul((g_out @ s.b).T, x, out=g.a)
+        np.matmul(g_out.T, h, out=g.b)
     return loss, grads

@@ -32,15 +32,18 @@ from .controller import (
     select_p_star,
 )
 from .errors import TrainingDivergedError, UsageError
-from .masking import (
+from .masking import (  # noqa: F401 (prune_threshold: perfbench traces this binding)
     ImportanceScale,
     SparsityMask,
     build_mask,
     estimate_scale,
     importance_scores,
+    keep_above,
     mask_apply_inplace,
+    mask_from_thresholds,
     newly_pruned,
     prune_threshold,
+    sorted_threshold,
 )
 from .optim import (
     OptimizerConfig,
@@ -217,9 +220,12 @@ def _train_loop(
     whether `on_epoch` stopped the run.
     """
     losses: list[float] = []
+    grads = merged.empty_like()
     for _ in range(train_cfg.epochs):
         for idx in batch_indices(split.n, train_cfg, rng):
-            loss, grads = loss_and_gradients(backbone, merged, split.x[idx], split.y[idx])
+            loss, grads = loss_and_gradients(
+                backbone, merged, split.x[idx], split.y[idx], out=grads
+            )
             if not math.isfinite(loss):
                 raise TrainingDivergedError(
                     f"training loss became non-finite ({loss}) at step {len(losses) + 1}"
@@ -286,10 +292,14 @@ class MaskedTrainingEnv:
     """The live-model side of the controller protocol.
 
     Baseline probes read the committed masked parameters in place; candidate
-    probes build a trial mask from the current magnitudes and evaluate it on
-    a throwaway copy, so the trained parameters are untouched (the round
+    probes threshold the current magnitudes and evaluate the masked factors
+    in a scratch arena, so the trained parameters are untouched (the round
     audits this via checksum). Commits rebuild the mask at the new ratio,
     zero the newly pruned coordinates, and clear their optimizer moments.
+
+    Within a round the parameters are fixed, so the round scores them once
+    and sorts each tensor's scores once; every probe and the commit read
+    their per-tensor thresholds off that sort (`sorted_threshold`).
     """
 
     backbone: FrozenBackbone
@@ -307,53 +317,42 @@ class MaskedTrainingEnv:
             self.microdev.x @ self.backbone.site(sid).T
             for sid in (s.site_id for s in self.merged.sites)
         )
-        self._scores: dict[int, np.ndarray] | None = None
+        self._trial = self.merged.empty_like()
+        self._keep = np.empty(self.merged.flat.size, dtype=bool)
+        self._scores: np.ndarray | None = None
+        self._sorted: list[np.ndarray] = []
 
     def begin_round(self) -> None:
         """Drop cached importance scores; call after any parameter change."""
         self._scores = None
 
-    def _importance(self) -> dict[int, np.ndarray]:
-        # Within one round the parameters are fixed, so all of the round's
-        # candidate probes share the same importance scores.
+    def _thresholds(self, p: float) -> list[tuple[int, float]]:
+        """Per-tensor (k, tau) at ratio p from the round's one sort."""
         if self._scores is None:
-            self._scores = {
-                tid: importance_scores(arr, self.scale)
-                for tid, _sid, _fac, arr in self.merged.tensors()
-            }
-        return self._scores
+            self._scores = importance_scores(self.merged.flat, self.scale)
+            offs = self.merged.offsets
+            self._sorted = [np.sort(self._scores[lo:hi]) for lo, hi in zip(offs, offs[1:])]
+        return [sorted_threshold(srt, p) for srt in self._sorted]
 
-    def _probe_loss(self, factors: list[tuple[np.ndarray, np.ndarray]]) -> float:
+    def _probe_loss(self, sites) -> float:
         x = self.microdev.x
         pred = self._base
-        for a, b in factors:
-            pred = pred + (x @ a.T) @ b.T
+        for s in sites:
+            pred = pred + (x @ s.a.T) @ s.b.T
         return mse_loss(pred, self.microdev.y)
 
     def baseline_reward(self) -> float:
-        return reward_from_loss(
-            self._probe_loss([(s.a, s.b) for s in self.merged.sites])
-        )
+        return reward_from_loss(self._probe_loss(self.merged.sites))
 
     def candidate_reward(self, p: float) -> float:
-        scores = self._importance()
-        tensors = self.merged.tensors()
-        factors = []
-        for i in range(0, len(tensors), 2):  # tensors() pairs A before B
-            tid_a, _sid, _fac, a = tensors[i]
-            tid_b, _sid2, _fac2, b = tensors[i + 1]
-            _, tau_a = prune_threshold(scores[tid_a], p)
-            _, tau_b = prune_threshold(scores[tid_b], p)
-            factors.append(
-                (
-                    a * (scores[tid_a] > tau_a).reshape(a.shape),
-                    b * (scores[tid_b] > tau_b).reshape(b.shape),
-                )
-            )
-        return reward_from_loss(self._probe_loss(factors))
+        thresholds = self._thresholds(p)
+        keep = keep_above(self._scores, self.merged.offsets, thresholds, out=self._keep)
+        np.multiply(self.merged.flat, keep, out=self._trial.flat)
+        return reward_from_loss(self._probe_loss(self._trial.sites))
 
     def commit(self, p_new: float) -> None:
-        new_mask = build_mask(self.merged, p_new, self.scale)
+        thresholds = self._thresholds(p_new)
+        new_mask = mask_from_thresholds(self.merged, p_new, self._scores, thresholds)
         newly = newly_pruned(self.mask, new_mask)
         mask_apply_inplace(self.merged, new_mask)
         reset_moments(self.opt_state, newly)

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,9 @@ from policyprune.adapters import (
     merge_adapter_sets,
     merge_adapters,
 )
+from policyprune.container import load_merged, save_merged
 from policyprune.errors import DimensionError, UsageError
+from policyprune.training import LoraConfig, init_adapter_factors
 
 
 def _delta(ad: LoraAdapter) -> np.ndarray:
@@ -142,3 +146,39 @@ def test_adapter_shape_invariants():
         LoraAdapter("q", a=[[1.0, 2.0]], b=[[1.0, 0.0], [0.0, 1.0]], rank=1, alpha=1.0)
     with pytest.raises(UsageError):
         LoraAdapter("q", a=[[1.0, 2.0]], b=[[1.0], [0.0]], rank=0, alpha=1.0)
+
+
+def test_every_merged_set_is_one_arena_of_views(tmp_path):
+    rng = np.random.default_rng(4)
+    sets = [
+        [
+            LoraAdapter(sid, a=rng.normal(size=(2, 5)), b=rng.normal(size=(3, 2)),
+                        rank=2, alpha=4.0)
+            for sid in ("q", "v")
+        ]
+        for _ in range(2)
+    ]
+    merged = merge_adapter_sets(sets, ["q", "v"])
+    backbone = FrozenBackbone(
+        sites=tuple((sid, rng.normal(size=(3, 5))) for sid in ("q", "v")), embedding_dim=5
+    )
+    fresh = init_adapter_factors(backbone, LoraConfig(rank=2), rng)
+    save_merged(tmp_path / "m.ckpt", merged)
+    loaded, _ = load_merged(tmp_path / "m.ckpt")
+    unpickled = pickle.loads(pickle.dumps(merged))
+    assert unpickled.checksum() == merged.checksum()
+    assert not np.shares_memory(unpickled.flat, merged.flat)
+    for m in (merged, fresh, loaded, unpickled):
+        assert m.flat.dtype == np.float64 and m.flat.flags.c_contiguous
+        # tensor-id order, each factor row-major: the checkpoint's order
+        np.testing.assert_array_equal(
+            m.flat, np.concatenate([arr.ravel() for _, _, _, arr in m.tensors()])
+        )
+        for tid, _sid, _fac, arr in m.tensors():
+            assert arr.base is m.flat and m[tid] is arr
+        before = m.checksum()
+        m.sites[-1].a[0, 0] += 1.0
+        assert m.checksum() != before
+        cp = m.copy()
+        assert not np.shares_memory(cp.flat, m.flat)
+        assert cp.checksum() == m.checksum()

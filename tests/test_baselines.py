@@ -348,3 +348,19 @@ def test_csv_writers_round_trip(tmp_path):
     rows = list(csv.reader(rol.open()))
     assert rows[0] == ["round", "mean", "std"]
     assert float(rows[2][1]) == pytest.approx(0.4)
+
+
+def test_worker_pool_grid_equals_the_serial_grid_bit_for_bit():
+    # The pool pickles the merged set into each worker, which must rebuild
+    # its factor views around the arena; any drift shows up in the rows.
+    data = gen_toy_data(SMALL, 8)
+    cfg = TrainConfig(epochs=2)
+    merged = _trained_merge(data, cfg, 8)
+    before = merged.checksum()
+    scale = estimate_scale(data.microdev.x)
+    args = (data.backbone, merged, data.target_train, data.dev, scale, cfg, 8)
+    grid = GridSpec(ratios=(0.10, 0.40, 0.70))
+    serial = grid_search(*args, grid=grid, test=data.test, workers=1)
+    pooled = grid_search(*args, grid=grid, test=data.test, workers=2)
+    assert pooled == serial
+    assert merged.checksum() == before

@@ -12,6 +12,7 @@ from policyprune.masking import (
     mask_apply,
     newly_pruned,
     prune_threshold,
+    sorted_threshold,
 )
 
 
@@ -191,5 +192,28 @@ def test_newly_pruned_sets():
     scale = ImportanceScale(1.0)
     low = build_mask(merged, 0.2, scale)   # prunes 0.1
     high = build_mask(merged, 0.6, scale)  # prunes 0.1, 0.3, 0.5
-    fresh = newly_pruned(low, high)
-    np.testing.assert_array_equal(fresh[1], [False, True, True, False, False])
+    fresh = newly_pruned(low, high)  # flat over the arena: A's 5 entries, then B's 1
+    np.testing.assert_array_equal(fresh, [False, True, True, False, False, False])
+
+
+def test_sorted_thresholds_equal_prune_threshold_at_every_k():
+    rng = np.random.default_rng(17)
+    d = 37
+    distinct = rng.permutation(np.arange(1.0, d + 1.0))
+    # the live phase's ratcheted state: most pruned entries tie at exactly 0.0
+    ratcheted = distinct.copy()
+    ratcheted[rng.choice(d, size=25, replace=False)] = 0.0
+    repeated = np.round(rng.uniform(0.0, 3.0, size=d))
+    for scores in (distinct, ratcheted, repeated):
+        ordered = np.sort(scores)
+        seen = set()
+        for p in [0.0, 1.0] + [(k + 0.5) / d for k in range(d)]:
+            k, tau = sorted_threshold(ordered, p)
+            assert (k, tau) == prune_threshold(scores, p)
+            seen.add(k)
+        assert seen == set(range(d + 1))
+        assert sorted_threshold(ordered, 0.0) == (0, float("-inf"))
+    assert sorted_threshold(np.sort(ratcheted), 0.5)[1] == 0.0
+    for bad in (-0.1, 1.1):
+        with pytest.raises(UsageError):
+            sorted_threshold(np.sort(distinct), bad)

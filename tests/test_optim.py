@@ -5,8 +5,7 @@ import pytest
 
 from policyprune.adapters import MergedAdapterSet, SiteFactors, matrix
 from policyprune.errors import DimensionError, UsageError
-from policyprune.masking import SparsityMask, build_mask, newly_pruned
-from policyprune.masking import ImportanceScale
+from policyprune.masking import ImportanceScale, build_mask, newly_pruned
 from policyprune.optim import (
     OptimizerConfig,
     init_optimizer,
@@ -28,13 +27,16 @@ def one_site_set():
 
 
 def grads_for(merged, values):
-    return {tid: np.asarray(values[tid], dtype=np.float64) for tid, _, _, _ in merged.tensors()}
+    """A gradient set laid out like `merged`, tensor id -> nested values."""
+    grads = merged.empty_like()
+    for tid, _, _, _ in merged.tensors():
+        grads[tid][...] = values[tid]
+    return grads
 
 
 def ones_mask(merged):
-    mask = SparsityMask(ratio=0.0)
-    for tid, _, _, arr in merged.tensors():
-        mask.per_tensor[tid] = np.ones(arr.size, dtype=np.uint8)
+    mask = build_mask(merged, 0.0, ImportanceScale(1.0))  # k = 0 keeps everything
+    assert mask.keep.all()
     return mask
 
 
@@ -111,9 +113,8 @@ def test_all_ones_mask_and_no_reset_is_a_plain_step():
         masked, grads_for(masked, grads_raw), state_m, mask=ones_mask(masked)
     )
     assert plain.checksum() == masked.checksum()
-    for tid in (1, 2):
-        np.testing.assert_array_equal(state_p.first_moment[tid], state_m.first_moment[tid])
-        np.testing.assert_array_equal(state_p.second_moment[tid], state_m.second_moment[tid])
+    np.testing.assert_array_equal(state_p.first_moment, state_m.first_moment)
+    np.testing.assert_array_equal(state_p.second_moment, state_m.second_moment)
 
 
 def test_pruned_coordinate_stays_exactly_zero_despite_gradient():
@@ -139,36 +140,33 @@ def test_commit_reset_zeroes_moments_immediately_and_they_stay_zero():
     state = init_optimizer(merged)
     grads = grads_for(merged, {1: [[1.0, 1.0]], 2: [[1.0], [1.0]]})
     optimizer_step_and_reset(merged, grads, state, mask=loose)
-    for tid in (1, 2):
-        assert np.all(state.first_moment[tid] != 0.0)
+    assert np.all(state.first_moment != 0.0)
 
     newly = newly_pruned(loose, tight)
-    assert any(idx.any() for idx in newly.values())
+    assert newly.any()
     reset_moments(state, newly)
-    for tid in (1, 2):
-        flat_m = state.first_moment[tid].reshape(-1)
-        flat_v = state.second_moment[tid].reshape(-1)
-        assert np.all(flat_m[newly[tid]] == 0.0)
-        assert np.all(flat_v[newly[tid]] == 0.0)
-        assert np.all(flat_m[~newly[tid]] != 0.0)
+    assert np.all(state.first_moment[newly] == 0.0)
+    assert np.all(state.second_moment[newly] == 0.0)
+    assert np.all(state.first_moment[~newly] != 0.0)
 
     # Masked gradients keep the cleared moments at exactly zero afterwards.
     for _ in range(4):
         optimizer_step_and_reset(merged, grads, state, mask=tight)
-    for tid in (1, 2):
-        assert np.all(state.first_moment[tid].reshape(-1)[newly[tid]] == 0.0)
-        assert np.all(state.second_moment[tid].reshape(-1)[newly[tid]] == 0.0)
+    assert np.all(state.first_moment[newly] == 0.0)
+    assert np.all(state.second_moment[newly] == 0.0)
 
 
 def test_shape_and_config_errors():
     merged = one_site_set()
     state = init_optimizer(merged)
+    wider = MergedAdapterSet([SiteFactors("q", np.zeros((1, 3)), np.zeros((2, 1)))])
     with pytest.raises(DimensionError):
-        optimizer_step_and_reset(merged, {1: np.zeros((1, 2))}, state)
+        optimizer_step_and_reset(merged, wider, state)
+    renamed = MergedAdapterSet([SiteFactors("v", np.zeros((1, 2)), np.zeros((2, 1)))])
     with pytest.raises(DimensionError):
-        optimizer_step_and_reset(
-            merged, {1: np.zeros((2, 2)), 2: np.zeros((2, 1))}, state
-        )
+        optimizer_step_and_reset(merged, renamed, state)
+    with pytest.raises(DimensionError):
+        reset_moments(state, np.zeros(3, dtype=bool))
     with pytest.raises(UsageError):
         OptimizerConfig(learning_rate=0.0).validate()
     with pytest.raises(UsageError):

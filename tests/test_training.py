@@ -1,14 +1,30 @@
 """Training harness: phase-1 fitting, the probe protocol, committed-mask
 training, and the end-to-end three-phase pipeline."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
 from policyprune.adapters import merge_adapter_sets
+from policyprune.configio import load_run_config
 from policyprune.controller import ControllerConfig, audit_records, reward_from_loss
 from policyprune.errors import TrainingDivergedError, UsageError
-from policyprune.masking import build_mask, estimate_scale, mask_apply, mask_apply_inplace
-from policyprune.optim import init_optimizer, optimizer_step_and_reset
+from policyprune.masking import (
+    build_mask,
+    estimate_scale,
+    mask_apply,
+    mask_apply_inplace,
+    newly_pruned,
+)
+from policyprune.optim import (
+    OptimizerState,
+    init_optimizer,
+    optimizer_step_and_reset,
+    reset_moments,
+)
+from policyprune.serialize import canonical_json_line
 from policyprune.toytask import (
     ToyTaskConfig,
     gen_toy_data,
@@ -229,20 +245,46 @@ def test_probes_never_touch_the_parameters():
 
 def test_commit_zeroes_new_coordinates_and_their_moments():
     _, env = _probe_env(p_init=0.20)
-    old_bits = {tid: bits.copy() for tid, bits in env.mask.per_tensor.items()}
+    old_keep = env.mask.keep.copy()
     env.commit(0.60)
     assert env.mask.ratio == 0.60
     assert env.commits == 1
-    saw_new = False
-    for tid, _sid, _fac, arr in env.merged.tensors():
-        newly = (old_bits[tid] == 1) & (env.mask.per_tensor[tid] == 0)
-        if newly.any():
-            saw_new = True
-            flat = arr.reshape(-1)
-            assert not flat[newly].any()
-            assert not env.opt_state.first_moment[tid].reshape(-1)[newly].any()
-            assert not env.opt_state.second_moment[tid].reshape(-1)[newly].any()
-    assert saw_new
+    newly = (old_keep == 1) & (env.mask.keep == 0)
+    assert newly.any()
+    assert not env.merged.flat[newly].any()
+    assert not env.opt_state.first_moment[newly].any()
+    assert not env.opt_state.second_moment[newly].any()
+
+
+def test_commit_equals_build_mask_apply_and_reset_at_the_same_ratio():
+    # Start heavy, so after some steps the pruned entries sit at exactly 0.0
+    # (the ratcheted live state), then commit down, up and down again.
+    data, env = _probe_env(p_init=0.60)
+    x, y = data.target_train.x, data.target_train.y
+    for p_new in (0.30, 0.70, 0.45):
+        for i in range(3):
+            _, grads = loss_and_gradients(data.backbone, env.merged, x[i:i + 2], y[i:i + 2])
+            optimizer_step_and_reset(env.merged, grads, env.opt_state, mask=env.mask)
+        env.begin_round()
+        env.candidate_reward(0.50)  # a round's probes fill its sort first
+        ref = env.merged.copy()
+        ref_opt = OptimizerState(
+            env.opt_state.config,
+            env.opt_state.first_moment.copy(),
+            env.opt_state.second_moment.copy(),
+        )
+        ref_mask = build_mask(ref, p_new, env.scale)
+        newly = newly_pruned(env.mask, ref_mask)
+        mask_apply_inplace(ref, ref_mask)
+        reset_moments(ref_opt, newly)
+
+        env.commit(p_new)
+        np.testing.assert_array_equal(env.mask.keep, ref_mask.keep)
+        assert env.mask.stats == ref_mask.stats
+        assert env.mask.ratio == ref_mask.ratio
+        assert env.merged.checksum() == ref.checksum()
+        np.testing.assert_array_equal(env.opt_state.first_moment, ref_opt.first_moment)
+        np.testing.assert_array_equal(env.opt_state.second_moment, ref_opt.second_moment)
 
 
 def test_policy_learning_invariants_and_round_bookkeeping():
@@ -418,3 +460,48 @@ def test_pipeline_keeps_the_merge_checkpoint_pristine():
     assert rebuilt.checksum() == art.merged_init.checksum()
     assert art.policy.steps_run == total_steps(TrainConfig(), task.target_train_n)
     assert art.final.p_star == art.p_star
+
+
+# A 2-epoch stock pipeline at seed 7, recorded before the factors moved into
+# one flat arena. Reruns within one commit are compared elsewhere (criterion
+# 12); this pins the numbers across commits. Floats are exact (repr round-
+# trips), digests are SHA-256 over the tensors' bytes in tensor-id order and
+# over the round log's canonical JSON lines. Other NumPy builds may round
+# differently, so the pin holds only under the version it was taken with.
+PINNED_NUMPY = "2.4.6"
+PINNED_SMALL_PIPELINE = {
+    "p_star": 0.1,
+    "dev_loss": 0.3860183324705384,
+    "test_loss": 0.3067749030475284,
+    "merged_init": "d10d30653267dadc278706d6a0415e639a03d9efd4ebef556df8a973c5a0d5be",
+    "final": "a6e2809135c9c9e6519e8781f60e781b73eeed4c1ecec999f134026e29897959",
+    "rounds": "339bdd97b6dfcff65bce672be0f72a8b59aab896eb679e2c19fbf673e2a105be",
+}
+
+
+@pytest.mark.skipif(
+    np.__version__ != PINNED_NUMPY,
+    reason=f"fingerprint pinned under NumPy {PINNED_NUMPY}, running {np.__version__}",
+)
+def test_small_pipeline_matches_the_pinned_cross_commit_fingerprint():
+    cfg = load_run_config(seed=7, env={})
+    art = run_pipeline(
+        cfg.task, cfg.lora, dataclasses.replace(cfg.training, epochs=2), cfg.controller, 7
+    )
+
+    def digest(merged):
+        return hashlib.sha256(
+            b"".join(arr.tobytes() for _, _, _, arr in merged.tensors())
+        ).hexdigest()
+
+    got = {
+        "p_star": art.p_star,
+        "dev_loss": art.final.dev_loss,
+        "test_loss": art.final.test_loss,
+        "merged_init": digest(art.merged_init),
+        "final": digest(art.final.merged),
+        "rounds": hashlib.sha256(
+            "".join(canonical_json_line(r.to_obj()) for r in art.policy.records).encode()
+        ).hexdigest(),
+    }
+    assert got == PINNED_SMALL_PIPELINE
