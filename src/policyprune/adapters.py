@@ -145,6 +145,7 @@ class MergedAdapterSet:
         views = [flat[lo:hi].reshape(shape)
                  for lo, hi, shape in zip(offsets, offsets[1:], shapes)]
         self._layout = layout
+        self._layout_key = repr(layout).encode()  # the checksum's prefix
         self.flat = flat
         self.offsets = tuple(offsets)
         self.sites = tuple(
@@ -181,7 +182,7 @@ class MergedAdapterSet:
 
     def checksum(self) -> str:
         """SHA-256 over the layout and the arena's bytes."""
-        h = hashlib.sha256(repr(self._layout).encode())
+        h = hashlib.sha256(self._layout_key)
         h.update(self.flat)
         return h.hexdigest()
 

@@ -350,8 +350,8 @@ def audit_records(records: list[ControllerRecord], cfg: ControllerConfig) -> lis
 
 def append_round_log(path, record: ControllerRecord) -> None:
     try:
-        with open(path, "a") as f:
-            f.write(canonical_json_line(record.to_obj()))
+        with open(path, "ab") as f:
+            f.write(canonical_json_line(record.to_obj()).encode())
     except OSError as exc:
         raise StorageError(f"cannot append round log {path}: {exc}") from exc
 

@@ -126,11 +126,12 @@ def keep_above(
 ) -> np.ndarray:
     """Bool keep vector: each entry of `scores` (laid out like an arena with
     these tensor `offsets`) above its tensor's tau; `thresholds[t-1]` is
-    tensor t's (k, tau). Written into `out` when given."""
-    keep = np.empty(scores.size, dtype=bool) if out is None else out
+    tensor t's (k, tau). One per-entry tau vector, one compare; written into
+    `out` when given."""
+    taus = np.empty_like(scores)
     for lo, hi, (_k, tau) in zip(offsets, offsets[1:], thresholds):
-        np.greater(scores[lo:hi], tau, out=keep[lo:hi])
-    return keep
+        taus[lo:hi] = tau
+    return np.greater(scores, taus, out=out)
 
 
 def mask_from_thresholds(
@@ -185,4 +186,4 @@ def newly_pruned(old: SparsityMask, new: SparsityMask) -> np.ndarray:
         raise DimensionError(
             f"masks disagree on size ({old.keep.size} vs {new.keep.size})"
         )
-    return (old.keep == 1) & (new.keep == 0)
+    return old.keep > new.keep  # keep bits are 0/1: only 1 > 0 holds

@@ -22,10 +22,16 @@ def _sanitize(obj):
     return obj
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 def canonical_json(obj) -> str:
-    """Deterministic JSON: sorted keys, no whitespace, NaN/Inf -> null."""
-    return json.dumps(_sanitize(obj), sort_keys=True, separators=(",", ":"),
-                      allow_nan=False)
+    """Deterministic JSON: sorted keys, no whitespace, NaN/Inf -> null.
+    Sanitizes only if the encoder rejects a non-finite float: same text."""
+    try:
+        return _ENCODER.encode(obj)
+    except ValueError:
+        return _ENCODER.encode(_sanitize(obj))
 
 
 def canonical_json_line(obj) -> str:

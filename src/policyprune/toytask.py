@@ -7,6 +7,11 @@ direction conflicts with the source one by a configurable amount. Training
 data for both tasks is sampled from the corresponding teacher with Gaussian
 observation noise, so a low-rank adapter of sufficient rank can realize
 either task exactly.
+
+The training step (`loss_and_gradients`) multiplies with `np.dot`: on these
+2-D float64 operands it makes the same BLAS call as `@`, so the same bits,
+with less dispatch than the `matmul` ufunc. `model_forward` stays on `@` as
+the plain reference the tests hold the step to, bit for bit.
 """
 
 from __future__ import annotations
@@ -309,13 +314,13 @@ def loss_and_gradients(
     """
     x = matrix(x)
     y = matrix(y)
+    dot = np.dot
     hidden = []
     pred = None
     for s in merged.sites:
-        w = backbone.site(s.site_id)
-        h = x @ s.a.T
+        h = dot(x, s.a.T)
         hidden.append(h)
-        site_out = x @ w.T + h @ s.b.T
+        site_out = dot(x, backbone.site(s.site_id).T) + dot(h, s.b.T)
         pred = site_out if pred is None else pred + site_out
     if pred is None:
         raise UsageError("adapter set has no sites")
@@ -326,6 +331,6 @@ def loss_and_gradients(
     g_out = (2.0 / diff.size) * diff
     grads = merged.empty_like() if out is None else out
     for s, g, h in zip(merged.sites, grads.sites, hidden):
-        np.matmul((g_out @ s.b).T, x, out=g.a)
-        np.matmul(g_out.T, h, out=g.b)
+        dot(dot(g_out, s.b).T, x, out=g.a)
+        dot(g_out.T, h, out=g.b)
     return loss, grads

@@ -221,10 +221,14 @@ def _train_loop(
     """
     losses: list[float] = []
     grads = merged.empty_like()
+    size = train_cfg.batch_size
     for _ in range(train_cfg.epochs):
-        for idx in batch_indices(split.n, train_cfg, rng):
+        # one gather per epoch, from the shuffle draw `batch_indices` makes
+        order = rng.permutation(split.n) if train_cfg.shuffle else slice(None)
+        xs, ys = split.x[order], split.y[order]
+        for lo in range(0, split.n, size):
             loss, grads = loss_and_gradients(
-                backbone, merged, split.x[idx], split.y[idx], out=grads
+                backbone, merged, xs[lo : lo + size], ys[lo : lo + size], out=grads
             )
             if not math.isfinite(loss):
                 raise TrainingDivergedError(
@@ -299,7 +303,8 @@ class MaskedTrainingEnv:
 
     Within a round the parameters are fixed, so the round scores them once
     and sorts each tensor's scores once; every probe and the commit read
-    their per-tensor thresholds off that sort (`sorted_threshold`).
+    their per-tensor thresholds off that sort (`sorted_threshold`). Probes
+    multiply with `np.dot`, as the training step does (see `toytask`).
     """
 
     backbone: FrozenBackbone
@@ -314,7 +319,7 @@ class MaskedTrainingEnv:
         # The backbone term of the micro-dev forward never changes (frozen
         # weights, fixed slice), so probes only recompute the adapter term.
         self._base = sum(
-            self.microdev.x @ self.backbone.site(sid).T
+            np.dot(self.microdev.x, self.backbone.site(sid).T)
             for sid in (s.site_id for s in self.merged.sites)
         )
         self._trial = self.merged.empty_like()
@@ -335,10 +340,10 @@ class MaskedTrainingEnv:
         return [sorted_threshold(srt, p) for srt in self._sorted]
 
     def _probe_loss(self, sites) -> float:
-        x = self.microdev.x
+        x, dot = self.microdev.x, np.dot
         pred = self._base
         for s in sites:
-            pred = pred + (x @ s.a.T) @ s.b.T
+            pred = pred + dot(dot(x, s.a.T), s.b.T)
         return mse_loss(pred, self.microdev.y)
 
     def baseline_reward(self) -> float:

@@ -1,3 +1,4 @@
+import hashlib
 import pickle
 
 import numpy as np
@@ -182,3 +183,9 @@ def test_every_merged_set_is_one_arena_of_views(tmp_path):
         cp = m.copy()
         assert not np.shares_memory(cp.flat, m.flat)
         assert cp.checksum() == m.checksum()
+        # the checksum is SHA-256 over the layout's repr, then the arena
+        layout = tuple((s.site_id, s.a.shape, s.b.shape) for s in m.sites)
+        for c in (m, cp):
+            assert c.checksum() == hashlib.sha256(
+                repr(layout).encode() + c.flat.tobytes()
+            ).hexdigest()

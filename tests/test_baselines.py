@@ -175,9 +175,17 @@ def test_grid_excludes_diverged_cells_from_the_argmin(monkeypatch):
         )
 
 
-def test_noprune_baselines_reference_points():
+@pytest.mark.parametrize(
+    "batch_size, shuffle",
+    [
+        pytest.param(1, True, id="b1-shuffled"),
+        # 32 rows in batches of 7: the last batch is short
+        pytest.param(7, False, id="b7-in-order"),
+    ],
+)
+def test_noprune_baselines_reference_points(batch_size, shuffle):
     data = gen_toy_data(SMALL, 9)
-    cfg = TrainConfig(epochs=3)
+    cfg = TrainConfig(epochs=3, batch_size=batch_size, shuffle=shuffle)
     res = run_noprune_baselines(data, LORA4, cfg, 9)
     # the zero-adapter row is exactly the frozen backbone's loss
     pred = sum(data.dev.x @ data.backbone.site(s).T for s in data.backbone.site_ids())

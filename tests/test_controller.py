@@ -25,6 +25,7 @@ from policyprune.controller import (
     policy_update,
 )
 from policyprune.errors import ProbePurityError, RewardError, UsageError
+from policyprune.serialize import canonical_json_line
 
 
 class ScriptedEnv:
@@ -399,6 +400,10 @@ def test_round_log_json_round_trip(tmp_path):
         append_round_log(path, rec)
     back = read_round_log(path)
     assert [r.to_obj() for r in back] == [r.to_obj() for r in records]
+    # the log is exactly the canonical lines, one per record
+    assert path.read_bytes() == "".join(
+        canonical_json_line(r.to_obj()) for r in records
+    ).encode()
     # every line is standalone JSON with sorted keys
     for line in path.read_text().splitlines():
         obj = json.loads(line)

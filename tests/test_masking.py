@@ -9,6 +9,7 @@ from policyprune.masking import (
     build_mask,
     estimate_scale,
     importance_scores,
+    keep_above,
     mask_apply,
     newly_pruned,
     prune_threshold,
@@ -76,6 +77,21 @@ def test_build_mask_hand_value():
     np.testing.assert_array_equal(mask.per_tensor[1], [0, 1, 0, 1])
     st = mask.stats[1]
     assert (st.d, st.k, st.tau, st.fraction) == (4, 2, 0.3, 0.5)
+
+
+def test_keep_above_equals_the_per_tensor_compare():
+    rng = np.random.default_rng(5)
+    merged = MergedAdapterSet(
+        [SiteFactors(sid, rng.normal(size=(3, 7)), rng.normal(size=(5, 3))) for sid in "qv"]
+    )
+    scores = importance_scores(merged.flat, ImportanceScale(1.0))
+    offs = merged.offsets
+    for p in (0.0, 0.3, 0.7, 1.0):
+        thresholds = [prune_threshold(scores[lo:hi], p) for lo, hi in zip(offs, offs[1:])]
+        expected = np.concatenate(
+            [scores[lo:hi] > tau for lo, hi, (_k, tau) in zip(offs, offs[1:], thresholds)]
+        )
+        np.testing.assert_array_equal(keep_above(scores, offs, thresholds), expected)
 
 
 def test_build_mask_ties_prune_all_tied_entries():

@@ -221,3 +221,31 @@ def test_splits_are_read_only():
     data = gen_toy_data(ToyTaskConfig(), 4)
     with pytest.raises(ValueError):
         data.dev.x[0, 0] = 1.0
+
+
+def _matmul_loss_and_gradients(backbone, merged, x, y):
+    """`loss_and_gradients` in its own operation order, every product by `@`."""
+    hidden, pred = [], None
+    for s in merged.sites:
+        h = x @ s.a.T
+        hidden.append(h)
+        site_out = x @ backbone.site(s.site_id).T + h @ s.b.T
+        pred = site_out if pred is None else pred + site_out
+    diff = pred - y
+    loss = float(np.add.reduce(diff * diff, axis=None)) / diff.size
+    g_out = (2.0 / diff.size) * diff
+    grads = [((g_out @ s.b).T @ x, g_out.T @ h) for s, h in zip(merged.sites, hidden)]
+    return loss, np.concatenate([g.ravel() for pair in grads for g in pair])
+
+
+@pytest.mark.parametrize("rows", [slice(3, 4), slice(91, 96)], ids=["batch-of-1", "short-batch"])
+def test_loss_and_gradients_equal_the_matmul_reference_bit_for_bit(rows):
+    data = gen_toy_data(ToyTaskConfig(), 5)
+    merged = random_adapter_set(data, 16, np.random.default_rng(6))
+    x, y = data.target_train.x[rows], data.target_train.y[rows]
+    ref_loss, ref_grads = _matmul_loss_and_gradients(data.backbone, merged, x, y)
+    reused = merged.empty_like()
+    for out in (None, reused):
+        loss, grads = loss_and_gradients(data.backbone, merged, x, y, out=out)
+        assert loss == ref_loss
+        assert (grads.flat == ref_grads).all()

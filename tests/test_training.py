@@ -226,6 +226,28 @@ def test_candidate_probe_matches_reference_mask_and_evaluate():
         )
 
 
+def test_probe_rewards_equal_the_matmul_reference_bit_for_bit():
+    data, env = _probe_env()
+    x, y = data.microdev.x, data.microdev.y
+    sites = [s.site_id for s in env.merged.sites]
+
+    def reference(merged):
+        # the probe's summation order: backbone term first, then each site
+        pred = sum(x @ data.backbone.site(sid).T for sid in sites)
+        for s in merged.sites:
+            pred = pred + (x @ s.a.T) @ s.b.T
+        diff = pred - y
+        return -(float(np.add.reduce(diff * diff, axis=None)) / diff.size)
+
+    assert env.baseline_reward() == reference(env.merged)
+    # at p = 0.01 every tensor prunes floor(0.01 * d) = 0 entries
+    assert all(st.k == 0 for st in build_mask(env.merged, 0.01, env.scale).stats.values())
+    for p in (0.01, 0.15, 0.45, 0.70):
+        probed = env.merged.copy()
+        probed.flat *= build_mask(env.merged, p, env.scale).keep
+        assert env.candidate_reward(p) == reference(probed)
+
+
 def test_baseline_probe_reads_the_live_masked_parameters():
     data, env = _probe_env()
     expected = reward_from_loss(
