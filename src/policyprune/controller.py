@@ -223,7 +223,7 @@ def controller_round(
 
     The environment supplies the model side of the protocol:
       baseline_reward() -> float   reward of the committed masked model
-      candidate_reward(p) -> float probe p on a temporary copy, restore after
+      candidate_reward(p) -> float score p without touching the parameters
       commit(p_new)                rebuild mask at p_new, zero newly pruned
                                    coordinates, clear their optimizer state
       checksum() -> str            parameter fingerprint for the purity audit
@@ -315,8 +315,7 @@ def select_p_star(records: list[ControllerRecord]) -> float:
                 entries.append((rec.baseline_reward + c.relative, rec.round, c.p))
     if not entries:
         raise UsageError("no usable rounds to select a ratio from")
-    entries.sort(key=lambda e: (-e[0], e[1], e[2]))
-    return entries[0][2]
+    return min(entries, key=lambda e: (-e[0], e[1], e[2]))[2]
 
 
 def audit_records(records: list[ControllerRecord], cfg: ControllerConfig) -> list[str]:

@@ -305,6 +305,11 @@ class MaskedTrainingEnv:
     and sorts each tensor's scores once; every probe and the commit read
     their per-tensor thresholds off that sort (`sorted_threshold`). Probes
     multiply with `np.dot`, as the training step does (see `toytask`).
+
+    The live micro-dev loss is computed at most once per round. A probe whose
+    every tau is <= 0 prunes only entries scoring 0; when those are exactly
+    the zero weights (no nonzero |w|*s underflows to 0 or is NaN, checked once
+    per round), its trial arena is the live one bit for bit: it reuses that loss.
     """
 
     backbone: FrozenBackbone
@@ -326,15 +331,19 @@ class MaskedTrainingEnv:
         self._keep = np.empty(self.merged.flat.size, dtype=bool)
         self._scores: np.ndarray | None = None
         self._sorted: list[np.ndarray] = []
+        self._zeros_only = False  # scores <= 0 mark exactly the zero weights
+        self._live_loss: float | None = None
 
     def begin_round(self) -> None:
-        """Drop cached importance scores; call after any parameter change."""
-        self._scores = None
+        """Drop cached scores and live loss; call after any parameter change."""
+        self._scores = self._live_loss = None
 
     def _thresholds(self, p: float) -> list[tuple[int, float]]:
         """Per-tensor (k, tau) at ratio p from the round's one sort."""
         if self._scores is None:
-            self._scores = importance_scores(self.merged.flat, self.scale)
+            flat = self.merged.flat
+            self._scores = importance_scores(flat, self.scale)
+            self._zeros_only = np.count_nonzero(self._scores > 0.0) == np.count_nonzero(flat)
             offs = self.merged.offsets
             self._sorted = [np.sort(self._scores[lo:hi]) for lo, hi in zip(offs, offs[1:])]
         return [sorted_threshold(srt, p) for srt in self._sorted]
@@ -346,11 +355,18 @@ class MaskedTrainingEnv:
             pred = pred + dot(dot(x, s.a.T), s.b.T)
         return mse_loss(pred, self.microdev.y)
 
+    def _live(self) -> float:
+        if self._live_loss is None:
+            self._live_loss = self._probe_loss(self.merged.sites)
+        return self._live_loss
+
     def baseline_reward(self) -> float:
-        return reward_from_loss(self._probe_loss(self.merged.sites))
+        return reward_from_loss(self._live())
 
     def candidate_reward(self, p: float) -> float:
         thresholds = self._thresholds(p)
+        if self._zeros_only and all(tau <= 0.0 for _k, tau in thresholds):
+            return reward_from_loss(self._live())  # prunes only zeros
         keep = keep_above(self._scores, self.merged.offsets, thresholds, out=self._keep)
         np.multiply(self.merged.flat, keep, out=self._trial.flat)
         return reward_from_loss(self._probe_loss(self._trial.sites))
@@ -363,7 +379,7 @@ class MaskedTrainingEnv:
         reset_moments(self.opt_state, newly)
         self.mask = new_mask
         self.commits += 1
-        self._scores = None
+        self._scores = self._live_loss = None
 
     def checksum(self) -> str:
         return self.merged.checksum()

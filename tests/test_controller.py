@@ -386,6 +386,41 @@ def test_select_p_star_tie_prefers_earliest_round_then_smaller_p():
         select_p_star([])
 
 
+def test_select_p_star_equals_the_sort_based_pick_on_tied_rewards():
+    # Ratcheted logs look like this: most probes tie the baseline exactly,
+    # the same baseline repeats across rounds, and ratios repeat.
+    def sort_pick(records):
+        entries = []
+        for rec in records:
+            if rec.baseline_reward is None:
+                continue
+            entries.append((rec.baseline_reward, rec.round, rec.p_curr_before))
+            for c in rec.candidates:
+                if c.relative is not None:
+                    entries.append((rec.baseline_reward + c.relative, rec.round, c.p))
+        entries.sort(key=lambda e: (-e[0], e[1], e[2]))
+        return entries[0][2]
+
+    rng = np.random.default_rng(5)
+    for trial in range(50):
+        records = []
+        for k in range(int(rng.integers(1, 12))):
+            base = None if rng.random() < 0.1 else float(rng.choice([-1.0, -0.5]))
+            cands = []
+            for _ in range(int(rng.integers(1, 5))):
+                p = float(rng.choice([0.1, 0.3, 0.5]))
+                rel = None if rng.random() < 0.1 else float(rng.choice([0.0, 0.0, -0.5, 0.5]))
+                cands.append(CandidateOutcome(z=p, p=p, reward=None, relative=rel))
+            records.append(ControllerRecord(
+                round=k, step=k, p_curr_before=float(rng.choice([0.1, 0.5])),
+                baseline_reward=base, candidates=cands, committed=False,
+                p_curr_after=0.5, mu_after=0.4, sigma_after=0.1,
+            ))
+        if all(r.baseline_reward is None for r in records):
+            continue
+        assert select_p_star(records) == sort_pick(records), trial
+
+
 def test_round_log_json_round_trip(tmp_path):
     env = ScriptedEnv(baseline=-1.0, reward_fn=lambda p: -1.0 - 0.1 * p)
     cfg = _cfg()

@@ -7,13 +7,20 @@ import hashlib
 import numpy as np
 import pytest
 
-from policyprune.adapters import merge_adapter_sets
+from policyprune.adapters import (
+    FrozenBackbone,
+    MergedAdapterSet,
+    SiteFactors,
+    merge_adapter_sets,
+)
 from policyprune.configio import load_run_config
 from policyprune.controller import ControllerConfig, audit_records, reward_from_loss
 from policyprune.errors import TrainingDivergedError, UsageError
 from policyprune.masking import (
+    ImportanceScale,
     build_mask,
     estimate_scale,
+    importance_scores,
     mask_apply,
     mask_apply_inplace,
     newly_pruned,
@@ -26,6 +33,7 @@ from policyprune.optim import (
 )
 from policyprune.serialize import canonical_json_line
 from policyprune.toytask import (
+    DataSplit,
     ToyTaskConfig,
     gen_toy_data,
     loss_and_gradients,
@@ -209,43 +217,110 @@ def _reference_candidate_reward(data, env, p):
 
 def test_candidate_probe_matches_reference_mask_and_evaluate():
     data, env = _probe_env()
+
+    def fresh_baseline():
+        # microdev_loss sums the sites in another order; this is the
+        # independent `@` reference in the probe's order
+        return _probe_order_reward(data, env.merged)
+
+    assert env.baseline_reward() == fresh_baseline()
     for p in (0.15, 0.45, 0.70):
         assert env.candidate_reward(p) == pytest.approx(
             _reference_candidate_reward(data, env, p), abs=1e-12
         )
-    # still exact after a commit and further training perturb the weights
+    # still exact after a commit and further training perturb the weights,
+    # and neither reuses the live loss cached before it
     env.commit(0.55)
+    assert env.baseline_reward() == fresh_baseline()
     loss, grads = loss_and_gradients(
         data.backbone, env.merged, data.target_train.x[:4], data.target_train.y[:4]
     )
     optimizer_step_and_reset(env.merged, grads, env.opt_state, mask=env.mask)
     env.begin_round()
+    assert env.baseline_reward() == fresh_baseline()
     for p in (0.2, 0.6):
         assert env.candidate_reward(p) == pytest.approx(
             _reference_candidate_reward(data, env, p), abs=1e-12
         )
 
 
+def _probe_order_reward(data, merged):
+    """Micro-dev reward of `merged` through `@`, in the probe's summation
+    order: the backbone term first, then each site's adapter term."""
+    x, y = data.microdev.x, data.microdev.y
+    pred = sum(x @ data.backbone.site(s.site_id).T for s in merged.sites)
+    for s in merged.sites:
+        pred = pred + (x @ s.a.T) @ s.b.T
+    diff = pred - y
+    return -(float(np.add.reduce(diff * diff, axis=None)) / diff.size)
+
+
 def test_probe_rewards_equal_the_matmul_reference_bit_for_bit():
     data, env = _probe_env()
-    x, y = data.microdev.x, data.microdev.y
-    sites = [s.site_id for s in env.merged.sites]
-
-    def reference(merged):
-        # the probe's summation order: backbone term first, then each site
-        pred = sum(x @ data.backbone.site(sid).T for sid in sites)
-        for s in merged.sites:
-            pred = pred + (x @ s.a.T) @ s.b.T
-        diff = pred - y
-        return -(float(np.add.reduce(diff * diff, axis=None)) / diff.size)
-
-    assert env.baseline_reward() == reference(env.merged)
+    assert env.baseline_reward() == _probe_order_reward(data, env.merged)
     # at p = 0.01 every tensor prunes floor(0.01 * d) = 0 entries
     assert all(st.k == 0 for st in build_mask(env.merged, 0.01, env.scale).stats.values())
     for p in (0.01, 0.15, 0.45, 0.70):
         probed = env.merged.copy()
         probed.flat *= build_mask(env.merged, p, env.scale).keep
-        assert env.candidate_reward(p) == reference(probed)
+        assert env.candidate_reward(p) == _probe_order_reward(data, probed)
+
+    # Ratcheted: after masked steps the pruned entries sit at exactly 0.0, so
+    # a downward commit releases none and the live sparsity stays above it.
+    data, env = _probe_env(p_init=0.60)
+    x, y = data.target_train.x, data.target_train.y
+    for i in range(3):
+        _, grads = loss_and_gradients(data.backbone, env.merged, x[i:i + 2], y[i:i + 2])
+        optimizer_step_and_reset(env.merged, grads, env.opt_state, mask=env.mask)
+    env.begin_round()
+    env.commit(0.30)
+    env.begin_round()
+    live = 1.0 - np.count_nonzero(env.merged.flat) / env.merged.flat.size
+    assert env.mask.ratio == 0.30 and live > 0.55
+    forwards = []
+    probe_loss = env._probe_loss
+
+    def counted(sites):
+        forwards.append(sites)
+        return probe_loss(sites)
+
+    env._probe_loss = counted
+    assert env.baseline_reward() == _probe_order_reward(data, env.merged)
+    expected = 1  # the live loss, once per round
+    for p in (0.01, 0.30, live - 0.05, live, live + 0.05, 0.90):
+        keep = build_mask(env.merged, p, env.scale).keep
+        probed = env.merged.copy()
+        probed.flat *= keep
+        assert env.candidate_reward(p) == _probe_order_reward(data, probed)
+        expected += bool(env.merged.flat[keep == 0].any())  # prunes a nonzero
+    assert env.baseline_reward() == _probe_order_reward(data, env.merged)
+    assert len(forwards) == expected
+    assert 1 < expected < 7  # both the reused and the evaluated path ran
+
+
+def test_probe_that_prunes_an_underflowing_weight_is_evaluated():
+    # 5e-324 * 0.5 rounds to 0.0: the A entry scores like a zero weight but
+    # is not one, and its large B column carries it into the output.
+    site = SiteFactors("q", a=np.array([[5e-324, 0.0]]), b=np.array([[1e300], [0.0]]))
+    merged = MergedAdapterSet([site])
+    backbone = FrozenBackbone(sites=(("q", np.zeros((2, 2))),), embedding_dim=2)
+    microdev = DataSplit(np.array([[1e10, 0.0]]), np.zeros((1, 2)))
+    scale = ImportanceScale(0.5)
+    assert importance_scores(merged.flat, scale)[0] == 0.0
+    env = MaskedTrainingEnv(
+        backbone=backbone, merged=merged, microdev=microdev, scale=scale,
+        opt_state=init_optimizer(merged, TrainConfig().optimizer_config()),
+        mask=build_mask(merged, 0.0, scale),
+    )
+    baseline = env.baseline_reward()
+    trial = build_mask(merged, 0.5, scale)
+    # every tau is 0.0 at p = 0.5, yet the mask prunes the nonzero A entry
+    assert all(st.tau == 0.0 for st in trial.stats.values())
+    probed = mask_apply(merged, trial)
+    assert probed.flat[0] == 0.0 != merged.flat[0]
+    reference = reward_from_loss(microdev_loss(backbone, probed, microdev))
+    assert env.candidate_reward(0.5) == reference
+    assert reference != baseline
 
 
 def test_baseline_probe_reads_the_live_masked_parameters():
@@ -484,12 +559,15 @@ def test_pipeline_keeps_the_merge_checkpoint_pristine():
     assert art.final.p_star == art.p_star
 
 
-# A 2-epoch stock pipeline at seed 7, recorded before the factors moved into
-# one flat arena. Reruns within one commit are compared elsewhere (criterion
-# 12); this pins the numbers across commits. Floats are exact (repr round-
-# trips), digests are SHA-256 over the tensors' bytes in tensor-id order and
-# over the round log's canonical JSON lines. Other NumPy builds may round
-# differently, so the pin holds only under the version it was taken with.
+# Two 2-epoch pipelines at seed 7: the stock one, recorded before the factors
+# moved into one flat arena, and a round-heavy one (a round every step with 8
+# probes on 32 micro-dev examples), recorded before probes that prune only
+# zeros reused the live loss. Reruns within one commit are compared elsewhere
+# (criterion 12); these pin the numbers across commits. Floats are exact
+# (repr round-trips), digests are SHA-256 over the tensors' bytes in tensor-id
+# order and over the round log's canonical JSON lines. Other NumPy builds may
+# round differently, so the pins hold only under the version they were taken
+# with.
 PINNED_NUMPY = "2.4.6"
 PINNED_SMALL_PIPELINE = {
     "p_star": 0.1,
@@ -499,16 +577,26 @@ PINNED_SMALL_PIPELINE = {
     "final": "a6e2809135c9c9e6519e8781f60e781b73eeed4c1ecec999f134026e29897959",
     "rounds": "339bdd97b6dfcff65bce672be0f72a8b59aab896eb679e2c19fbf673e2a105be",
 }
-
-
-@pytest.mark.skipif(
+ROUND_HEAVY = {"round_every": 1, "candidates": 8, "microdev_n": 32}
+PINNED_ROUND_HEAVY_PIPELINE = {
+    "p_star": 0.6336551654786415,
+    "dev_loss": 0.48420237862170484,
+    "test_loss": 0.40095904100454727,
+    "merged_init": "d10d30653267dadc278706d6a0415e639a03d9efd4ebef556df8a973c5a0d5be",
+    "final": "e5c6442848f09ae31dca7a510d9ae7459e646d9d4152919da2fcfbd0c189f6ee",
+    "rounds": "a1b00f9153090a7e0dfbf8591c4dc858aba969f380955ac3576239e8159b5bb0",
+}
+pinned_numpy = pytest.mark.skipif(
     np.__version__ != PINNED_NUMPY,
     reason=f"fingerprint pinned under NumPy {PINNED_NUMPY}, running {np.__version__}",
 )
-def test_small_pipeline_matches_the_pinned_cross_commit_fingerprint():
+
+
+def _small_pipeline_fingerprint(**controller):
     cfg = load_run_config(seed=7, env={})
     art = run_pipeline(
-        cfg.task, cfg.lora, dataclasses.replace(cfg.training, epochs=2), cfg.controller, 7
+        cfg.task, cfg.lora, dataclasses.replace(cfg.training, epochs=2),
+        dataclasses.replace(cfg.controller, **controller), 7,
     )
 
     def digest(merged):
@@ -516,7 +604,7 @@ def test_small_pipeline_matches_the_pinned_cross_commit_fingerprint():
             b"".join(arr.tobytes() for _, _, _, arr in merged.tensors())
         ).hexdigest()
 
-    got = {
+    return {
         "p_star": art.p_star,
         "dev_loss": art.final.dev_loss,
         "test_loss": art.final.test_loss,
@@ -526,4 +614,13 @@ def test_small_pipeline_matches_the_pinned_cross_commit_fingerprint():
             "".join(canonical_json_line(r.to_obj()) for r in art.policy.records).encode()
         ).hexdigest(),
     }
-    assert got == PINNED_SMALL_PIPELINE
+
+
+@pinned_numpy
+def test_small_pipeline_matches_the_pinned_cross_commit_fingerprint():
+    assert _small_pipeline_fingerprint() == PINNED_SMALL_PIPELINE
+
+
+@pinned_numpy
+def test_round_heavy_pipeline_matches_the_pinned_cross_commit_fingerprint():
+    assert _small_pipeline_fingerprint(**ROUND_HEAVY) == PINNED_ROUND_HEAVY_PIPELINE
