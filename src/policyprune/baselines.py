@@ -10,6 +10,7 @@ run finalizing it.
 from __future__ import annotations
 
 import csv
+import statistics
 import time
 from dataclasses import dataclass, replace
 
@@ -31,7 +32,6 @@ from .toytask import (
 from .training import (
     LoraConfig,
     TrainConfig,
-    batch_indices,
     final_prune_finetune,
     microdev_loss,
     microdev_slice,
@@ -239,8 +239,12 @@ def run_noprune_baselines(
     losses: list[float] = []
     best = microdev_loss(backbone, merged, data.dev)
     bad = 0
+    n, size = data.target_train.n, train_cfg.batch_size
     for _ in range(train_cfg.epochs):
-        for idx in batch_indices(data.target_train.n, train_cfg, rng):
+        # index batches from the same one shuffle draw per epoch
+        order = rng.permutation(n) if train_cfg.shuffle else np.arange(n)
+        for lo in range(0, n, size):
+            idx = order[lo : lo + size]
             loss, grads = loss_and_gradients(
                 backbone, merged, data.target_train.x[idx], data.target_train.y[idx]
             )
@@ -276,8 +280,17 @@ class RuntimeReport:
     method: str
     run_count: int
     total_steps: int
-    seconds: float
-    speedup: float  # reference duration / this method's duration
+    seconds: float  # best of the timed passes
+    speedup: float  # reference best / this method's best
+    median_seconds: float
+    spread_seconds: float  # slowest pass minus fastest
+
+
+def _runtime_report(method: str, runs: int, steps: int, passes: list[float],
+                    reference: float) -> RuntimeReport:
+    best = min(passes)
+    return RuntimeReport(method, runs, steps, best, reference / best,
+                         statistics.median(passes), max(passes) - best)
 
 
 @dataclass(frozen=True)
@@ -305,9 +318,9 @@ def compare_efficiency(
     process. The passes interleave (policy, grid, policy, grid, …), so a
     drift in host speed hits both arms alike. Each arm's wall clock is the
     best of its `repeats` passes (the standard way to time under scheduler
-    noise); the work itself is deterministic, so repeats change nothing but
-    the clock. Early stopping must be off so every run spends an identical
-    step budget.
+    noise), reported with the median and spread of the passes; the work is
+    deterministic, so repeats change nothing but the clock. Early stopping
+    must be off so every run spends an identical step budget.
     """
     if train_cfg.early_stop_patience is not None:
         raise UsageError(
@@ -345,22 +358,10 @@ def compare_efficiency(
 
     grasp_steps = policy.steps_run + final.steps_run
     grid_steps = outcome.total_steps
-    t_grasp, t_grid = min(grasp_seconds), min(grid_seconds)
+    t_grid = min(grid_seconds)
     return EfficiencyComparison(
-        grasp=RuntimeReport(
-            method="policy",
-            run_count=2,
-            total_steps=grasp_steps,
-            seconds=t_grasp,
-            speedup=t_grid / t_grasp,
-        ),
-        grid=RuntimeReport(
-            method="grid",
-            run_count=len(grid.ratios),
-            total_steps=grid_steps,
-            seconds=t_grid,
-            speedup=1.0,
-        ),
+        grasp=_runtime_report("policy", 2, grasp_steps, grasp_seconds, t_grid),
+        grid=_runtime_report("grid", len(grid.ratios), grid_steps, grid_seconds, t_grid),
         step_speedup=grid_steps / grasp_steps,
         p_star=policy.p_star,
         best_grid_p=outcome.best_p,
@@ -370,12 +371,14 @@ def compare_efficiency(
 def format_runtime_table(comp: EfficiencyComparison, dataset: str = "toy-regression") -> str:
     """Human-readable block for the runtime comparison, with the reference band."""
     lines = [
-        f"{'method':<8} {'dataset':<16} {'runs':>4} {'steps':>8} {'runtime_s':>10} {'speedup':>8}",
+        f"{'method':<8} {'dataset':<16} {'runs':>4} {'steps':>8} {'runtime_s':>10} "
+        f"{'median_s':>9} {'spread_s':>9} {'speedup':>8}",
     ]
     for rep in (comp.grid, comp.grasp):
         lines.append(
-            f"{rep.method:<8} {dataset:<16} {rep.run_count:>4} "
-            f"{rep.total_steps:>8} {rep.seconds:>10.3f} {rep.speedup:>7.2f}×"
+            f"{rep.method:<8} {dataset:<16} {rep.run_count:>4} {rep.total_steps:>8} "
+            f"{rep.seconds:>10.3f} {rep.median_seconds:>9.3f} {rep.spread_seconds:>9.3f} "
+            f"{rep.speedup:>7.2f}×"
         )
     lines.append(
         f"optimizer-step speedup {comp.step_speedup:.1f}×; "

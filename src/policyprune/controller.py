@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+import os
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,7 +84,7 @@ def sample_candidates(
 ) -> list[tuple[float, float]]:
     """Draw C raw values z ~ N(mu, sigma^2); keep both z and clamped p."""
     zs = rng.normal(loc=policy.mu, scale=policy.sigma, size=cfg.candidates)
-    return [(float(z), clamp(float(z), cfg.p_min, cfg.p_max)) for z in zs]
+    return [(z, clamp(z, cfg.p_min, cfg.p_max)) for z in zs.tolist()]
 
 
 def reward_from_loss(loss: float) -> float:
@@ -114,8 +115,9 @@ def score_gradients(
     if sigma < floor:
         raise UsageError(f"sigma {sigma} below floor {floor}")
     c = len(samples)
-    g_mu = sum(a * (z - mu) / sigma**2 for z, a in samples) / c
-    g_sigma = sum(a * ((z - mu) ** 2 - sigma**2) / sigma**3 for z, a in samples) / c
+    var, cube = sigma**2, sigma**3
+    g_mu = sum(a * (z - mu) / var for z, a in samples) / c
+    g_sigma = sum(a * ((z - mu) ** 2 - var) / cube for z, a in samples) / c
     return g_mu, g_sigma
 
 
@@ -130,7 +132,7 @@ def policy_update(
     mu = policy.mu + cfg.eta * g_mu - cfg.eta * cfg.beta * (policy.mu - policy.p_curr)
     mu = clamp(mu, cfg.p_min, cfg.p_max)
     sigma = max(cfg.sigma_floor, policy.sigma + cfg.eta * g_sigma + cfg.tau_ent)
-    return replace(policy, mu=mu, sigma=sigma)
+    return PolicyState(mu=mu, sigma=sigma, p_curr=policy.p_curr)
 
 
 def commit_decision(
@@ -226,7 +228,9 @@ def controller_round(
       candidate_reward(p) -> float score p without touching the parameters
       commit(p_new)                rebuild mask at p_new, zero newly pruned
                                    coordinates, clear their optimizer state
-      checksum() -> str            parameter fingerprint for the purity audit
+      checksum() -> bytes          the float64 parameter bytes for the purity
+                                   audit: a value that compares equal iff the
+                                   parameters are unchanged bit for bit
 
     A NaN baseline fails the round outright (no update, no commit). A NaN
     candidate is dropped and the advantage mean renormalizes over survivors;
@@ -290,12 +294,13 @@ def controller_round(
     return new_policy, record
 
 
-def _audit_purity(env, checksum_before: str) -> None:
+def _audit_purity(env, before: bytes) -> None:
     after = env.checksum()
-    if after != checksum_before:
+    if after != before:
+        changed = np.frombuffer(before, np.uint64) != np.frombuffer(after, np.uint64)
         raise ProbePurityError(
             "probe left the trained parameters modified "
-            f"({checksum_before[:12]} -> {after[:12]})"
+            f"({np.count_nonzero(changed)} coordinates differ)"
         )
 
 
@@ -348,9 +353,15 @@ def audit_records(records: list[ControllerRecord], cfg: ControllerConfig) -> lis
 
 
 def append_round_log(path, record: ControllerRecord) -> None:
+    """One open, write and close per record: the log is valid after every round."""
+    data = memoryview(canonical_json_line(record.to_obj()).encode())
     try:
-        with open(path, "ab") as f:
-            f.write(canonical_json_line(record.to_obj()).encode())
+        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise StorageError(f"cannot append round log {path}: {exc}") from exc
 

@@ -10,7 +10,8 @@ are all pruned, so the realized fraction can slightly exceed the target.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -100,21 +101,21 @@ class SparsityMask:
     """Keep bits (1 keeps, 0 prunes) for one prune ratio.
 
     `keep` is one uint8 vector laid out like `MergedAdapterSet.flat`;
-    `per_tensor[tid]` is tensor tid's slice of it (a view) and `stats[tid]`
-    its threshold record. Tensors appear in id order in `stats`.
+    `per_tensor[tid]` is tensor tid's slice of it (a view, made on first
+    use) and `stats[tid]` its threshold record. Tensors are in id order.
     """
 
     ratio: float
     keep: np.ndarray
     stats: dict[int, TensorMaskStats]
-    per_tensor: dict[int, np.ndarray] = field(init=False, repr=False)
 
-    def __post_init__(self):
-        self.per_tensor = {}
-        lo = 0
+    @cached_property
+    def per_tensor(self) -> dict[int, np.ndarray]:
+        views, lo = {}, 0
         for tid, st in self.stats.items():
-            self.per_tensor[tid] = self.keep[lo : lo + st.d]
+            views[tid] = self.keep[lo : lo + st.d]
             lo += st.d
+        return views
 
     def overall_fraction(self) -> float:
         return (self.keep.size - np.count_nonzero(self.keep)) / self.keep.size
@@ -142,12 +143,12 @@ def mask_from_thresholds(
     per-tensor (k, tau) that `prune_threshold` gives for them."""
     offs = merged.offsets
     keep = keep_above(scores, offs, thresholds)
+    kept = np.add.reduceat(keep, offs[:-1]).tolist()  # per tensor
     stats = {}
     for tid, (k, tau) in enumerate(thresholds, start=1):
         d = offs[tid] - offs[tid - 1]
         stats[tid] = TensorMaskStats(
-            tensor_id=tid, d=d, k=k, tau=tau,
-            fraction=(d - np.count_nonzero(keep[offs[tid - 1]:offs[tid]])) / d,
+            tensor_id=tid, d=d, k=k, tau=tau, fraction=(d - kept[tid - 1]) / d
         )
     # numpy stores True as byte 1, so the bools read as 0/1 uint8 keep bits
     return SparsityMask(ratio=float(p), keep=keep.view(np.uint8), stats=stats)

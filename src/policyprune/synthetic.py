@@ -64,8 +64,8 @@ class SyntheticEnv:
     def commit(self, p_new: float) -> None:
         self.p_committed = p_new
 
-    def checksum(self) -> str:
-        return "synthetic"  # no trainable parameters to corrupt
+    def checksum(self) -> bytes:
+        return b""  # no trainable parameters to corrupt
 
 
 def quadratic_env(

@@ -64,7 +64,6 @@ __all__ = [
     "RunArtifacts",
     "steps_per_epoch",
     "total_steps",
-    "batch_indices",
     "init_adapter_factors",
     "factors_to_adapters",
     "train_adapter",
@@ -198,13 +197,6 @@ class AdapterTrainResult:
     step_losses: list[float]
 
 
-def batch_indices(n: int, cfg: TrainConfig, rng: np.random.Generator):
-    """Index batches for one epoch; the shuffle draws once from `rng`."""
-    order = rng.permutation(n) if cfg.shuffle else np.arange(n)
-    for start in range(0, n, cfg.batch_size):
-        yield order[start : start + cfg.batch_size]
-
-
 def _train_loop(
     backbone: FrozenBackbone, merged: MergedAdapterSet, split: DataSplit,
     train_cfg: TrainConfig, rng: np.random.Generator, opt: OptimizerState,
@@ -223,7 +215,7 @@ def _train_loop(
     grads = merged.empty_like()
     size = train_cfg.batch_size
     for _ in range(train_cfg.epochs):
-        # one gather per epoch, from the shuffle draw `batch_indices` makes
+        # one shuffle draw and one gather per epoch; steps take slices
         order = rng.permutation(split.n) if train_cfg.shuffle else slice(None)
         xs, ys = split.x[order], split.y[order]
         for lo in range(0, split.n, size):
@@ -298,18 +290,20 @@ class MaskedTrainingEnv:
     Baseline probes read the committed masked parameters in place; candidate
     probes threshold the current magnitudes and evaluate the masked factors
     in a scratch arena, so the trained parameters are untouched (the round
-    audits this via checksum). Commits rebuild the mask at the new ratio,
-    zero the newly pruned coordinates, and clear their optimizer moments.
+    audits this by comparing `checksum()`, the arena's bytes, bit for bit).
+    Commits rebuild the mask at the new ratio, zero the newly pruned
+    coordinates, and clear their optimizer moments.
 
     Within a round the parameters are fixed, so the round scores them once
-    and sorts each tensor's scores once; every probe and the commit read
-    their per-tensor thresholds off that sort (`sorted_threshold`). Probes
-    multiply with `np.dot`, as the training step does (see `toytask`).
+    and sorts each tensor's scores once; every evaluated probe and the commit
+    read their per-tensor thresholds off that sort (`sorted_threshold`).
+    Probes multiply with `np.dot`, as the training step does (see `toytask`).
 
-    The live micro-dev loss is computed at most once per round. A probe whose
-    every tau is <= 0 prunes only entries scoring 0; when those are exactly
-    the zero weights (no nonzero |w|*s underflows to 0 or is NaN, checked once
-    per round), its trial arena is the live one bit for bit: it reuses that loss.
+    The live micro-dev loss is computed at most once per round. Scoring also
+    counts each tensor's zero scores; when those are exactly the zero weights
+    (no nonzero |w|*s underflows to 0 or is NaN, checked once per round), a
+    probe with floor(p*d_t) <= zeros_t in every tensor t (every tau <= 0) has
+    the live arena as its trial arena bit for bit, so it reuses that loss.
     """
 
     backbone: FrozenBackbone
@@ -329,6 +323,7 @@ class MaskedTrainingEnv:
         )
         self._trial = self.merged.empty_like()
         self._keep = np.empty(self.merged.flat.size, dtype=bool)
+        self._sizes = np.diff(self.merged.offsets).tolist()
         self._scores: np.ndarray | None = None
         self._sorted: list[np.ndarray] = []
         self._zeros_only = False  # scores <= 0 mark exactly the zero weights
@@ -338,14 +333,20 @@ class MaskedTrainingEnv:
         """Drop cached scores and live loss; call after any parameter change."""
         self._scores = self._live_loss = None
 
+    def _score(self) -> None:
+        """Score, count and sort the live parameters, once per round."""
+        if self._scores is None:
+            flat, offs = self.merged.flat, self.merged.offsets
+            self._scores = importance_scores(flat, self.scale)
+            positive = self._scores > 0.0
+            self._zeros_only = np.count_nonzero(positive) == np.count_nonzero(flat)
+            n_pos = np.add.reduceat(positive, offs[:-1]).tolist()
+            self._zeros = [(d, d - n) for d, n in zip(self._sizes, n_pos)]  # (d, scoring 0)
+            self._sorted = [np.sort(self._scores[lo:hi]) for lo, hi in zip(offs, offs[1:])]
+
     def _thresholds(self, p: float) -> list[tuple[int, float]]:
         """Per-tensor (k, tau) at ratio p from the round's one sort."""
-        if self._scores is None:
-            flat = self.merged.flat
-            self._scores = importance_scores(flat, self.scale)
-            self._zeros_only = np.count_nonzero(self._scores > 0.0) == np.count_nonzero(flat)
-            offs = self.merged.offsets
-            self._sorted = [np.sort(self._scores[lo:hi]) for lo, hi in zip(offs, offs[1:])]
+        self._score()
         return [sorted_threshold(srt, p) for srt in self._sorted]
 
     def _probe_loss(self, sites) -> float:
@@ -364,9 +365,12 @@ class MaskedTrainingEnv:
         return reward_from_loss(self._live())
 
     def candidate_reward(self, p: float) -> float:
-        thresholds = self._thresholds(p)
-        if self._zeros_only and all(tau <= 0.0 for _k, tau in thresholds):
+        if not 0.0 <= p <= 1.0:
+            raise UsageError(f"prune ratio must lie in [0, 1], got {p}")
+        self._score()
+        if self._zeros_only and all(math.floor(p * d) <= z for d, z in self._zeros):
             return reward_from_loss(self._live())  # prunes only zeros
+        thresholds = self._thresholds(p)
         keep = keep_above(self._scores, self.merged.offsets, thresholds, out=self._keep)
         np.multiply(self.merged.flat, keep, out=self._trial.flat)
         return reward_from_loss(self._probe_loss(self._trial.sites))
@@ -381,8 +385,9 @@ class MaskedTrainingEnv:
         self.commits += 1
         self._scores = self._live_loss = None
 
-    def checksum(self) -> str:
-        return self.merged.checksum()
+    def checksum(self) -> bytes:
+        """The arena's bytes: equal snapshots mean no parameter bit changed."""
+        return self.merged.flat.tobytes()
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Grid search, no-prune baselines, runtime accounting, and ablation runners."""
 
 import csv
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -214,11 +215,29 @@ def test_efficiency_comparison_step_accounting_is_exact():
     assert comp.grid.speedup == 1.0
     assert comp.grasp.speedup == comp.grid.seconds / comp.grasp.seconds
     assert comp.serialized_on_one_host
+    for rep in (comp.grasp, comp.grid):  # one pass: its median, no spread
+        assert (rep.median_seconds, rep.spread_seconds) == (rep.seconds, 0.0)
 
     table = format_runtime_table(comp)
+    assert "median_s" in table and "spread_s" in table
     assert REFERENCE_SPEEDUP_BAND in table
     assert "4.0×" in table
     assert "policy" in table and "grid" in table
+
+
+def test_efficiency_comparison_reports_median_and_spread_per_arm(monkeypatch):
+    # a scripted clock: passes of (policy, grid) seconds (3, 8), (1, 4), (2, 6)
+    ticks = iter([0.0, 3.0, 11.0, 20.0, 21.0, 25.0, 30.0, 32.0, 38.0])
+    monkeypatch.setattr(baselines, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+    cfg = TrainConfig(epochs=1, early_stop_patience=None)
+    comp = compare_efficiency(
+        SMALL, LORA4, cfg, CTRL8, 3, grid=GridSpec(ratios=(0.2, 0.4)), repeats=3
+    )
+    got = [(r.seconds, r.median_seconds, r.spread_seconds, r.speedup)
+           for r in (comp.grasp, comp.grid)]
+    assert got == [(1.0, 2.0, 2.0, 4.0), (4.0, 6.0, 4.0, 1.0)]
+    table = format_runtime_table(comp)
+    assert "     1.000     2.000     2.000    4.00×" in table
 
 
 def test_efficiency_comparison_with_half_grid_is_two_fold():

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from policyprune.controller import (
     select_p_star,
     policy_update,
 )
-from policyprune.errors import ProbePurityError, RewardError, UsageError
+from policyprune.errors import ProbePurityError, RewardError, StorageError, UsageError
 from policyprune.serialize import canonical_json_line
 
 
@@ -58,7 +59,7 @@ class ScriptedEnv:
         self.commits.append(p_new)
 
     def checksum(self):
-        return f"impure-{self._probes}" if self._impure else "stable"
+        return np.float64(self._probes if self._impure else 0).tobytes()
 
 
 def _cfg(**kw):
@@ -443,6 +444,50 @@ def test_round_log_json_round_trip(tmp_path):
     for line in path.read_text().splitlines():
         obj = json.loads(line)
         assert list(obj) == sorted(obj)
+
+
+def _logged_records(n):
+    env = ScriptedEnv(baseline=-1.0, reward_fn=lambda p: -1.0 - 0.1 * p)
+    cfg = _cfg()
+    policy, rng, records = init_policy(cfg), np.random.default_rng(3), []
+    for k in range(n):
+        policy, rec = controller_round(policy, cfg, rng, env, k, (k + 1) * 10)
+        records.append(rec)
+    return records
+
+
+def test_append_round_log_writes_each_canonical_line(tmp_path, monkeypatch):
+    path = tmp_path / "rounds.jsonl"
+    expected = b""
+    for rec in _logged_records(3):
+        append_round_log(path, rec)
+        expected += canonical_json_line(rec.to_obj()).encode()
+        assert path.read_bytes() == expected
+    # a short write leaves the rest for the next call
+    real_write, calls = os.write, []
+
+    def one_byte(fd, data):
+        calls.append(fd)
+        return real_write(fd, bytes(data[:1]))
+
+    rec = _logged_records(4)[3]
+    line = canonical_json_line(rec.to_obj()).encode()
+    with monkeypatch.context() as m:
+        m.setattr(os, "write", one_byte)
+        append_round_log(path, rec)
+    assert len(calls) == len(line)
+    assert path.read_bytes() == expected + line
+    # created with the permissions a buffered append would give it
+    with open(tmp_path / "reference", "ab"):
+        pass
+    assert path.stat().st_mode == (tmp_path / "reference").stat().st_mode
+
+
+def test_append_round_log_raises_storage_error_on_an_unwritable_path(tmp_path):
+    rec = _logged_records(1)[0]
+    for path in (tmp_path, tmp_path / "missing" / "rounds.jsonl"):
+        with pytest.raises(StorageError):
+            append_round_log(path, rec)
 
 
 def test_audit_flags_violations():

@@ -11,6 +11,7 @@ from policyprune.masking import (
     importance_scores,
     keep_above,
     mask_apply,
+    mask_from_thresholds,
     newly_pruned,
     prune_threshold,
     sorted_threshold,
@@ -92,6 +93,27 @@ def test_keep_above_equals_the_per_tensor_compare():
             [scores[lo:hi] > tau for lo, hi, (_k, tau) in zip(offs, offs[1:], thresholds)]
         )
         np.testing.assert_array_equal(keep_above(scores, offs, thresholds), expected)
+
+
+def test_mask_stats_and_views_equal_the_per_tensor_loop():
+    rng = np.random.default_rng(6)
+    merged = MergedAdapterSet(
+        [SiteFactors(sid, rng.normal(size=(3, 7)), rng.normal(size=(5, 3))) for sid in "qkv"]
+    )
+    merged.flat[::4] = 0.0  # zero weights tie at score 0
+    scores = importance_scores(merged.flat, ImportanceScale(1.0))
+    offs = merged.offsets
+    for p in (0.0, 0.1, 0.3, 0.7, 1.0):
+        thresholds = [prune_threshold(scores[lo:hi], p) for lo, hi in zip(offs, offs[1:])]
+        mask = mask_from_thresholds(merged, p, scores, thresholds)
+        assert list(mask.stats) == list(mask.per_tensor) == list(range(1, len(offs)))
+        for tid, (lo, hi) in enumerate(zip(offs, offs[1:]), start=1):
+            bits = mask.keep[lo:hi]
+            view = mask.per_tensor[tid]
+            assert np.shares_memory(view, mask.keep) and np.array_equal(view, bits)
+            st = mask.stats[tid]
+            assert (st.tensor_id, st.d, st.k, st.tau) == (tid, hi - lo, *thresholds[tid - 1])
+            assert st.fraction == (st.d - np.count_nonzero(bits)) / st.d
 
 
 def test_build_mask_ties_prune_all_tied_entries():

@@ -1,8 +1,11 @@
 """Training harness: phase-1 fitting, the probe protocol, committed-mask
 training, and the end-to-end three-phase pipeline."""
 
+import contextlib
 import dataclasses
 import hashlib
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,8 +17,14 @@ from policyprune.adapters import (
     merge_adapter_sets,
 )
 from policyprune.configio import load_run_config
-from policyprune.controller import ControllerConfig, audit_records, reward_from_loss
-from policyprune.errors import TrainingDivergedError, UsageError
+from policyprune.controller import (
+    ControllerConfig,
+    audit_records,
+    controller_round,
+    init_policy,
+    reward_from_loss,
+)
+from policyprune.errors import ProbePurityError, RewardError, TrainingDivergedError, UsageError
 from policyprune.masking import (
     ImportanceScale,
     build_mask,
@@ -24,6 +33,7 @@ from policyprune.masking import (
     mask_apply,
     mask_apply_inplace,
     newly_pruned,
+    sorted_threshold,
 )
 from policyprune.optim import (
     OptimizerState,
@@ -255,6 +265,20 @@ def _probe_order_reward(data, merged):
     return -(float(np.add.reduce(diff * diff, axis=None)) / diff.size)
 
 
+def _ratcheted_env():
+    """After masked steps the pruned entries sit at exactly 0.0, so a
+    downward commit releases none and the live sparsity stays above it."""
+    data, env = _probe_env(p_init=0.60)
+    x, y = data.target_train.x, data.target_train.y
+    for i in range(3):
+        _, grads = loss_and_gradients(data.backbone, env.merged, x[i:i + 2], y[i:i + 2])
+        optimizer_step_and_reset(env.merged, grads, env.opt_state, mask=env.mask)
+    env.begin_round()
+    env.commit(0.30)
+    env.begin_round()
+    return data, env
+
+
 def test_probe_rewards_equal_the_matmul_reference_bit_for_bit():
     data, env = _probe_env()
     assert env.baseline_reward() == _probe_order_reward(data, env.merged)
@@ -265,16 +289,7 @@ def test_probe_rewards_equal_the_matmul_reference_bit_for_bit():
         probed.flat *= build_mask(env.merged, p, env.scale).keep
         assert env.candidate_reward(p) == _probe_order_reward(data, probed)
 
-    # Ratcheted: after masked steps the pruned entries sit at exactly 0.0, so
-    # a downward commit releases none and the live sparsity stays above it.
-    data, env = _probe_env(p_init=0.60)
-    x, y = data.target_train.x, data.target_train.y
-    for i in range(3):
-        _, grads = loss_and_gradients(data.backbone, env.merged, x[i:i + 2], y[i:i + 2])
-        optimizer_step_and_reset(env.merged, grads, env.opt_state, mask=env.mask)
-    env.begin_round()
-    env.commit(0.30)
-    env.begin_round()
+    data, env = _ratcheted_env()
     live = 1.0 - np.count_nonzero(env.merged.flat) / env.merged.flat.size
     assert env.mask.ratio == 0.30 and live > 0.55
     forwards = []
@@ -298,20 +313,27 @@ def test_probe_rewards_equal_the_matmul_reference_bit_for_bit():
     assert 1 < expected < 7  # both the reused and the evaluated path ran
 
 
-def test_probe_that_prunes_an_underflowing_weight_is_evaluated():
-    # 5e-324 * 0.5 rounds to 0.0: the A entry scores like a zero weight but
-    # is not one, and its large B column carries it into the output.
+def _underflow_env():
+    """A one-site env whose A entry 5e-324 scores 0.0 (5e-324 * 0.5 rounds to
+    0.0): it scores like a zero weight but is not one, and its large B column
+    carries it into the output."""
     site = SiteFactors("q", a=np.array([[5e-324, 0.0]]), b=np.array([[1e300], [0.0]]))
     merged = MergedAdapterSet([site])
     backbone = FrozenBackbone(sites=(("q", np.zeros((2, 2))),), embedding_dim=2)
     microdev = DataSplit(np.array([[1e10, 0.0]]), np.zeros((1, 2)))
     scale = ImportanceScale(0.5)
-    assert importance_scores(merged.flat, scale)[0] == 0.0
     env = MaskedTrainingEnv(
         backbone=backbone, merged=merged, microdev=microdev, scale=scale,
         opt_state=init_optimizer(merged, TrainConfig().optimizer_config()),
         mask=build_mask(merged, 0.0, scale),
     )
+    return SimpleNamespace(backbone=backbone, microdev=microdev), env
+
+
+def test_probe_that_prunes_an_underflowing_weight_is_evaluated():
+    data, env = _underflow_env()
+    backbone, microdev, merged, scale = data.backbone, data.microdev, env.merged, env.scale
+    assert importance_scores(merged.flat, scale)[0] == 0.0
     baseline = env.baseline_reward()
     trial = build_mask(merged, 0.5, scale)
     # every tau is 0.0 at p = 0.5, yet the mask prunes the nonzero A entry
@@ -321,6 +343,109 @@ def test_probe_that_prunes_an_underflowing_weight_is_evaluated():
     reference = reward_from_loss(microdev_loss(backbone, probed, microdev))
     assert env.candidate_reward(0.5) == reference
     assert reference != baseline
+
+
+def _nan_weight_env():
+    data, env = _probe_env()
+    env.merged.flat[np.flatnonzero(env.merged.flat)[3]] = np.nan
+    env.begin_round()
+    return data, env
+
+
+@pytest.mark.parametrize("make_env", [_ratcheted_env, _underflow_env, _nan_weight_env],
+                         ids=["ratcheted", "underflow", "nan-weight"])
+def test_reuse_rule_equals_the_per_probe_threshold_rule(make_env):
+    """A probe reuses the live loss iff the old rule holds: the round's
+    scores pass the guard and every tensor's tau is <= 0. The grid holds
+    each tensor's boundaries k/d_t and their float neighbours."""
+    data, env = make_env()
+    before = env.checksum()
+    flat, offs = env.merged.flat, env.merged.offsets
+    scores = importance_scores(flat, env.scale)
+    guard = np.count_nonzero(scores > 0.0) == np.count_nonzero(flat)
+    srts = [np.sort(scores[lo:hi]) for lo, hi in zip(offs, offs[1:])]
+    grid = set()
+    for srt in srts:
+        for k in range(srt.size + 1):
+            b = k / srt.size
+            grid |= {b, float(np.nextafter(b, -1.0)), float(np.nextafter(b, 2.0))}
+    grid = sorted(p for p in grid if 0.0 <= p <= 1.0)
+    forwards = []
+    probe_loss = env._probe_loss
+
+    def counted(sites):
+        forwards.append(sites)
+        return probe_loss(sites)
+
+    env._probe_loss = counted
+    with contextlib.suppress(RewardError):
+        env.baseline_reward()  # the live loss, once per round
+    reused = 0
+    for p in grid:
+        old_rule = guard and all(sorted_threshold(srt, p)[1] <= 0.0 for srt in srts)
+        probed = env.merged.copy()
+        probed.flat *= build_mask(env.merged, p, env.scale).keep
+        expected = _probe_order_reward(data, probed)
+        n = len(forwards)
+        if math.isnan(expected):
+            with pytest.raises(RewardError):
+                env.candidate_reward(p)
+        else:
+            assert env.candidate_reward(p) == expected
+        assert (len(forwards) == n) == old_rule, p
+        reused += old_rule
+    assert env.checksum() == before
+    if make_env is _ratcheted_env:
+        assert 0 < reused < len(grid)  # both paths ran
+    else:
+        assert reused == 0  # the guard fails: every probe is evaluated
+
+
+class _CorruptingEnv:
+    """Controller-protocol wrapper whose every probe also runs `corrupt`."""
+
+    def __init__(self, env, corrupt):
+        self.env, self.corrupt = env, corrupt
+
+    def baseline_reward(self):
+        return self.env.baseline_reward()
+
+    def candidate_reward(self, p):
+        reward = self.env.candidate_reward(p)
+        self.corrupt(self.env.merged.flat)
+        return reward
+
+    def commit(self, p_new):
+        self.env.commit(p_new)
+
+    def checksum(self):
+        return self.env.checksum()
+
+
+def _negate_a_zero(flat):
+    flat[np.flatnonzero(flat == 0.0)[0]] = -0.0
+
+
+def _nudge_one_ulp(flat):
+    i = np.flatnonzero(flat)[0]
+    flat[i] = np.nextafter(flat[i], np.inf)
+
+
+@pytest.mark.parametrize("corrupt", [_negate_a_zero, _nudge_one_ulp], ids=["-0.0", "one-ulp"])
+def test_purity_audit_catches_a_one_bit_change(corrupt):
+    _, env = _probe_env()
+    zeros = env.merged.flat[env.merged.flat == 0.0]
+    assert zeros.size and not np.signbit(zeros).any()  # the mask left +0.0 zeros
+    before = env.merged.flat.copy()
+    cfg = ControllerConfig(candidates=1)
+    with pytest.raises(ProbePurityError, match="1 coordinates differ"):
+        controller_round(init_policy(cfg), cfg, np.random.default_rng(0),
+                         _CorruptingEnv(env, corrupt), round_index=0, step=10)
+    changed = np.flatnonzero(env.merged.flat.view(np.uint64) != before.view(np.uint64))
+    assert changed.size == 1
+    if corrupt is _negate_a_zero:
+        # a value compare misses the sign of zero; the byte compare does not
+        assert np.array_equal(env.merged.flat, before)
 
 
 def test_baseline_probe_reads_the_live_masked_parameters():
