@@ -80,7 +80,6 @@ class FrozenBackbone:
     """Fixed per-site base weights. Arrays are made read-only at construction."""
 
     sites: tuple[tuple[str, np.ndarray], ...]
-    embedding_dim: int
 
     def __post_init__(self):
         frozen = []

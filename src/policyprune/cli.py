@@ -148,18 +148,23 @@ def _read_manifest(root: Path, command: str) -> dict:
     return data
 
 
+def _check_config(recorded, chash: str, what: str) -> None:
+    """A phase consumes only what was produced under its own config hash."""
+    if recorded != chash:
+        raise UsageError(
+            f"config mismatch: {what} was produced under config hash "
+            f"{str(recorded)[:12]}… but the current resolved config hashes to "
+            f"{chash[:12]}…; rerun that phase or restore the config"
+        )
+
+
 def _load_parent_checkpoint(root: Path, chash: str):
     """The merged-init checkpoint, verified against its manifest and config.
 
     Returns (merged_init, parent_seed, parent_record_for_manifest).
     """
     man = _read_manifest(root, "train-adapters")
-    if man["config_hash"] != chash:
-        raise UsageError(
-            "config mismatch: the adapters phase ran with config hash "
-            f"{man['config_hash'][:12]}… but the current resolved config hashes "
-            f"to {chash[:12]}…; rerun train-adapters or restore the config"
-        )
+    _check_config(man["config_hash"], chash, "the train-adapters phase")
     ckpt = _phase_dir(root, "train-adapters") / "merged_init.ckpt"
     if not ckpt.is_file():
         raise UsageError(
@@ -270,11 +275,8 @@ def _resolve_p_star(root: Path, chash: str, args) -> tuple[float, str]:
         p_star = float(payload["p_star"])
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"cannot parse p_star file {path}: {exc}") from exc
-    if payload.get("config_hash") not in (None, chash):
-        raise UsageError(
-            f"config mismatch: {path} came from config hash "
-            f"{payload['config_hash'][:12]}…, current config hashes to {chash[:12]}…"
-        )
+    # a hand-written p_star file may leave the config hash out
+    _check_config(payload.get("config_hash") or chash, chash, str(path))
     return p_star, "file"
 
 
@@ -400,12 +402,7 @@ def cmd_report(cfg: RunConfig, args) -> int:
     root = Path(cfg.out)
     chash = config_hash(cfg)
     ctrl_man = _read_manifest(root, "controller")
-    if ctrl_man["config_hash"] != chash:
-        raise UsageError(
-            "config mismatch: the controller phase ran with config hash "
-            f"{ctrl_man['config_hash'][:12]}… but the current resolved config "
-            f"hashes to {chash[:12]}…"
-        )
+    _check_config(ctrl_man["config_hash"], chash, "the controller phase")
     log_path = _phase_dir(root, "controller") / "rounds.jsonl"
     if not log_path.is_file():
         raise UsageError(

@@ -1,12 +1,15 @@
 """Run configuration: defaults, INI config files, flag overrides, hashing.
 
 Precedence is fixed: built-in defaults, then the config file, then
-command-line flags. Every value lives in one of six INI sections —
-``[task]``, ``[lora]``, ``[training]``, ``[controller]``, ``[grid]``,
-``[run]`` — whose keys are exactly the field names of the corresponding
-config dataclasses (plus ``ratios`` under ``[grid]`` and ``seeds``/``out``
-under ``[run]``). Unknown sections or keys are usage errors rather than
-silent no-ops, so a typo cannot quietly run the defaults.
+command-line flags. Every value lives in one of six INI sections, listed
+once in the ``_SECTIONS`` table: ``[task]``, ``[lora]``, ``[training]`` and
+``[controller]`` map to their config dataclasses, ``[grid]`` to
+``GridSpec``, and ``[run]`` to the ``RunConfig`` fields that are not
+sections (``seeds``, ``out``). A section's keys are exactly those fields,
+and each value is parsed by a converter chosen by the field's annotation;
+parsing, rendering and hashing all walk that one table. Unknown sections or
+keys are usage errors rather than silent no-ops, so a typo cannot quietly
+run the defaults.
 
 ``config_hash`` fingerprints the pipeline-relevant sections only: the seed
 list and output directory say where a run lands, not what it computes, so
@@ -20,8 +23,11 @@ value); on this deterministic linear trainer dropout is carried and hashed
 but is a mathematical no-op.
 """
 
+from __future__ import annotations
+
 import configparser
 import dataclasses
+import functools
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -70,12 +76,10 @@ class RunConfig:
         """Primary seed: single-run subcommands use the first of the list."""
         return self.seeds[0]
 
-    def validate(self) -> "RunConfig":
-        self.task.validate()
-        self.lora.validate()
-        self.training.validate()
-        self.controller.validate()
-        self.grid.validate()
+    def validate(self) -> RunConfig:
+        for section in _SECTIONS:
+            if section != "run":
+                getattr(self, section).validate()
         if not self.seeds:
             raise UsageError("seed list must not be empty")
         for s in self.seeds:
@@ -86,27 +90,34 @@ class RunConfig:
         return self
 
 
-# --- value parsing ---------------------------------------------------------
+# --- the section table ------------------------------------------------------
 
-_BOOL_STATES = {
-    "1": True, "true": True, "yes": True, "on": True,
-    "0": False, "false": False, "no": False, "off": False,
+# Each INI section and the dataclass whose fields are its keys; `[run]` holds
+# the RunConfig fields that are not sections themselves.
+_SECTIONS: dict[str, type] = {
+    "task": ToyTaskConfig,
+    "lora": LoraConfig,
+    "training": TrainConfig,
+    "controller": ControllerConfig,
+    "grid": GridSpec,
+    "run": RunConfig,
+}
+_KEYS = {  # section -> key -> field annotation
+    section: {f.name: f.type for f in dataclasses.fields(cls) if f.name not in _SECTIONS}
+    for section, cls in _SECTIONS.items()
 }
 
 
-def _to_int(raw: str) -> int:
-    return int(raw.strip())
-
-
-def _to_float(raw: str) -> float:
-    return float(raw.strip())
+def _values(cfg: RunConfig, section: str) -> dict:
+    obj = cfg if section == "run" else getattr(cfg, section)
+    return {name: getattr(obj, name) for name in _KEYS[section]}
 
 
 def _to_bool(raw: str) -> bool:
     key = raw.strip().lower()
-    if key not in _BOOL_STATES:
+    if key not in configparser.ConfigParser.BOOLEAN_STATES:
         raise ValueError(f"not a boolean: {raw!r}")
-    return _BOOL_STATES[key]
+    return configparser.ConfigParser.BOOLEAN_STATES[key]
 
 
 def _to_opt_int(raw: str) -> int | None:
@@ -116,45 +127,28 @@ def _to_opt_int(raw: str) -> int | None:
     return int(key)
 
 
-# dataclass field annotations are stored as strings (deferred annotations)
+def _to_list(conv, raw: str) -> tuple:
+    items = tuple(conv(p) for p in raw.split(",") if p.strip())
+    if not items:
+        raise ValueError("need a non-empty comma-separated list")
+    return items
+
+
+# keyed by field annotation, which deferred annotations keep as strings
 _CONVERTERS = {
-    "int": _to_int,
-    "float": _to_float,
+    "int": int,
+    "float": float,
     "bool": _to_bool,
     "int | None": _to_opt_int,
+    "str": str.strip,
+    "tuple[int, ...]": functools.partial(_to_list, int),
+    "tuple[float, ...]": functools.partial(_to_list, float),
 }
 
 
-def _to_number_list(raw: str, conv, what: str) -> tuple:
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if not parts:
-        raise UsageError(f"{what} must be a non-empty comma-separated list, got {raw!r}")
-    try:
-        return tuple(conv(p) for p in parts)
-    except ValueError as exc:
-        raise UsageError(f"bad {what} entry in {raw!r}: {exc}") from exc
-
-
-_DATACLASS_SECTIONS: dict[str, type] = {
-    "task": ToyTaskConfig,
-    "lora": LoraConfig,
-    "training": TrainConfig,
-    "controller": ControllerConfig,
-}
-
-
-def _known_keys(section: str) -> tuple[str, ...]:
-    if section in _DATACLASS_SECTIONS:
-        return tuple(f.name for f in dataclasses.fields(_DATACLASS_SECTIONS[section]))
-    if section == "grid":
-        return ("ratios",)
-    if section == "run":
-        return ("seeds", "out")
-    raise KeyError(section)
-
-
-def _parse_ini(text: str) -> dict[str, dict[str, str]]:
-    """Raw section → key → string, with unknown names rejected up front."""
+def _parse_ini(text: str) -> dict[str, dict]:
+    """Section → key → converted value; unknown names and bad values are
+    usage errors."""
     cp = configparser.ConfigParser(
         interpolation=None, inline_comment_prefixes=("#", ";")
     )
@@ -162,67 +156,46 @@ def _parse_ini(text: str) -> dict[str, dict[str, str]]:
         cp.read_string(text)
     except configparser.Error as exc:
         raise UsageError(f"config file is not valid INI: {exc}") from exc
+    valid_sections = f"[{'], ['.join(_SECTIONS)}]"
     if cp.defaults():
         raise UsageError(
-            "config values must live under a section header "
-            f"([{'], ['.join(sorted(_DATACLASS_SECTIONS) + ['grid', 'run'])}]), "
+            f"config values must live under a section header ({valid_sections}), "
             f"found top-level keys {sorted(cp.defaults())}"
         )
-    out: dict[str, dict[str, str]] = {}
-    valid_sections = sorted(_DATACLASS_SECTIONS) + ["grid", "run"]
+    out: dict[str, dict] = {}
     for section in cp.sections():
-        if section not in valid_sections:
+        if section not in _SECTIONS:
             raise UsageError(
                 f"unknown config section [{section}]; valid sections are "
-                f"[{'], ['.join(valid_sections)}]"
+                f"{valid_sections}"
             )
-        known = _known_keys(section)
-        for key in cp[section]:
-            if key not in known:
+        keys = _KEYS[section]
+        out[section] = {}
+        for key, raw in cp[section].items():
+            if key not in keys:
                 raise UsageError(
                     f"unknown key {key!r} in [{section}]; valid keys are "
-                    f"{', '.join(known)}"
+                    f"{', '.join(keys)}"
                 )
-        out[section] = dict(cp[section])
+            try:
+                out[section][key] = _CONVERTERS[keys[key]](raw)
+            except ValueError as exc:
+                raise UsageError(
+                    f"bad value for [{section}] {key}: {raw!r} ({exc})"
+                ) from exc
     return out
-
-
-def _section_overrides(section: str, raw: dict[str, str]) -> dict:
-    cls = _DATACLASS_SECTIONS[section]
-    overrides = {}
-    for f in dataclasses.fields(cls):
-        if f.name not in raw:
-            continue
-        conv = _CONVERTERS[f.type]
-        try:
-            overrides[f.name] = conv(raw[f.name])
-        except ValueError as exc:
-            raise UsageError(
-                f"bad value for [{section}] {f.name}: {raw[f.name]!r} ({exc})"
-            ) from exc
-    return overrides
 
 
 def apply_ini(cfg: RunConfig, text: str) -> RunConfig:
     """Overlay an INI document on `cfg`; absent keys keep their values."""
-    sections = _parse_ini(text)
     replacements: dict = {}
-    for section in _DATACLASS_SECTIONS:
-        if section in sections:
-            overrides = _section_overrides(section, sections[section])
-            if overrides:
-                replacements[section] = dataclasses.replace(
-                    getattr(cfg, section), **overrides
-                )
-    if "grid" in sections and "ratios" in sections["grid"]:
-        ratios = _to_number_list(sections["grid"]["ratios"], float, "[grid] ratios")
-        replacements["grid"] = GridSpec(ratios=ratios)
-    if "run" in sections:
-        run = sections["run"]
-        if "seeds" in run:
-            replacements["seeds"] = _to_number_list(run["seeds"], int, "[run] seeds")
-        if "out" in run:
-            replacements["out"] = run["out"].strip()
+    for section, overrides in _parse_ini(text).items():
+        if section == "run":
+            replacements.update(overrides)
+        elif overrides:
+            replacements[section] = dataclasses.replace(
+                getattr(cfg, section), **overrides
+            )
     return dataclasses.replace(cfg, **replacements) if replacements else cfg
 
 
@@ -261,15 +234,11 @@ def load_run_config(
 # --- hashing and rendering -------------------------------------------------
 
 
-def _hash_payload(cfg: RunConfig) -> dict:
-    payload = {s: dataclasses.asdict(getattr(cfg, s)) for s in _DATACLASS_SECTIONS}
-    payload["grid"] = {"ratios": list(cfg.grid.ratios)}
-    return payload
-
-
 def config_hash(cfg: RunConfig) -> str:
     """Content hash of the pipeline sections (seeds and out excluded)."""
-    return sha256_text(canonical_json(_hash_payload(cfg)))
+    return sha256_text(canonical_json(
+        {section: _values(cfg, section) for section in _SECTIONS if section != "run"}
+    ))
 
 
 def _fmt(value) -> str:
@@ -279,6 +248,8 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, tuple):
+        return ", ".join(_fmt(v) for v in value)
     return str(value)
 
 
@@ -289,17 +260,8 @@ def render_ini(cfg: RunConfig) -> str:
     (floats are written with `repr`, which round-trips).
     """
     lines = [f"# resolved run configuration; content hash {config_hash(cfg)}", ""]
-    for section, cls in _DATACLASS_SECTIONS.items():
-        obj = getattr(cfg, section)
+    for section in _SECTIONS:
         lines.append(f"[{section}]")
-        for f in dataclasses.fields(cls):
-            lines.append(f"{f.name} = {_fmt(getattr(obj, f.name))}")
+        lines += [f"{k} = {_fmt(v)}" for k, v in _values(cfg, section).items()]
         lines.append("")
-    lines.append("[grid]")
-    lines.append("ratios = " + ", ".join(repr(r) for r in cfg.grid.ratios))
-    lines.append("")
-    lines.append("[run]")
-    lines.append("seeds = " + ", ".join(str(s) for s in cfg.seeds))
-    lines.append(f"out = {cfg.out}")
-    lines.append("")
     return "\n".join(lines)

@@ -12,9 +12,11 @@ Layout:
                 rows*cols float64 little-endian row-major
 
 Round-trips are bit-exact: write -> read -> write produces identical bytes.
-Merged factor pairs are stored with alpha equal to the stacked rank, i.e. an
-effective scale of exactly 1, because constituent scalings were folded in at
-merge time.
+A merged checkpoint is an adapter checkpoint: each site's stacked factor
+pair is one adapter record whose alpha equals the stacked rank, i.e. an
+effective scale of exactly 1, because constituent scalings were folded in
+at merge time. Both kinds are written by one record writer and read by
+`load_adapters`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adapters import LoraAdapter, MergedAdapterSet, SiteFactors
-from .errors import StorageError
+from .errors import DimensionError, StorageError, UsageError
 from .serialize import canonical_json
 
 MAGIC = b"ADPACK01"
@@ -42,17 +44,11 @@ class ContainerHeader:
     tensor_names: list[str] = field(default_factory=list)
 
     def to_json(self) -> str:
-        return canonical_json(
-            {
-                "kind": self.kind,
-                "sites": list(self.sites),
-                "ranks": {k: int(v) for k, v in self.ranks.items()},
-                "alphas": {k: float(v) for k, v in self.alphas.items()},
-                "seed": self.seed,
-                "config_hash": self.config_hash,
-                "tensor_names": list(self.tensor_names),
-            }
-        )
+        return canonical_json({
+            **self.__dict__,
+            "ranks": {k: int(v) for k, v in self.ranks.items()},
+            "alphas": {k: float(v) for k, v in self.alphas.items()},
+        })
 
     @classmethod
     def from_json(cls, text: str) -> "ContainerHeader":
@@ -69,7 +65,8 @@ class ContainerHeader:
                 config_hash=raw["config_hash"],
                 tensor_names=list(raw["tensor_names"]),
             )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (json.JSONDecodeError, AttributeError, KeyError, TypeError,
+                ValueError) as exc:
             raise StorageError(f"malformed container header: {exc}") from exc
 
 
@@ -136,6 +133,22 @@ def read_container(path) -> tuple[ContainerHeader, list[tuple[str, np.ndarray]]]
     return header, tensors
 
 
+def _write_adapter_records(path, sites, kind, seed, config_hash) -> None:
+    """Write one A/B record pair per (site_id, a, b, alpha); rank is A's rows."""
+    header = ContainerHeader(
+        kind=kind,
+        sites=[sid for sid, _a, _b, _alpha in sites],
+        ranks={sid: a.shape[0] for sid, a, _b, _alpha in sites},
+        alphas={sid: alpha for sid, _a, _b, alpha in sites},
+        seed=seed,
+        config_hash=config_hash,
+    )
+    write_container(path, header, [
+        (f"{sid}.{factor}", m)
+        for sid, a, b, _alpha in sites for factor, m in (("A", a), ("B", b))
+    ])
+
+
 def save_adapters(
     path,
     adapters: list[LoraAdapter],
@@ -144,34 +157,29 @@ def save_adapters(
     config_hash: str | None = None,
 ) -> None:
     """Write one adapter per site as raw (unscaled) A/B factor records."""
-    header = ContainerHeader(
-        kind=kind,
-        sites=[ad.site_id for ad in adapters],
-        ranks={ad.site_id: ad.rank for ad in adapters},
-        alphas={ad.site_id: ad.alpha for ad in adapters},
-        seed=seed,
-        config_hash=config_hash,
+    _write_adapter_records(
+        path, [(ad.site_id, ad.a, ad.b, ad.alpha) for ad in adapters],
+        kind, seed, config_hash,
     )
-    tensors = []
-    for ad in adapters:
-        tensors.append((f"{ad.site_id}.A", ad.a))
-        tensors.append((f"{ad.site_id}.B", ad.b))
-    write_container(path, header, tensors)
 
 
 def load_adapters(path) -> tuple[list[LoraAdapter], ContainerHeader]:
+    """Every site's adapter; a record the header does not describe is a
+    storage error naming the file and the site."""
     header, tensors = read_container(path)
     by_name = dict(tensors)
     adapters = []
     for sid in header.sites:
         try:
-            a, b = by_name[f"{sid}.A"], by_name[f"{sid}.B"]
-        except KeyError as exc:
-            raise StorageError(f"container missing factor for site {sid!r}") from exc
-        adapters.append(
-            LoraAdapter(sid, a=a, b=b, rank=header.ranks[sid],
-                        alpha=header.alphas[sid])
-        )
+            adapters.append(LoraAdapter(
+                sid, a=by_name[f"{sid}.A"], b=by_name[f"{sid}.B"],
+                rank=header.ranks[sid], alpha=header.alphas[sid],
+            ))
+        except (KeyError, DimensionError, UsageError) as exc:
+            raise StorageError(
+                f"checkpoint {path}: site {sid!r} has a missing or malformed "
+                f"factor, rank or alpha ({exc!r})"
+            ) from exc
     return adapters, header
 
 
@@ -182,29 +190,18 @@ def save_merged(
     seed: int | None = None,
     config_hash: str | None = None,
 ) -> None:
-    header = ContainerHeader(
-        kind=kind,
-        sites=[s.site_id for s in merged.sites],
-        # scale already folded in: record alpha = rank so alpha/rank = 1
-        ranks={s.site_id: s.a.shape[0] for s in merged.sites},
-        alphas={s.site_id: float(s.a.shape[0]) for s in merged.sites},
-        seed=seed,
-        config_hash=config_hash,
+    """Write the stacked factors as adapter records with alpha = rank, so
+    alpha/rank is exactly 1: the scalings were folded in at merge time."""
+    _write_adapter_records(
+        path, [(s.site_id, s.a, s.b, float(s.a.shape[0])) for s in merged.sites],
+        kind, seed, config_hash,
     )
-    tensors = []
-    for s in merged.sites:
-        tensors.append((f"{s.site_id}.A", s.a))
-        tensors.append((f"{s.site_id}.B", s.b))
-    write_container(path, header, tensors)
 
 
 def load_merged(path) -> tuple[MergedAdapterSet, ContainerHeader]:
-    header, tensors = read_container(path)
-    by_name = dict(tensors)
-    sites = []
-    for sid in header.sites:
-        try:
-            sites.append(SiteFactors(sid, by_name[f"{sid}.A"], by_name[f"{sid}.B"]))
-        except KeyError as exc:
-            raise StorageError(f"container missing factor for site {sid!r}") from exc
-    return MergedAdapterSet(sites), header
+    """An adapter checkpoint as stacked factors, alpha/rank folded into A
+    (a factor of exactly 1 for what `save_merged` wrote)."""
+    adapters, header = load_adapters(path)
+    return MergedAdapterSet(
+        SiteFactors(ad.site_id, ad.scale * ad.a, ad.b) for ad in adapters
+    ), header

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -160,15 +160,6 @@ class CandidateOutcome:
     reward: float | None      # absolute micro-dev reward of the probe
     relative: float | None    # reward minus the round baseline
 
-    def to_obj(self) -> dict:
-        return {"z": self.z, "p": self.p, "reward": self.reward,
-                "relative": self.relative}
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> "CandidateOutcome":
-        return cls(z=obj["z"], p=obj["p"], reward=obj["reward"],
-                   relative=obj["relative"])
-
 
 @dataclass
 class ControllerRecord:
@@ -184,33 +175,21 @@ class ControllerRecord:
     sigma_after: float = 0.0
 
     def to_obj(self) -> dict:
-        return {
-            "round": self.round,
-            "step": self.step,
-            "p_curr_before": self.p_curr_before,
-            "baseline_reward": self.baseline_reward,
-            "candidates": [c.to_obj() for c in self.candidates],
-            "committed": self.committed,
-            "failed": self.failed,
-            "p_curr_after": self.p_curr_after,
-            "mu_after": self.mu_after,
-            "sigma_after": self.sigma_after,
-        }
+        obj = self.__dict__.copy()
+        obj["candidates"] = [c.__dict__.copy() for c in self.candidates]
+        return obj
 
     @classmethod
-    def from_obj(cls, obj: dict) -> "ControllerRecord":
-        return cls(
-            round=obj["round"],
-            step=obj["step"],
-            p_curr_before=obj["p_curr_before"],
-            baseline_reward=obj["baseline_reward"],
-            candidates=[CandidateOutcome.from_obj(c) for c in obj["candidates"]],
-            committed=obj["committed"],
-            failed=obj["failed"],
-            p_curr_after=obj["p_curr_after"],
-            mu_after=obj["mu_after"],
-            sigma_after=obj["sigma_after"],
-        )
+    def from_obj(cls, obj: dict) -> ControllerRecord:
+        rec = _from_fields(cls, obj)
+        rec.candidates = [_from_fields(CandidateOutcome, c) for c in rec.candidates]
+        return rec
+
+
+def _from_fields(cls, obj: dict):
+    """`cls` built from its fields' keys in `obj`: a missing key raises
+    KeyError, an extra key is ignored."""
+    return cls(**{f.name: obj[f.name] for f in fields(cls)})
 
 
 def controller_round(
@@ -376,6 +355,6 @@ def read_round_log(path) -> list[ControllerRecord]:
                     records.append(ControllerRecord.from_obj(json.loads(line)))
     except OSError as exc:
         raise StorageError(f"cannot read round log {path}: {exc}") from exc
-    except (json.JSONDecodeError, KeyError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise StorageError(f"malformed round log {path}: {exc}") from exc
     return records

@@ -231,7 +231,7 @@ def gen_toy_data(cfg: ToyTaskConfig, seed: int) -> ToyData:
         weights.append((sid, w))
         d_src[sid] = ds
         d_tgt[sid] = dt
-    backbone = FrozenBackbone(sites=tuple(weights), embedding_dim=cfg.d_in)
+    backbone = FrozenBackbone(sites=tuple(weights))
 
     source_train = _sample_split(
         rng_source, cfg.source_train_n, backbone, d_src, cfg.noise_std

@@ -118,14 +118,11 @@ class TrainConfig:
     shuffle: bool = True
 
     def validate(self) -> None:
-        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
-            raise UsageError(f"learning_rate must be positive, got {self.learning_rate}")
+        self.optimizer_config().validate()
         if not isinstance(self.batch_size, int) or self.batch_size < 1:
             raise UsageError(f"batch_size must be a positive integer, got {self.batch_size!r}")
         if not isinstance(self.epochs, int) or self.epochs < 1:
             raise UsageError(f"epochs must be a positive integer, got {self.epochs!r}")
-        if self.weight_decay < 0:
-            raise UsageError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.early_stop_patience is not None and self.early_stop_patience < 1:
             raise UsageError(
                 f"early_stop_patience must be >= 1 or None, got {self.early_stop_patience}"

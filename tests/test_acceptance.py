@@ -43,12 +43,7 @@ from policyprune.masking import (
     prune_threshold,
 )
 from policyprune.optim import init_optimizer
-from policyprune.synthetic import (
-    microdev_noise,
-    narrow_optimum_env,
-    quadratic_env,
-    run_synthetic,
-)
+from policyprune.synthetic import quadratic_env, run_synthetic
 from policyprune.toytask import (
     ToyTaskConfig,
     gen_toy_data,
@@ -65,6 +60,8 @@ from policyprune.training import (
     sparsity_policy_learning,
     train_adapter,
 )
+
+from landscapes import microdev_noise, narrow_optimum_env
 
 _SMALL_INI = """\
 [task]
@@ -283,7 +280,6 @@ def test_criterion_04_gradients_match_finite_differences():
     sites = ("up", "down")
     backbone = FrozenBackbone(
         sites=tuple((sid, rng.normal(size=(5, 7))) for sid in sites),
-        embedding_dim=7,
     )
     merged = MergedAdapterSet(
         [SiteFactors(sid, rng.normal(size=(3, 7)), rng.normal(size=(5, 3))) for sid in sites]

@@ -124,7 +124,7 @@ def test_merged_set_tensor_ids_run_in_site_order():
 
 
 def test_backbone_arrays_are_read_only():
-    bb = FrozenBackbone(sites=(("q", np.zeros((2, 2))),), embedding_dim=2)
+    bb = FrozenBackbone(sites=(("q", np.zeros((2, 2))),))
     with pytest.raises(ValueError):
         bb.site("q")[0, 0] = 1.0
     with pytest.raises(UsageError):
@@ -161,7 +161,7 @@ def test_every_merged_set_is_one_arena_of_views(tmp_path):
     ]
     merged = merge_adapter_sets(sets, ["q", "v"])
     backbone = FrozenBackbone(
-        sites=tuple((sid, rng.normal(size=(3, 5))) for sid in ("q", "v")), embedding_dim=5
+        sites=tuple((sid, rng.normal(size=(3, 5))) for sid in ("q", "v"))
     )
     fresh = init_adapter_factors(backbone, LoraConfig(rank=2), rng)
     save_merged(tmp_path / "m.ckpt", merged)

@@ -186,6 +186,26 @@ def test_cross_phase_config_mismatch_is_a_hard_error(fresh, capsys, tmp_path):
     assert "config mismatch" in capsys.readouterr().err
 
 
+def test_finalize_rejects_a_p_star_file_from_another_config(fresh, capsys):
+    ini, out = fresh
+    assert run_cli("train-adapters", "--config", str(ini), "--out", str(out)) == 0
+    ctrl = out / "controller"
+    ctrl.mkdir(parents=True)
+    (ctrl / "p_star.json").write_text(
+        json.dumps({"p_star": 0.3, "config_hash": "0" * 64})
+    )
+    assert run_cli("finalize", "--config", str(ini), "--out", str(out)) == 2
+    assert "config mismatch" in capsys.readouterr().err
+
+
+def test_report_rejects_a_controller_phase_from_another_config(chain, capsys, tmp_path):
+    _ini, out = chain
+    drifted = tmp_path / "drift.ini"
+    drifted.write_text(SMALL_INI.replace("epochs = 3", "epochs = 4"))
+    assert run_cli("report", "--config", str(drifted), "--out", str(out)) == 2
+    assert "config mismatch" in capsys.readouterr().err
+
+
 def test_corrupted_parent_checkpoint_is_a_storage_error(fresh, capsys):
     ini, out = fresh
     assert run_cli("train-adapters", "--config", str(ini), "--out", str(out)) == 0

@@ -1,14 +1,18 @@
+import struct
+
 import numpy as np
 import pytest
 
 from policyprune.adapters import LoraAdapter, MergedAdapterSet, SiteFactors
 from policyprune.container import (
     MAGIC,
+    ContainerHeader,
     load_adapters,
     load_merged,
     read_container,
     save_adapters,
     save_merged,
+    write_container,
 )
 from policyprune.errors import StorageError
 
@@ -101,3 +105,31 @@ def test_rejects_trailing_garbage(tmp_path):
 def test_missing_file_is_storage_error(tmp_path):
     with pytest.raises(StorageError, match="cannot open"):
         read_container(tmp_path / "nope.adpk")
+
+
+@pytest.mark.parametrize("defect", ["nan_factor", "missing_rank", "rank_mismatch"])
+def test_malformed_adapter_records_are_storage_errors(tmp_path, defect):
+    a, b = np.ones((2, 3)), np.ones((4, 2))
+    ranks = {"q": 2}
+    if defect == "nan_factor":
+        a[0, 1] = np.nan
+    elif defect == "missing_rank":
+        ranks = {}
+    else:
+        ranks = {"q": 3}
+    path = tmp_path / "bad.ckpt"
+    header = ContainerHeader(kind="merged", sites=["q"], ranks=ranks, alphas={"q": 2.0})
+    write_container(path, header, [("q.A", a), ("q.B", b)])
+    for load in (load_adapters, load_merged):
+        with pytest.raises(StorageError) as err:
+            load(path)
+        assert str(path) in str(err.value) and "'q'" in str(err.value)
+
+
+def test_header_with_a_mistyped_field_is_a_storage_error(tmp_path):
+    head = (b'{"alphas":{"q":2.0},"config_hash":null,"kind":"merged","ranks":[2],'
+            b'"seed":null,"sites":["q"],"tensor_names":[]}')
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(MAGIC + struct.pack("<Q", len(head)) + head)
+    with pytest.raises(StorageError, match="malformed container header"):
+        read_container(path)

@@ -444,6 +444,19 @@ def test_round_log_json_round_trip(tmp_path):
     for line in path.read_text().splitlines():
         obj = json.loads(line)
         assert list(obj) == sorted(obj)
+    # a record line with an extra key still loads; one missing a field does not
+    obj = records[0].to_obj()
+    extra = tmp_path / "extra.jsonl"
+    extra.write_text(json.dumps({**obj, "note": "ignored"}) + "\n")
+    assert [r.to_obj() for r in read_round_log(extra)] == [obj]
+    del obj["mu_after"]
+    short = tmp_path / "short.jsonl"
+    short.write_text(json.dumps(obj) + "\n")
+    with pytest.raises(StorageError, match="mu_after"):
+        read_round_log(short)
+    short.write_text("5\n")  # valid JSON, but not a record
+    with pytest.raises(StorageError):
+        read_round_log(short)
 
 
 def _logged_records(n):

@@ -7,14 +7,9 @@ import pytest
 
 from policyprune.controller import ControllerConfig, audit_records
 from policyprune.serialize import canonical_json
-from policyprune.synthetic import (
-    SyntheticEnv,
-    microdev_noise,
-    narrow_optimum_env,
-    quadratic_env,
-    ramped_noise_env,
-    run_synthetic,
-)
+from policyprune.synthetic import SyntheticEnv, quadratic_env, run_synthetic
+
+from landscapes import microdev_noise, narrow_optimum_env, ramped_noise_env
 
 
 def test_microdev_noise_anchor_and_scaling():

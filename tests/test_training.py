@@ -319,7 +319,7 @@ def _underflow_env():
     carries it into the output."""
     site = SiteFactors("q", a=np.array([[5e-324, 0.0]]), b=np.array([[1e300], [0.0]]))
     merged = MergedAdapterSet([site])
-    backbone = FrozenBackbone(sites=(("q", np.zeros((2, 2))),), embedding_dim=2)
+    backbone = FrozenBackbone(sites=(("q", np.zeros((2, 2))),))
     microdev = DataSplit(np.array([[1e10, 0.0]]), np.zeros((1, 2)))
     scale = ImportanceScale(0.5)
     env = MaskedTrainingEnv(
