@@ -144,6 +144,16 @@ def mask_from_thresholds(
     offs = merged.offsets
     keep = keep_above(scores, offs, thresholds)
     kept = np.add.reduceat(keep, offs[:-1]).tolist()  # per tensor
+    return mask_from_keep(merged, p, keep, kept, thresholds)
+
+
+def mask_from_keep(
+    merged: MergedAdapterSet, p: float, keep: np.ndarray, kept: list[int],
+    thresholds: list[tuple[int, float]],
+) -> SparsityMask:
+    """The mask at ratio p from its bool keep vector (laid out like
+    `merged.flat`), each tensor's count of kept entries and its (k, tau)."""
+    offs = merged.offsets
     stats = {}
     for tid, (k, tau) in enumerate(thresholds, start=1):
         d = offs[tid] - offs[tid - 1]

@@ -40,6 +40,7 @@ from .masking import (  # noqa: F401 (prune_threshold: perfbench traces this bin
     importance_scores,
     keep_above,
     mask_apply_inplace,
+    mask_from_keep,
     mask_from_thresholds,
     newly_pruned,
     prune_threshold,
@@ -292,15 +293,18 @@ class MaskedTrainingEnv:
     coordinates, and clear their optimizer moments.
 
     Within a round the parameters are fixed, so the round scores them once
-    and sorts each tensor's scores once; every evaluated probe and the commit
-    read their per-tensor thresholds off that sort (`sorted_threshold`).
-    Probes multiply with `np.dot`, as the training step does (see `toytask`).
-
-    The live micro-dev loss is computed at most once per round. Scoring also
-    counts each tensor's zero scores; when those are exactly the zero weights
-    (no nonzero |w|*s underflows to 0 or is NaN, checked once per round), a
-    probe with floor(p*d_t) <= zeros_t in every tensor t (every tau <= 0) has
-    the live arena as its trial arena bit for bit, so it reuses that loss.
+    and counts each tensor's zero scores. When those are exactly the zero
+    weights (no nonzero |w|*s underflows to 0 or is NaN, checked once per
+    round), a ratio p with p*d_t < zeros_t + 1, i.e. floor(p*d_t) <= zeros_t,
+    in every tensor t prunes only zeros. Such a probe has the live arena as
+    its trial arena bit for bit, so it reuses the live micro-dev loss, which
+    is computed at most once per round; such a commit reads its per-tensor
+    (k, tau) off the counts: (0, -inf) where k = 0 and (k, 0.0) otherwise,
+    exactly what `sorted_threshold` returns, and its keep bits and kept
+    counts off the positive scores. Any other ratio sorts each tensor's
+    scores, at most once per round, and reads its thresholds off that sort.
+    Every path rejects a ratio outside [0, 1]. Probes multiply with `np.dot`,
+    as the training step does (see `toytask`).
     """
 
     backbone: FrozenBackbone
@@ -322,8 +326,10 @@ class MaskedTrainingEnv:
         self._keep = np.empty(self.merged.flat.size, dtype=bool)
         self._sizes = np.diff(self.merged.offsets).tolist()
         self._scores: np.ndarray | None = None
-        self._sorted: list[np.ndarray] = []
-        self._zeros_only = False  # scores <= 0 mark exactly the zero weights
+        self._positive: np.ndarray | None = None  # scores > 0
+        self._kept: list[int] = []  # positive scores per tensor
+        self._sorted: list[np.ndarray] | None = None
+        self._caps: list[tuple[int, int]] = []
         self._live_loss: float | None = None
 
     def begin_round(self) -> None:
@@ -331,20 +337,58 @@ class MaskedTrainingEnv:
         self._scores = self._live_loss = None
 
     def _score(self) -> None:
-        """Score, count and sort the live parameters, once per round."""
+        """Score the live parameters and count their zeros, once per round."""
         if self._scores is None:
             flat, offs = self.merged.flat, self.merged.offsets
             self._scores = importance_scores(flat, self.scale)
-            positive = self._scores > 0.0
-            self._zeros_only = np.count_nonzero(positive) == np.count_nonzero(flat)
-            n_pos = np.add.reduceat(positive, offs[:-1]).tolist()
-            self._zeros = [(d, d - n) for d, n in zip(self._sizes, n_pos)]  # (d, scoring 0)
-            self._sorted = [np.sort(self._scores[lo:hi]) for lo, hi in zip(offs, offs[1:])]
+            self._sorted = None
+            self._positive = self._scores > 0.0
+            self._kept = np.add.reduceat(self._positive, offs[:-1]).tolist()
+            if sum(self._kept) == np.count_nonzero(flat):
+                # scores <= 0 mark exactly the zero weights: cap_t = zeros_t + 1
+                self._caps = [(d, d - n + 1) for d, n in zip(self._sizes, self._kept)]
+            else:
+                self._caps = [(d, 0) for d in self._sizes]  # p*d < 0 never holds
 
-    def _thresholds(self, p: float) -> list[tuple[int, float]]:
-        """Per-tensor (k, tau) at ratio p from the round's one sort."""
+    def _prunes_only_zeros(self, p: float) -> bool:
+        """Whether ratio p prunes only exact zeros: p*d_t < zeros_t + 1 (that
+        is, floor(p*d_t) <= zeros_t) in every tensor t. Rejects p outside
+        [0, 1], NaN included, whichever path the caller then takes."""
+        if not 0.0 <= p <= 1.0:
+            raise UsageError(f"prune ratio must lie in [0, 1], got {p}")
         self._score()
+        for d, cap in self._caps:
+            if p * d >= cap:  # p is not NaN here
+                return False
+        return True
+
+    def _sorted_thresholds(self, p: float) -> list[tuple[int, float]]:
+        """Per-tensor (k, tau) at ratio p off the round's one sort."""
+        if self._sorted is None:
+            offs = self.merged.offsets
+            self._sorted = [np.sort(self._scores[lo:hi]) for lo, hi in zip(offs, offs[1:])]
         return [sorted_threshold(srt, p) for srt in self._sorted]
+
+    def _mask(self, p: float) -> SparsityMask:
+        """The mask `build_mask` gives at ratio p on the live parameters.
+
+        A ratio that prunes only zeros has (0, -inf) where k = 0 and (k, 0.0)
+        elsewhere, as `sorted_threshold` gives, and `keep_above` then keeps
+        every entry of a k = 0 tensor and the positive scores of the rest:
+        the round's counts already hold all of it. Any other ratio reads the
+        sort."""
+        if not self._prunes_only_zeros(p):
+            thresholds = self._sorted_thresholds(p)
+            return mask_from_thresholds(self.merged, p, self._scores, thresholds)
+        keep, kept, offs = self._positive.copy(), self._kept.copy(), self.merged.offsets
+        thresholds = []
+        for t, d in enumerate(self._sizes):
+            k = math.floor(p * d)
+            thresholds.append((k, 0.0) if k else (0, -math.inf))
+            if not k:
+                keep[offs[t] : offs[t + 1]] = True
+                kept[t] = d
+        return mask_from_keep(self.merged, p, keep, kept, thresholds)
 
     def _probe_loss(self, sites) -> float:
         x, dot = self.microdev.x, np.dot
@@ -362,19 +406,15 @@ class MaskedTrainingEnv:
         return reward_from_loss(self._live())
 
     def candidate_reward(self, p: float) -> float:
-        if not 0.0 <= p <= 1.0:
-            raise UsageError(f"prune ratio must lie in [0, 1], got {p}")
-        self._score()
-        if self._zeros_only and all(math.floor(p * d) <= z for d, z in self._zeros):
-            return reward_from_loss(self._live())  # prunes only zeros
-        thresholds = self._thresholds(p)
+        if self._prunes_only_zeros(p):
+            return reward_from_loss(self._live())
+        thresholds = self._sorted_thresholds(p)
         keep = keep_above(self._scores, self.merged.offsets, thresholds, out=self._keep)
         np.multiply(self.merged.flat, keep, out=self._trial.flat)
         return reward_from_loss(self._probe_loss(self._trial.sites))
 
     def commit(self, p_new: float) -> None:
-        thresholds = self._thresholds(p_new)
-        new_mask = mask_from_thresholds(self.merged, p_new, self._scores, thresholds)
+        new_mask = self._mask(p_new)
         newly = newly_pruned(self.mask, new_mask)
         mask_apply_inplace(self.merged, new_mask)
         reset_moments(self.opt_state, newly)

@@ -496,6 +496,58 @@ def test_append_round_log_writes_each_canonical_line(tmp_path, monkeypatch):
     assert path.stat().st_mode == (tmp_path / "reference").stat().st_mode
 
 
+def _adversarial_records():
+    """Records whose values trip a hand-built JSON line: None rewards,
+    non-finite floats, -0.0 beside 0.0, ints equal to floats, extreme
+    magnitudes and a failed round with no candidates."""
+    inf, nan = math.inf, math.nan
+    yield ControllerRecord(round=0, step=1, p_curr_before=0.4, baseline_reward=None,
+                           failed=True, p_curr_after=0.4, mu_after=0.4, sigma_after=0.1)
+    yield ControllerRecord(
+        round=1, step=2, p_curr_before=0.3, baseline_reward=-0.5,
+        candidates=[CandidateOutcome(0.2, 0.2, None, None),
+                    CandidateOutcome(nan, 0.1, -inf, -inf),
+                    CandidateOutcome(inf, 0.8, -0.5, 0.0)],
+        p_curr_after=0.3, mu_after=nan, sigma_after=inf,
+    )
+    # -0.0 and 0.0 compare (and hash) equal, as do 1 and 1.0, 0 and False
+    yield ControllerRecord(
+        round=0, step=1, p_curr_before=0.0, baseline_reward=-0.0,
+        candidates=[CandidateOutcome(-0.0, 0.0, -0.0, 0.0),
+                    CandidateOutcome(0.0, -0.0, 0.0, -0.0),
+                    CandidateOutcome(1.0, 1.0, -0.0, 0.0)],
+        committed=True, p_curr_after=-0.0, mu_after=1.0, sigma_after=0.0,
+    )
+    yield ControllerRecord(
+        round=7, step=80, p_curr_before=5e-324, baseline_reward=-1e16,
+        candidates=[CandidateOutcome(1e-5, 1e-5, -1e16, 0.0),
+                    CandidateOutcome(1e16, 0.8, -1e-5, 1e16 - 1e-5),
+                    CandidateOutcome(-5e-324, 0.1, 5e-324, 1e16 + 5e-324)],
+        committed=True, p_curr_after=1e-5, mu_after=-5e-324, sigma_after=1e16,
+    )
+    # integer bounds leave p_curr, and every candidate clamped to p_min, an int
+    cfg = ControllerConfig(p_init=0, p_min=0)
+    env = ScriptedEnv(baseline=-1.0, reward_fn=lambda p: -1.0 - p)
+    policy, rng = init_policy(cfg), np.random.default_rng(5)
+    for k in range(3):
+        policy, rec = controller_round(policy, cfg, rng, env, k, k + 1)
+        yield rec
+
+
+def test_append_round_log_matches_the_canonical_encoder_on_adversarial_records(tmp_path):
+    records = list(_adversarial_records())
+    assert type(records[-3].p_curr_before) is int
+    assert any(type(c.p) is int for r in records[-3:] for c in r.candidates)
+    path, expected = tmp_path / "rounds.jsonl", b""
+    for rec in records:
+        append_round_log(path, rec)
+        expected += canonical_json_line(rec.to_obj()).encode()
+        assert path.read_bytes() == expected
+    assert b'"baseline_reward":-0.0,' in expected and b'"relative":0.0,' in expected
+    assert b"null" in expected and b"5e-324" in expected and b"1e+16" in expected
+    assert b'"candidates":[]' in expected
+
+
 def test_append_round_log_raises_storage_error_on_an_unwritable_path(tmp_path):
     rec = _logged_records(1)[0]
     for path in (tmp_path, tmp_path / "missing" / "rounds.jsonl"):

@@ -352,8 +352,21 @@ def _nan_weight_env():
     return data, env
 
 
-@pytest.mark.parametrize("make_env", [_ratcheted_env, _underflow_env, _nan_weight_env],
-                         ids=["ratcheted", "underflow", "nan-weight"])
+def _boundary_ratios(env):
+    """Every tensor's boundaries k/d_t and their float neighbours in [0, 1]."""
+    grid = set()
+    for d in np.diff(env.merged.offsets).tolist():
+        for k in range(d + 1):
+            b = k / d
+            grid |= {b, float(np.nextafter(b, -1.0)), float(np.nextafter(b, 2.0))}
+    return sorted(p for p in grid if 0.0 <= p <= 1.0)
+
+
+_ENVS = pytest.mark.parametrize("make_env", [_ratcheted_env, _underflow_env, _nan_weight_env],
+                                ids=["ratcheted", "underflow", "nan-weight"])
+
+
+@_ENVS
 def test_reuse_rule_equals_the_per_probe_threshold_rule(make_env):
     """A probe reuses the live loss iff the old rule holds: the round's
     scores pass the guard and every tensor's tau is <= 0. The grid holds
@@ -364,12 +377,7 @@ def test_reuse_rule_equals_the_per_probe_threshold_rule(make_env):
     scores = importance_scores(flat, env.scale)
     guard = np.count_nonzero(scores > 0.0) == np.count_nonzero(flat)
     srts = [np.sort(scores[lo:hi]) for lo, hi in zip(offs, offs[1:])]
-    grid = set()
-    for srt in srts:
-        for k in range(srt.size + 1):
-            b = k / srt.size
-            grid |= {b, float(np.nextafter(b, -1.0)), float(np.nextafter(b, 2.0))}
-    grid = sorted(p for p in grid if 0.0 <= p <= 1.0)
+    grid = _boundary_ratios(env)
     forwards = []
     probe_loss = env._probe_loss
 
@@ -399,6 +407,100 @@ def test_reuse_rule_equals_the_per_probe_threshold_rule(make_env):
         assert 0 < reused < len(grid)  # both paths ran
     else:
         assert reused == 0  # the guard fails: every probe is evaluated
+
+
+def _clone(env):
+    """An independent env on copies of the parameters and moments."""
+    opt = env.opt_state
+    return MaskedTrainingEnv(
+        backbone=env.backbone, merged=env.merged.copy(), microdev=env.microdev,
+        scale=env.scale, mask=env.mask,
+        opt_state=OptimizerState(opt.config, opt.first_moment.copy(), opt.second_moment.copy()),
+    )
+
+
+@_ENVS
+def test_zero_count_thresholds_equal_a_fresh_sort(make_env):
+    """At every boundary ratio, the (k, tau) a commit reads (off the zero
+    counts or off the round's one sort) are `sorted_threshold`'s on a fresh
+    sort, bit for bit (repr tells -0.0 from 0.0 and matches NaN), and its
+    keep bits and stats are `build_mask`'s. Masks built earlier in the round
+    leave the next one intact."""
+    _, env = make_env()
+    flat, offs = env.merged.flat, env.merged.offsets
+    scores = importance_scores(flat, env.scale)
+    srts = [np.sort(scores[lo:hi]) for lo, hi in zip(offs, offs[1:])]
+    zero_path = 0
+    for p in _boundary_ratios(env):
+        expected = repr([sorted_threshold(srt, p) for srt in srts])
+        ref = build_mask(env.merged, p, env.scale)
+        zero_path += env._prunes_only_zeros(p)
+        live = _clone(env)
+        live.commit(p)
+        for mask in (env._mask(p), live.mask):
+            assert repr([(st.k, st.tau) for st in mask.stats.values()]) == expected, p
+            np.testing.assert_array_equal(mask.keep, ref.keep)
+            assert repr(mask.stats) == repr(ref.stats), p
+    if make_env is _ratcheted_env:
+        assert zero_path > 0  # the zero counts answered some ratios
+    else:
+        assert zero_path == 0  # the guard fails: every ratio reads the sort
+
+
+def test_commit_rejects_a_ratio_outside_the_unit_interval_on_every_path():
+    """-0.1 passes p*d < zeros + 1 (its floor(p*d) is negative) and NaN
+    fails no `p*d >= cap` test, so the range check runs before the
+    zero-count rule."""
+    _, env = _ratcheted_env()
+    assert env._prunes_only_zeros(0.0) and not env._prunes_only_zeros(1.0)
+    before, mask = env.checksum(), env.mask
+    for p in (-0.1, -1e-300, math.nan, 1.0 + 2**-52, 1.5, math.inf, -math.inf):
+        for call in (env.commit, env.candidate_reward):
+            with pytest.raises(UsageError, match="prune ratio"):
+                call(p)
+    assert env.checksum() == before and env.mask is mask and env.commits == 1
+
+
+def _sort_spy(monkeypatch):
+    sizes, real_sort = [], np.sort
+
+    def spy(a, *args, **kwargs):
+        sizes.append(np.size(a))
+        return real_sort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "sort", spy)
+    return sizes
+
+
+def _round(env, p_lo, p_hi, seed):
+    """One controller round whose candidates and commit lie in [p_lo, p_hi]."""
+    cfg = ControllerConfig(p_min=p_lo, p_max=p_hi, p_init=p_lo, candidates=4)
+    env.begin_round()
+    _, rec = controller_round(init_policy(cfg), cfg, np.random.default_rng(seed), env,
+                              round_index=0, step=1)
+    assert rec.committed and len(rec.candidates) == 4
+    return rec
+
+
+def test_a_round_sorts_only_when_a_threshold_needs_it(monkeypatch):
+    _, env = _ratcheted_env()
+    sizes = _sort_spy(monkeypatch)
+    d_t = np.diff(env.merged.offsets).tolist()
+    # ratios up to 0.30 prune only zeros of the ratcheted live model
+    assert all(env._prunes_only_zeros(p) for p in (0.0, 0.25, 0.30))
+    _round(env, 0.0, 0.30, seed=1)
+    assert sizes == []  # every probe and the commit pruned only zeros
+    rec = _round(env, 0.85, 0.95, seed=2)
+    assert all(c.relative != 0.0 for c in rec.candidates)  # all evaluated
+    assert sizes == d_t  # each tensor sorted exactly once for the round
+
+    for make_env in (_underflow_env, _nan_weight_env):
+        _, env = make_env()
+        sizes.clear()
+        with contextlib.suppress(RewardError):
+            env.baseline_reward()
+        env.commit(0.0)  # the guard fails, so even k = 0 reads the sort
+        assert sizes == np.diff(env.merged.offsets).tolist()
 
 
 class _CorruptingEnv:
