@@ -300,7 +300,6 @@ class EfficiencyComparison:
     step_speedup: float
     p_star: float
     best_grid_p: float
-    serialized_on_one_host: bool = True
 
 
 def compare_efficiency(
@@ -368,7 +367,7 @@ def compare_efficiency(
     )
 
 
-def format_runtime_table(comp: EfficiencyComparison, dataset: str = "toy-regression") -> str:
+def format_runtime_table(comp: EfficiencyComparison) -> str:
     """Human-readable block for the runtime comparison, with the reference band."""
     lines = [
         f"{'method':<8} {'dataset':<16} {'runs':>4} {'steps':>8} {'runtime_s':>10} "
@@ -376,7 +375,7 @@ def format_runtime_table(comp: EfficiencyComparison, dataset: str = "toy-regress
     ]
     for rep in (comp.grid, comp.grasp):
         lines.append(
-            f"{rep.method:<8} {dataset:<16} {rep.run_count:>4} {rep.total_steps:>8} "
+            f"{rep.method:<8} {'toy-regression':<16} {rep.run_count:>4} {rep.total_steps:>8} "
             f"{rep.seconds:>10.3f} {rep.median_seconds:>9.3f} {rep.spread_seconds:>9.3f} "
             f"{rep.speedup:>7.2f}×"
         )
@@ -385,10 +384,7 @@ def format_runtime_table(comp: EfficiencyComparison, dataset: str = "toy-regress
         f"wall-clock speedup {comp.grasp.speedup:.2f}× on this host "
         f"(reference band {REFERENCE_SPEEDUP_BAND} on the full-scale runs)"
     )
-    lines.append(
-        "timed serialized on one host: "
-        + ("yes" if comp.serialized_on_one_host else "no")
-    )
+    lines.append("timed serialized on one host: yes")
     return "\n".join(lines)
 
 
@@ -522,9 +518,9 @@ def write_grid_csv(path, outcome: GridOutcome) -> None:
     _write_csv(path, ["p", "dev_loss", "test_loss", "steps"], rows)
 
 
-def write_runtime_csv(path, comp: EfficiencyComparison, dataset: str = "toy-regression") -> None:
+def write_runtime_csv(path, comp: EfficiencyComparison) -> None:
     reports = (comp.grid, comp.grasp)
-    rows = [(r.method, dataset, r.run_count, r.seconds, r.speedup) for r in reports]
+    rows = [(r.method, "toy-regression", r.run_count, r.seconds, r.speedup) for r in reports]
     _write_csv(path, ["method", "dataset", "runs", "runtime", "speedup"], rows)
 
 

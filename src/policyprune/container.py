@@ -21,6 +21,7 @@ at merge time. Both kinds are written by one record writer and read by
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -95,8 +96,10 @@ def write_container(
         raise StorageError(f"cannot write checkpoint {path}: {exc}") from exc
 
 
-def _read_exact(f, n: int, what: str) -> bytes:
-    data = f.read(n)
+def _read_exact(f, n: int, what: str, size: int) -> bytes:
+    """n bytes of the `size`-byte file `f`; a length larger than what is
+    left is a storage error before any read, so it never allocates."""
+    data = f.read(n) if n <= size - f.tell() else b""
     if len(data) != n:
         raise StorageError(f"truncated container: expected {n} bytes for {what}")
     return data
@@ -108,24 +111,25 @@ def read_container(path) -> tuple[ContainerHeader, list[tuple[str, np.ndarray]]]
     except OSError as exc:
         raise StorageError(f"cannot open checkpoint {path}: {exc}") from exc
     with f:
+        size = os.fstat(f.fileno()).st_size
         magic = f.read(len(MAGIC))
         if magic != MAGIC:
             raise StorageError(f"{path} is not an adapter container (bad magic)")
-        (header_len,) = struct.unpack("<Q", _read_exact(f, 8, "header length"))
+        (header_len,) = struct.unpack("<Q", _read_exact(f, 8, "header length", size))
         header = ContainerHeader.from_json(
-            _read_exact(f, header_len, "header").decode("utf-8")
+            _read_exact(f, header_len, "header", size).decode("utf-8")
         )
         tensors = []
         for expect_name in header.tensor_names:
-            (name_len,) = struct.unpack("<I", _read_exact(f, 4, "name length"))
-            name = _read_exact(f, name_len, "tensor name").decode("utf-8")
+            (name_len,) = struct.unpack("<I", _read_exact(f, 4, "name length", size))
+            name = _read_exact(f, name_len, "tensor name", size).decode("utf-8")
             if name != expect_name:
                 raise StorageError(
                     f"container record order mismatch: header says "
                     f"{expect_name!r}, file has {name!r}"
                 )
-            rows, cols = struct.unpack("<II", _read_exact(f, 8, "tensor shape"))
-            data = _read_exact(f, rows * cols * 8, f"tensor {name!r}")
+            rows, cols = struct.unpack("<II", _read_exact(f, 8, "tensor shape", size))
+            data = _read_exact(f, rows * cols * 8, f"tensor {name!r}", size)
             arr = np.frombuffer(data, dtype="<f8").reshape(rows, cols)
             tensors.append((name, arr.astype(np.float64).copy(order="C")))
         if f.read(1):

@@ -62,26 +62,16 @@ def prune_threshold(scores: np.ndarray, p: float) -> tuple[int, float]:
     scores = np.asarray(scores, dtype=np.float64).ravel()
     if scores.size == 0:
         raise UsageError("cannot threshold an empty score vector")
-    if not 0.0 <= p <= 1.0:
-        raise UsageError(f"prune ratio must lie in [0, 1], got {p}")
-    k = int(np.floor(p * scores.size))
-    if k == 0:
-        return 0, float("-inf")
-    # partial selection of the k-th smallest; same value a full sort gives
-    tau = float(np.partition(scores, k - 1)[k - 1])
-    return k, tau
+    return sorted_threshold(np.sort(scores), p)
 
 
 def sorted_threshold(sorted_scores: np.ndarray, p: float) -> tuple[int, float]:
-    """`prune_threshold` read off scores already sorted ascending.
-
-    The k-th smallest of a sorted vector is its entry k-1, the value
-    `np.partition` selects, so one sort serves every ratio probed against
-    the same scores.
-    """
+    """`prune_threshold` read off scores already sorted ascending: the k-th
+    smallest is entry k-1, so one sort serves every ratio probed against
+    the same scores."""
     if not 0.0 <= p <= 1.0:
         raise UsageError(f"prune ratio must lie in [0, 1], got {p}")
-    k = math.floor(p * sorted_scores.size)  # the integer np.floor gives
+    k = math.floor(p * sorted_scores.size)
     if k == 0:
         return 0, float("-inf")
     return k, float(sorted_scores[k - 1])
@@ -94,31 +84,6 @@ class TensorMaskStats:
     k: int
     tau: float
     fraction: float
-
-
-@dataclass
-class SparsityMask:
-    """Keep bits (1 keeps, 0 prunes) for one prune ratio.
-
-    `keep` is one uint8 vector laid out like `MergedAdapterSet.flat`;
-    `per_tensor[tid]` is tensor tid's slice of it (a view, made on first
-    use) and `stats[tid]` its threshold record. Tensors are in id order.
-    """
-
-    ratio: float
-    keep: np.ndarray
-    stats: dict[int, TensorMaskStats]
-
-    @cached_property
-    def per_tensor(self) -> dict[int, np.ndarray]:
-        views, lo = {}, 0
-        for tid, st in self.stats.items():
-            views[tid] = self.keep[lo : lo + st.d]
-            lo += st.d
-        return views
-
-    def overall_fraction(self) -> float:
-        return (self.keep.size - np.count_nonzero(self.keep)) / self.keep.size
 
 
 def keep_above(
@@ -135,33 +100,42 @@ def keep_above(
     return np.greater(scores, taus, out=out)
 
 
-def mask_from_thresholds(
-    merged: MergedAdapterSet, p: float, scores: np.ndarray,
-    thresholds: list[tuple[int, float]],
-) -> SparsityMask:
-    """The mask at ratio p from scores laid out like `merged.flat` and the
-    per-tensor (k, tau) that `prune_threshold` gives for them."""
-    offs = merged.offsets
-    keep = keep_above(scores, offs, thresholds)
-    kept = np.add.reduceat(keep, offs[:-1]).tolist()  # per tensor
-    return mask_from_keep(merged, p, keep, kept, thresholds)
+class SparsityMask:
+    """Keep bits (1 keeps, 0 prunes) at prune ratio `ratio`.
 
+    Built from importance scores laid out like `MergedAdapterSet.flat`, that
+    arena's tensor `offsets`, and each tensor's (k, tau) from
+    `prune_threshold` or `sorted_threshold`: `keep` is one uint8 vector, the
+    scores above their tensor's tau. `per_tensor[tid]` (tensor tid's slice
+    of `keep`, a view) and `stats[tid]` (its threshold record) are built the
+    first time they are read. Tensors are in id order.
+    """
 
-def mask_from_keep(
-    merged: MergedAdapterSet, p: float, keep: np.ndarray, kept: list[int],
-    thresholds: list[tuple[int, float]],
-) -> SparsityMask:
-    """The mask at ratio p from its bool keep vector (laid out like
-    `merged.flat`), each tensor's count of kept entries and its (k, tau)."""
-    offs = merged.offsets
-    stats = {}
-    for tid, (k, tau) in enumerate(thresholds, start=1):
-        d = offs[tid] - offs[tid - 1]
-        stats[tid] = TensorMaskStats(
-            tensor_id=tid, d=d, k=k, tau=tau, fraction=(d - kept[tid - 1]) / d
-        )
-    # numpy stores True as byte 1, so the bools read as 0/1 uint8 keep bits
-    return SparsityMask(ratio=float(p), keep=keep.view(np.uint8), stats=stats)
+    def __init__(self, ratio: float, scores: np.ndarray, offsets,
+                 thresholds: list[tuple[int, float]]):
+        self.ratio = float(ratio)
+        # numpy stores True as byte 1, so the bools read as 0/1 uint8 keep bits
+        self.keep = keep_above(scores, offsets, thresholds).view(np.uint8)
+        self.offsets = offsets
+        self.thresholds = thresholds
+
+    @cached_property
+    def per_tensor(self) -> dict[int, np.ndarray]:
+        offs = self.offsets
+        return {tid: self.keep[lo:hi] for tid, (lo, hi) in enumerate(zip(offs, offs[1:]), start=1)}
+
+    @cached_property
+    def stats(self) -> dict[int, TensorMaskStats]:
+        offs = self.offsets
+        kept = np.add.reduceat(self.keep, offs[:-1]).tolist()  # per tensor
+        stats = {}
+        for tid, (k, tau) in enumerate(self.thresholds, start=1):
+            d = offs[tid] - offs[tid - 1]
+            stats[tid] = TensorMaskStats(tid, d, k, tau, (d - kept[tid - 1]) / d)
+        return stats
+
+    def overall_fraction(self) -> float:
+        return (self.keep.size - np.count_nonzero(self.keep)) / self.keep.size
 
 
 def build_mask(merged: MergedAdapterSet, p: float, scale: ImportanceScale) -> SparsityMask:
@@ -169,7 +143,7 @@ def build_mask(merged: MergedAdapterSet, p: float, scale: ImportanceScale) -> Sp
     scores = importance_scores(merged.flat, scale)
     offs = merged.offsets
     thresholds = [prune_threshold(scores[lo:hi], p) for lo, hi in zip(offs, offs[1:])]
-    return mask_from_thresholds(merged, p, scores, thresholds)
+    return SparsityMask(p, scores, offs, thresholds)
 
 
 def mask_apply(merged: MergedAdapterSet, mask: SparsityMask) -> MergedAdapterSet:

@@ -40,8 +40,6 @@ from .masking import (  # noqa: F401 (prune_threshold: perfbench traces this bin
     importance_scores,
     keep_above,
     mask_apply_inplace,
-    mask_from_keep,
-    mask_from_thresholds,
     newly_pruned,
     prune_threshold,
     sorted_threshold,
@@ -286,25 +284,25 @@ class MaskedTrainingEnv:
     """The live-model side of the controller protocol.
 
     Baseline probes read the committed masked parameters in place; candidate
-    probes threshold the current magnitudes and evaluate the masked factors
-    in a scratch arena, so the trained parameters are untouched (the round
-    audits this by comparing `checksum()`, the arena's bytes, bit for bit).
-    Commits rebuild the mask at the new ratio, zero the newly pruned
-    coordinates, and clear their optimizer moments.
+    probes evaluate the masked factors in a scratch arena, so the trained
+    parameters are untouched (the round audits this by comparing
+    `checksum()`, the arena's bytes, bit for bit). Commits mask at the new
+    ratio, zero the newly pruned coordinates, and clear their moments.
 
+    A ratio's mask flows one way: `_thresholds(p)` gives each tensor's
+    (k, tau), one compare keeps the scores above them, and a commit's
+    `SparsityMask` builds its per-tensor stats only when they are read.
     Within a round the parameters are fixed, so the round scores them once
     and counts each tensor's zero scores. When those are exactly the zero
     weights (no nonzero |w|*s underflows to 0 or is NaN, checked once per
     round), a ratio p with p*d_t < zeros_t + 1, i.e. floor(p*d_t) <= zeros_t,
-    in every tensor t prunes only zeros. Such a probe has the live arena as
-    its trial arena bit for bit, so it reuses the live micro-dev loss, which
-    is computed at most once per round; such a commit reads its per-tensor
-    (k, tau) off the counts: (0, -inf) where k = 0 and (k, 0.0) otherwise,
-    exactly what `sorted_threshold` returns, and its keep bits and kept
-    counts off the positive scores. Any other ratio sorts each tensor's
-    scores, at most once per round, and reads its thresholds off that sort.
-    Every path rejects a ratio outside [0, 1]. Probes multiply with `np.dot`,
-    as the training step does (see `toytask`).
+    in every tensor t prunes only zeros. Its thresholds are (0, -inf) where
+    k = 0 and (k, 0.0) elsewhere, exactly what `sorted_threshold` returns,
+    and a probe at it reuses the live micro-dev loss (computed at most once
+    per round): its trial arena is the live arena bit for bit. Any other
+    ratio reads its thresholds off one sort of each tensor's scores, made
+    at most once per round. Every path rejects a ratio outside [0, 1].
+    Probes multiply with `np.dot`, as the training step does (see `toytask`).
     """
 
     backbone: FrozenBackbone
@@ -326,8 +324,6 @@ class MaskedTrainingEnv:
         self._keep = np.empty(self.merged.flat.size, dtype=bool)
         self._sizes = np.diff(self.merged.offsets).tolist()
         self._scores: np.ndarray | None = None
-        self._positive: np.ndarray | None = None  # scores > 0
-        self._kept: list[int] = []  # positive scores per tensor
         self._sorted: list[np.ndarray] | None = None
         self._caps: list[tuple[int, int]] = []
         self._live_loss: float | None = None
@@ -342,11 +338,10 @@ class MaskedTrainingEnv:
             flat, offs = self.merged.flat, self.merged.offsets
             self._scores = importance_scores(flat, self.scale)
             self._sorted = None
-            self._positive = self._scores > 0.0
-            self._kept = np.add.reduceat(self._positive, offs[:-1]).tolist()
-            if sum(self._kept) == np.count_nonzero(flat):
+            kept = np.add.reduceat(self._scores > 0.0, offs[:-1]).tolist()
+            if sum(kept) == np.count_nonzero(flat):
                 # scores <= 0 mark exactly the zero weights: cap_t = zeros_t + 1
-                self._caps = [(d, d - n + 1) for d, n in zip(self._sizes, self._kept)]
+                self._caps = [(d, d - n + 1) for d, n in zip(self._sizes, kept)]
             else:
                 self._caps = [(d, 0) for d in self._sizes]  # p*d < 0 never holds
 
@@ -362,33 +357,17 @@ class MaskedTrainingEnv:
                 return False
         return True
 
-    def _sorted_thresholds(self, p: float) -> list[tuple[int, float]]:
-        """Per-tensor (k, tau) at ratio p off the round's one sort."""
+    def _thresholds(self, p: float) -> list[tuple[int, float]]:
+        """Per-tensor (k, tau) at ratio p, as `prune_threshold` gives them:
+        off the zero counts when p prunes only zeros, else off the round's
+        one sort."""
+        if self._prunes_only_zeros(p):
+            return [(k, 0.0) if (k := math.floor(p * d)) else (0, -math.inf)
+                    for d in self._sizes]
         if self._sorted is None:
             offs = self.merged.offsets
             self._sorted = [np.sort(self._scores[lo:hi]) for lo, hi in zip(offs, offs[1:])]
         return [sorted_threshold(srt, p) for srt in self._sorted]
-
-    def _mask(self, p: float) -> SparsityMask:
-        """The mask `build_mask` gives at ratio p on the live parameters.
-
-        A ratio that prunes only zeros has (0, -inf) where k = 0 and (k, 0.0)
-        elsewhere, as `sorted_threshold` gives, and `keep_above` then keeps
-        every entry of a k = 0 tensor and the positive scores of the rest:
-        the round's counts already hold all of it. Any other ratio reads the
-        sort."""
-        if not self._prunes_only_zeros(p):
-            thresholds = self._sorted_thresholds(p)
-            return mask_from_thresholds(self.merged, p, self._scores, thresholds)
-        keep, kept, offs = self._positive.copy(), self._kept.copy(), self.merged.offsets
-        thresholds = []
-        for t, d in enumerate(self._sizes):
-            k = math.floor(p * d)
-            thresholds.append((k, 0.0) if k else (0, -math.inf))
-            if not k:
-                keep[offs[t] : offs[t + 1]] = True
-                kept[t] = d
-        return mask_from_keep(self.merged, p, keep, kept, thresholds)
 
     def _probe_loss(self, sites) -> float:
         x, dot = self.microdev.x, np.dot
@@ -408,13 +387,13 @@ class MaskedTrainingEnv:
     def candidate_reward(self, p: float) -> float:
         if self._prunes_only_zeros(p):
             return reward_from_loss(self._live())
-        thresholds = self._sorted_thresholds(p)
-        keep = keep_above(self._scores, self.merged.offsets, thresholds, out=self._keep)
+        keep = keep_above(self._scores, self.merged.offsets, self._thresholds(p), out=self._keep)
         np.multiply(self.merged.flat, keep, out=self._trial.flat)
         return reward_from_loss(self._probe_loss(self._trial.sites))
 
     def commit(self, p_new: float) -> None:
-        new_mask = self._mask(p_new)
+        thresholds = self._thresholds(p_new)
+        new_mask = SparsityMask(p_new, self._scores, self.merged.offsets, thresholds)
         newly = newly_pruned(self.mask, new_mask)
         mask_apply_inplace(self.merged, new_mask)
         reset_moments(self.opt_state, newly)

@@ -133,3 +133,21 @@ def test_header_with_a_mistyped_field_is_a_storage_error(tmp_path):
     path.write_bytes(MAGIC + struct.pack("<Q", len(head)) + head)
     with pytest.raises(StorageError, match="malformed container header"):
         read_container(path)
+
+
+@pytest.mark.parametrize("claim", ["header_length", "tensor_shape"])
+def test_lengths_larger_than_the_file_are_storage_errors(tmp_path, claim):
+    """Lengths are checked against the bytes left in the file before any
+    read; both claims here are too large to allocate at all."""
+    head = ContainerHeader(kind="merged", sites=["q"], ranks={"q": 2}, alphas={"q": 2.0},
+                           tensor_names=["q.A", "q.B"]).to_json().encode("utf-8")
+    if claim == "header_length":
+        blob = MAGIC + struct.pack("<Q", 2**62) + head
+    else:
+        blob = (MAGIC + struct.pack("<Q", len(head)) + head
+                + struct.pack("<I", 3) + b"q.A" + struct.pack("<II", 2**31, 2**31) + b"\0" * 64)
+    path = tmp_path / "huge.ckpt"
+    path.write_bytes(blob)
+    for load in (load_adapters, load_merged):
+        with pytest.raises(StorageError, match="truncated container"):
+            load(path)

@@ -6,12 +6,12 @@ from policyprune.adapters import MergedAdapterSet, SiteFactors
 from policyprune.errors import DegenerateScaleError, DimensionError, UsageError
 from policyprune.masking import (
     ImportanceScale,
+    SparsityMask,
     build_mask,
     estimate_scale,
     importance_scores,
     keep_above,
     mask_apply,
-    mask_from_thresholds,
     newly_pruned,
     prune_threshold,
     sorted_threshold,
@@ -93,6 +93,9 @@ def test_keep_above_equals_the_per_tensor_compare():
             [scores[lo:hi] > tau for lo, hi, (_k, tau) in zip(offs, offs[1:], thresholds)]
         )
         np.testing.assert_array_equal(keep_above(scores, offs, thresholds), expected)
+        mask = SparsityMask(p, scores, offs, thresholds)
+        assert mask.keep.dtype == np.uint8
+        np.testing.assert_array_equal(mask.keep, expected)
 
 
 def test_mask_stats_and_views_equal_the_per_tensor_loop():
@@ -105,7 +108,7 @@ def test_mask_stats_and_views_equal_the_per_tensor_loop():
     offs = merged.offsets
     for p in (0.0, 0.1, 0.3, 0.7, 1.0):
         thresholds = [prune_threshold(scores[lo:hi], p) for lo, hi in zip(offs, offs[1:])]
-        mask = mask_from_thresholds(merged, p, scores, thresholds)
+        mask = SparsityMask(p, scores, offs, thresholds)
         assert list(mask.stats) == list(mask.per_tensor) == list(range(1, len(offs)))
         for tid, (lo, hi) in enumerate(zip(offs, offs[1:]), start=1):
             bits = mask.keep[lo:hi]
@@ -234,6 +237,12 @@ def test_newly_pruned_sets():
     np.testing.assert_array_equal(fresh, [False, True, True, False, False, False])
 
 
+def _partition_threshold(scores, p):
+    """The k-th smallest score by `np.partition`, independent of any sort."""
+    k = int(np.floor(p * scores.size))
+    return (k, float(np.partition(scores, k - 1)[k - 1])) if k else (0, float("-inf"))
+
+
 def test_sorted_thresholds_equal_prune_threshold_at_every_k():
     rng = np.random.default_rng(17)
     d = 37
@@ -247,7 +256,8 @@ def test_sorted_thresholds_equal_prune_threshold_at_every_k():
         seen = set()
         for p in [0.0, 1.0] + [(k + 0.5) / d for k in range(d)]:
             k, tau = sorted_threshold(ordered, p)
-            assert (k, tau) == prune_threshold(scores, p)
+            assert (k, tau) == _partition_threshold(scores, p)
+            assert prune_threshold(scores, p) == (k, tau)
             seen.add(k)
         assert seen == set(range(d + 1))
         assert sorted_threshold(ordered, 0.0) == (0, float("-inf"))

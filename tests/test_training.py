@@ -27,6 +27,7 @@ from policyprune.controller import (
 from policyprune.errors import ProbePurityError, RewardError, TrainingDivergedError, UsageError
 from policyprune.masking import (
     ImportanceScale,
+    SparsityMask,
     build_mask,
     estimate_scale,
     importance_scores,
@@ -421,11 +422,12 @@ def _clone(env):
 
 @_ENVS
 def test_zero_count_thresholds_equal_a_fresh_sort(make_env):
-    """At every boundary ratio, the (k, tau) a commit reads (off the zero
-    counts or off the round's one sort) are `sorted_threshold`'s on a fresh
-    sort, bit for bit (repr tells -0.0 from 0.0 and matches NaN), and its
-    keep bits and stats are `build_mask`'s. Masks built earlier in the round
-    leave the next one intact."""
+    """At every boundary ratio, the (k, tau) `_thresholds` gives (off the
+    zero counts or off the round's one sort) are `sorted_threshold`'s on a
+    fresh sort, bit for bit (repr tells -0.0 from 0.0 and matches NaN), and
+    the keep bits and stats of the mask built from them, and of a commit's
+    mask, are `build_mask`'s. Masks built earlier in the round leave the
+    next one intact."""
     _, env = make_env()
     flat, offs = env.merged.flat, env.merged.offsets
     scores = importance_scores(flat, env.scale)
@@ -437,7 +439,8 @@ def test_zero_count_thresholds_equal_a_fresh_sort(make_env):
         zero_path += env._prunes_only_zeros(p)
         live = _clone(env)
         live.commit(p)
-        for mask in (env._mask(p), live.mask):
+        thresholds = env._thresholds(p)
+        for mask in (SparsityMask(p, env._scores, offs, thresholds), live.mask):
             assert repr([(st.k, st.tau) for st in mask.stats.values()]) == expected, p
             np.testing.assert_array_equal(mask.keep, ref.keep)
             assert repr(mask.stats) == repr(ref.stats), p
@@ -445,6 +448,32 @@ def test_zero_count_thresholds_equal_a_fresh_sort(make_env):
         assert zero_path > 0  # the zero counts answered some ratios
     else:
         assert zero_path == 0  # the guard fails: every ratio reads the sort
+
+
+def test_lazy_mask_stats_equal_a_per_tensor_count_loop():
+    """Masks from a phase start, a zero-count commit and a sorted commit
+    build no stats until read; read, each tensor's record counts its keep
+    bits and carries the mask's (k, tau)."""
+    data, env = _probe_env(p_init=0.60)
+    masks = {"phase start": env.mask}
+    x, y = data.target_train.x, data.target_train.y
+    for i in range(3):
+        _, grads = loss_and_gradients(data.backbone, env.merged, x[i:i + 2], y[i:i + 2])
+        optimizer_step_and_reset(env.merged, grads, env.opt_state, mask=env.mask)
+    for name, p, zero_path in (("zero-count commit", 0.30, True), ("sorted commit", 0.90, False)):
+        env.begin_round()
+        assert env._prunes_only_zeros(p) == zero_path
+        env.commit(p)
+        masks[name] = env.mask
+    offs = env.merged.offsets
+    for name, mask in masks.items():
+        assert "stats" not in vars(mask), name
+        assert list(mask.stats) == list(range(1, len(offs))), name
+        for tid, st in mask.stats.items():
+            lo, hi = offs[tid - 1], offs[tid]
+            kept = np.count_nonzero(mask.keep[lo:hi])
+            assert (st.tensor_id, st.d, (st.k, st.tau)) == (tid, hi - lo, mask.thresholds[tid - 1])
+            assert st.fraction == (st.d - kept) / st.d, name
 
 
 def test_commit_rejects_a_ratio_outside_the_unit_interval_on_every_path():
