@@ -5,6 +5,10 @@ positive scalar (the mean input-vector norm, estimated once per run). For a
 prune ratio p, each tensor prunes its k_t = floor(p * d_t) least important
 entries by thresholding at the k_t-th smallest score; ties at the threshold
 are all pruned, so the realized fraction can slightly exceed the target.
+
+A mask's keep bits are float64 0.0/1.0 laid out like the adapter arena, so
+the per-step multiplies (gradient and parameters) are float by float, with
+no cast, and give the bits a 0/1 integer mask would.
 """
 
 from __future__ import annotations
@@ -90,32 +94,32 @@ def keep_above(
     scores: np.ndarray, offsets, thresholds: list[tuple[int, float]],
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Bool keep vector: each entry of `scores` (laid out like an arena with
-    these tensor `offsets`) above its tensor's tau; `thresholds[t-1]` is
-    tensor t's (k, tau). One per-entry tau vector, one compare; written into
-    `out` when given."""
-    taus = np.empty_like(scores)
+    """Float64 keep bits (1.0 keeps, 0.0 prunes): each entry of `scores`
+    (laid out like an arena with these tensor `offsets`) above its tensor's
+    tau; `thresholds[t-1]` is tensor t's (k, tau). One per-entry tau vector,
+    then one compare written over it; the vector is `out` when given."""
+    taus = np.empty_like(scores) if out is None else out
     for lo, hi, (_k, tau) in zip(offsets, offsets[1:], thresholds):
         taus[lo:hi] = tau
-    return np.greater(scores, taus, out=out)
+    return np.greater(scores, taus, taus)
 
 
 class SparsityMask:
-    """Keep bits (1 keeps, 0 prunes) at prune ratio `ratio`.
+    """Float64 keep bits (1.0 keeps, 0.0 prunes) at prune ratio `ratio`.
 
     Built from importance scores laid out like `MergedAdapterSet.flat`, that
     arena's tensor `offsets`, and each tensor's (k, tau) from
-    `prune_threshold` or `sorted_threshold`: `keep` is one uint8 vector, the
-    scores above their tensor's tau. `per_tensor[tid]` (tensor tid's slice
-    of `keep`, a view) and `stats[tid]` (its threshold record) are built the
-    first time they are read. Tensors are in id order.
+    `prune_threshold` or `sorted_threshold`: `keep` is one float64 vector of
+    0.0/1.0 keep bits, the scores above their tensor's tau.
+    `per_tensor[tid]` (tensor tid's slice of `keep`, a view) and
+    `stats[tid]` (its threshold record) are built the first time they are
+    read. Tensors are in id order.
     """
 
     def __init__(self, ratio: float, scores: np.ndarray, offsets,
                  thresholds: list[tuple[int, float]]):
         self.ratio = float(ratio)
-        # numpy stores True as byte 1, so the bools read as 0/1 uint8 keep bits
-        self.keep = keep_above(scores, offsets, thresholds).view(np.uint8)
+        self.keep = keep_above(scores, offsets, thresholds)
         self.offsets = offsets
         self.thresholds = thresholds
 
@@ -160,9 +164,9 @@ def mask_apply_inplace(merged: MergedAdapterSet, mask: SparsityMask) -> None:
         raise DimensionError(
             f"mask length {mask.keep.size} does not match the set's {flat.size} entries"
         )
-    np.multiply(flat, mask.keep, out=flat)
+    np.multiply(flat, mask.keep, flat)
     # multiplying a negative by 0 leaves -0.0; normalize to +0.0
-    np.add(flat, 0.0, out=flat)
+    np.add(flat, 0.0, flat)
 
 
 def newly_pruned(old: SparsityMask, new: SparsityMask) -> np.ndarray:

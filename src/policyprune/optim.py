@@ -5,6 +5,11 @@ moment estimates at newly pruned coordinates, which is only observable with
 per-parameter state. The moments are two flat vectors laid out like the
 adapter set's arena (`MergedAdapterSet.flat`), so one update and one reset
 each cover every tensor at once, and they survive mask rebuilds.
+
+At batch size 1 a step costs ufunc dispatch more than arithmetic, so the
+update passes each output array positionally (`np.multiply(a, b, out)`
+skips the keyword parsing of `out=`; in-place operators already do) and
+multiplies by the mask's float64 keep bits without a cast.
 """
 
 from __future__ import annotations
@@ -129,17 +134,17 @@ def optimizer_step_and_reset(
     # order, so every coordinate gets the per-coordinate formula's bits.
     g = grads.flat
     if mask is not None:
-        g = np.multiply(g, mask.keep, out=s1)
+        g = np.multiply(g, mask.keep, s1)
     m *= cfg.beta1
-    m += np.multiply(g, 1.0 - cfg.beta1, out=s2)
+    m += np.multiply(g, 1.0 - cfg.beta1, s2)
     v *= cfg.beta2
-    np.multiply(g, 1.0 - cfg.beta2, out=s2)
-    v += np.multiply(s2, g, out=s2)                  # (1 - beta2) * g * g
-    m_hat = np.divide(m, bias1, out=s1)
-    denom = np.sqrt(np.divide(v, bias2, out=s2), out=s2)
+    np.multiply(g, 1.0 - cfg.beta2, s2)
+    v += np.multiply(s2, g, s2)                      # (1 - beta2) * g * g
+    m_hat = np.divide(m, bias1, s1)
+    denom = np.sqrt(np.divide(v, bias2, s2), s2)
     denom += cfg.epsilon
-    update = np.divide(m_hat, denom, out=s1)
-    update += np.multiply(arr, cfg.weight_decay, out=s2)
+    update = np.divide(m_hat, denom, s1)
+    update += np.multiply(arr, cfg.weight_decay, s2)
     update *= cfg.learning_rate
     arr -= update
     if mask is not None:

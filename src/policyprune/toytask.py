@@ -12,6 +12,11 @@ The training step (`loss_and_gradients`) multiplies with `np.dot`: on these
 2-D float64 operands it makes the same BLAS call as `@`, so the same bits,
 with less dispatch than the `matmul` ufunc. `model_forward` stays on `@` as
 the plain reference the tests hold the step to, bit for bit.
+
+The step checks shapes on every call but scans x and y for NaN/Inf only
+when the loss is not finite: any such entry makes it so (inf * 0 is NaN),
+so it still raises `UsageError` before a gradient is written, and rows that
+`DataSplit` already checked are not scanned again at every step.
 """
 
 from __future__ import annotations
@@ -294,6 +299,8 @@ def mse_loss(pred: np.ndarray, y: np.ndarray) -> float:
 def _mean_square(diff: np.ndarray) -> float:
     # np.mean's own arithmetic (one pairwise add.reduce, then / count)
     # without its Python-level dispatch
+    if not diff.size:
+        raise UsageError(f"cannot take the loss of an empty batch (shape {diff.shape})")
     return float(np.add.reduce(diff * diff, axis=None)) / diff.size
 
 
@@ -311,26 +318,40 @@ def loss_and_gradients(
     The gradient is a set laid out like `merged` (so `grads[tid]` is tensor
     tid's gradient and `grads.flat` the whole of it), written into `out`
     when given — the training loop reuses one — else into a new set.
+
+    Every call converts x and y to C-contiguous float64 and checks their
+    shapes (`DimensionError`) and that the batch is not empty (`UsageError`).
+    Only a non-finite loss has them scanned for NaN/Inf (`matrix`,
+    `UsageError`), before `out` is written; from finite inputs, that loss is
+    returned for the caller to judge.
     """
-    x = matrix(x)
-    y = matrix(y)
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    y = np.ascontiguousarray(y, dtype=np.float64)
+    if x.ndim != 2 or y.ndim != 2:
+        raise DimensionError(f"expected 2-D x and y, got ndim={x.ndim} and ndim={y.ndim}")
     dot = np.dot
     hidden = []
     pred = None
-    for s in merged.sites:
-        h = dot(x, s.a.T)
-        hidden.append(h)
-        site_out = dot(x, backbone.site(s.site_id).T) + dot(h, s.b.T)
-        pred = site_out if pred is None else pred + site_out
+    try:
+        for s in merged.sites:
+            h = dot(x, s.a.T)
+            hidden.append(h)
+            site_out = dot(x, backbone.site(s.site_id).T) + dot(h, s.b.T)
+            pred = site_out if pred is None else pred + site_out
+    except ValueError as exc:  # np.dot on misaligned operands
+        raise DimensionError(f"x of shape {x.shape} does not fit the set: {exc}") from None
     if pred is None:
         raise UsageError("adapter set has no sites")
     if pred.shape != y.shape:
         raise DimensionError(f"prediction shape {pred.shape} != target shape {y.shape}")
     diff = pred - y
     loss = _mean_square(diff)
+    if not math.isfinite(loss):
+        matrix(x)  # raises UsageError on a NaN/Inf entry; finite inputs pass
+        matrix(y)
     g_out = (2.0 / diff.size) * diff
     grads = merged.empty_like() if out is None else out
     for s, g, h in zip(merged.sites, grads.sites, hidden):
-        dot(dot(g_out, s.b).T, x, out=g.a)
-        dot(g_out.T, h, out=g.b)
+        dot(dot(g_out, s.b).T, x, g.a)
+        dot(g_out.T, h, g.b)
     return loss, grads

@@ -321,7 +321,7 @@ class MaskedTrainingEnv:
             for sid in (s.site_id for s in self.merged.sites)
         )
         self._trial = self.merged.empty_like()
-        self._keep = np.empty(self.merged.flat.size, dtype=bool)
+        self._keep = np.empty_like(self.merged.flat)
         self._sizes = np.diff(self.merged.offsets).tolist()
         self._scores: np.ndarray | None = None
         self._sorted: list[np.ndarray] | None = None
@@ -388,7 +388,7 @@ class MaskedTrainingEnv:
         if self._prunes_only_zeros(p):
             return reward_from_loss(self._live())
         keep = keep_above(self._scores, self.merged.offsets, self._thresholds(p), out=self._keep)
-        np.multiply(self.merged.flat, keep, out=self._trial.flat)
+        np.multiply(self.merged.flat, keep, self._trial.flat)
         return reward_from_loss(self._probe_loss(self._trial.sites))
 
     def commit(self, p_new: float) -> None:

@@ -217,7 +217,7 @@ def test_criterion_02_masks_invariant_to_the_scale_constant():
     for c in (1e-3, 1.0, 1e3):
         got = build_mask(merged, 0.37, ImportanceScale(c * base.s))
         for tid, bits in ref.per_tensor.items():
-            assert got.per_tensor[tid].dtype == np.uint8
+            assert got.per_tensor[tid].dtype == np.float64
             assert np.array_equal(got.per_tensor[tid], bits)
     print(
         "criterion 02 PASS - keep bits identical under scale constants "

@@ -94,7 +94,7 @@ def test_keep_above_equals_the_per_tensor_compare():
         )
         np.testing.assert_array_equal(keep_above(scores, offs, thresholds), expected)
         mask = SparsityMask(p, scores, offs, thresholds)
-        assert mask.keep.dtype == np.uint8
+        assert mask.keep.dtype == np.float64
         np.testing.assert_array_equal(mask.keep, expected)
 
 

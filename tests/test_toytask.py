@@ -1,12 +1,13 @@
 """Tests for the synthetic task generator and the linear student model."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
 from policyprune.adapters import MergedAdapterSet, SiteFactors
-from policyprune.errors import DimensionError, UsageError
+from policyprune.errors import DimensionError, TrainingDivergedError, UsageError
 from policyprune.masking import ImportanceScale, build_mask, mask_apply
 from policyprune.toytask import (
     DataSplit,
@@ -18,6 +19,7 @@ from policyprune.toytask import (
     site_names,
     teacher_forward,
 )
+from policyprune.training import LoraConfig, TrainConfig, init_adapter_factors, train_adapter
 
 
 def random_adapter_set(data, rank, rng):
@@ -249,3 +251,78 @@ def test_loss_and_gradients_equal_the_matmul_reference_bit_for_bit(rows):
         loss, grads = loss_and_gradients(data.backbone, merged, x, y, out=out)
         assert loss == ref_loss
         assert (grads.flat == ref_grads).all()
+
+
+def _bad_input_sets(data):
+    """Stock-shaped dense factors, fresh factors (B = 0), and a set masked
+    at p = 0.8 whose A factors are zero in the first 12 input columns (those
+    columns carry the smallest magnitudes, so the mask prunes them whole)."""
+    rng = np.random.default_rng(12)
+    dense = random_adapter_set(data, 16, rng)
+    fresh = init_adapter_factors(data.backbone, LoraConfig(), rng)
+    shrunk = random_adapter_set(data, 16, rng)
+    for s in shrunk.sites:
+        s.a[:, :12] *= 1e-9
+    masked = mask_apply(shrunk, build_mask(shrunk, 0.8, ImportanceScale(1.0)))
+    assert all((s.a[:, :12] == 0.0).all() for s in masked.sites)
+    assert not fresh.flat[fresh.offsets[1]:fresh.offsets[2]].any()  # site 1's B
+    return {"stock": dense, "fresh": fresh, "masked": masked}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_a_non_finite_input_entry_raises_before_any_gradient_is_written(bad):
+    """The NaN/Inf scan runs only when the loss is not finite; a bad entry
+    anywhere in x or y always makes it so, whatever the factors (even where
+    every A column the entry meets is zero), so each still raises
+    `UsageError` and leaves the gradient buffer untouched."""
+    data = gen_toy_data(ToyTaskConfig(), 5)
+    x, y = data.target_train.x[:2], data.target_train.y[:2]
+    for name, merged in _bad_input_sets(data).items():
+        out = merged.empty_like()
+        out.flat[:] = 7.0
+        for which, arr in (("x", x), ("y", y)):
+            for idx in np.ndindex(arr.shape):
+                bad_arr = arr.copy()
+                bad_arr[idx] = bad
+                args = (bad_arr, y) if which == "x" else (x, bad_arr)
+                with np.errstate(invalid="ignore", over="ignore"):
+                    with pytest.raises(UsageError, match="finite"):
+                        loss_and_gradients(data.backbone, merged, *args, out=out)
+                assert (out.flat == 7.0).all(), (name, which, idx)
+        loss, _ = loss_and_gradients(data.backbone, merged, x, y, out=out)
+        assert math.isfinite(loss)
+
+
+def test_loss_inputs_of_the_wrong_shape_raise_dimension_errors():
+    data = gen_toy_data(ToyTaskConfig(), 5)
+    merged = random_adapter_set(data, 16, np.random.default_rng(6))
+    x, y = data.target_train.x[:3], data.target_train.y[:3]
+    for args in ((x[0], y), (x, y[0]), (x[None], y), (x, y[None]), (x[:, :-1], y), (x, y[:2])):
+        with pytest.raises(DimensionError):
+            loss_and_gradients(data.backbone, merged, *args)
+    nan_x = x[:, :-1].copy()
+    nan_x[0, 0] = np.nan
+    with pytest.raises(UsageError):  # either check may speak first; both are usage errors
+        loss_and_gradients(data.backbone, merged, nan_x, y)
+
+
+def test_finite_inputs_whose_loss_overflows_return_it_and_training_diverges():
+    data = gen_toy_data(ToyTaskConfig(), 5)
+    merged = random_adapter_set(data, 16, np.random.default_rng(6))
+    x, y = 1e200 * data.target_train.x[:4], data.target_train.y[:4]
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss, _ = loss_and_gradients(data.backbone, merged, x, y)
+        assert not math.isfinite(loss)
+        with pytest.raises(TrainingDivergedError):
+            train_adapter(data.backbone, DataSplit(x, y), LoraConfig(), TrainConfig(epochs=1),
+                          np.random.default_rng(7))
+
+
+def test_an_empty_batch_is_a_usage_error():
+    data = gen_toy_data(ToyTaskConfig(), 5)
+    merged = random_adapter_set(data, 16, np.random.default_rng(6))
+    x, y = data.target_train.x[:0], data.target_train.y[:0]
+    with pytest.raises(UsageError, match="empty batch"):
+        loss_and_gradients(data.backbone, merged, x, y)
+    with pytest.raises(UsageError, match="empty batch"):
+        mse_loss(model_forward(data.backbone, merged, x), y)

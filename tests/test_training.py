@@ -28,6 +28,7 @@ from policyprune.errors import ProbePurityError, RewardError, TrainingDivergedEr
 from policyprune.masking import (
     ImportanceScale,
     SparsityMask,
+    TensorMaskStats,
     build_mask,
     estimate_scale,
     importance_scores,
@@ -474,6 +475,55 @@ def test_lazy_mask_stats_equal_a_per_tensor_count_loop():
             kept = np.count_nonzero(mask.keep[lo:hi])
             assert (st.tensor_id, st.d, (st.k, st.tau)) == (tid, hi - lo, mask.thresholds[tid - 1])
             assert st.fraction == (st.d - kept) / st.d, name
+
+
+def test_float_keep_bits_give_the_bytes_of_integer_keep_bits():
+    """Keep bits are float64 0.0/1.0: equal to the score-above-tau compare
+    for masks from `build_mask`, a zero-count commit and a sorted commit,
+    and a mask apply, `newly_pruned`, the stats, the per-tensor views and the
+    overall fraction give what 0/1 uint8 keep bits gave."""
+    data, env = _probe_env(p_init=0.60)
+    x, y = data.target_train.x, data.target_train.y
+    for i in range(3):
+        _, grads = loss_and_gradients(data.backbone, env.merged, x[i:i + 2], y[i:i + 2])
+        optimizer_step_and_reset(env.merged, grads, env.opt_state, mask=env.mask)
+    offs = env.merged.offsets
+    masks, scores = [], []
+    for p, path in ((0.45, "build"), (0.30, "zero-count"), (0.90, "sorted")):
+        env.begin_round()
+        scores.append(importance_scores(env.merged.flat, env.scale))
+        if path == "build":
+            masks.append(build_mask(env.merged, p, env.scale))
+        else:
+            assert env._prunes_only_zeros(p) == (path == "zero-count")
+            env.commit(p)
+            masks.append(env.mask)
+    rng = np.random.default_rng(8)
+    previous = None
+    for mask, sc in zip(masks, scores):
+        ref = np.concatenate([sc[lo:hi] > tau for lo, hi, (_k, tau)
+                              in zip(offs, offs[1:], mask.thresholds)]).astype(np.uint8)
+        assert mask.keep.dtype == np.float64
+        assert mask.keep.tobytes() == ref.astype(np.float64).tobytes()
+        arena = rng.normal(size=ref.size)
+        arena[rng.choice(np.flatnonzero(ref), size=5, replace=False)] = -0.0
+        arena[rng.choice(np.flatnonzero(ref == 0), size=5, replace=False)] = -0.0
+        merged = env.merged.copy()
+        merged.flat[:] = arena
+        mask_apply_inplace(merged, mask)
+        assert merged.flat.tobytes() == (arena * ref + 0.0).tobytes()
+        kept = np.add.reduceat(ref, offs[:-1]).tolist()
+        for tid, (lo, hi) in enumerate(zip(offs, offs[1:]), start=1):
+            k, tau = mask.thresholds[tid - 1]
+            d = hi - lo
+            assert repr(mask.stats[tid]) == repr(
+                TensorMaskStats(tid, d, k, tau, (d - kept[tid - 1]) / d))
+            assert np.array_equal(mask.per_tensor[tid], ref[lo:hi])
+        assert mask.overall_fraction() == (ref.size - np.count_nonzero(ref)) / ref.size
+        if previous is not None:
+            old_mask, old_ref = previous
+            np.testing.assert_array_equal(newly_pruned(old_mask, mask), old_ref > ref)
+        previous = mask, ref
 
 
 def test_commit_rejects_a_ratio_outside_the_unit_interval_on_every_path():
