@@ -3,15 +3,21 @@
 run per candidate ratio; the policy route needs two runs total (one that
 learns the ratio while fine-tuning, one final run at the learned ratio).
 This script runs both on the stock task and prints quality and cost side
-by side. The wall-clock section re-executes both arms three times under a
-timer; the whole script takes about 11 s on a 2-CPU machine.
+by side, with the three reference points that search no ratio at all.
+The wall-clock section re-executes both arms three times under a timer;
+the whole script takes about 10 s on a 2-CPU machine.
 
 Run it:  python3 demos/grid_vs_policy.py
 """
 
 import dataclasses
 
-from policyprune.baselines import compare_efficiency, format_runtime_table, grid_search
+from policyprune.baselines import (
+    compare_efficiency,
+    format_runtime_table,
+    grid_search,
+    run_noprune_baselines,
+)
 from policyprune.configio import load_run_config
 from policyprune.masking import estimate_scale
 from policyprune.training import run_pipeline
@@ -35,6 +41,15 @@ print("per-ratio table (dev/test loss after prune-at-p + fine-tune):")
 for pt in outcome.points:
     marker = "  <- grid best" if pt.p == outcome.best_p else ""
     print(f"  p={pt.p:.2f}  dev {pt.dev_loss:.5f}  test {pt.test_loss:.5f}{marker}")
+
+ref = run_noprune_baselines(data, cfg.lora, train, seed)
+print("reference points (no prune ratio searched):")
+for name, dev, test in (
+    ("zero adapter", ref.zero_adapter_dev, ref.zero_adapter_test),
+    ("target only", ref.target_only_dev, ref.target_only_test),
+    ("unpruned merge", ref.merged_noprune_dev, ref.merged_noprune_test),
+):
+    print(f"  {name:<14}  dev {dev:.5f}  test {test:.5f}")
 
 best = outcome.best
 print(f"\npolicy-learned ratio: p_star = {art.p_star:.3f} "

@@ -20,13 +20,11 @@ from .adapters import FrozenBackbone, MergedAdapterSet, merge_adapter_sets
 from .controller import ControllerConfig, ControllerRecord
 from .errors import NumericalError, TrainingDivergedError, UsageError
 from .masking import ImportanceScale, estimate_scale
-from .optim import init_optimizer, optimizer_step_and_reset
 from .toytask import (
     DataSplit,
     ToyData,
     ToyTaskConfig,
     gen_toy_data,
-    loss_and_gradients,
     mse_loss,
 )
 from .training import (
@@ -226,50 +224,24 @@ def run_noprune_baselines(
 ) -> NopruneBaselines:
     """Reference points: frozen backbone, target-only adapter, unpruned merge.
 
-    The unpruned merge is trained by a plain loop over the same batching
-    and optimizer the pipeline uses — deliberately not by calling the
-    final-run phase with a zero ratio, so the two routes can be checked
-    against each other.
+    The unpruned merge is the final-run phase at ratio 0, which prunes
+    nothing, trained on the pipeline's own phase-3 stream.
     """
     backbone = data.backbone
     _source, target, merged = train_and_merge(data, lora_cfg, train_cfg, seed)
     target_merged = merge_adapter_sets([target.adapters], backbone.site_ids())
-    opt = init_optimizer(merged, train_cfg.optimizer_config())
-    rng = pipeline_rngs(seed)["phase3"]
-    losses: list[float] = []
-    best = microdev_loss(backbone, merged, data.dev)
-    bad = 0
-    n, size = data.target_train.n, train_cfg.batch_size
-    for _ in range(train_cfg.epochs):
-        # index batches from the same one shuffle draw per epoch
-        order = rng.permutation(n) if train_cfg.shuffle else np.arange(n)
-        for lo in range(0, n, size):
-            idx = order[lo : lo + size]
-            loss, grads = loss_and_gradients(
-                backbone, merged, data.target_train.x[idx], data.target_train.y[idx]
-            )
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(
-                    f"no-prune merge training diverged at step {len(losses) + 1}"
-                )
-            optimizer_step_and_reset(merged, grads, opt)
-            losses.append(loss)
-        dev_now = microdev_loss(backbone, merged, data.dev)
-        if train_cfg.early_stop_patience is not None:
-            if dev_now < best:
-                best, bad = dev_now, 0
-            else:
-                bad += 1
-                if bad >= train_cfg.early_stop_patience:
-                    break
-
+    # ratio 0 keeps every coordinate, so the scale never decides anything
+    fin = final_prune_finetune(
+        backbone, merged, 0.0, data.target_train, data.dev, ImportanceScale(1.0),
+        train_cfg, pipeline_rngs(seed)["phase3"], p_min=0.0, test=data.test,
+    )
     return NopruneBaselines(
         zero_adapter_dev=_backbone_loss(backbone, data.dev),
         zero_adapter_test=_backbone_loss(backbone, data.test),
         target_only_dev=microdev_loss(backbone, target_merged, data.dev),
         target_only_test=microdev_loss(backbone, target_merged, data.test),
-        merged_noprune_dev=microdev_loss(backbone, merged, data.dev),
-        merged_noprune_test=microdev_loss(backbone, merged, data.test),
+        merged_noprune_dev=fin.dev_loss,
+        merged_noprune_test=fin.test_loss,
     )
 
 

@@ -14,12 +14,13 @@ Every phase writes into its own directory under the output root (flag
 ``--out``, else the config file, else ``$POLICYPRUNE_OUT``, else ``runs/``)
 and finishes by writing ``manifest.json`` — the marker that the phase
 completed — recording the seed, the resolved-config content hash, the
-SHA-256 of every artifact, and the parent checkpoint it consumed. A phase
-directory with a manifest is never overwritten without ``--force``.
+SHA-256 of every file the phase wrote, and the parent file it consumed. A
+phase directory with content is never overwritten without ``--force``.
 Downstream phases refuse to run when their parent was produced under a
-different config hash, and inherit the parent's seed unless ``--seed``
-says otherwise. No artifact carries a timestamp, so a rerun at the same
-seed reproduces every byte.
+different config hash or its file no longer matches the parent manifest,
+and inherit the parent's seed unless ``--seed`` says otherwise. No
+artifact carries a timestamp or the output root, so a rerun at the same
+seed reproduces every byte under any root.
 
 Exit codes: 0 success, 2 usage errors (including bad flags), 3 storage
 failures, 4 numerical failures such as diverged training.
@@ -54,7 +55,7 @@ from .controller import append_round_log, read_round_log
 from .errors import PolicyPruneError, StorageError, UsageError
 from .masking import estimate_scale
 from .adapters import merge_adapter_sets
-from .serialize import canonical_json, sha256_file
+from .serialize import canonical_json_line, sha256_file
 from .toytask import gen_toy_data
 from .training import (
     final_prune_finetune,
@@ -83,9 +84,10 @@ def _phase_dir(root: Path, command: str) -> Path:
     return root / PHASE_DIRS[command]
 
 
-def _prepare_phase_dir(root: Path, command: str, force: bool) -> Path:
-    """Claim a clean phase directory; existing output needs --force."""
-    d = _phase_dir(root, command)
+def _claim_phase_dir(cfg: RunConfig, command: str, force: bool) -> Path:
+    """A clean phase directory holding the resolved config; existing output
+    needs --force."""
+    d = _phase_dir(Path(cfg.out), command)
     if d.exists() and any(d.iterdir()):
         if not force:
             raise StorageError(
@@ -99,6 +101,7 @@ def _prepare_phase_dir(root: Path, command: str, force: bool) -> Path:
         d.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise StorageError(f"cannot create output directory {d}: {exc}") from exc
+    _write_text(d / "resolved.ini", render_ini(cfg))
     return d
 
 
@@ -109,27 +112,18 @@ def _write_text(path: Path, text: str) -> None:
         raise StorageError(f"cannot write {path}: {exc}") from exc
 
 
-def _persist_config(d: Path, cfg: RunConfig) -> str:
-    _write_text(d / "resolved.ini", render_ini(cfg))
-    return config_hash(cfg)
-
-
 def _write_manifest(
-    d: Path,
-    command: str,
-    seed: int,
-    chash: str,
-    files: list[str],
-    parent: dict | None,
+    d: Path, command: str, seed: int, chash: str, parent: dict | None
 ) -> None:
+    """The completion marker: a SHA-256 of every file the phase wrote."""
     payload = {
         "phase": command,
         "seed": int(seed),
         "config_hash": chash,
         "parent": parent,
-        "files": {name: sha256_file(d / name) for name in sorted(files)},
+        "files": {f.name: sha256_file(f) for f in sorted(d.iterdir())},
     }
-    _write_text(d / "manifest.json", canonical_json(payload) + "\n")
+    _write_text(d / "manifest.json", canonical_json_line(payload))
 
 
 def _read_manifest(root: Path, command: str) -> dict:
@@ -158,28 +152,32 @@ def _check_config(recorded, chash: str, what: str) -> None:
         )
 
 
-def _load_parent_checkpoint(root: Path, chash: str):
-    """The merged-init checkpoint, verified against its manifest and config.
+def _verified_parent(root: Path, command: str, name: str, chash: str):
+    """A file of a completed upstream phase, checked against its manifest:
+    same config hash, and the bytes the manifest recorded.
 
-    Returns (merged_init, parent_seed, parent_record_for_manifest).
+    Returns (path, parent_seed, parent_record_for_manifest).
     """
-    man = _read_manifest(root, "train-adapters")
-    _check_config(man["config_hash"], chash, "the train-adapters phase")
-    ckpt = _phase_dir(root, "train-adapters") / "merged_init.ckpt"
-    if not ckpt.is_file():
-        raise UsageError(
-            f"missing checkpoint: {ckpt}; run `policyprune train-adapters` first"
-        )
-    actual = sha256_file(ckpt)
-    recorded = man["files"].get("merged_init.ckpt")
-    if actual != recorded:
+    man = _read_manifest(root, command)
+    _check_config(man["config_hash"], chash, f"the {command} phase")
+    path = _phase_dir(root, command) / name
+    if not path.is_file():
+        raise UsageError(f"missing {path}; run `policyprune {command}` first")
+    actual = sha256_file(path)
+    if actual != man["files"].get(name):
         raise StorageError(
-            f"checkpoint {ckpt} does not match the hash in its manifest "
-            "(file corrupted or edited); rerun train-adapters"
+            f"{path} does not match the hash in its manifest "
+            f"(file corrupted or edited); rerun {command}"
         )
+    parent = {"path": f"{PHASE_DIRS[command]}/{name}", "sha256": actual}
+    return path, int(man["seed"]), parent
+
+
+def _load_parent_checkpoint(root: Path, chash: str):
+    """The verified merged-init checkpoint: (merged_init, parent_seed, parent)."""
+    ckpt, seed, parent = _verified_parent(root, "train-adapters", "merged_init.ckpt", chash)
     merged, _header = load_merged(ckpt)
-    parent = {"path": "adapters/merged_init.ckpt", "sha256": actual}
-    return merged, int(man["seed"]), parent
+    return merged, seed, parent
 
 
 def _inherited_seed(args, parent_seed: int) -> int:
@@ -190,9 +188,8 @@ def _inherited_seed(args, parent_seed: int) -> int:
 
 
 def cmd_train_adapters(cfg: RunConfig, args) -> int:
-    root = Path(cfg.out)
-    d = _prepare_phase_dir(root, "train-adapters", args.force)
-    chash = _persist_config(d, cfg)
+    chash = config_hash(cfg)
+    d = _claim_phase_dir(cfg, "train-adapters", args.force)
     seed = cfg.seed
     data = gen_toy_data(cfg.task, seed)
     rngs = pipeline_rngs(seed)
@@ -211,11 +208,7 @@ def cmd_train_adapters(cfg: RunConfig, args) -> int:
                   seed=seed, config_hash=chash)
     save_merged(d / "merged_init.ckpt", merged, kind="merged-init",
                 seed=seed, config_hash=chash)
-    _write_manifest(
-        d, "train-adapters", seed, chash,
-        ["source.ckpt", "target.ckpt", "merged_init.ckpt", "resolved.ini"],
-        parent=None,
-    )
+    _write_manifest(d, "train-adapters", seed, chash, parent=None)
     print(f"adapters trained (seed {seed}); checkpoints in {d}")
     return 0
 
@@ -228,8 +221,7 @@ def cmd_controller(cfg: RunConfig, args) -> int:
     data = gen_toy_data(cfg.task, seed)
     microdev = microdev_slice(data, cfg.controller)
     rngs = pipeline_rngs(seed)
-    d = _prepare_phase_dir(root, "controller", args.force)
-    _persist_config(d, cfg)
+    d = _claim_phase_dir(cfg, "controller", args.force)
     log_path = d / "rounds.jsonl"
     policy = sparsity_policy_learning(
         data.backbone,
@@ -249,12 +241,8 @@ def cmd_controller(cfg: RunConfig, args) -> int:
         "seed": seed,
         "config_hash": chash,
     }
-    _write_text(d / "p_star.json", canonical_json(p_star_payload) + "\n")
-    _write_manifest(
-        d, "controller", seed, chash,
-        ["rounds.jsonl", "p_star.json", "resolved.ini"],
-        parent=parent,
-    )
+    _write_text(d / "p_star.json", canonical_json_line(p_star_payload))
+    _write_manifest(d, "controller", seed, chash, parent)
     print(
         f"p_star = {policy.p_star} after {len(policy.records)} rounds "
         f"({policy.commits} commits); log in {log_path}"
@@ -289,8 +277,7 @@ def cmd_finalize(cfg: RunConfig, args) -> int:
     data = gen_toy_data(cfg.task, seed)
     microdev = microdev_slice(data, cfg.controller)
     rngs = pipeline_rngs(seed)
-    d = _prepare_phase_dir(root, "finalize", args.force)
-    _persist_config(d, cfg)
+    d = _claim_phase_dir(cfg, "finalize", args.force)
     fin = final_prune_finetune(
         data.backbone,
         merged_init,
@@ -326,12 +313,8 @@ def cmd_finalize(cfg: RunConfig, args) -> int:
         "seed": seed,
         "config_hash": chash,
     }
-    _write_text(d / "metrics.json", canonical_json(metrics) + "\n")
-    _write_manifest(
-        d, "finalize", seed, chash,
-        ["final.ckpt", "metrics.json", "resolved.ini"],
-        parent=parent,
-    )
+    _write_text(d / "metrics.json", canonical_json_line(metrics))
+    _write_manifest(d, "finalize", seed, chash, parent)
     print(
         f"final model pruned at p_star = {p_star} "
         f"(realized fraction {metrics['realized_fraction']:.4f}); "
@@ -347,8 +330,7 @@ def cmd_grid(cfg: RunConfig, args) -> int:
     seed = _inherited_seed(args, parent_seed)
     data = gen_toy_data(cfg.task, seed)
     microdev = microdev_slice(data, cfg.controller)
-    d = _prepare_phase_dir(root, "grid", args.force)
-    _persist_config(d, cfg)
+    d = _claim_phase_dir(cfg, "grid", args.force)
     outcome = grid_search(
         data.backbone,
         merged_init,
@@ -362,7 +344,7 @@ def cmd_grid(cfg: RunConfig, args) -> int:
         workers=args.workers,
     )
     write_grid_csv(d / "grid.csv", outcome)
-    _write_manifest(d, "grid", seed, chash, ["grid.csv", "resolved.ini"], parent)
+    _write_manifest(d, "grid", seed, chash, parent)
     failed = sum(1 for pt in outcome.points if pt.failed)
     print(
         f"grid searched {len(outcome.points)} ratios "
@@ -372,9 +354,8 @@ def cmd_grid(cfg: RunConfig, args) -> int:
 
 
 def cmd_ablate(cfg: RunConfig, args) -> int:
-    root = Path(cfg.out)
-    d = _prepare_phase_dir(root, "ablate", args.force)
-    chash = _persist_config(d, cfg)
+    chash = config_hash(cfg)
+    d = _claim_phase_dir(cfg, "ablate", args.force)
     reg_rows = ablate_regularizers(
         cfg.task, cfg.lora, cfg.training, cfg.controller,
         seeds=cfg.seeds, workers=args.workers,
@@ -385,11 +366,7 @@ def cmd_ablate(cfg: RunConfig, args) -> int:
     )
     write_regularizer_csv(d / "regularizers.csv", reg_rows)
     write_microdev_csv(d / "microdev.csv", micro_rows)
-    _write_manifest(
-        d, "ablate", cfg.seed, chash,
-        ["regularizers.csv", "microdev.csv", "resolved.ini"],
-        parent=None,
-    )
+    _write_manifest(d, "ablate", cfg.seed, chash, parent=None)
     print(
         f"ablations done over seeds {list(cfg.seeds)}: "
         f"{len(reg_rows)} regularizer cells, {len(micro_rows)} micro-dev sizes; "
@@ -401,18 +378,12 @@ def cmd_ablate(cfg: RunConfig, args) -> int:
 def cmd_report(cfg: RunConfig, args) -> int:
     root = Path(cfg.out)
     chash = config_hash(cfg)
-    ctrl_man = _read_manifest(root, "controller")
-    _check_config(ctrl_man["config_hash"], chash, "the controller phase")
-    log_path = _phase_dir(root, "controller") / "rounds.jsonl"
-    if not log_path.is_file():
-        raise UsageError(
-            f"missing {log_path}; run `policyprune train-adapters` and then "
-            "`policyprune controller` first"
-        )
+    log_path, parent_seed, parent = _verified_parent(
+        root, "controller", "rounds.jsonl", chash
+    )
     records = read_round_log(log_path)
-    seed = _inherited_seed(args, int(ctrl_man["seed"]))
-    d = _prepare_phase_dir(root, "report", args.force)
-    _persist_config(d, cfg)
+    seed = _inherited_seed(args, parent_seed)
+    d = _claim_phase_dir(cfg, "report", args.force)
     series = rolling_pcurr(records)
     write_rolling_csv(d / "rolling.csv", series)
     # the runtime comparison is a fixed-budget measurement: both arms run
@@ -425,12 +396,7 @@ def cmd_report(cfg: RunConfig, args) -> int:
     write_runtime_csv(d / "runtime.csv", comp)
     table = format_runtime_table(comp)
     _write_text(d / "report.txt", table + "\n")
-    _write_manifest(
-        d, "report", seed, chash,
-        ["rolling.csv", "runtime.csv", "report.txt", "resolved.ini"],
-        parent={"path": "controller/rounds.jsonl",
-                "sha256": sha256_file(log_path)},
-    )
+    _write_manifest(d, "report", seed, chash, parent)
     print(table)
     return 0
 

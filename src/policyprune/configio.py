@@ -16,7 +16,8 @@ list and output directory say where a run lands, not what it computes, so
 two runs of the same experiment at different seeds or paths share a hash
 while any change to task, adapter, training, controller, or grid settings
 produces a new one. ``render_ini`` writes the fully resolved configuration
-back out so every run directory records the exact values it ran with.
+back out, less the output directory, so every run directory records the
+exact values it ran with and its bytes do not depend on where it sits.
 
 The default LoRA block records ``dropout = 0.05`` (the published recipe's
 value); on this deterministic linear trainer dropout is carried and hashed
@@ -254,14 +255,17 @@ def _fmt(value) -> str:
 
 
 def render_ini(cfg: RunConfig) -> str:
-    """The fully resolved configuration as INI text.
+    """The fully resolved configuration as INI text, less the output root.
 
-    `load_run_config` on the rendered text reproduces `cfg` exactly
-    (floats are written with `repr`, which round-trips).
+    `load_run_config` on the rendered text reproduces `cfg` exactly except
+    for `out` (floats are written with `repr`, which round-trips). The root
+    says where a run lands, not what it computes, so leaving it out keeps
+    the text the same under any `--out`.
     """
     lines = [f"# resolved run configuration; content hash {config_hash(cfg)}", ""]
     for section in _SECTIONS:
         lines.append(f"[{section}]")
-        lines += [f"{k} = {_fmt(v)}" for k, v in _values(cfg, section).items()]
+        lines += [f"{k} = {_fmt(v)}" for k, v in _values(cfg, section).items()
+                  if (section, k) != ("run", "out")]
         lines.append("")
     return "\n".join(lines)

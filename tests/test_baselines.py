@@ -31,11 +31,13 @@ from policyprune.baselines import (
 from policyprune.controller import ControllerConfig, ControllerRecord
 from policyprune.errors import NumericalError, TrainingDivergedError, UsageError
 from policyprune.masking import estimate_scale
-from policyprune.toytask import ToyTaskConfig, gen_toy_data, mse_loss
+from policyprune.optim import init_optimizer, optimizer_step_and_reset
+from policyprune.toytask import ToyTaskConfig, gen_toy_data, loss_and_gradients, mse_loss
 from policyprune.training import (
     LoraConfig,
     TrainConfig,
     final_prune_finetune,
+    microdev_loss,
     pipeline_rngs,
     run_pipeline,
     train_adapter,
@@ -176,32 +178,61 @@ def test_grid_excludes_diverged_cells_from_the_argmin(monkeypatch):
         )
 
 
+def _reference_noprune_training(data, merged, cfg, rng):
+    """An independent plain loop for the unpruned merge: the pipeline's
+    batching and optimizer, with early stopping after `patience` epochs
+    without a strict dev improvement."""
+    opt = init_optimizer(merged, cfg.optimizer_config())
+    best = microdev_loss(data.backbone, merged, data.dev)
+    bad = 0
+    n, size = data.target_train.n, cfg.batch_size
+    for _ in range(cfg.epochs):
+        # index batches from the same one shuffle draw per epoch
+        order = rng.permutation(n) if cfg.shuffle else np.arange(n)
+        for lo in range(0, n, size):
+            idx = order[lo : lo + size]
+            loss, grads = loss_and_gradients(
+                data.backbone, merged, data.target_train.x[idx], data.target_train.y[idx]
+            )
+            assert np.isfinite(loss)
+            optimizer_step_and_reset(merged, grads, opt)
+        dev_now = microdev_loss(data.backbone, merged, data.dev)
+        if cfg.early_stop_patience is not None:
+            if dev_now < best:
+                best, bad = dev_now, 0
+            else:
+                bad += 1
+                if bad >= cfg.early_stop_patience:
+                    break
+    return merged
+
+
 @pytest.mark.parametrize(
-    "batch_size, shuffle",
+    "batch_size, shuffle, patience, lr",
     [
-        pytest.param(1, True, id="b1-shuffled"),
+        pytest.param(1, True, 3, 1e-4, id="b1-shuffled"),
         # 32 rows in batches of 7: the last batch is short
-        pytest.param(7, False, id="b7-in-order"),
+        pytest.param(7, False, 3, 1e-4, id="b7-in-order"),
+        # a large step overshoots the dev minimum: patience 1 stops at epoch 2
+        pytest.param(1, True, 1, 3e-2, id="b1-shuffled-stops-early"),
     ],
 )
-def test_noprune_baselines_reference_points(batch_size, shuffle):
+def test_noprune_baselines_reference_points(batch_size, shuffle, patience, lr):
     data = gen_toy_data(SMALL, 9)
-    cfg = TrainConfig(epochs=3, batch_size=batch_size, shuffle=shuffle)
+    cfg = TrainConfig(epochs=3, batch_size=batch_size, shuffle=shuffle,
+                      early_stop_patience=patience, learning_rate=lr)
     res = run_noprune_baselines(data, LORA4, cfg, 9)
     # the zero-adapter row is exactly the frozen backbone's loss
     pred = sum(data.dev.x @ data.backbone.site(s).T for s in data.backbone.site_ids())
     assert res.zero_adapter_dev == mse_loss(pred, data.dev.y)
     # fitting an adapter to the target task helps over doing nothing
     assert res.target_only_dev < res.zero_adapter_dev
-    # the unpruned merge equals the final-run phase forced to keep everything
-    merged = _trained_merge(data, cfg, 9)
-    forced = final_prune_finetune(
-        data.backbone, merged, 0.0, data.target_train, data.dev,
-        estimate_scale(data.microdev.x), cfg, pipeline_rngs(9)["phase3"],
-        p_min=0.0, test=data.test,
+    # the unpruned merge equals an independent plain loop, bit for bit
+    merged = _reference_noprune_training(
+        data, _trained_merge(data, cfg, 9), cfg, pipeline_rngs(9)["phase3"]
     )
-    assert res.merged_noprune_dev == pytest.approx(forced.dev_loss, abs=1e-15)
-    assert res.merged_noprune_test == pytest.approx(forced.test_loss, abs=1e-15)
+    assert res.merged_noprune_dev == microdev_loss(data.backbone, merged, data.dev)
+    assert res.merged_noprune_test == microdev_loss(data.backbone, merged, data.test)
 
 
 def test_efficiency_comparison_step_accounting_is_exact():

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: artifacts, manifests, exit codes."""
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -49,6 +50,16 @@ def read_json(path: Path) -> dict:
     return json.loads(path.read_text())
 
 
+def digests(d: Path) -> dict[str, str]:
+    return {p.name: sha256_file(p) for p in d.iterdir()}
+
+
+def assert_manifest_covers_its_directory(d: Path) -> None:
+    """The manifest hashes exactly the files its phase wrote."""
+    files = read_json(d / "manifest.json")["files"]
+    assert files == {n: h for n, h in digests(d).items() if n != "manifest.json"}
+
+
 @pytest.fixture(scope="module")
 def chain(tmp_path_factory):
     """One completed train-adapters → controller → finalize → grid chain."""
@@ -84,6 +95,21 @@ def test_train_adapters_writes_checkpoints_and_manifest(chain):
     _merged, header = load_merged(d / "merged_init.ckpt")
     assert header.config_hash == man["config_hash"]
     assert header.seed == 7
+
+
+def test_every_manifest_hashes_every_file_of_its_phase(chain):
+    _ini, out = chain
+    for sub in ("adapters", "controller", "final", "grid"):
+        assert_manifest_covers_its_directory(out / sub)
+
+
+def test_the_same_chain_under_another_root_writes_identical_trees(chain, tmp_path):
+    ini, out = chain
+    other = tmp_path / "elsewhere" / "out"
+    for command in ("train-adapters", "controller", "finalize", "grid"):
+        assert run_cli(command, "--config", str(ini), "--out", str(other)) == 0
+    for sub in ("adapters", "controller", "final", "grid"):
+        assert digests(other / sub) == digests(out / sub)
 
 
 def test_resolved_config_is_persisted_faithfully(chain):
@@ -155,6 +181,24 @@ def test_report_emits_rolling_series_and_runtime_table(chain, capsys):
     assert runtime[0] == "method,dataset,runs,runtime,speedup"
     methods = [ln.split(",")[0] for ln in runtime[1:]]
     assert methods == ["grid", "policy"]
+    assert_manifest_covers_its_directory(d)
+    assert read_json(d / "manifest.json")["parent"] == {
+        "path": "controller/rounds.jsonl",
+        "sha256": sha256_file(out / "controller" / "rounds.jsonl"),
+    }
+
+
+def test_report_refuses_a_round_log_its_manifest_does_not_match(chain, capsys, tmp_path):
+    ini, src_out = chain
+    out = tmp_path / "out"
+    shutil.copytree(src_out, out, ignore=shutil.ignore_patterns("report"))
+    log = out / "controller" / "rounds.jsonl"
+    lines = log.read_text().splitlines(keepends=True)
+    log.write_text("".join(lines[:-1]))  # drop the last round
+    assert run_cli("report", "--config", str(ini), "--out", str(out),
+                   "--repeats", "1") == 3
+    assert "does not match" in capsys.readouterr().err
+    assert not (out / "report").exists()
 
 
 def test_rerun_without_force_is_refused_then_reruns_byte_identically(fresh):
@@ -220,8 +264,6 @@ def test_corrupted_parent_checkpoint_is_a_storage_error(fresh, capsys):
 def test_finalize_p_star_flag_overrides_the_file(chain, tmp_path):
     ini, src_out = chain
     # reuse the finished adapters+controller phases in a copy we may mutate
-    import shutil
-
     out = tmp_path / "out"
     shutil.copytree(src_out, out)
     assert run_cli("finalize", "--config", str(ini), "--out", str(out),
@@ -301,6 +343,7 @@ def test_ablate_emits_both_fixed_schema_tables(fresh):
     assert micro[0] == "m,p_star,dev_loss"
     assert len(micro) == 1 + 4
     assert [ln.split(",")[0] for ln in micro[1:]] == ["4", "8", "16", "32"]
+    assert_manifest_covers_its_directory(d)
 
 
 def test_unwritable_output_root_is_an_io_error(fresh, capsys):
