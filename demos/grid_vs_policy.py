@@ -42,7 +42,7 @@ for pt in outcome.points:
     marker = "  <- grid best" if pt.p == outcome.best_p else ""
     print(f"  p={pt.p:.2f}  dev {pt.dev_loss:.5f}  test {pt.test_loss:.5f}{marker}")
 
-ref = run_noprune_baselines(data, cfg.lora, train, seed)
+ref = run_noprune_baselines(data, art.merged_init, art.target_adapters, train, seed)
 print("reference points (no prune ratio searched):")
 for name, dev, test in (
     ("zero adapter", ref.zero_adapter_dev, ref.zero_adapter_test),

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .adapters import FrozenBackbone, MergedAdapterSet, merge_adapter_sets
+from .adapters import FrozenBackbone, LoraAdapter, MergedAdapterSet, merge_adapter_sets
 from .controller import ControllerConfig, ControllerRecord
 from .errors import NumericalError, TrainingDivergedError, UsageError
 from .masking import ImportanceScale, estimate_scale
@@ -218,21 +218,23 @@ def _backbone_loss(backbone: FrozenBackbone, split: DataSplit) -> float:
 
 def run_noprune_baselines(
     data: ToyData,
-    lora_cfg: LoraConfig,
+    merged_init: MergedAdapterSet,
+    target_adapters: list[LoraAdapter],
     train_cfg: TrainConfig,
     seed: int,
 ) -> NopruneBaselines:
     """Reference points: frozen backbone, target-only adapter, unpruned merge.
 
-    The unpruned merge is the final-run phase at ratio 0, which prunes
-    nothing, trained on the pipeline's own phase-3 stream.
+    `merged_init` and `target_adapters` are the caller's phase 1 (see
+    `train_and_merge`); neither is modified. The unpruned merge is the
+    final-run phase at ratio 0, which prunes nothing, trained on the
+    pipeline's own phase-3 stream.
     """
     backbone = data.backbone
-    _source, target, merged = train_and_merge(data, lora_cfg, train_cfg, seed)
-    target_merged = merge_adapter_sets([target.adapters], backbone.site_ids())
+    target_merged = merge_adapter_sets([target_adapters], backbone.site_ids())
     # ratio 0 keeps every coordinate, so the scale never decides anything
     fin = final_prune_finetune(
-        backbone, merged, 0.0, data.target_train, data.dev, ImportanceScale(1.0),
+        backbone, merged_init, 0.0, data.target_train, data.dev, ImportanceScale(1.0),
         train_cfg, pipeline_rngs(seed)["phase3"], p_min=0.0, test=data.test,
     )
     return NopruneBaselines(

@@ -254,7 +254,10 @@ def _resolve_p_star(root: Path, chash: str, args) -> tuple[float, str]:
     if args.p_star is not None:
         return float(args.p_star), "flag"
     path = _phase_dir(root, "controller") / "p_star.json"
-    if not path.is_file():
+    if (path.parent / "manifest.json").is_file():
+        # a completed controller phase: its p_star file must be the one it wrote
+        _verified_parent(root, "controller", path.name, chash)
+    elif not path.is_file():
         raise UsageError(
             f"missing {path}; run `policyprune controller` first or pass --p-star"
         )

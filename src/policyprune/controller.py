@@ -30,7 +30,9 @@ SIGMA_FLOOR = 1e-3
 
 
 def clamp(x: float, lo: float, hi: float) -> float:
-    return min(max(x, lo), hi)
+    """min(max(x, lo), hi), with the same comparisons and no builtin calls."""
+    x = lo if lo > x else x
+    return hi if hi < x else x
 
 
 @dataclass
@@ -84,10 +86,10 @@ def init_policy(cfg: ControllerConfig) -> PolicyState:
 
 def sample_candidates(
     policy: PolicyState, cfg: ControllerConfig, rng: np.random.Generator
-) -> list[tuple[float, float]]:
-    """Draw C raw values z ~ N(mu, sigma^2); keep both z and clamped p."""
-    zs = rng.normal(loc=policy.mu, scale=policy.sigma, size=cfg.candidates)
-    return [(z, clamp(z, cfg.p_min, cfg.p_max)) for z in zs.tolist()]
+) -> tuple[list[float], list[float]]:
+    """Draw C raw values z ~ N(mu, sigma^2): the zs and their clamped ps."""
+    zs = rng.normal(loc=policy.mu, scale=policy.sigma, size=cfg.candidates).tolist()
+    return zs, [clamp(z, cfg.p_min, cfg.p_max) for z in zs]
 
 
 def reward_from_loss(loss: float) -> float:
@@ -107,9 +109,10 @@ def centered_advantages(rewards: list[float]) -> list[float]:
 
 
 def score_gradients(
-    samples: list[tuple[float, float]], mu: float, sigma: float, floor: float = SIGMA_FLOOR
+    zs: list[float], advantages: list[float], mu: float, sigma: float,
+    floor: float = SIGMA_FLOOR,
 ) -> tuple[float, float]:
-    """Monte-Carlo score-function estimators over (z_i, A_i) pairs.
+    """Monte-Carlo score-function estimators over draws z_i, advantages A_i.
 
     g_mu = (1/C) sum A_i (z_i - mu) / sigma^2
     g_sigma = (1/C) sum A_i ((z_i - mu)^2 - sigma^2) / sigma^3
@@ -117,11 +120,12 @@ def score_gradients(
     """
     if sigma < floor:
         raise UsageError(f"sigma {sigma} below floor {floor}")
-    c = len(samples)
     var, cube = sigma**2, sigma**3
-    g_mu = sum(a * (z - mu) / var for z, a in samples) / c
-    g_sigma = sum(a * ((z - mu) ** 2 - var) / cube for z, a in samples) / c
-    return g_mu, g_sigma
+    g_mu = g_sigma = 0.0
+    for z, a in zip(zs, advantages):
+        g_mu += a * (z - mu) / var
+        g_sigma += a * ((z - mu) ** 2 - var) / cube
+    return g_mu / len(zs), g_sigma / len(zs)
 
 
 def policy_update(
@@ -139,20 +143,20 @@ def policy_update(
 
 
 def commit_decision(
-    candidates: list[tuple[float, float]], p_curr: float, cfg: ControllerConfig
+    ps: list[float], rels: list[float], p_curr: float, cfg: ControllerConfig
 ) -> tuple[bool, float, int]:
-    """(committed, p_new, best_index) for candidate (p_i, R_i) pairs.
+    """(committed, p_new, best_index) for ratios p_i with relative rewards R_i.
 
-    The best candidate wins only if its relative reward is >= 0; the move is
-    clipped to delta_max and the result clamped back into the prune range.
+    The first best candidate wins only if its relative reward is >= 0; the
+    move is clipped to delta_max and the result clamped back into the range.
     """
-    if not candidates:
+    if not rels:
         raise UsageError("commit decision needs at least one candidate")
-    best = max(range(len(candidates)), key=lambda i: candidates[i][1])
-    p_best, r_best = candidates[best]
+    r_best = max(rels)
+    best = rels.index(r_best)
     if r_best < 0.0:
         return False, p_curr, best
-    dp = clamp(p_best - p_curr, -cfg.delta_max, cfg.delta_max)
+    dp = clamp(ps[best] - p_curr, -cfg.delta_max, cfg.delta_max)
     return True, clamp(p_curr + dp, cfg.p_min, cfg.p_max), best
 
 
@@ -214,66 +218,56 @@ def controller_round(
                                    audit: a value that compares equal iff the
                                    parameters are unchanged bit for bit
 
+    One pass over the drawn candidates probes each clamped p, records its
+    `CandidateOutcome` and collects the survivors' z, p and relative reward
+    as flat lists; the advantages, score gradients, policy update and commit
+    decision then run once over those lists.
+
     A NaN baseline fails the round outright (no update, no commit). A NaN
     candidate is dropped and the advantage mean renormalizes over survivors;
     if every candidate fails the round fails.
     """
-    record = ControllerRecord(
-        round=round_index, step=step, p_curr_before=policy.p_curr,
-        baseline_reward=None, p_curr_after=policy.p_curr,
-        mu_after=policy.mu, sigma_after=policy.sigma,
-    )
+    p_curr = policy.p_curr
     before = env.checksum()
     try:
         baseline = env.baseline_reward()
     except RewardError:
         baseline = float("nan")
-    drawn = sample_candidates(policy, cfg, rng)
+    zs, ps = sample_candidates(policy, cfg, rng)
+    outcomes, alive_z, alive_p, alive_rel = [], [], [], []
     if math.isnan(baseline):
         # still consume the candidate draws so the rng stream position is
         # independent of reward outcomes
-        record.failed = True
-        record.candidates = [CandidateOutcome(z, p, None, None) for z, p in drawn]
-        _audit_purity(env, before)
-        return policy, record
-
-    record.baseline_reward = baseline
-    outcomes = []
-    for z, p in drawn:
-        try:
-            r = env.candidate_reward(p)
-        except RewardError:
-            r = float("nan")
-        if math.isnan(r):
-            outcomes.append(CandidateOutcome(z, p, None, None))
-        else:
-            outcomes.append(CandidateOutcome(z, p, r, relative_reward(r, baseline)))
-    record.candidates = outcomes
+        baseline, outcomes = None, [CandidateOutcome(z, p, None, None) for z, p in zip(zs, ps)]
+    else:
+        for z, p in zip(zs, ps):
+            try:
+                r = env.candidate_reward(p)
+            except RewardError:
+                r = float("nan")
+            if math.isnan(r):
+                outcomes.append(CandidateOutcome(z, p, None, None))
+                continue
+            rel = relative_reward(r, baseline)
+            outcomes.append(CandidateOutcome(z, p, r, rel))
+            alive_z.append(z)
+            alive_p.append(p)
+            alive_rel.append(rel)
     _audit_purity(env, before)
+    if not alive_rel:
+        return policy, ControllerRecord(round_index, step, p_curr, baseline, outcomes,
+                                        False, True, p_curr, policy.mu, policy.sigma)
 
-    alive = [c for c in outcomes if c.relative is not None]
-    if not alive:
-        record.failed = True
-        return policy, record
-
-    advantages = centered_advantages([c.relative for c in alive])
-    g_mu, g_sigma = score_gradients(
-        [(c.z, a) for c, a in zip(alive, advantages)], policy.mu, policy.sigma,
-        cfg.sigma_floor,
-    )
+    g_mu, g_sigma = score_gradients(alive_z, centered_advantages(alive_rel),
+                                    policy.mu, policy.sigma, cfg.sigma_floor)
     new_policy = policy_update(policy, g_mu, g_sigma, cfg)
-
-    committed, p_new, _best = commit_decision(
-        [(c.p, c.relative) for c in alive], policy.p_curr, cfg
-    )
+    committed, p_new, _best = commit_decision(alive_p, alive_rel, p_curr, cfg)
     if committed:
         env.commit(p_new)
         new_policy.p_curr = p_new
-    record.committed = committed
-    record.p_curr_after = new_policy.p_curr
-    record.mu_after = new_policy.mu
-    record.sigma_after = new_policy.sigma
-    return new_policy, record
+    return new_policy, ControllerRecord(round_index, step, p_curr, baseline, outcomes,
+                                        committed, False, new_policy.p_curr,
+                                        new_policy.mu, new_policy.sigma)
 
 
 def _audit_purity(env, before: bytes) -> None:
@@ -290,19 +284,25 @@ def select_p_star(records: list[ControllerRecord]) -> float:
     """Ratio with the highest implied micro-dev reward across all rounds.
 
     Every round contributes (p_curr, baseline) plus (p_i, baseline + R_i)
-    per surviving candidate. Ties prefer the earliest round, then smaller p.
+    per surviving candidate. Ties prefer the earliest round, then smaller p;
+    a NaN implied reward never wins over an earlier entry, as in a keyed `min`.
     """
-    entries = []  # (implied_reward, round, p)
+    best = None  # (implied_reward, round, p) of the pick so far
     for rec in records:
-        if rec.baseline_reward is None:
+        base = rec.baseline_reward
+        if base is None:
             continue
-        entries.append((rec.baseline_reward, rec.round, rec.p_curr_before))
+        r, p = base, rec.p_curr_before
         for c in rec.candidates:
             if c.relative is not None:
-                entries.append((rec.baseline_reward + c.relative, rec.round, c.p))
-    if not entries:
+                rc = base + c.relative
+                if rc > r or (rc == r and c.p < p):
+                    r, p = rc, c.p
+        if best is None or r > best[0] or (r == best[0] and (rec.round, p) < best[1:]):
+            best = (r, rec.round, p)
+    if best is None:
         raise UsageError("no usable rounds to select a ratio from")
-    return min(entries, key=lambda e: (-e[0], e[1], e[2]))[2]
+    return best[2]
 
 
 def audit_records(records: list[ControllerRecord], cfg: ControllerConfig) -> list[str]:

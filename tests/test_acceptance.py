@@ -266,7 +266,7 @@ def test_criterion_04_gradients_match_finite_differences():
         sigma = float(rng.uniform(0.5, 2.0))
         z = float(rng.uniform(-2.0, 2.0))
         # a unit advantage on a single sample exposes the raw score terms
-        g_mu, g_sigma = score_gradients([(z, 1.0)], mu, sigma)
+        g_mu, g_sigma = score_gradients([z], [1.0], mu, sigma)
         if abs(g_mu) < 0.05 or abs(g_sigma) < 0.05:
             continue  # keep the relative comparison well conditioned
         h = 1e-6 * max(1.0, abs(mu))

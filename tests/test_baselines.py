@@ -41,6 +41,7 @@ from policyprune.training import (
     pipeline_rngs,
     run_pipeline,
     train_adapter,
+    train_and_merge,
 )
 
 SMALL = ToyTaskConfig(
@@ -221,7 +222,10 @@ def test_noprune_baselines_reference_points(batch_size, shuffle, patience, lr):
     data = gen_toy_data(SMALL, 9)
     cfg = TrainConfig(epochs=3, batch_size=batch_size, shuffle=shuffle,
                       early_stop_patience=patience, learning_rate=lr)
-    res = run_noprune_baselines(data, LORA4, cfg, 9)
+    _source, target, merged_init = train_and_merge(data, LORA4, cfg, 9)
+    before = merged_init.flat.copy()
+    res = run_noprune_baselines(data, merged_init, target.adapters, cfg, 9)
+    assert np.array_equal(merged_init.flat, before)  # the caller's merge is left alone
     # the zero-adapter row is exactly the frozen backbone's loss
     pred = sum(data.dev.x @ data.backbone.site(s).T for s in data.backbone.site_ids())
     assert res.zero_adapter_dev == mse_loss(pred, data.dev.y)

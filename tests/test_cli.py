@@ -274,6 +274,20 @@ def test_finalize_p_star_flag_overrides_the_file(chain, tmp_path):
     assert metrics["realized_fraction"] == pytest.approx(0.25, abs=0.05)
 
 
+def test_finalize_refuses_a_p_star_file_its_manifest_does_not_match(chain, capsys, tmp_path):
+    ini, src_out = chain
+    out = tmp_path / "out"
+    shutil.copytree(src_out, out, ignore=shutil.ignore_patterns("final"))
+    path = out / "controller" / "p_star.json"
+    payload = read_json(path)
+    assert payload["p_star"] != 0.5
+    path.write_text(json.dumps({**payload, "p_star": 0.5}))
+    assert run_cli("finalize", "--config", str(ini), "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err and "does not match" in err
+    assert not (out / "final").exists()
+
+
 def test_finalize_without_controller_suggests_what_to_run(fresh, capsys):
     ini, out = fresh
     assert run_cli("train-adapters", "--config", str(ini), "--out", str(out)) == 0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -94,11 +95,11 @@ def test_sample_candidates_clamps_and_keeps_raw_z():
     cfg = _cfg()
     pol = PolicyState(mu=0.78, sigma=0.3, p_curr=0.4)
     rng = np.random.default_rng(0)
-    got = sample_candidates(pol, cfg, rng)
-    assert len(got) == cfg.candidates
-    assert all(cfg.p_min <= p <= cfg.p_max for _, p in got)
+    zs, ps = sample_candidates(pol, cfg, rng)
+    assert len(zs) == len(ps) == cfg.candidates
+    assert all(cfg.p_min <= p <= cfg.p_max for p in ps)
     # with this wide sigma some draw must exceed the range, proving z is raw
-    assert any(z != p for z, p in got)
+    assert any(z != p for z, p in zip(zs, ps))
 
 
 def test_sample_candidates_deterministic():
@@ -136,18 +137,17 @@ def test_centered_advantages():
 
 def test_score_gradients_symmetric_pair():
     mu, sigma = 0.37, 0.1
-    samples = [(mu + sigma, 1.0), (mu - sigma, -1.0)]
-    g_mu, g_sigma = score_gradients(samples, mu, sigma)
+    g_mu, g_sigma = score_gradients([mu + sigma, mu - sigma], [1.0, -1.0], mu, sigma)
     assert g_mu == pytest.approx(10.0, abs=1e-10)
     assert g_sigma == 0.0
 
 
 def test_score_gradients_degenerate_cases():
-    assert score_gradients([(0.5, 0.0), (0.3, 0.0)], 0.4, 0.1) == (0.0, 0.0)
-    g_mu, _ = score_gradients([(0.4, 5.0)], 0.4, 0.1)
+    assert score_gradients([0.5, 0.3], [0.0, 0.0], 0.4, 0.1) == (0.0, 0.0)
+    g_mu, _ = score_gradients([0.4], [5.0], 0.4, 0.1)
     assert g_mu == 0.0
     with pytest.raises(UsageError):
-        score_gradients([(0.5, 1.0)], 0.4, 1e-4)
+        score_gradients([0.5], [1.0], 0.4, 1e-4)
 
 
 def test_score_terms_match_log_density_derivatives():
@@ -191,13 +191,13 @@ def test_sigma_floor_must_be_positive():
 
 
 def test_score_gradients_check_sigma_against_the_given_floor():
-    samples = [(0.5, 1.0), (0.3, -1.0)]
+    zs, advantages = [0.5, 0.3], [1.0, -1.0]
     with pytest.raises(UsageError, match="below floor"):
-        score_gradients(samples, 0.4, 1e-5)
-    g_mu, g_sigma = score_gradients(samples, 0.4, 1e-5, 1e-5)
+        score_gradients(zs, advantages, 0.4, 1e-5)
+    g_mu, g_sigma = score_gradients(zs, advantages, 0.4, 1e-5, 1e-5)
     assert math.isfinite(g_mu) and math.isfinite(g_sigma)
     with pytest.raises(UsageError, match="below floor"):
-        score_gradients(samples, 0.4, 1e-5, 1e-4)
+        score_gradients(zs, advantages, 0.4, 1e-5, 1e-4)
 
 
 def test_small_floor_config_runs_rounds_after_sigma_decays_below_stock_floor():
@@ -225,19 +225,17 @@ def test_policy_update_clamps_mu_to_range():
 
 def test_commit_decision_cases():
     cfg = _cfg()
-    committed, p_new, best = commit_decision([(0.55, 0.02)], 0.40, cfg)
+    committed, p_new, best = commit_decision([0.55], [0.02], 0.40, cfg)
     assert (committed, p_new, best) == (True, 0.50, 0)
-    committed, p_new, _ = commit_decision([(0.35, 0.01)], 0.40, cfg)
+    committed, p_new, _ = commit_decision([0.35], [0.01], 0.40, cfg)
     assert (committed, p_new) == (True, 0.35)
-    committed, p_new, _ = commit_decision(
-        [(0.3, -0.01), (0.5, -0.01)], 0.40, cfg
-    )
+    committed, p_new, _ = commit_decision([0.3, 0.5], [-0.01, -0.01], 0.40, cfg)
     assert (committed, p_new) == (False, 0.40)
     cfg2 = _cfg(p_min=0.10, p_max=0.80)
-    committed, p_new, _ = commit_decision([(0.02, 0.5)], 0.15, cfg2)
+    committed, p_new, _ = commit_decision([0.02], [0.5], 0.15, cfg2)
     assert (committed, p_new) == (True, 0.10)
     with pytest.raises(UsageError):
-        commit_decision([], 0.4, cfg)
+        commit_decision([], [], 0.4, cfg)
 
 
 def _run_round(env, seed=7, cfg=None, policy=None):
@@ -332,6 +330,87 @@ def test_round_sequence_is_deterministic(tmp_path):
     assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
     assert audit_records(r1, _cfg()) == []
     assert audit_records(r2, _cfg()) == []
+
+
+RAISE = object()  # a scripted reward that raises RewardError
+NAN, INF = float("nan"), float("inf")
+
+
+def _slope(p):
+    return -1.0 + 0.1 * (p - 0.3)
+
+
+# (baseline, one reward per probe) per round; a callable reward is a function of p
+EDGE_SCRIPT = [
+    (-1.0, [_slope] * 4),
+    (-1.0, [-0.9, -0.9, -0.95, -0.9]),      # candidates tie on the best reward
+    (-1.0, [NAN, _slope, _slope, _slope]),  # one NaN candidate
+    (-1.0, [_slope, RAISE, _slope, _slope]),
+    (-1.0, [NAN, RAISE, NAN, NAN]),         # every candidate fails
+    (NAN, []),                              # NaN baseline
+    (RAISE, []),
+    (-0.5, [-0.7, -0.5, -0.6, -0.5]),       # best relative reward exactly 0.0
+    (-0.5, [-0.6, -0.7, -0.55, -0.8]),      # best relative reward negative
+    (-1.0, [_slope] * 4),
+    (-1.0, [_slope] * 4),
+    (-INF, [-INF, -1.0, -2.0, -1.0]),       # -inf minus -inf: relative NaN
+]
+# SHA-256 of the round log of EDGE_SCRIPT followed by select_p_star's float.hex()
+EDGE_PIN = "25d4f0af02e5554bb20f575865e37b48f915cf458c88db12065ecf5e10051e22"
+
+
+class QueueEnv:
+    """Rewards read from a script, one round at a time; records commits."""
+
+    def __init__(self, script):
+        self._rounds = iter(script)
+        self._probes = iter(())
+        self.commits = []
+
+    @staticmethod
+    def _value(reward, p=None):
+        if reward is RAISE:
+            raise RewardError("scripted failure")
+        return reward(p) if callable(reward) else reward
+
+    def baseline_reward(self):
+        baseline, probes = next(self._rounds)
+        self._probes = iter(probes)
+        return self._value(baseline)
+
+    def candidate_reward(self, p):
+        return self._value(next(self._probes), p)
+
+    def commit(self, p_new):
+        self.commits.append(p_new)
+
+    def checksum(self):
+        return b""
+
+
+def test_round_edge_paths_match_their_pin(tmp_path):
+    # The stock runs never reach most of these paths; the pin fixes every
+    # logged byte and the pick.
+    cfg = _cfg(candidates=4)
+    policy = PolicyState(mu=0.45, sigma=0.35, p_curr=0.45)
+    rng, env, path = np.random.default_rng(11), QueueEnv(EDGE_SCRIPT), tmp_path / "r.jsonl"
+    records = []
+    for k in range(len(EDGE_SCRIPT)):
+        policy, rec = controller_round(policy, cfg, rng, env, k, k + 1)
+        records.append(rec)
+        append_round_log(path, rec)
+    p_star = select_p_star(records)
+
+    ps = [c.p for rec in records for c in rec.candidates]
+    assert cfg.p_min in ps and cfg.p_max in ps                       # clamps at both bounds
+    assert [rec.failed for rec in records] == [False] * 4 + [True] * 3 + [False] * 5
+    assert records[5].baseline_reward is None and records[6].baseline_reward is None
+    assert records[7].committed and max(c.relative for c in records[7].candidates) == 0.0
+    assert not records[8].committed and records[8].p_curr_after == records[8].p_curr_before
+    assert math.isnan(records[11].candidates[0].relative)
+    assert len(env.commits) == sum(rec.committed for rec in records)
+    digest = hashlib.sha256(path.read_bytes() + p_star.hex().encode()).hexdigest()
+    assert digest == EDGE_PIN
 
 
 def test_select_p_star_single_round():
