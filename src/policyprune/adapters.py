@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,9 +77,11 @@ class LoraAdapter:
 
 @dataclass(frozen=True)
 class FrozenBackbone:
-    """Fixed per-site base weights. Arrays are made read-only at construction."""
+    """Fixed per-site base weights, made read-only at construction, and
+    `transposed[site_id]`, each weight's `.T` view for the training step."""
 
     sites: tuple[tuple[str, np.ndarray], ...]
+    transposed: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         frozen = []
@@ -88,6 +90,11 @@ class FrozenBackbone:
             w.setflags(write=False)
             frozen.append((site_id, w))
         object.__setattr__(self, "sites", tuple(frozen))
+        object.__setattr__(self, "transposed", {sid: w.T for sid, w in frozen})
+
+    def __reduce__(self):
+        # pickled views would arrive as separate copies; rebuild them instead
+        return (FrozenBackbone, (self.sites,))
 
     def site(self, site_id: str) -> np.ndarray:
         for sid, w in self.sites:
@@ -122,8 +129,9 @@ class MergedAdapterSet:
     All factors live in one contiguous float64 vector, `flat`, in tensor-id
     order, each factor row-major: the order the checkpoint container writes.
     Tensor t occupies ``flat[offsets[t-1]:offsets[t]]``; `sites[i].a`/`.b`
-    and `self[t]` are 2-D views of it. Construction copies the given factors
-    into a fresh arena.
+    and `self[t]` are 2-D views of it, and `transposed[i]` holds site i's
+    `(a.T, b.T)` views for the training step. Construction copies the given
+    factors into a fresh arena.
     """
 
     def __init__(self, sites=()):
@@ -151,6 +159,7 @@ class MergedAdapterSet:
             SiteFactors(sid, views[2 * i], views[2 * i + 1])
             for i, (sid, _a, _b) in enumerate(layout)
         )
+        self.transposed = tuple((s.a.T, s.b.T) for s in self.sites)
         self._tensors = tuple(
             (t + 1, layout[t // 2][0], "AB"[t % 2], view) for t, view in enumerate(views)
         )

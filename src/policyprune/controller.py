@@ -93,9 +93,11 @@ def sample_candidates(
 
 
 def reward_from_loss(loss: float) -> float:
-    """Negative micro-dev loss; NaN poisons the round and must be caught."""
-    if math.isnan(loss):
-        raise RewardError("micro-dev loss is NaN")
+    """Negative micro-dev loss. A NaN or infinite loss raises `RewardError`:
+    it would poison the round (-inf minus -inf is a NaN relative reward), so
+    a round fails on such a baseline and drops such a probe."""
+    if not math.isfinite(loss):
+        raise RewardError(f"micro-dev loss is not finite ({loss})")
     return -loss
 
 
@@ -223,9 +225,10 @@ def controller_round(
     as flat lists; the advantages, score gradients, policy update and commit
     decision then run once over those lists.
 
-    A NaN baseline fails the round outright (no update, no commit). A NaN
-    candidate is dropped and the advantage mean renormalizes over survivors;
-    if every candidate fails the round fails.
+    A baseline that is NaN or raises `RewardError` (as `reward_from_loss`
+    does on a NaN or infinite loss) fails the round outright (no update, no
+    commit). Such a candidate is dropped and the advantage mean renormalizes
+    over survivors; if every candidate fails the round fails.
     """
     p_curr = policy.p_curr
     before = env.checksum()
@@ -310,7 +313,11 @@ def audit_records(records: list[ControllerRecord], cfg: ControllerConfig) -> lis
     problems = []
     for rec in records:
         tag = f"round {rec.round}"
-        if rec.sigma_after < cfg.sigma_floor - 1e-15:
+        for name in ("mu_after", "sigma_after"):
+            value = getattr(rec, name)
+            if value is None or not math.isfinite(value):  # a NaN is logged as null
+                problems.append(f"{tag}: {name} is not finite ({value})")
+        if rec.sigma_after is not None and rec.sigma_after < cfg.sigma_floor - 1e-15:
             problems.append(f"{tag}: sigma {rec.sigma_after} below floor")
         if abs(rec.p_curr_after - rec.p_curr_before) > cfg.delta_max + 1e-12:
             problems.append(f"{tag}: committed move exceeds delta_max")

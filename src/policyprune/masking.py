@@ -7,8 +7,10 @@ entries by thresholding at the k_t-th smallest score; ties at the threshold
 are all pruned, so the realized fraction can slightly exceed the target.
 
 A mask's keep bits are float64 0.0/1.0 laid out like the adapter arena, so
-the per-step multiplies (gradient and parameters) are float by float, with
-no cast, and give the bits a 0/1 integer mask would.
+the per-step multiplies (gradient coefficients and parameters) are float by
+float, with no cast, and give the bits a 0/1 integer mask would. They are
+read-only once built: the optimizer folds them into coefficients it keeps
+per mask object, so a mask's bits must never change under it.
 """
 
 from __future__ import annotations
@@ -110,8 +112,8 @@ class SparsityMask:
     Built from importance scores laid out like `MergedAdapterSet.flat`, that
     arena's tensor `offsets`, and each tensor's (k, tau) from
     `prune_threshold` or `sorted_threshold`: `keep` is one float64 vector of
-    0.0/1.0 keep bits, the scores above their tensor's tau.
-    `per_tensor[tid]` (tensor tid's slice of `keep`, a view) and
+    0.0/1.0 keep bits, the scores above their tensor's tau, read-only once
+    built. `per_tensor[tid]` (tensor tid's slice of `keep`, a view) and
     `stats[tid]` (its threshold record) are built the first time they are
     read. Tensors are in id order.
     """
@@ -120,6 +122,7 @@ class SparsityMask:
                  thresholds: list[tuple[int, float]]):
         self.ratio = float(ratio)
         self.keep = keep_above(scores, offsets, thresholds)
+        self.keep.setflags(write=False)
         self.offsets = offsets
         self.thresholds = thresholds
 
@@ -157,6 +160,10 @@ def mask_apply(merged: MergedAdapterSet, mask: SparsityMask) -> MergedAdapterSet
     return out
 
 
+_ZERO = np.zeros(())  # the re-zero's +0.0, a 0-d operand built once
+_ZERO.setflags(write=False)
+
+
 def mask_apply_inplace(merged: MergedAdapterSet, mask: SparsityMask) -> None:
     """Zero pruned coordinates in place (the per-step reapplication path)."""
     flat = merged.flat
@@ -166,7 +173,7 @@ def mask_apply_inplace(merged: MergedAdapterSet, mask: SparsityMask) -> None:
         )
     np.multiply(flat, mask.keep, flat)
     # multiplying a negative by 0 leaves -0.0; normalize to +0.0
-    np.add(flat, 0.0, flat)
+    np.add(flat, _ZERO, flat)
 
 
 def newly_pruned(old: SparsityMask, new: SparsityMask) -> np.ndarray:

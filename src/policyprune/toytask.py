@@ -10,8 +10,11 @@ either task exactly.
 
 The training step (`loss_and_gradients`) multiplies with `np.dot`: on these
 2-D float64 operands it makes the same BLAS call as `@`, so the same bits,
-with less dispatch than the `matmul` ufunc. `model_forward` stays on `@` as
-the plain reference the tests hold the step to, bit for bit.
+with less dispatch than the `matmul` ufunc. Its transposed operands are the
+views the backbone and the adapter set build once (`FrozenBackbone.transposed`,
+`MergedAdapterSet.transposed`), and it sums the site outputs and forms the
+residual and its gradient scale in place, in the same order. `model_forward`
+stays on `@` as the plain reference the tests hold the step to, bit for bit.
 
 The step checks shapes on every call but scans x and y for NaN/Inf only
 when the loss is not finite: any such entry makes it so (inf * 0 is NaN),
@@ -329,29 +332,33 @@ def loss_and_gradients(
     y = np.ascontiguousarray(y, dtype=np.float64)
     if x.ndim != 2 or y.ndim != 2:
         raise DimensionError(f"expected 2-D x and y, got ndim={x.ndim} and ndim={y.ndim}")
-    dot = np.dot
+    dot, weights_t = np.dot, backbone.transposed
     hidden = []
     pred = None
     try:
-        for s in merged.sites:
-            h = dot(x, s.a.T)
+        for s, (a_t, b_t) in zip(merged.sites, merged.transposed):
+            h = dot(x, a_t)
             hidden.append(h)
-            site_out = dot(x, backbone.site(s.site_id).T) + dot(h, s.b.T)
-            pred = site_out if pred is None else pred + site_out
+            site_out = dot(x, weights_t[s.site_id])
+            site_out += dot(h, b_t)
+            pred = site_out if pred is None else np.add(pred, site_out, pred)
     except ValueError as exc:  # np.dot on misaligned operands
         raise DimensionError(f"x of shape {x.shape} does not fit the set: {exc}") from None
+    except KeyError as exc:
+        raise UsageError(f"unknown site {exc.args[0]!r}") from None
     if pred is None:
         raise UsageError("adapter set has no sites")
     if pred.shape != y.shape:
         raise DimensionError(f"prediction shape {pred.shape} != target shape {y.shape}")
-    diff = pred - y
+    diff = np.subtract(pred, y, pred)
     loss = _mean_square(diff)
     if not math.isfinite(loss):
         matrix(x)  # raises UsageError on a NaN/Inf entry; finite inputs pass
         matrix(y)
-    g_out = (2.0 / diff.size) * diff
+    g_out = np.multiply(diff, 2.0 / diff.size, diff)
+    g_out_t = g_out.T
     grads = merged.empty_like() if out is None else out
     for s, g, h in zip(merged.sites, grads.sites, hidden):
         dot(dot(g_out, s.b).T, x, g.a)
-        dot(g_out.T, h, g.b)
+        dot(g_out_t, h, g.b)
     return loss, grads

@@ -302,7 +302,8 @@ class MaskedTrainingEnv:
     per round): its trial arena is the live arena bit for bit. Any other
     ratio reads its thresholds off one sort of each tensor's scores, made
     at most once per round. Every path rejects a ratio outside [0, 1].
-    Probes multiply with `np.dot`, as the training step does (see `toytask`).
+    Probes multiply with `np.dot` on the sets' cached transposed views, as
+    the training step does (see `toytask`).
     """
 
     backbone: FrozenBackbone
@@ -317,8 +318,8 @@ class MaskedTrainingEnv:
         # The backbone term of the micro-dev forward never changes (frozen
         # weights, fixed slice), so probes only recompute the adapter term.
         self._base = sum(
-            np.dot(self.microdev.x, self.backbone.site(sid).T)
-            for sid in (s.site_id for s in self.merged.sites)
+            np.dot(self.microdev.x, self.backbone.transposed[s.site_id])
+            for s in self.merged.sites
         )
         self._trial = self.merged.empty_like()
         self._keep = np.empty_like(self.merged.flat)
@@ -369,16 +370,16 @@ class MaskedTrainingEnv:
             self._sorted = [np.sort(self._scores[lo:hi]) for lo, hi in zip(offs, offs[1:])]
         return [sorted_threshold(srt, p) for srt in self._sorted]
 
-    def _probe_loss(self, sites) -> float:
+    def _probe_loss(self, params: MergedAdapterSet) -> float:
         x, dot = self.microdev.x, np.dot
         pred = self._base
-        for s in sites:
-            pred = pred + dot(dot(x, s.a.T), s.b.T)
+        for a_t, b_t in params.transposed:
+            pred = pred + dot(dot(x, a_t), b_t)
         return mse_loss(pred, self.microdev.y)
 
     def _live(self) -> float:
         if self._live_loss is None:
-            self._live_loss = self._probe_loss(self.merged.sites)
+            self._live_loss = self._probe_loss(self.merged)
         return self._live_loss
 
     def baseline_reward(self) -> float:
@@ -389,7 +390,7 @@ class MaskedTrainingEnv:
             return reward_from_loss(self._live())
         keep = keep_above(self._scores, self.merged.offsets, self._thresholds(p), out=self._keep)
         np.multiply(self.merged.flat, keep, self._trial.flat)
-        return reward_from_loss(self._probe_loss(self._trial.sites))
+        return reward_from_loss(self._probe_loss(self._trial))
 
     def commit(self, p_new: float) -> None:
         thresholds = self._thresholds(p_new)

@@ -114,8 +114,10 @@ def test_reward_from_loss():
     assert reward_from_loss(1.25) == -1.25
     assert reward_from_loss(0.0) == 0.0
     assert reward_from_loss(-0.3) == 0.3
-    with pytest.raises(RewardError):
-        reward_from_loss(float("nan"))
+    assert reward_from_loss(1e308) == -1e308
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(RewardError):
+            reward_from_loss(bad)
 
 
 def test_relative_reward():
@@ -411,6 +413,83 @@ def test_round_edge_paths_match_their_pin(tmp_path):
     assert len(env.commits) == sum(rec.committed for rec in records)
     digest = hashlib.sha256(path.read_bytes() + p_star.hex().encode()).hexdigest()
     assert digest == EDGE_PIN
+
+
+class LossEnv:
+    """Micro-dev losses read from a script, one round at a time, and scored
+    through `reward_from_loss` as the live env scores them."""
+
+    def __init__(self, script):
+        self._queue = QueueEnv(script)
+        self.commits = self._queue.commits
+
+    def baseline_reward(self):
+        return reward_from_loss(self._queue.baseline_reward())
+
+    def candidate_reward(self, p):
+        return reward_from_loss(self._queue.candidate_reward(p))
+
+    def commit(self, p_new):
+        self._queue.commit(p_new)
+
+    def checksum(self):
+        return b""
+
+
+def test_non_finite_losses_fail_the_round_or_drop_the_probe(tmp_path):
+    # An overflowed live loss once gave -inf - (-inf) = NaN relative rewards
+    # that survived: mu went NaN, sigma fell to the floor, the round still
+    # committed, and the next round drew NaN ratios.
+    cfg = _cfg(candidates=4)
+    script = [
+        (1.0, [0.9, 1.1, 0.95, 1.0]),
+        (INF, [INF, 1.0, 2.0, 1.0]),        # infinite baseline: the round fails
+        (1.0, [INF, 0.9, INF, 1.2]),        # infinite probes are dropped
+        (1.0, [INF, INF, INF, INF]),        # every probe infinite: the round fails
+        (1.0, [0.9, 1.1, 0.95, 1.0]),
+    ]
+    policy = PolicyState(mu=0.45, sigma=0.35, p_curr=0.45)
+    rng, env, path = np.random.default_rng(11), LossEnv(script), tmp_path / "r.jsonl"
+    records = []
+    for k in range(len(script)):
+        policy, rec = controller_round(policy, cfg, rng, env, k, k + 1)
+        records.append(rec)
+        append_round_log(path, rec)
+
+    assert [rec.failed for rec in records] == [False, True, False, True, False]
+    assert records[1].baseline_reward is None and not records[1].committed
+    assert [c.reward for c in records[2].candidates] == [None, -0.9, None, -1.2]
+    for rec in records:
+        assert math.isfinite(rec.mu_after) and math.isfinite(rec.sigma_after)
+        assert all(math.isfinite(c.z) and math.isfinite(c.p) for c in rec.candidates)
+        assert all(math.isfinite(c.relative) for c in rec.candidates if c.relative is not None)
+    assert len(env.commits) == sum(rec.committed for rec in records)
+    assert audit_records(read_round_log(path), cfg) == []
+
+
+def test_audit_flags_a_non_finite_policy_read_back_from_the_log(tmp_path):
+    cfg = _cfg()
+    path = tmp_path / "r.jsonl"
+    for k, (mu, sigma) in enumerate([(NAN, SIGMA_FLOOR), (0.4, INF), (-INF, 0.1)]):
+        append_round_log(path, ControllerRecord(
+            round=k, step=k + 1, p_curr_before=0.4, baseline_reward=-1.0,
+            candidates=[CandidateOutcome(z=0.5, p=0.5, reward=-1.0, relative=0.0)],
+            committed=True, p_curr_after=0.5, mu_after=mu, sigma_after=sigma,
+        ))
+    records = read_round_log(path)
+    assert (records[0].mu_after, records[1].sigma_after, records[2].mu_after) == (None,) * 3
+    problems = audit_records(records, cfg)
+    assert problems == [
+        "round 0: mu_after is not finite (None)",
+        "round 1: sigma_after is not finite (None)",
+        "round 2: mu_after is not finite (None)",
+    ]
+    # in memory, before the log turns them into null
+    live = [ControllerRecord(0, 1, 0.4, -1.0, [], False, True, 0.4, NAN, INF)]
+    assert audit_records(live, cfg) == [
+        "round 0: mu_after is not finite (nan)",
+        "round 0: sigma_after is not finite (inf)",
+    ]
 
 
 def test_select_p_star_single_round():

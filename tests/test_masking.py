@@ -98,6 +98,20 @@ def test_keep_above_equals_the_per_tensor_compare():
         np.testing.assert_array_equal(mask.keep, expected)
 
 
+def test_mask_keep_bits_are_read_only():
+    # the optimizer keeps coefficients folded from a mask's bits per mask
+    # object, so the bits must not change under it
+    merged = _merged_from_flat([0.1, 0.5, 0.3, 0.9])
+    mask = build_mask(merged, 0.5, ImportanceScale(1.0))
+    with pytest.raises(ValueError):
+        mask.keep[0] = 1.0
+    with pytest.raises(ValueError):
+        mask.per_tensor[1][...] = 1.0
+    with pytest.raises(ValueError):
+        np.multiply(mask.keep, 2.0, mask.keep)
+    np.testing.assert_array_equal(mask.per_tensor[1], [0, 1, 0, 1])
+
+
 def test_mask_stats_and_views_equal_the_per_tensor_loop():
     rng = np.random.default_rng(6)
     merged = MergedAdapterSet(

@@ -5,9 +5,10 @@ import pytest
 
 from policyprune.adapters import MergedAdapterSet, SiteFactors, matrix
 from policyprune.errors import DimensionError, UsageError
-from policyprune.masking import ImportanceScale, build_mask, newly_pruned
+from policyprune.masking import ImportanceScale, build_mask, mask_apply_inplace, newly_pruned
 from policyprune.optim import (
     OptimizerConfig,
+    OptimizerState,
     init_optimizer,
     optimizer_step_and_reset,
     reset_moments,
@@ -173,3 +174,117 @@ def test_shape_and_config_errors():
         OptimizerConfig(beta1=1.0).validate()
     with pytest.raises(UsageError):
         OptimizerConfig(weight_decay=-0.1).validate()
+
+
+def reference_step(arr, g, m, v, t, cfg, keep=None):
+    """The update as written before the keep bits were folded into the
+    moment coefficients: the gradient is masked first, then the textbook
+    update runs one elementwise operation at a time, then the re-zero."""
+    if keep is not None:
+        g = g * keep
+    m *= cfg.beta1
+    m += g * (1.0 - cfg.beta1)
+    v *= cfg.beta2
+    v += (g * (1.0 - cfg.beta2)) * g
+    m_hat = m / (1.0 - cfg.beta1**t)
+    denom = np.sqrt(v / (1.0 - cfg.beta2**t))
+    denom += cfg.epsilon
+    update = m_hat / denom
+    update += arr * cfg.weight_decay
+    update *= cfg.learning_rate
+    arr -= update
+    if keep is not None:
+        arr *= keep
+        arr += 0.0
+
+
+def two_site_set(rng):
+    return MergedAdapterSet(
+        [SiteFactors(sid, rng.normal(size=(4, 9)), rng.normal(size=(6, 4))) for sid in "qv"]
+    )
+
+
+def signed_gradient(rng, merged):
+    """A gradient with exact zeros of both signs among its normal draws."""
+    grads = merged.empty_like()
+    g = rng.normal(size=grads.flat.size)
+    g[rng.random(g.size) < 0.1] = 0.0
+    g[rng.random(g.size) < 0.1] = -0.0
+    grads.flat[...] = g
+    return grads
+
+
+def _bytes(merged, state):
+    return merged.flat.tobytes(), state.first_moment.tobytes(), state.second_moment.tobytes()
+
+
+def test_steps_equal_the_mask_first_reference_bit_for_bit():
+    # Masked steps under mask A, a commit to a new mask B object (moments
+    # reset where B newly prunes), then dense steps; parameters and both
+    # moments are compared by bytes after every step. The run passes step
+    # 356, from which 1 - beta1**t is exactly 1.0.
+    rng = np.random.default_rng(3)
+    merged = two_site_set(rng)
+    cfg = OptimizerConfig(learning_rate=3e-3)
+    state = init_optimizer(merged, cfg)
+    scale = ImportanceScale(1.0)
+    mask_a = build_mask(merged, 0.3, scale)
+    mask_apply_inplace(merged, mask_a)
+    ref_arr, ref_m, ref_v = merged.flat.copy(), np.zeros(merged.flat.size), np.zeros(merged.flat.size)
+    t = 0
+
+    def run(mask, steps):
+        nonlocal t
+        for _ in range(steps):
+            t += 1
+            grads = signed_gradient(rng, merged)
+            optimizer_step_and_reset(merged, grads, state, mask=mask)
+            reference_step(ref_arr, grads.flat, ref_m, ref_v, t, cfg,
+                           None if mask is None else mask.keep)
+            assert _bytes(merged, state) == (ref_arr.tobytes(), ref_m.tobytes(), ref_v.tobytes())
+
+    run(mask_a, 200)
+    mask_b = build_mask(merged, 0.5, scale)  # the commit's new mask object
+    newly = newly_pruned(mask_a, mask_b)
+    assert newly.any()
+    mask_apply_inplace(merged, mask_b)
+    reset_moments(state, newly)
+    ref_arr *= mask_b.keep
+    ref_arr += 0.0
+    ref_m[newly] = 0.0
+    ref_v[newly] = 0.0
+    run(mask_b, 200)
+    run(None, 180)
+    assert state.step == 580
+
+
+def test_a_state_built_by_its_constructor_steps_like_init_optimizer():
+    rng = np.random.default_rng(8)
+    merged = two_site_set(rng)
+    mask = build_mask(merged, 0.4, ImportanceScale(1.0))
+    mask_apply_inplace(merged, mask)
+    state = init_optimizer(merged, OptimizerConfig(learning_rate=1e-2))
+    for _ in range(5):
+        optimizer_step_and_reset(merged, signed_gradient(rng, merged), state, mask=mask)
+    twin = merged.copy()
+    twin_state = OptimizerState(state.config, state.first_moment.copy(),
+                                state.second_moment.copy(), state.step)
+    for step_mask in (mask, mask, None, mask):
+        grads = signed_gradient(rng, merged)
+        optimizer_step_and_reset(merged, grads, state, mask=step_mask)
+        optimizer_step_and_reset(twin, grads, twin_state, mask=step_mask)
+        assert _bytes(merged, state) == _bytes(twin, twin_state)
+
+
+def test_a_mask_of_another_size_is_a_dimension_error():
+    merged = one_site_set()
+    other = MergedAdapterSet([SiteFactors("q", np.ones((1, 3)), np.ones((2, 1)))])
+    mask = build_mask(other, 0.5, ImportanceScale(1.0))
+    state = init_optimizer(merged)
+    grads = grads_for(merged, {1: [[1.0, 1.0]], 2: [[1.0], [1.0]]})
+    before = merged.flat.tobytes()
+    with pytest.raises(DimensionError):
+        optimizer_step_and_reset(merged, grads, state, mask=mask)
+    with pytest.raises(DimensionError):
+        mask_apply_inplace(merged, mask)
+    assert merged.flat.tobytes() == before and state.step == 0
