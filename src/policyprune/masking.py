@@ -10,7 +10,8 @@ A mask's keep bits are float64 0.0/1.0 laid out like the adapter arena, so
 the per-step multiplies (gradient coefficients and parameters) are float by
 float, with no cast, and give the bits a 0/1 integer mask would. They are
 read-only once built: the optimizer folds them into coefficients it keeps
-per mask object, so a mask's bits must never change under it.
+per keep array, so a mask's bits must never change under it. A relabelled
+mask (`SparsityMask.relabel`) shares its source's keep array.
 """
 
 from __future__ import annotations
@@ -99,11 +100,13 @@ def keep_above(
     """Float64 keep bits (1.0 keeps, 0.0 prunes): each entry of `scores`
     (laid out like an arena with these tensor `offsets`) above its tensor's
     tau; `thresholds[t-1]` is tensor t's (k, tau). One per-entry tau vector,
-    then one compare written over it; the vector is `out` when given."""
+    then a bool compare cast over it (faster than a compare with a float64
+    output, which NumPy buffers); the vector is `out` when given."""
     taus = np.empty_like(scores) if out is None else out
     for lo, hi, (_k, tau) in zip(offsets, offsets[1:], thresholds):
         taus[lo:hi] = tau
-    return np.greater(scores, taus, taus)
+    taus[...] = np.greater(scores, taus)
+    return taus
 
 
 class SparsityMask:
@@ -113,18 +116,29 @@ class SparsityMask:
     arena's tensor `offsets`, and each tensor's (k, tau) from
     `prune_threshold` or `sorted_threshold`: `keep` is one float64 vector of
     0.0/1.0 keep bits, the scores above their tensor's tau, read-only once
-    built. `per_tensor[tid]` (tensor tid's slice of `keep`, a view) and
-    `stats[tid]` (its threshold record) are built the first time they are
-    read. Tensors are in id order.
+    built (or a prebuilt read-only `keep` holding exactly those bits).
+    `per_tensor[tid]` (tensor tid's slice of `keep`, a view), `kept` (each
+    tensor's kept count) and `stats[tid]` (its threshold record) are built
+    the first time they are read. Tensors are in id order.
     """
 
-    def __init__(self, ratio: float, scores: np.ndarray, offsets,
-                 thresholds: list[tuple[int, float]]):
+    def __init__(self, ratio: float, scores: np.ndarray | None, offsets,
+                 thresholds: list[tuple[int, float]], *, keep: np.ndarray | None = None):
         self.ratio = float(ratio)
-        self.keep = keep_above(scores, offsets, thresholds)
-        self.keep.setflags(write=False)
+        if keep is None:
+            keep = keep_above(scores, offsets, thresholds)
+            keep.setflags(write=False)
+        self.keep = keep
         self.offsets = offsets
         self.thresholds = thresholds
+
+    def relabel(self, ratio: float, thresholds: list[tuple[int, float]]) -> SparsityMask:
+        """A mask at `ratio` with these (k, tau) and this mask's keep bits:
+        the same read-only `keep` array and its kept counts. For a caller
+        that knows the thresholds select exactly these bits."""
+        new = SparsityMask(ratio, None, self.offsets, thresholds, keep=self.keep)
+        new.kept = self.kept
+        return new
 
     @cached_property
     def per_tensor(self) -> dict[int, np.ndarray]:
@@ -132,9 +146,13 @@ class SparsityMask:
         return {tid: self.keep[lo:hi] for tid, (lo, hi) in enumerate(zip(offs, offs[1:]), start=1)}
 
     @cached_property
+    def kept(self) -> list[float]:
+        """Each tensor's kept count, in id order (float64 sums of the bits)."""
+        return np.add.reduceat(self.keep, self.offsets[:-1]).tolist()
+
+    @cached_property
     def stats(self) -> dict[int, TensorMaskStats]:
-        offs = self.offsets
-        kept = np.add.reduceat(self.keep, offs[:-1]).tolist()  # per tensor
+        offs, kept = self.offsets, self.kept
         stats = {}
         for tid, (k, tau) in enumerate(self.thresholds, start=1):
             d = offs[tid] - offs[tid - 1]

@@ -10,8 +10,10 @@ At batch size 1 a step costs ufunc dispatch more than arithmetic. So the
 update's constants are 0-d float64 operands built once (they dispatch faster
 than Python floats and round the same), outputs are passed positionally, and
 a mask's keep bits are folded into the moment coefficients keep*(1 - beta1)
-and keep*(1 - beta2), built once per mask object: a masked step is the dense
-step's ufunc sequence with vector coefficients in place of the scalars.
+and keep*(1 - beta2): a masked step is the dense step's ufunc sequence with
+vector coefficients in place of the scalars. The coefficients are keyed on
+the read-only keep array they fold, not on the mask object, so a mask that
+shares its predecessor's keep array (a relabelled commit) reuses them.
 
 No bit changes. Keep bits are exactly 0.0 or 1.0 and the coefficients are
 positive, so g*(k*c) is (g*k)*c (for k = 0, a zero of the sign of g) and
@@ -90,22 +92,23 @@ class OptimizerState:
             cfg.beta1, cfg.beta2, 1.0 - cfg.beta1, 1.0 - cfg.beta2,
             cfg.epsilon, cfg.weight_decay, cfg.learning_rate,
         ))
-        self._folded = (None, *self._consts[2:4])  # (mask, c1, c2); no mask: scalars
+        self._folded = (None, *self._consts[2:4])  # (keep, c1, c2); no mask: scalars
 
     def coefficients(self, mask: SparsityMask | None) -> tuple[np.ndarray, np.ndarray]:
         """keep * (1 - beta1) and keep * (1 - beta2) under `mask`, rebuilt
-        only when a different mask object arrives (a mask's `keep` is
+        only when a different keep array arrives (a mask's `keep` is
         read-only); 1 - beta1 and 1 - beta2 under no mask."""
-        if mask is not self._folded[0]:
+        keep = None if mask is None else mask.keep
+        if keep is not self._folded[0]:
             c1, c2 = self._consts[2:4]
-            if mask is not None:
-                if mask.keep.size != self.first_moment.size:
+            if keep is not None:
+                if keep.size != self.first_moment.size:
                     raise DimensionError(
-                        f"mask length {mask.keep.size} does not match the "
+                        f"mask length {keep.size} does not match the "
                         f"{self.first_moment.size} moments"
                     )
-                c1, c2 = np.multiply(mask.keep, c1), np.multiply(mask.keep, c2)
-            self._folded = (mask, c1, c2)
+                c1, c2 = np.multiply(keep, c1), np.multiply(keep, c2)
+            self._folded = (keep, c1, c2)
         return self._folded[1:]
 
 

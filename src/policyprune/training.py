@@ -298,12 +298,23 @@ class MaskedTrainingEnv:
     round), a ratio p with p*d_t < zeros_t + 1, i.e. floor(p*d_t) <= zeros_t,
     in every tensor t prunes only zeros. Its thresholds are (0, -inf) where
     k = 0 and (k, 0.0) elsewhere, exactly what `sorted_threshold` returns,
-    and a probe at it reuses the live micro-dev loss (computed at most once
-    per round): its trial arena is the live arena bit for bit. Any other
-    ratio reads its thresholds off one sort of each tensor's scores, made
-    at most once per round. Every path rejects a ratio outside [0, 1].
-    Probes multiply with `np.dot` on the sets' cached transposed views, as
-    the training step does (see `toytask`).
+    and a probe at it returns the round's one live reward (one forward per
+    round): its trial arena is the live arena bit for bit. Any other ratio
+    reads its thresholds off one sort of each tensor's scores, made at most
+    once per round. Every path rejects a ratio outside [0, 1]. Probes
+    multiply with `np.dot` on the sets' cached transposed views, as the
+    training step does (see `toytask`).
+
+    Invariant: the arena is masked, with every zero +0.0. The caller masks
+    it before construction (`_masked_start`), and each commit and masked
+    step re-applies the mask, which normalizes zeros. So the live pruned
+    set lies inside the zero set, and a commit to a zero-only ratio keeps
+    the live bits when each tensor's live kept count is its nonzero count
+    where floor(p*d_t) > 0 (equal counts make the sets equal) and d_t where
+    it is 0. Such a commit is relabelled (`SparsityMask.relabel`: new ratio
+    and thresholds, the live read-only keep array) and skips the mask
+    apply, the newly-pruned set and the moment reset, which would change
+    no bit. Every other commit takes the full path.
     """
 
     backbone: FrozenBackbone
@@ -326,23 +337,27 @@ class MaskedTrainingEnv:
         self._sizes = np.diff(self.merged.offsets).tolist()
         self._scores: np.ndarray | None = None
         self._sorted: list[np.ndarray] | None = None
+        self._nonzero: list[int] = []
         self._caps: list[tuple[int, int]] = []
         self._live_loss: float | None = None
+        self._live_reward: float | None = None
 
     def begin_round(self) -> None:
-        """Drop cached scores and live loss; call after any parameter change."""
-        self._scores = self._live_loss = None
+        """Drop the cached scores, live loss and live reward; call after any
+        parameter change."""
+        self._scores = self._live_loss = self._live_reward = None
 
     def _score(self) -> None:
-        """Score the live parameters and count their zeros, once per round."""
+        """Score the live parameters and count their nonzeros, once per
+        round."""
         if self._scores is None:
             flat, offs = self.merged.flat, self.merged.offsets
             self._scores = importance_scores(flat, self.scale)
             self._sorted = None
-            kept = np.add.reduceat(self._scores > 0.0, offs[:-1]).tolist()
-            if sum(kept) == np.count_nonzero(flat):
+            self._nonzero = np.add.reduceat(self._scores > 0.0, offs[:-1]).tolist()
+            if sum(self._nonzero) == np.count_nonzero(flat):
                 # scores <= 0 mark exactly the zero weights: cap_t = zeros_t + 1
-                self._caps = [(d, d - n + 1) for d, n in zip(self._sizes, kept)]
+                self._caps = [(d, d - n + 1) for d, n in zip(self._sizes, self._nonzero)]
             else:
                 self._caps = [(d, 0) for d in self._sizes]  # p*d < 0 never holds
 
@@ -358,11 +373,11 @@ class MaskedTrainingEnv:
                 return False
         return True
 
-    def _thresholds(self, p: float) -> list[tuple[int, float]]:
+    def _thresholds(self, p: float, zero_only: bool) -> list[tuple[int, float]]:
         """Per-tensor (k, tau) at ratio p, as `prune_threshold` gives them:
-        off the zero counts when p prunes only zeros, else off the round's
-        one sort."""
-        if self._prunes_only_zeros(p):
+        off the zero counts when p prunes only zeros (`zero_only`, the
+        answer of `_prunes_only_zeros(p)`), else off the round's one sort."""
+        if zero_only:
             return [(k, 0.0) if (k := math.floor(p * d)) else (0, -math.inf)
                     for d in self._sizes]
         if self._sorted is None:
@@ -378,29 +393,41 @@ class MaskedTrainingEnv:
         return mse_loss(pred, self.microdev.y)
 
     def _live(self) -> float:
-        if self._live_loss is None:
-            self._live_loss = self._probe_loss(self.merged)
-        return self._live_loss
+        """The live reward, one forward per round; a non-finite live loss
+        raises `RewardError` on every call."""
+        if self._live_reward is None:
+            if self._live_loss is None:
+                self._live_loss = self._probe_loss(self.merged)
+            self._live_reward = reward_from_loss(self._live_loss)
+        return self._live_reward
 
     def baseline_reward(self) -> float:
-        return reward_from_loss(self._live())
+        return self._live()
 
     def candidate_reward(self, p: float) -> float:
         if self._prunes_only_zeros(p):
-            return reward_from_loss(self._live())
-        keep = keep_above(self._scores, self.merged.offsets, self._thresholds(p), out=self._keep)
+            return self._live()
+        keep = keep_above(self._scores, self.merged.offsets, self._thresholds(p, False),
+                          out=self._keep)
         np.multiply(self.merged.flat, keep, self._trial.flat)
         return reward_from_loss(self._probe_loss(self._trial))
 
     def commit(self, p_new: float) -> None:
-        thresholds = self._thresholds(p_new)
-        new_mask = SparsityMask(p_new, self._scores, self.merged.offsets, thresholds)
-        newly = newly_pruned(self.mask, new_mask)
-        mask_apply_inplace(self.merged, new_mask)
-        reset_moments(self.opt_state, newly)
-        self.mask = new_mask
+        zero_only = self._prunes_only_zeros(p_new)
+        thresholds = self._thresholds(p_new, zero_only)
+        if zero_only and all(
+            kept == (n if k else d) for kept, n, d, (k, _tau)
+            in zip(self.mask.kept, self._nonzero, self._sizes, thresholds)
+        ):
+            self.mask = self.mask.relabel(p_new, thresholds)
+        else:
+            new_mask = SparsityMask(p_new, self._scores, self.merged.offsets, thresholds)
+            newly = newly_pruned(self.mask, new_mask)
+            mask_apply_inplace(self.merged, new_mask)
+            reset_moments(self.opt_state, newly)
+            self.mask = new_mask
         self.commits += 1
-        self._scores = self._live_loss = None
+        self.begin_round()
 
     def checksum(self) -> bytes:
         """The arena's bytes: equal snapshots mean no parameter bit changed."""

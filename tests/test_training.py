@@ -411,10 +411,10 @@ def test_reuse_rule_equals_the_per_probe_threshold_rule(make_env):
         assert reused == 0  # the guard fails: every probe is evaluated
 
 
-def _clone(env):
+def _clone(env, cls=MaskedTrainingEnv):
     """An independent env on copies of the parameters and moments."""
     opt = env.opt_state
-    return MaskedTrainingEnv(
+    return cls(
         backbone=env.backbone, merged=env.merged.copy(), microdev=env.microdev,
         scale=env.scale, mask=env.mask,
         opt_state=OptimizerState(opt.config, opt.first_moment.copy(), opt.second_moment.copy()),
@@ -440,7 +440,7 @@ def test_zero_count_thresholds_equal_a_fresh_sort(make_env):
         zero_path += env._prunes_only_zeros(p)
         live = _clone(env)
         live.commit(p)
-        thresholds = env._thresholds(p)
+        thresholds = env._thresholds(p, env._prunes_only_zeros(p))
         for mask in (SparsityMask(p, env._scores, offs, thresholds), live.mask):
             assert repr([(st.k, st.tau) for st in mask.stats.values()]) == expected, p
             np.testing.assert_array_equal(mask.keep, ref.keep)
@@ -524,6 +524,130 @@ def test_float_keep_bits_give_the_bytes_of_integer_keep_bits():
             old_mask, old_ref = previous
             np.testing.assert_array_equal(newly_pruned(old_mask, mask), old_ref > ref)
         previous = mask, ref
+
+
+class _FullCommitEnv(MaskedTrainingEnv):
+    """The reference commit: every commit builds the mask from a fresh sort,
+    zeroes the newly pruned coordinates and clears their moments."""
+
+    def commit(self, p_new):
+        new_mask = build_mask(self.merged, p_new, self.scale)
+        newly = newly_pruned(self.mask, new_mask)
+        mask_apply_inplace(self.merged, new_mask)
+        reset_moments(self.opt_state, newly)
+        self.mask = new_mask
+        self.commits += 1
+        self.begin_round()
+
+
+def _assert_same_state(env, twin):
+    """Keep bits, arena, both moments, ratio, thresholds and stats agree bit
+    for bit (repr tells -0.0 from 0.0 and matches NaN)."""
+    assert env.mask.keep.tobytes() == twin.mask.keep.tobytes()
+    assert env.checksum() == twin.checksum()
+    for name in ("first_moment", "second_moment"):
+        assert getattr(env.opt_state, name).tobytes() == getattr(twin.opt_state, name).tobytes()
+    assert env.mask.ratio == twin.mask.ratio
+    assert repr(env.mask.thresholds) == repr(twin.mask.thresholds)
+    assert repr(env.mask.stats) == repr(twin.mask.stats)
+
+
+def test_relabelled_commits_equal_full_commits_at_probe_heavy_settings():
+    """Rounds after every step with 8 probes: each commit leaves the env
+    where the reference commit leaves its twin, both commit paths run, and
+    the optimizer folds new coefficients exactly when the keep bits change."""
+    data, env = _probe_env()
+    twin = _clone(env, _FullCommitEnv)
+    cfg = ControllerConfig(round_every=1, candidates=8)
+    policies = [init_policy(cfg), init_policy(cfg)]
+    rngs = [np.random.default_rng(5), np.random.default_rng(5)]
+    x, y = data.target_train.x, data.target_train.y
+    paths = {"relabelled": 0, "full": 0}
+    folded = None  # (coefficient vector, keep bytes) at the previous step
+    for step in range(3 * len(x)):
+        i = step % len(x)
+        for e in (env, twin):
+            _, grads = loss_and_gradients(data.backbone, e.merged, x[i:i + 1], y[i:i + 1])
+            optimizer_step_and_reset(e.merged, grads, e.opt_state, mask=e.mask)
+        c1, keep = env.opt_state.coefficients(env.mask)[0], env.mask.keep.tobytes()
+        if folded is not None:
+            assert (c1 is not folded[0]) == (keep != folded[1]), step
+        folded = c1, keep
+        old = env.mask
+        records = []
+        for j, e in enumerate((env, twin)):
+            e.begin_round()
+            policies[j], rec = controller_round(policies[j], cfg, rngs[j], e,
+                                                round_index=step, step=step + 1)
+            records.append(canonical_json_line(rec.to_obj()))
+        assert records[0] == records[1], step
+        if env.mask is not old:
+            paths["relabelled" if env.mask.keep is old.keep else "full"] += 1
+        _assert_same_state(env, twin)
+    assert paths["relabelled"] > 0 and paths["full"] > 0, paths
+
+
+def _k_drops_to_zero(env):
+    """A ratio at which the smaller tensors prune nothing while they still
+    hold pruned zeros: the new mask releases them."""
+    sizes = np.diff(env.merged.offsets).tolist()
+    p = 1.0 / max(sizes)
+    assert any(math.floor(p * d) == 0 and kept < d for d, kept in zip(sizes, env.mask.kept))
+    return p
+
+
+def _kept_weight_at_zero(env):
+    flat = env.merged.flat
+    flat[np.flatnonzero((env.mask.keep == 1.0) & (flat != 0.0))[3]] = 0.0
+    return env.mask.ratio
+
+
+def _kept_weight_nan(env):
+    flat = env.merged.flat
+    flat[np.flatnonzero((env.mask.keep == 1.0) & (flat != 0.0))[3]] = np.nan
+    return env.mask.ratio
+
+
+@pytest.mark.parametrize("make_ratio", [_k_drops_to_zero, _kept_weight_at_zero, _kept_weight_nan],
+                         ids=["k-drops-to-zero", "kept-weight-at-zero", "nan-weight"])
+def test_commits_whose_bits_would_change_take_the_full_path(make_ratio):
+    """Where the live bits are not the new mask's, no commit is relabelled,
+    and the env ends where the reference commit leaves its twin."""
+    _, env = _ratcheted_env()
+    p = make_ratio(env)
+    twin = _clone(env, _FullCommitEnv)
+    env.begin_round()
+    assert env._prunes_only_zeros(p) == (make_ratio is not _kept_weight_nan)
+    old = env.mask
+    env.commit(p)
+    twin.commit(p)
+    assert env.mask.keep is not old.keep
+    assert env.mask.keep.tobytes() != old.keep.tobytes()
+    _assert_same_state(env, twin)
+
+
+def test_reused_probes_share_one_live_reward_and_each_raise_on_an_infinite_loss():
+    """An infinite weight scores +inf, so the scores stay exact and zero-only
+    probes reuse the live loss: one forward per round, and each such probe
+    raises `RewardError` as the baseline does."""
+    _, env = _ratcheted_env()
+    assert env.candidate_reward(0.0) == env.baseline_reward() == env.candidate_reward(0.01)
+    flat = env.merged.flat
+    flat[np.flatnonzero(flat)[0]] = np.inf
+    env.begin_round()
+    forwards = []
+    probe_loss = env._probe_loss
+
+    def counted(sites):
+        forwards.append(sites)
+        return probe_loss(sites)
+
+    env._probe_loss = counted
+    for call in (env.baseline_reward, lambda: env.candidate_reward(0.0),
+                 lambda: env.candidate_reward(0.01)):
+        with pytest.raises(RewardError):
+            call()
+    assert len(forwards) == 1
 
 
 def test_commit_rejects_a_ratio_outside_the_unit_interval_on_every_path():
