@@ -55,19 +55,15 @@ print("\nper-factor-row input scale:", np.round(scale.s, 3))
 
 for p in (0.3, 0.5):
     mask = build_mask(merged, p, scale)
-    for tid, sid, fac, arr in merged.tensors():
-        st = mask.stats[tid]
-        print(f"p={p}: {sid}.{fac}  d={st.d}  floor(p*d)={int(p * st.d)}  "
-              f"pruned={st.d - int(mask.per_tensor[tid].sum())}")
-        break  # one tensor is enough to show the arithmetic
+    _tid, sid, fac, view = merged.tensors()[0]  # one tensor shows the arithmetic
+    d = view.size
+    print(f"p={p}: {sid}.{fac}  d={d}  floor(p*d)={int(p * d)}  "
+          f"pruned={d - int(mask.kept[0])}")
 
 # --- 4. nesting: a heavier mask contains a lighter one ---------------------
 light = build_mask(merged, 0.3, scale)
 heavy = build_mask(merged, 0.5, scale)
-violations = 0
-for tid, _, _, _ in merged.tensors():
-    keep_light, keep_heavy = light.per_tensor[tid], heavy.per_tensor[tid]
-    violations += int(np.sum((keep_light == 0) & (keep_heavy == 1)))
+violations = int(np.sum((light.keep == 0) & (heavy.keep == 1)))
 print("\nnesting violations (coordinates pruned at 30% but kept at 50%):", violations)
 
 # --- 5. what pruning costs before any fine-tuning ---------------------------

@@ -129,9 +129,9 @@ class MergedAdapterSet:
     All factors live in one contiguous float64 vector, `flat`, in tensor-id
     order, each factor row-major: the order the checkpoint container writes.
     Tensor t occupies ``flat[offsets[t-1]:offsets[t]]``; `sites[i].a`/`.b`
-    and `self[t]` are 2-D views of it, and `transposed[i]` holds site i's
-    `(a.T, b.T)` views for the training step. Construction copies the given
-    factors into a fresh arena.
+    and the views `tensors()` lists are 2-D views of it, and `transposed[i]`
+    holds site i's `(a.T, b.T)` views for the training step. Construction
+    copies the given factors into a fresh arena.
     """
 
     def __init__(self, sites=()):
@@ -177,12 +177,6 @@ class MergedAdapterSet:
     def __reduce__(self):
         # pickled views would arrive as separate copies; rebuild them instead
         return (_from_arena, (self._layout, self.flat))
-
-    def __getitem__(self, tensor_id: int) -> np.ndarray:
-        """The 2-D view of tensor `tensor_id` (1-based)."""
-        if not 1 <= tensor_id <= len(self._tensors):
-            raise UsageError(f"unknown tensor id {tensor_id!r}")
-        return self._tensors[tensor_id - 1][3]
 
     def tensors(self) -> list[tuple[int, str, str, np.ndarray]]:
         """All maskable tensors as (tensor_id, site_id, factor, view)."""

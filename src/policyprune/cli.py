@@ -297,13 +297,10 @@ def cmd_finalize(cfg: RunConfig, args) -> int:
     save_merged(d / "final.ckpt", fin.merged, kind="final",
                 seed=seed, config_hash=chash)
     per_tensor = []
-    for tid, sid, fac, _arr in fin.merged.tensors():
-        st = fin.mask.stats[tid]
-        pruned = st.d - int(fin.mask.per_tensor[tid].sum())
-        per_tensor.append(
-            {"tensor": f"{sid}.{fac}", "d": st.d, "pruned": pruned,
-             "fraction": st.fraction}
-        )
+    for (_tid, sid, fac, view), kept in zip(fin.merged.tensors(), fin.mask.kept):
+        size = view.size
+        per_tensor.append({"tensor": f"{sid}.{fac}", "d": size,
+                           "pruned": size - int(kept), "fraction": (size - kept) / size})
     metrics = {
         "p_star": p_star,
         "p_star_source": p_star_source,

@@ -19,9 +19,9 @@ produces a new one. ``render_ini`` writes the fully resolved configuration
 back out, less the output directory, so every run directory records the
 exact values it ran with and its bytes do not depend on where it sits.
 
-The default LoRA block records ``dropout = 0.05`` (the published recipe's
-value); on this deterministic linear trainer dropout is carried and hashed
-but is a mathematical no-op.
+Every default lives on its dataclass; ``LoraConfig.dropout``'s 0.05 (the
+published recipe's value) is carried and hashed but is a mathematical
+no-op on this deterministic linear trainer.
 """
 
 from __future__ import annotations
@@ -56,16 +56,12 @@ OUT_ENV_VAR = "POLICYPRUNE_OUT"
 DEFAULT_OUT = "runs"
 
 
-def _default_lora() -> LoraConfig:
-    return LoraConfig(dropout=0.05)
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Everything one run needs: per-phase configs, seeds, output root."""
 
     task: ToyTaskConfig = field(default_factory=ToyTaskConfig)
-    lora: LoraConfig = field(default_factory=_default_lora)
+    lora: LoraConfig = field(default_factory=LoraConfig)
     training: TrainConfig = field(default_factory=TrainConfig)
     controller: ControllerConfig = field(default_factory=ControllerConfig)
     grid: GridSpec = field(default_factory=GridSpec)

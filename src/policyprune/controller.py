@@ -60,6 +60,8 @@ class ControllerConfig:
             )
         if min(self.round_every, self.candidates, self.microdev_n) < 1:
             raise UsageError("round_every, candidates, microdev_n must be >= 1")
+        if not all(math.isfinite(v) for v in (self.delta_max, self.eta, self.beta, self.tau_ent)):
+            raise UsageError("delta_max, eta, beta and tau_ent must be finite")
         if self.delta_max <= 0 or self.eta <= 0:
             raise UsageError("delta_max and eta must be positive")
         if self.beta < 0 or self.tau_ent < 0:

@@ -84,15 +84,6 @@ def sorted_threshold(sorted_scores: np.ndarray, p: float) -> tuple[int, float]:
     return k, float(sorted_scores[k - 1])
 
 
-@dataclass
-class TensorMaskStats:
-    tensor_id: int
-    d: int
-    k: int
-    tau: float
-    fraction: float
-
-
 def keep_above(
     scores: np.ndarray, offsets, thresholds: list[tuple[int, float]],
     out: np.ndarray | None = None,
@@ -117,9 +108,10 @@ class SparsityMask:
     `prune_threshold` or `sorted_threshold`: `keep` is one float64 vector of
     0.0/1.0 keep bits, the scores above their tensor's tau, read-only once
     built (or a prebuilt read-only `keep` holding exactly those bits).
-    `per_tensor[tid]` (tensor tid's slice of `keep`, a view), `kept` (each
-    tensor's kept count) and `stats[tid]` (its threshold record) are built
-    the first time they are read. Tensors are in id order.
+    Tensor t (1-based) holds the d_t bits ``keep[offsets[t-1]:offsets[t]]``;
+    ``thresholds[t-1]`` is its (k, tau) and ``kept[t-1]`` its kept count
+    (built the first time it is read), so it prunes d_t - kept entries, a
+    fraction (d_t - kept) / d_t. Tensors are in id order.
     """
 
     def __init__(self, ratio: float, scores: np.ndarray | None, offsets,
@@ -141,23 +133,9 @@ class SparsityMask:
         return new
 
     @cached_property
-    def per_tensor(self) -> dict[int, np.ndarray]:
-        offs = self.offsets
-        return {tid: self.keep[lo:hi] for tid, (lo, hi) in enumerate(zip(offs, offs[1:]), start=1)}
-
-    @cached_property
     def kept(self) -> list[float]:
         """Each tensor's kept count, in id order (float64 sums of the bits)."""
         return np.add.reduceat(self.keep, self.offsets[:-1]).tolist()
-
-    @cached_property
-    def stats(self) -> dict[int, TensorMaskStats]:
-        offs, kept = self.offsets, self.kept
-        stats = {}
-        for tid, (k, tau) in enumerate(self.thresholds, start=1):
-            d = offs[tid] - offs[tid - 1]
-            stats[tid] = TensorMaskStats(tid, d, k, tau, (d - kept[tid - 1]) / d)
-        return stats
 
     def overall_fraction(self) -> float:
         return (self.keep.size - np.count_nonzero(self.keep)) / self.keep.size

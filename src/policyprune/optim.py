@@ -24,58 +24,37 @@ bias1 = 1 - beta1**t rounds to exactly 1.0 (from step 356 at beta1 = 0.9).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .adapters import MergedAdapterSet
-from .errors import DimensionError, UsageError
+from .errors import DimensionError
 from .masking import SparsityMask, mask_apply_inplace
 
 __all__ = [
-    "OptimizerConfig",
     "OptimizerState",
     "init_optimizer",
     "reset_moments",
     "optimizer_step_and_reset",
 ]
 
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Hyperparameters for the decoupled-weight-decay adaptive-moment update.
-
-    Only the learning rate is pinned by the shared training defaults; the
-    moment decays, epsilon, and decay strength follow the optimizer's common
-    defaults.
-    """
-
-    learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    weight_decay: float = 0.01
-
-    def validate(self) -> None:
-        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
-            raise UsageError(f"learning_rate must be positive, got {self.learning_rate}")
-        for name, b in (("beta1", self.beta1), ("beta2", self.beta2)):
-            if not 0.0 <= b < 1.0:
-                raise UsageError(f"{name} must be in [0, 1), got {b}")
-        if not self.epsilon > 0:
-            raise UsageError(f"epsilon must be positive, got {self.epsilon}")
-        if self.weight_decay < 0:
-            raise UsageError(f"weight_decay must be >= 0, got {self.weight_decay}")
+# AdamW's standard moment decays and epsilon (Loshchilov & Hutter,
+# arXiv:1711.05101); the learning rate and weight decay come from
+# `TrainConfig`, which validates them.
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
 
 
 @dataclass
 class OptimizerState:
-    """First/second moments over the arena, the shared step count, and the
-    update's constants, mask coefficients and scratch vectors (same length
-    as the moments)."""
+    """The learning rate and weight decay, first/second moments over the
+    arena, the shared step count, and the update's constants, mask
+    coefficients and scratch vectors (same length as the moments)."""
 
-    config: OptimizerConfig
+    learning_rate: float
+    weight_decay: float
     first_moment: np.ndarray
     second_moment: np.ndarray
     step: int = 0
@@ -86,11 +65,11 @@ class OptimizerState:
     _folded: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m, cfg = self.first_moment, self.config
+        m = self.first_moment
         self._scratch = (np.empty_like(m), np.empty_like(m))
         self._consts = tuple(np.array(c, dtype=np.float64) for c in (
-            cfg.beta1, cfg.beta2, 1.0 - cfg.beta1, 1.0 - cfg.beta2,
-            cfg.epsilon, cfg.weight_decay, cfg.learning_rate,
+            BETA1, BETA2, 1.0 - BETA1, 1.0 - BETA2,
+            EPSILON, self.weight_decay, self.learning_rate,
         ))
         self._folded = (None, *self._consts[2:4])  # (keep, c1, c2); no mask: scalars
 
@@ -113,13 +92,12 @@ class OptimizerState:
 
 
 def init_optimizer(
-    merged: MergedAdapterSet, config: OptimizerConfig | None = None
+    merged: MergedAdapterSet, learning_rate: float, weight_decay: float
 ) -> OptimizerState:
     """Zero-initialized moments shaped like the set's arena."""
-    cfg = config or OptimizerConfig()
-    cfg.validate()
     return OptimizerState(
-        config=cfg,
+        learning_rate=learning_rate,
+        weight_decay=weight_decay,
         first_moment=np.zeros_like(merged.flat),
         second_moment=np.zeros_like(merged.flat),
     )
@@ -159,10 +137,9 @@ def optimizer_step_and_reset(
         raise DimensionError("gradient layout does not match the adapter set")
     c1, c2 = state.coefficients(mask)
     state.step += 1
-    cfg = state.config
     t = state.step
-    bias1 = 1.0 - cfg.beta1**t
-    bias2 = 1.0 - cfg.beta2**t
+    bias1 = 1.0 - BETA1**t
+    bias2 = 1.0 - BETA2**t
     beta1, beta2, _, _, eps, decay, lr = state._consts
     arr, g, m, v = merged.flat, grads.flat, state.first_moment, state.second_moment
     s1, s2 = state._scratch

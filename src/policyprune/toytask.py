@@ -318,9 +318,10 @@ def loss_and_gradients(
 
     With E = pred - y and G = 2 E / (n * d_out):
       dL/db = G^T (x a^T)        dL/da = (G b)^T x
-    The gradient is a set laid out like `merged` (so `grads[tid]` is tensor
-    tid's gradient and `grads.flat` the whole of it), written into `out`
-    when given — the training loop reuses one — else into a new set.
+    The gradient is a set laid out like `merged` (so `grads.tensors()`
+    lists each tensor's gradient view and `grads.flat` holds the whole of
+    it), written into `out` when given — the training loop reuses one —
+    else into a new set.
 
     Every call converts x and y to C-contiguous float64 and checks their
     shapes (`DimensionError`) and that the batch is not empty (`UsageError`).

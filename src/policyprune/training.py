@@ -45,7 +45,6 @@ from .masking import (  # noqa: F401 (prune_threshold: perfbench traces this bin
     sorted_threshold,
 )
 from .optim import (
-    OptimizerConfig,
     OptimizerState,
     init_optimizer,
     optimizer_step_and_reset,
@@ -78,13 +77,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LoraConfig:
-    """Adapter shape and scaling. `dropout` is accepted for config-file
-    compatibility but is a no-op on this deterministic linear model (it
-    would only inject train/eval mismatch, so it defaults to off)."""
+    """Adapter shape and scaling. `dropout` defaults to the published
+    recipe's 0.05; it is carried and hashed but is a no-op on this
+    deterministic linear model."""
 
     rank: int = 8
     alpha: float = 32.0
-    dropout: float = 0.0
+    dropout: float = 0.05
 
     @property
     def scale(self) -> float:
@@ -106,7 +105,8 @@ class TrainConfig:
     The step budget of a run is epochs * ceil(n_train / batch_size).
     `early_stop_patience` counts consecutive end-of-epoch dev evaluations
     without improvement before stopping (phase 3 only); None disables early
-    stopping, which also keeps step counts exactly at the budget.
+    stopping, which also keeps step counts exactly at the budget. The
+    learning rate and weight decay feed the AdamW update (`optim`).
     """
 
     learning_rate: float = 1e-4
@@ -117,7 +117,10 @@ class TrainConfig:
     shuffle: bool = True
 
     def validate(self) -> None:
-        self.optimizer_config().validate()
+        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
+            raise UsageError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not (self.weight_decay >= 0 and math.isfinite(self.weight_decay)):
+            raise UsageError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if not isinstance(self.batch_size, int) or self.batch_size < 1:
             raise UsageError(f"batch_size must be a positive integer, got {self.batch_size!r}")
         if not isinstance(self.epochs, int) or self.epochs < 1:
@@ -126,11 +129,6 @@ class TrainConfig:
             raise UsageError(
                 f"early_stop_patience must be >= 1 or None, got {self.early_stop_patience}"
             )
-
-    def optimizer_config(self) -> OptimizerConfig:
-        return OptimizerConfig(
-            learning_rate=self.learning_rate, weight_decay=self.weight_decay
-        )
 
 
 def steps_per_epoch(n: int, batch_size: int) -> int:
@@ -241,7 +239,7 @@ def train_adapter(
     """Phase 1: fit one adapter set to one task; the backbone stays frozen."""
     train_cfg.validate()
     merged = init_adapter_factors(backbone, lora_cfg, rng)
-    opt = init_optimizer(merged, train_cfg.optimizer_config())
+    opt = init_optimizer(merged, train_cfg.learning_rate, train_cfg.weight_decay)
     losses, _ = _train_loop(backbone, merged, split, train_cfg, rng, opt)
     return AdapterTrainResult(
         adapters=factors_to_adapters(merged, lora_cfg), step_losses=losses
@@ -290,8 +288,7 @@ class MaskedTrainingEnv:
     ratio, zero the newly pruned coordinates, and clear their moments.
 
     A ratio's mask flows one way: `_thresholds(p)` gives each tensor's
-    (k, tau), one compare keeps the scores above them, and a commit's
-    `SparsityMask` builds its per-tensor stats only when they are read.
+    (k, tau), and one compare keeps the scores above them.
     Within a round the parameters are fixed, so the round scores them once
     and counts each tensor's zero scores. When those are exactly the zero
     weights (no nonzero |w|*s underflows to 0 or is NaN, checked once per
@@ -455,7 +452,7 @@ def _masked_start(
     merged = merged_init.copy()
     mask = build_mask(merged, p, scale)
     mask_apply_inplace(merged, mask)
-    return merged, mask, init_optimizer(merged, train_cfg.optimizer_config())
+    return merged, mask, init_optimizer(merged, train_cfg.learning_rate, train_cfg.weight_decay)
 
 
 def sparsity_policy_learning(

@@ -175,8 +175,9 @@ def test_every_merged_set_is_one_arena_of_views(tmp_path):
         np.testing.assert_array_equal(
             m.flat, np.concatenate([arr.ravel() for _, _, _, arr in m.tensors()])
         )
-        for tid, _sid, _fac, arr in m.tensors():
-            assert arr.base is m.flat and m[tid] is arr
+        for tid, _sid, fac, arr in m.tensors():
+            site = m.sites[(tid - 1) // 2]
+            assert arr.base is m.flat and getattr(site, fac.lower()) is arr
         before = m.checksum()
         m.sites[-1].a[0, 0] += 1.0
         assert m.checksum() != before

@@ -183,7 +183,7 @@ def _reference_noprune_training(data, merged, cfg, rng):
     """An independent plain loop for the unpruned merge: the pipeline's
     batching and optimizer, with early stopping after `patience` epochs
     without a strict dev improvement."""
-    opt = init_optimizer(merged, cfg.optimizer_config())
+    opt = init_optimizer(merged, cfg.learning_rate, cfg.weight_decay)
     best = microdev_loss(data.backbone, merged, data.dev)
     bad = 0
     n, size = data.target_train.n, cfg.batch_size

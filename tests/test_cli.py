@@ -213,6 +213,24 @@ def test_rerun_without_force_is_refused_then_reruns_byte_identically(fresh):
     assert after == before
 
 
+@pytest.mark.parametrize("section, setting", [
+    ("training", "weight_decay = nan"), ("training", "weight_decay = inf"),
+    ("controller", "eta = nan"), ("controller", "eta = inf"),
+    ("controller", "beta = nan"), ("controller", "tau_ent = inf"),
+    ("controller", "delta_max = inf"),
+])
+def test_a_non_finite_setting_exits_2_before_any_phase_directory(
+    tmp_path, capsys, section, setting
+):
+    ini = tmp_path / "bad.ini"
+    ini.write_text(SMALL_INI.replace(f"[{section}]\n", f"[{section}]\n{setting}\n"))
+    out = tmp_path / "out"
+    for command in ("train-adapters", "controller"):
+        assert run_cli(command, "--config", str(ini), "--out", str(out)) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_controller_without_adapters_names_the_missing_path(fresh, capsys):
     ini, out = fresh
     assert run_cli("controller", "--config", str(ini), "--out", str(out)) == 2

@@ -1,6 +1,7 @@
 """Config resolution: defaults, INI overlay, flag precedence, hashing."""
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -137,3 +138,27 @@ def test_validation_runs_on_the_resolved_config(tmp_path):
         load_run_config(ini, env={})
     with pytest.raises(UsageError):
         load_run_config(seed=-3, env={})
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("section, key", [
+    ("training", "learning_rate"),
+    ("training", "weight_decay"),
+    ("controller", "eta"),
+    ("controller", "beta"),
+    ("controller", "tau_ent"),
+    ("controller", "delta_max"),
+])
+def test_non_finite_settings_are_usage_errors(tmp_path, section, key, value):
+    # NaN fails every comparison and inf passes a sign check, so each key
+    # needs its finiteness checked on its own
+    ini = tmp_path / "bad.ini"
+    ini.write_text(f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(UsageError, match=key):
+        load_run_config(ini, env={})
+
+
+def test_readme_ini_block_is_the_stock_config():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    assert apply_ini(RunConfig(), block) == load_run_config(env={})

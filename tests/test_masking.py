@@ -24,6 +24,11 @@ def _merged_from_flat(values):
     return MergedAdapterSet([SiteFactors("q", a, np.array([[1.0]]))])
 
 
+def _bits(mask, tid):
+    """Tensor tid's keep bits: its slice of the mask's one keep vector."""
+    return mask.keep[mask.offsets[tid - 1]:mask.offsets[tid]]
+
+
 def test_estimate_scale_hand_value():
     got = estimate_scale([np.array([3.0, 4.0]), np.array([0.0, 0.0])])
     assert got.s == 2.5  # mean of norms 5 and 0
@@ -75,9 +80,9 @@ def test_prune_threshold_hand_values():
 def test_build_mask_hand_value():
     merged = _merged_from_flat([0.1, 0.5, 0.3, 0.9])
     mask = build_mask(merged, 0.5, ImportanceScale(1.0))
-    np.testing.assert_array_equal(mask.per_tensor[1], [0, 1, 0, 1])
-    st = mask.stats[1]
-    assert (st.d, st.k, st.tau, st.fraction) == (4, 2, 0.3, 0.5)
+    np.testing.assert_array_equal(_bits(mask, 1), [0, 1, 0, 1])
+    assert mask.thresholds[0] == (2, 0.3)
+    assert mask.kept[0] == 2.0
 
 
 def test_keep_above_equals_the_per_tensor_compare():
@@ -99,20 +104,20 @@ def test_keep_above_equals_the_per_tensor_compare():
 
 
 def test_mask_keep_bits_are_read_only():
-    # the optimizer keeps coefficients folded from a mask's bits per mask
-    # object, so the bits must not change under it
+    # the optimizer keeps coefficients folded from a mask's bits per keep
+    # array, so the bits must not change under it
     merged = _merged_from_flat([0.1, 0.5, 0.3, 0.9])
     mask = build_mask(merged, 0.5, ImportanceScale(1.0))
     with pytest.raises(ValueError):
         mask.keep[0] = 1.0
     with pytest.raises(ValueError):
-        mask.per_tensor[1][...] = 1.0
+        _bits(mask, 1)[...] = 1.0
     with pytest.raises(ValueError):
         np.multiply(mask.keep, 2.0, mask.keep)
-    np.testing.assert_array_equal(mask.per_tensor[1], [0, 1, 0, 1])
+    np.testing.assert_array_equal(_bits(mask, 1), [0, 1, 0, 1])
 
 
-def test_mask_stats_and_views_equal_the_per_tensor_loop():
+def test_mask_thresholds_and_kept_counts_equal_the_per_tensor_loop():
     rng = np.random.default_rng(6)
     merged = MergedAdapterSet(
         [SiteFactors(sid, rng.normal(size=(3, 7)), rng.normal(size=(5, 3))) for sid in "qkv"]
@@ -123,29 +128,27 @@ def test_mask_stats_and_views_equal_the_per_tensor_loop():
     for p in (0.0, 0.1, 0.3, 0.7, 1.0):
         thresholds = [prune_threshold(scores[lo:hi], p) for lo, hi in zip(offs, offs[1:])]
         mask = SparsityMask(p, scores, offs, thresholds)
-        assert list(mask.stats) == list(mask.per_tensor) == list(range(1, len(offs)))
+        assert mask.offsets == offs and mask.thresholds == thresholds
+        assert len(mask.kept) == len(offs) - 1
         for tid, (lo, hi) in enumerate(zip(offs, offs[1:]), start=1):
             bits = mask.keep[lo:hi]
-            view = mask.per_tensor[tid]
-            assert np.shares_memory(view, mask.keep) and np.array_equal(view, bits)
-            st = mask.stats[tid]
-            assert (st.tensor_id, st.d, st.k, st.tau) == (tid, hi - lo, *thresholds[tid - 1])
-            assert st.fraction == (st.d - np.count_nonzero(bits)) / st.d
+            np.testing.assert_array_equal(bits, scores[lo:hi] > thresholds[tid - 1][1])
+            assert mask.kept[tid - 1] == np.count_nonzero(bits)
 
 
 def test_build_mask_ties_prune_all_tied_entries():
     merged = _merged_from_flat([0.3, 0.3, 0.5, 0.9])
     mask = build_mask(merged, 0.25, ImportanceScale(1.0))
     # k=1 but both entries tied at tau=0.3 go
-    np.testing.assert_array_equal(mask.per_tensor[1], [0, 0, 1, 1])
-    assert mask.stats[1].k == 1
-    assert mask.stats[1].fraction == 0.5
+    np.testing.assert_array_equal(_bits(mask, 1), [0, 0, 1, 1])
+    assert mask.thresholds[0] == (1, 0.3)
+    assert (4 - mask.kept[0]) / 4 == 0.5
 
 
 def test_build_mask_low_ratio_floor():
     merged = _merged_from_flat(np.arange(1.0, 11.0))
     mask = build_mask(merged, 0.10, ImportanceScale(1.0))
-    assert int(10 - mask.per_tensor[1].sum()) == 1
+    assert int(10 - mask.kept[0]) == 1
 
 
 def test_mask_scale_invariance():
@@ -156,8 +159,7 @@ def test_mask_scale_invariance():
     base = build_mask(merged, 0.4, ImportanceScale(1.0))
     for c in (1e-3, 0.7, 42.0, 1e5):
         other = build_mask(merged, 0.4, ImportanceScale(c))
-        for tid in base.per_tensor:
-            np.testing.assert_array_equal(base.per_tensor[tid], other.per_tensor[tid])
+        np.testing.assert_array_equal(base.keep, other.keep)
 
 
 def test_mask_nestedness():
@@ -169,10 +171,9 @@ def test_mask_nestedness():
     ratios = np.linspace(0.0, 1.0, 9)
     masks = [build_mask(merged, p, scale) for p in ratios]
     for lo, hi in zip(masks, masks[1:]):
-        for tid in lo.per_tensor:
-            pruned_lo = lo.per_tensor[tid] == 0
-            pruned_hi = hi.per_tensor[tid] == 0
-            assert np.all(pruned_hi[pruned_lo]), "pruned sets must be nested in p"
+        pruned_lo = lo.keep == 0
+        pruned_hi = hi.keep == 0
+        assert np.all(pruned_hi[pruned_lo]), "pruned sets must be nested in p"
 
 
 def test_realized_fraction_bounds():
@@ -184,10 +185,11 @@ def test_realized_fraction_bounds():
         merged = _merged_from_flat(vals)
         p = float(rng.uniform(0.0, 1.0))
         mask = build_mask(merged, p, ImportanceScale(1.0))
-        st = mask.stats[1]
-        assert st.fraction >= st.k / st.d
-        n_tied = int(np.sum(importance_scores(vals, ImportanceScale(1.0)) == st.tau))
-        assert st.fraction <= (st.k + n_tied) / st.d
+        (k, tau), d = mask.thresholds[0], vals.size
+        fraction = (d - mask.kept[0]) / d
+        assert fraction >= k / d
+        n_tied = int(np.sum(importance_scores(vals, ImportanceScale(1.0)) == tau))
+        assert fraction <= (k + n_tied) / d
 
 
 def test_mask_apply_zeroes_exactly_and_is_idempotent():
@@ -201,7 +203,7 @@ def test_mask_apply_zeroes_exactly_and_is_idempotent():
     assert once.checksum() == twice.checksum()
     originals = {tid: arr.ravel() for tid, _, _, arr in merged.tensors()}
     for tid, _, _, arr in once.tensors():
-        bits = mask.per_tensor[tid]
+        bits = _bits(mask, tid)
         flat = arr.ravel()
         assert np.all(flat[bits == 0] == 0.0)
         np.testing.assert_array_equal(flat[bits == 1], originals[tid][bits == 1])
@@ -224,7 +226,7 @@ def test_mask_apply_identity_and_annihilation():
 def test_zero_weights_always_pruned_first():
     merged = _merged_from_flat([0.0, 2.0, 0.0, 3.0, 1.0])
     mask = build_mask(merged, 0.2, ImportanceScale(1.0))  # k=1, tau=0
-    np.testing.assert_array_equal(mask.per_tensor[1], [0, 1, 0, 1, 1])
+    np.testing.assert_array_equal(_bits(mask, 1), [0, 1, 0, 1, 1])
 
 
 def test_rebuild_at_same_ratio_after_apply_is_stable():
@@ -238,8 +240,7 @@ def test_rebuild_at_same_ratio_after_apply_is_stable():
     m1 = build_mask(merged, 0.45, scale)
     applied = mask_apply(merged, m1)
     m2 = build_mask(applied, 0.45, scale)
-    for tid in m1.per_tensor:
-        np.testing.assert_array_equal(m1.per_tensor[tid], m2.per_tensor[tid])
+    np.testing.assert_array_equal(m1.keep, m2.keep)
 
 
 def test_newly_pruned_sets():

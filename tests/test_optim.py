@@ -7,12 +7,17 @@ from policyprune.adapters import MergedAdapterSet, SiteFactors, matrix
 from policyprune.errors import DimensionError, UsageError
 from policyprune.masking import ImportanceScale, build_mask, mask_apply_inplace, newly_pruned
 from policyprune.optim import (
-    OptimizerConfig,
+    BETA1,
+    BETA2,
+    EPSILON,
     OptimizerState,
     init_optimizer,
     optimizer_step_and_reset,
     reset_moments,
 )
+from policyprune.training import TrainConfig
+
+LR, DECAY = TrainConfig().learning_rate, TrainConfig().weight_decay  # the stock pair
 
 
 def one_site_set():
@@ -30,8 +35,8 @@ def one_site_set():
 def grads_for(merged, values):
     """A gradient set laid out like `merged`, tensor id -> nested values."""
     grads = merged.empty_like()
-    for tid, _, _, _ in merged.tensors():
-        grads[tid][...] = values[tid]
+    for tid, _, _, view in grads.tensors():
+        view[...] = values[tid]
     return grads
 
 
@@ -45,9 +50,7 @@ def test_first_step_moves_by_lr_times_sign_without_decay():
     # At step 1 the bias corrections cancel exactly: m_hat = g, v_hat = g^2,
     # so each coordinate moves by -lr * g/(|g|+eps), i.e. lr times -sign(g).
     merged = one_site_set()
-    state = init_optimizer(
-        merged, OptimizerConfig(learning_rate=0.1, weight_decay=0.0)
-    )
+    state = init_optimizer(merged, learning_rate=0.1, weight_decay=0.0)
     grads = grads_for(merged, {1: [[0.5, 0.25]], 2: [[-1.0], [4.0]]})
     optimizer_step_and_reset(merged, grads, state)
     a = merged.sites[0].a
@@ -59,9 +62,7 @@ def test_first_step_moves_by_lr_times_sign_without_decay():
 
 def test_decoupled_decay_shrinks_parameters_toward_zero():
     merged = one_site_set()
-    state = init_optimizer(
-        merged, OptimizerConfig(learning_rate=0.1, weight_decay=0.01)
-    )
+    state = init_optimizer(merged, learning_rate=0.1, weight_decay=0.01)
     grads = grads_for(merged, {1: [[0.5, 0.25]], 2: [[-1.0], [4.0]]})
     optimizer_step_and_reset(merged, grads, state)
     # Same as above plus the decay term -lr * wd * param.
@@ -71,13 +72,12 @@ def test_decoupled_decay_shrinks_parameters_toward_zero():
 
 
 def test_two_steps_match_the_published_update_equations():
-    # Independent transcription of the textbook update, scalar at a time.
+    # Independent transcription of the textbook update, scalar at a time,
+    # at AdamW's standard moment decays and epsilon.
     lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
+    assert (BETA1, BETA2, EPSILON) == (b1, b2, eps)
     merged = one_site_set()
-    state = init_optimizer(
-        merged,
-        OptimizerConfig(learning_rate=lr, beta1=b1, beta2=b2, epsilon=eps, weight_decay=0.0),
-    )
+    state = init_optimizer(merged, learning_rate=lr, weight_decay=0.0)
     g1 = {1: [[0.3, -0.7]], 2: [[0.1], [0.2]]}
     g2 = {1: [[-0.2, 0.4]], 2: [[0.5], [-0.1]]}
 
@@ -105,11 +105,11 @@ def test_two_steps_match_the_published_update_equations():
 def test_all_ones_mask_and_no_reset_is_a_plain_step():
     grads_raw = {1: [[0.5, 0.25]], 2: [[-1.0], [4.0]]}
     plain = one_site_set()
-    state_p = init_optimizer(plain)
+    state_p = init_optimizer(plain, LR, DECAY)
     optimizer_step_and_reset(plain, grads_for(plain, grads_raw), state_p)
 
     masked = one_site_set()
-    state_m = init_optimizer(masked)
+    state_m = init_optimizer(masked, LR, DECAY)
     optimizer_step_and_reset(
         masked, grads_for(masked, grads_raw), state_m, mask=ones_mask(masked)
     )
@@ -122,15 +122,13 @@ def test_pruned_coordinate_stays_exactly_zero_despite_gradient():
     merged = one_site_set()
     scale = ImportanceScale(1.0)
     mask = build_mask(merged, 0.5, scale)  # prunes the smaller half per tensor
-    state = init_optimizer(merged)
+    state = init_optimizer(merged, LR, DECAY)
     grads = grads_for(merged, {1: [[10.0, 10.0]], 2: [[10.0], [10.0]]})
     for _ in range(3):
         optimizer_step_and_reset(merged, grads, state, mask=mask)
-    for tid, _, _, arr in merged.tensors():
-        bits = mask.per_tensor[tid].reshape(arr.shape)
-        pruned_vals = arr[bits == 0]
-        assert np.all(pruned_vals == 0.0)
-        assert not np.any(np.signbit(pruned_vals))
+    pruned_vals = merged.flat[mask.keep == 0]
+    assert pruned_vals.size and np.all(pruned_vals == 0.0)
+    assert not np.any(np.signbit(pruned_vals))
 
 
 def test_commit_reset_zeroes_moments_immediately_and_they_stay_zero():
@@ -138,7 +136,7 @@ def test_commit_reset_zeroes_moments_immediately_and_they_stay_zero():
     scale = ImportanceScale(1.0)
     loose = build_mask(merged, 0.0, scale)
     tight = build_mask(merged, 0.5, scale)
-    state = init_optimizer(merged)
+    state = init_optimizer(merged, LR, DECAY)
     grads = grads_for(merged, {1: [[1.0, 1.0]], 2: [[1.0], [1.0]]})
     optimizer_step_and_reset(merged, grads, state, mask=loose)
     assert np.all(state.first_moment != 0.0)
@@ -159,7 +157,7 @@ def test_commit_reset_zeroes_moments_immediately_and_they_stay_zero():
 
 def test_shape_and_config_errors():
     merged = one_site_set()
-    state = init_optimizer(merged)
+    state = init_optimizer(merged, LR, DECAY)
     wider = MergedAdapterSet([SiteFactors("q", np.zeros((1, 3)), np.zeros((2, 1)))])
     with pytest.raises(DimensionError):
         optimizer_step_and_reset(merged, wider, state)
@@ -168,30 +166,29 @@ def test_shape_and_config_errors():
         optimizer_step_and_reset(merged, renamed, state)
     with pytest.raises(DimensionError):
         reset_moments(state, np.zeros(3, dtype=bool))
+    # the training config owns the optimizer's settings and their checks
     with pytest.raises(UsageError):
-        OptimizerConfig(learning_rate=0.0).validate()
+        TrainConfig(learning_rate=0.0).validate()
     with pytest.raises(UsageError):
-        OptimizerConfig(beta1=1.0).validate()
-    with pytest.raises(UsageError):
-        OptimizerConfig(weight_decay=-0.1).validate()
+        TrainConfig(weight_decay=-0.1).validate()
 
 
-def reference_step(arr, g, m, v, t, cfg, keep=None):
+def reference_step(arr, g, m, v, t, lr, decay, keep=None):
     """The update as written before the keep bits were folded into the
     moment coefficients: the gradient is masked first, then the textbook
     update runs one elementwise operation at a time, then the re-zero."""
     if keep is not None:
         g = g * keep
-    m *= cfg.beta1
-    m += g * (1.0 - cfg.beta1)
-    v *= cfg.beta2
-    v += (g * (1.0 - cfg.beta2)) * g
-    m_hat = m / (1.0 - cfg.beta1**t)
-    denom = np.sqrt(v / (1.0 - cfg.beta2**t))
-    denom += cfg.epsilon
+    m *= BETA1
+    m += g * (1.0 - BETA1)
+    v *= BETA2
+    v += (g * (1.0 - BETA2)) * g
+    m_hat = m / (1.0 - BETA1**t)
+    denom = np.sqrt(v / (1.0 - BETA2**t))
+    denom += EPSILON
     update = m_hat / denom
-    update += arr * cfg.weight_decay
-    update *= cfg.learning_rate
+    update += arr * decay
+    update *= lr
     arr -= update
     if keep is not None:
         arr *= keep
@@ -225,8 +222,8 @@ def test_steps_equal_the_mask_first_reference_bit_for_bit():
     # 356, from which 1 - beta1**t is exactly 1.0.
     rng = np.random.default_rng(3)
     merged = two_site_set(rng)
-    cfg = OptimizerConfig(learning_rate=3e-3)
-    state = init_optimizer(merged, cfg)
+    lr = 3e-3
+    state = init_optimizer(merged, lr, DECAY)
     scale = ImportanceScale(1.0)
     mask_a = build_mask(merged, 0.3, scale)
     mask_apply_inplace(merged, mask_a)
@@ -239,7 +236,7 @@ def test_steps_equal_the_mask_first_reference_bit_for_bit():
             t += 1
             grads = signed_gradient(rng, merged)
             optimizer_step_and_reset(merged, grads, state, mask=mask)
-            reference_step(ref_arr, grads.flat, ref_m, ref_v, t, cfg,
+            reference_step(ref_arr, grads.flat, ref_m, ref_v, t, lr, DECAY,
                            None if mask is None else mask.keep)
             assert _bytes(merged, state) == (ref_arr.tobytes(), ref_m.tobytes(), ref_v.tobytes())
 
@@ -263,12 +260,13 @@ def test_a_state_built_by_its_constructor_steps_like_init_optimizer():
     merged = two_site_set(rng)
     mask = build_mask(merged, 0.4, ImportanceScale(1.0))
     mask_apply_inplace(merged, mask)
-    state = init_optimizer(merged, OptimizerConfig(learning_rate=1e-2))
+    state = init_optimizer(merged, 1e-2, DECAY)
     for _ in range(5):
         optimizer_step_and_reset(merged, signed_gradient(rng, merged), state, mask=mask)
     twin = merged.copy()
-    twin_state = OptimizerState(state.config, state.first_moment.copy(),
-                                state.second_moment.copy(), state.step)
+    twin_state = OptimizerState(state.learning_rate, state.weight_decay,
+                                state.first_moment.copy(), state.second_moment.copy(),
+                                state.step)
     for step_mask in (mask, mask, None, mask):
         grads = signed_gradient(rng, merged)
         optimizer_step_and_reset(merged, grads, state, mask=step_mask)
@@ -280,7 +278,7 @@ def test_a_mask_of_another_size_is_a_dimension_error():
     merged = one_site_set()
     other = MergedAdapterSet([SiteFactors("q", np.ones((1, 3)), np.ones((2, 1)))])
     mask = build_mask(other, 0.5, ImportanceScale(1.0))
-    state = init_optimizer(merged)
+    state = init_optimizer(merged, LR, DECAY)
     grads = grads_for(merged, {1: [[1.0, 1.0]], 2: [[1.0], [1.0]]})
     before = merged.flat.tobytes()
     with pytest.raises(DimensionError):

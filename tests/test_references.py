@@ -1,5 +1,6 @@
 """Every module-level function, class and upper-case constant of the
-package has a use outside the tests.
+package, and every method and property of its classes other than the
+dunders, has a use outside the tests.
 
 A name is used when code other than its own definition mentions it: a
 package module, a demo, or the benchmark, whose binding tables name package
@@ -15,16 +16,28 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _defined(tree: ast.Module) -> dict[str, ast.stmt]:
-    """Module-level defs, classes and upper-case constants -> their node."""
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _defined(tree: ast.Module) -> dict[str, tuple[str, ast.stmt]]:
+    """Qualified name -> (bare name, node) for the module-level defs, classes
+    and upper-case constants, and for each class's non-dunder methods and
+    properties (`Class.name`)."""
     names = {}
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names[node.name] = node
+        if isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
+            names[node.name] = (node.name, node)
+        if isinstance(node, ast.ClassDef):
+            names.update(
+                (f"{node.name}.{item.name}", (item.name, item))
+                for item in node.body
+                if isinstance(item, _FUNCTIONS)
+                and not (item.name.startswith("__") and item.name.endswith("__"))
+            )
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.update(
-                (t.id, node) for t in targets if isinstance(t, ast.Name) and t.id.isupper()
+                (t.id, (t.id, node)) for t in targets if isinstance(t, ast.Name) and t.id.isupper()
             )
     return names
 
@@ -49,7 +62,8 @@ def _mentions(tree: ast.AST, skip: ast.AST | None = None, strings: bool = False)
 
 
 def _unused(package: dict[str, str], outside: list[str]) -> list[str]:
-    """`module.name` for each defined name no other code mentions.
+    """`module.name` (or `module.Class.name`) for each defined name no other
+    code mentions.
 
     `package` maps module names to their source; `outside` holds the
     sources of the demos and the benchmark.
@@ -63,9 +77,9 @@ def _unused(package: dict[str, str], outside: list[str]) -> list[str]:
         elsewhere = mentioned.union(
             *(_mentions(t) for m, t in trees.items() if m != mod)
         )
-        for name, node in _defined(tree).items():
+        for qualified, (name, node) in _defined(tree).items():
             if name not in elsewhere and name not in _mentions(tree, skip=node):
-                unused.append(f"{mod}.{name}")
+                unused.append(f"{mod}.{qualified}")
     return sorted(unused)
 
 
@@ -95,3 +109,22 @@ def test_a_name_only_tests_use_is_caught():
     }
     bench = "TABLE = {'layer': [('a', 'TRACED')]}\n"
     assert _unused(package, [bench]) == ["a.only_tests", "a.recursive"]
+
+
+def test_a_method_only_tests_use_is_caught():
+    package = {
+        "a": (
+            "class Box:\n"
+            "    def __init__(self):\n        self.n = self.size\n"
+            "    def used(self):\n        return self.helper()\n"
+            "    def helper(self):\n        return 1\n"
+            "    def only_tests(self):\n        pass\n"
+            "    @property\n    def size(self):\n        return 1\n"
+            "    @property\n    def traced(self):\n        return 2\n"
+            "    @property\n    def unread(self):\n        return 3\n"
+            "    def __len__(self):\n        return 0\n"
+        ),
+        "b": "from .a import Box\nBox().used()\n",
+    }
+    bench = "TABLE = {'layer': [('a', 'Box.traced')]}\n"
+    assert _unused(package, [bench]) == ["a.Box.only_tests", "a.Box.unread"]

@@ -156,8 +156,9 @@ def test_model_forward_of_a_masked_merge_matches_the_dense_masked_update():
     x = data.dev.x[:5]
     expected = 0.0
     for i, s in enumerate(merged.sites):
-        keep_a = mask.per_tensor[2 * i + 1].reshape(s.a.shape)
-        keep_b = mask.per_tensor[2 * i + 2].reshape(s.b.shape)
+        lo, mid, hi = mask.offsets[2 * i:2 * i + 3]
+        keep_a = mask.keep[lo:mid].reshape(s.a.shape)
+        keep_b = mask.keep[mid:hi].reshape(s.b.shape)
         dense = data.backbone.site(s.site_id) + (s.b * keep_b) @ (s.a * keep_a)
         expected = expected + x @ dense.T
     got = model_forward(data.backbone, mask_apply(merged, mask), x)
@@ -181,10 +182,11 @@ def test_analytic_gradients_match_central_finite_differences():
     x, y = data.target_train.x[:8], data.target_train.y[:8]
     _, grads = loss_and_gradients(data.backbone, merged, x, y)
 
-    tensors = merged.tensors()
+    tensors, grad_views = merged.tensors(), grads.tensors()
     h = 1e-6
     for _ in range(10):
-        tid, _sid, _fac, arr = tensors[rng.integers(len(tensors))]
+        ti = rng.integers(len(tensors))
+        _tid, _sid, _fac, arr = tensors[ti]
         i = int(rng.integers(arr.shape[0]))
         j = int(rng.integers(arr.shape[1]))
         orig = arr[i, j]
@@ -194,7 +196,7 @@ def test_analytic_gradients_match_central_finite_differences():
         down = mse_loss(model_forward(data.backbone, merged, x), y)
         arr[i, j] = orig
         fd = (up - down) / (2 * h)
-        rel = abs(grads[tid][i, j] - fd) / max(abs(fd), 1e-12)
+        rel = abs(grad_views[ti][3][i, j] - fd) / max(abs(fd), 1e-12)
         assert rel < 1e-4
 
 

@@ -28,7 +28,6 @@ from policyprune.errors import ProbePurityError, RewardError, TrainingDivergedEr
 from policyprune.masking import (
     ImportanceScale,
     SparsityMask,
-    TensorMaskStats,
     build_mask,
     estimate_scale,
     importance_scores,
@@ -209,7 +208,7 @@ def _probe_env(seed=11, p_init=0.40):
     mask = build_mask(merged, p_init, scale)
     work = merged.copy()
     mask_apply_inplace(work, mask)
-    opt = init_optimizer(work, cfg.optimizer_config())
+    opt = init_optimizer(work, cfg.learning_rate, cfg.weight_decay)
     env = MaskedTrainingEnv(
         backbone=data.backbone,
         merged=work,
@@ -285,7 +284,7 @@ def test_probe_rewards_equal_the_matmul_reference_bit_for_bit():
     data, env = _probe_env()
     assert env.baseline_reward() == _probe_order_reward(data, env.merged)
     # at p = 0.01 every tensor prunes floor(0.01 * d) = 0 entries
-    assert all(st.k == 0 for st in build_mask(env.merged, 0.01, env.scale).stats.values())
+    assert all(k == 0 for k, _tau in build_mask(env.merged, 0.01, env.scale).thresholds)
     for p in (0.01, 0.15, 0.45, 0.70):
         probed = env.merged.copy()
         probed.flat *= build_mask(env.merged, p, env.scale).keep
@@ -326,7 +325,7 @@ def _underflow_env():
     scale = ImportanceScale(0.5)
     env = MaskedTrainingEnv(
         backbone=backbone, merged=merged, microdev=microdev, scale=scale,
-        opt_state=init_optimizer(merged, TrainConfig().optimizer_config()),
+        opt_state=init_optimizer(merged, TrainConfig().learning_rate, TrainConfig().weight_decay),
         mask=build_mask(merged, 0.0, scale),
     )
     return SimpleNamespace(backbone=backbone, microdev=microdev), env
@@ -339,7 +338,7 @@ def test_probe_that_prunes_an_underflowing_weight_is_evaluated():
     baseline = env.baseline_reward()
     trial = build_mask(merged, 0.5, scale)
     # every tau is 0.0 at p = 0.5, yet the mask prunes the nonzero A entry
-    assert all(st.tau == 0.0 for st in trial.stats.values())
+    assert all(tau == 0.0 for _k, tau in trial.thresholds)
     probed = mask_apply(merged, trial)
     assert probed.flat[0] == 0.0 != merged.flat[0]
     reference = reward_from_loss(microdev_loss(backbone, probed, microdev))
@@ -417,7 +416,8 @@ def _clone(env, cls=MaskedTrainingEnv):
     return cls(
         backbone=env.backbone, merged=env.merged.copy(), microdev=env.microdev,
         scale=env.scale, mask=env.mask,
-        opt_state=OptimizerState(opt.config, opt.first_moment.copy(), opt.second_moment.copy()),
+        opt_state=OptimizerState(opt.learning_rate, opt.weight_decay,
+                                 opt.first_moment.copy(), opt.second_moment.copy()),
     )
 
 
@@ -426,9 +426,9 @@ def test_zero_count_thresholds_equal_a_fresh_sort(make_env):
     """At every boundary ratio, the (k, tau) `_thresholds` gives (off the
     zero counts or off the round's one sort) are `sorted_threshold`'s on a
     fresh sort, bit for bit (repr tells -0.0 from 0.0 and matches NaN), and
-    the keep bits and stats of the mask built from them, and of a commit's
-    mask, are `build_mask`'s. Masks built earlier in the round leave the
-    next one intact."""
+    the keep bits, thresholds and kept counts of the mask built from them,
+    and of a commit's mask, are `build_mask`'s. Masks built earlier in the
+    round leave the next one intact."""
     _, env = make_env()
     flat, offs = env.merged.flat, env.merged.offsets
     scores = importance_scores(flat, env.scale)
@@ -442,19 +442,21 @@ def test_zero_count_thresholds_equal_a_fresh_sort(make_env):
         live.commit(p)
         thresholds = env._thresholds(p, env._prunes_only_zeros(p))
         for mask in (SparsityMask(p, env._scores, offs, thresholds), live.mask):
-            assert repr([(st.k, st.tau) for st in mask.stats.values()]) == expected, p
+            assert repr(mask.thresholds) == expected, p
             np.testing.assert_array_equal(mask.keep, ref.keep)
-            assert repr(mask.stats) == repr(ref.stats), p
+            assert repr(mask.thresholds) == repr(ref.thresholds), p
+            assert mask.kept == ref.kept, p
     if make_env is _ratcheted_env:
         assert zero_path > 0  # the zero counts answered some ratios
     else:
         assert zero_path == 0  # the guard fails: every ratio reads the sort
 
 
-def test_lazy_mask_stats_equal_a_per_tensor_count_loop():
-    """Masks from a phase start, a zero-count commit and a sorted commit
-    build no stats until read; read, each tensor's record counts its keep
-    bits and carries the mask's (k, tau)."""
+def test_lazy_mask_kept_counts_equal_a_per_tensor_count_loop():
+    """Masks from a phase start, a relabelled zero-count commit and a sorted
+    commit: a full commit's mask counts nothing until its counts are read, a
+    relabelled one shares its source's, and each tensor's count is the
+    number of its keep bits."""
     data, env = _probe_env(p_init=0.60)
     masks = {"phase start": env.mask}
     x, y = data.target_train.x, data.target_train.y
@@ -467,21 +469,21 @@ def test_lazy_mask_stats_equal_a_per_tensor_count_loop():
         env.commit(p)
         masks[name] = env.mask
     offs = env.merged.offsets
+    assert "kept" not in vars(masks["sorted commit"])
+    assert masks["zero-count commit"].keep is masks["phase start"].keep
+    assert masks["zero-count commit"].kept is masks["phase start"].kept
     for name, mask in masks.items():
-        assert "stats" not in vars(mask), name
-        assert list(mask.stats) == list(range(1, len(offs))), name
-        for tid, st in mask.stats.items():
-            lo, hi = offs[tid - 1], offs[tid]
-            kept = np.count_nonzero(mask.keep[lo:hi])
-            assert (st.tensor_id, st.d, (st.k, st.tau)) == (tid, hi - lo, mask.thresholds[tid - 1])
-            assert st.fraction == (st.d - kept) / st.d, name
+        assert len(mask.thresholds) == len(mask.kept) == len(offs) - 1, name
+        for tid, (lo, hi) in enumerate(zip(offs, offs[1:]), start=1):
+            assert mask.kept[tid - 1] == np.count_nonzero(mask.keep[lo:hi]), name
 
 
 def test_float_keep_bits_give_the_bytes_of_integer_keep_bits():
     """Keep bits are float64 0.0/1.0: equal to the score-above-tau compare
     for masks from `build_mask`, a zero-count commit and a sorted commit,
-    and a mask apply, `newly_pruned`, the stats, the per-tensor views and the
-    overall fraction give what 0/1 uint8 keep bits gave."""
+    and a mask apply, `newly_pruned`, the kept counts, the per-tensor
+    fractions and the overall fraction give what 0/1 uint8 keep bits
+    gave."""
     data, env = _probe_env(p_init=0.60)
     x, y = data.target_train.x, data.target_train.y
     for i in range(3):
@@ -513,12 +515,9 @@ def test_float_keep_bits_give_the_bytes_of_integer_keep_bits():
         mask_apply_inplace(merged, mask)
         assert merged.flat.tobytes() == (arena * ref + 0.0).tobytes()
         kept = np.add.reduceat(ref, offs[:-1]).tolist()
-        for tid, (lo, hi) in enumerate(zip(offs, offs[1:]), start=1):
-            k, tau = mask.thresholds[tid - 1]
-            d = hi - lo
-            assert repr(mask.stats[tid]) == repr(
-                TensorMaskStats(tid, d, k, tau, (d - kept[tid - 1]) / d))
-            assert np.array_equal(mask.per_tensor[tid], ref[lo:hi])
+        assert mask.kept == kept
+        for d, got, want in zip(np.diff(offs).tolist(), mask.kept, kept):
+            assert repr((d - got) / d) == repr((d - want) / d)
         assert mask.overall_fraction() == (ref.size - np.count_nonzero(ref)) / ref.size
         if previous is not None:
             old_mask, old_ref = previous
@@ -541,15 +540,15 @@ class _FullCommitEnv(MaskedTrainingEnv):
 
 
 def _assert_same_state(env, twin):
-    """Keep bits, arena, both moments, ratio, thresholds and stats agree bit
-    for bit (repr tells -0.0 from 0.0 and matches NaN)."""
+    """Keep bits, arena, both moments, ratio, thresholds and kept counts
+    agree bit for bit (repr tells -0.0 from 0.0 and matches NaN)."""
     assert env.mask.keep.tobytes() == twin.mask.keep.tobytes()
     assert env.checksum() == twin.checksum()
     for name in ("first_moment", "second_moment"):
         assert getattr(env.opt_state, name).tobytes() == getattr(twin.opt_state, name).tobytes()
     assert env.mask.ratio == twin.mask.ratio
     assert repr(env.mask.thresholds) == repr(twin.mask.thresholds)
-    assert repr(env.mask.stats) == repr(twin.mask.stats)
+    assert repr(env.mask.kept) == repr(twin.mask.kept)
 
 
 def test_relabelled_commits_equal_full_commits_at_probe_heavy_settings():
@@ -796,7 +795,8 @@ def test_commit_equals_build_mask_apply_and_reset_at_the_same_ratio():
         env.candidate_reward(0.50)  # a round's probes fill its sort first
         ref = env.merged.copy()
         ref_opt = OptimizerState(
-            env.opt_state.config,
+            env.opt_state.learning_rate,
+            env.opt_state.weight_decay,
             env.opt_state.first_moment.copy(),
             env.opt_state.second_moment.copy(),
         )
@@ -807,7 +807,8 @@ def test_commit_equals_build_mask_apply_and_reset_at_the_same_ratio():
 
         env.commit(p_new)
         np.testing.assert_array_equal(env.mask.keep, ref_mask.keep)
-        assert env.mask.stats == ref_mask.stats
+        assert env.mask.thresholds == ref_mask.thresholds
+        assert env.mask.kept == ref_mask.kept
         assert env.mask.ratio == ref_mask.ratio
         assert env.merged.checksum() == ref.checksum()
         np.testing.assert_array_equal(env.opt_state.first_moment, ref_opt.first_moment)
@@ -841,9 +842,7 @@ def test_policy_learning_invariants_and_round_bookkeeping():
     assert audit_records(pol.records, ccfg) == []
     assert ccfg.p_min <= pol.p_star <= ccfg.p_max
     # the committed mask is enforced at the end of the phase
-    for tid, _sid, _fac, arr in pol.merged.tensors():
-        pruned = pol.mask.per_tensor[tid] == 0
-        assert not arr.reshape(-1)[pruned].any()
+    assert not pol.merged.flat[pol.mask.keep == 0].any()
 
 
 def test_policy_learning_requires_at_least_one_round():
@@ -880,9 +879,7 @@ def test_final_run_keeps_one_fixed_mask_and_improves_dev():
     )
     assert merged_init.checksum() == frozen
     assert fin.mask.ratio == 0.30
-    for tid, _sid, _fac, arr in fin.merged.tensors():
-        pruned = fin.mask.per_tensor[tid] == 0
-        assert not arr.reshape(-1)[pruned].any()
+    assert not fin.merged.flat[fin.mask.keep == 0].any()
     assert fin.dev_history[0] == pytest.approx(
         microdev_loss(
             data.backbone, mask_apply(merged_init, fin.mask), data.dev
