@@ -16,7 +16,7 @@ Run it:  python3 demos/merge_and_prune.py
 import numpy as np
 
 from policyprune.adapters import merge_adapter_sets
-from policyprune.masking import build_mask, estimate_scale, mask_apply
+from policyprune.masking import build_mask, estimate_scale, mask_apply_inplace
 from policyprune.toytask import ToyTaskConfig, gen_toy_data, model_forward, mse_loss
 from policyprune.training import LoraConfig, TrainConfig, microdev_loss, train_adapter, pipeline_rngs
 
@@ -70,6 +70,7 @@ print("\nnesting violations (coordinates pruned at 30% but kept at 50%):", viola
 print("\nmicro-dev loss of the merge, pruned and not retrained:")
 print(f"  p=0.0 : {microdev_loss(data.backbone, merged, data.microdev):.5f}")
 for p in (0.2, 0.4, 0.6, 0.8):
-    pruned = mask_apply(merged, build_mask(merged, p, scale))
+    pruned = merged.copy()
+    mask_apply_inplace(pruned, build_mask(merged, p, scale))
     print(f"  p={p} : {microdev_loss(data.backbone, pruned, data.microdev):.5f}")
 print("\n(retraining after the single prune is phase 3; see full_pipeline.py)")

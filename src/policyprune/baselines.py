@@ -273,7 +273,6 @@ class EfficiencyComparison:
     grid: RuntimeReport
     step_speedup: float
     p_star: float
-    best_grid_p: float
 
 
 def compare_efficiency(
@@ -337,7 +336,6 @@ def compare_efficiency(
         grid=_runtime_report("grid", len(grid.ratios), grid_steps, grid_seconds, t_grid),
         step_speedup=grid_steps / grasp_steps,
         p_star=policy.p_star,
-        best_grid_p=outcome.best_p,
     )
 
 

@@ -134,11 +134,17 @@ def _read_manifest(root: Path, command: str) -> dict:
         )
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise StorageError(f"malformed manifest {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise StorageError(f"manifest {path} is not a JSON object")
     for key in ("phase", "seed", "config_hash", "files"):
         if key not in data:
             raise StorageError(f"manifest {path} is missing the {key!r} field")
+    if not isinstance(data["files"], dict) or type(data["seed"]) is not int:
+        raise StorageError(
+            f"manifest {path} needs an object of files and an integer seed"
+        )
     return data
 
 
@@ -170,7 +176,7 @@ def _verified_parent(root: Path, command: str, name: str, chash: str):
             f"(file corrupted or edited); rerun {command}"
         )
     parent = {"path": f"{PHASE_DIRS[command]}/{name}", "sha256": actual}
-    return path, int(man["seed"]), parent
+    return path, man["seed"], parent
 
 
 def _load_parent_checkpoint(root: Path, chash: str):

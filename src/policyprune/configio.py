@@ -220,6 +220,8 @@ def load_run_config(
             text = p.read_text(encoding="utf-8")
         except OSError as exc:
             raise StorageError(f"cannot read config file {p}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"config file {p} is not UTF-8 text: {exc}") from exc
         cfg = apply_ini(cfg, text)
     if seed is not None:
         cfg = dataclasses.replace(cfg, seeds=(int(seed),))

@@ -105,6 +105,15 @@ def _read_exact(f, n: int, what: str, size: int) -> bytes:
     return data
 
 
+def _read_text(f, n: int, what: str, size: int) -> str:
+    """`_read_exact`'s n bytes decoded as UTF-8; bytes that do not decode
+    are a storage error."""
+    try:
+        return _read_exact(f, n, what, size).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise StorageError(f"malformed container: {what} is not UTF-8 ({exc})") from exc
+
+
 def read_container(path) -> tuple[ContainerHeader, list[tuple[str, np.ndarray]]]:
     try:
         f = open(path, "rb")
@@ -116,13 +125,11 @@ def read_container(path) -> tuple[ContainerHeader, list[tuple[str, np.ndarray]]]
         if magic != MAGIC:
             raise StorageError(f"{path} is not an adapter container (bad magic)")
         (header_len,) = struct.unpack("<Q", _read_exact(f, 8, "header length", size))
-        header = ContainerHeader.from_json(
-            _read_exact(f, header_len, "header", size).decode("utf-8")
-        )
+        header = ContainerHeader.from_json(_read_text(f, header_len, "header", size))
         tensors = []
         for expect_name in header.tensor_names:
             (name_len,) = struct.unpack("<I", _read_exact(f, 4, "name length", size))
-            name = _read_exact(f, name_len, "tensor name", size).decode("utf-8")
+            name = _read_text(f, name_len, "tensor name", size)
             if name != expect_name:
                 raise StorageError(
                     f"container record order mismatch: header says "

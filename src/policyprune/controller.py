@@ -424,13 +424,13 @@ def append_round_log(path, record: ControllerRecord) -> None:
 def read_round_log(path) -> list[ControllerRecord]:
     records = []
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             for line in f:
                 line = line.strip()
                 if line:
                     records.append(ControllerRecord.from_obj(json.loads(line)))
     except OSError as exc:
         raise StorageError(f"cannot read round log {path}: {exc}") from exc
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise StorageError(f"malformed round log {path}: {exc}") from exc
     return records

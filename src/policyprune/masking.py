@@ -6,12 +6,13 @@ prune ratio p, each tensor prunes its k_t = floor(p * d_t) least important
 entries by thresholding at the k_t-th smallest score; ties at the threshold
 are all pruned, so the realized fraction can slightly exceed the target.
 
-A mask's keep bits are float64 0.0/1.0 laid out like the adapter arena, so
+A mask is its keep bits: float64 0.0/1.0 laid out like the adapter arena, so
 the per-step multiplies (gradient coefficients and parameters) are float by
 float, with no cast, and give the bits a 0/1 integer mask would. They are
 read-only once built: the optimizer folds them into coefficients it keeps
-per keep array, so a mask's bits must never change under it. A relabelled
-mask (`SparsityMask.relabel`) shares its source's keep array.
+per keep array, so a mask's bits must never change under it. The ratio a
+mask was built at lives with its caller (the controller's `p_curr`, the
+round log, `p_star`), not in the mask.
 """
 
 from __future__ import annotations
@@ -101,36 +102,21 @@ def keep_above(
 
 
 class SparsityMask:
-    """Float64 keep bits (1.0 keeps, 0.0 prunes) at prune ratio `ratio`.
+    """Float64 keep bits (1.0 keeps, 0.0 prunes) over an adapter arena.
 
-    Built from importance scores laid out like `MergedAdapterSet.flat`, that
-    arena's tensor `offsets`, and each tensor's (k, tau) from
-    `prune_threshold` or `sorted_threshold`: `keep` is one float64 vector of
-    0.0/1.0 keep bits, the scores above their tensor's tau, read-only once
-    built (or a prebuilt read-only `keep` holding exactly those bits).
-    Tensor t (1-based) holds the d_t bits ``keep[offsets[t-1]:offsets[t]]``;
-    ``thresholds[t-1]`` is its (k, tau) and ``kept[t-1]`` its kept count
-    (built the first time it is read), so it prunes d_t - kept entries, a
-    fraction (d_t - kept) / d_t. Tensors are in id order.
+    `keep` is one float64 vector of 0.0/1.0 keep bits laid out like
+    `MergedAdapterSet.flat` (for instance `keep_above` of its scores), made
+    read-only here; `offsets` are that arena's tensor offsets. Tensor t
+    (1-based) holds the d_t bits ``keep[offsets[t-1]:offsets[t]]`` and
+    ``kept[t-1]`` is its kept count (built the first time it is read), so it
+    prunes d_t - kept entries, a fraction (d_t - kept) / d_t. Tensors are in
+    id order.
     """
 
-    def __init__(self, ratio: float, scores: np.ndarray | None, offsets,
-                 thresholds: list[tuple[int, float]], *, keep: np.ndarray | None = None):
-        self.ratio = float(ratio)
-        if keep is None:
-            keep = keep_above(scores, offsets, thresholds)
-            keep.setflags(write=False)
+    def __init__(self, keep: np.ndarray, offsets):
+        keep.setflags(write=False)
         self.keep = keep
         self.offsets = offsets
-        self.thresholds = thresholds
-
-    def relabel(self, ratio: float, thresholds: list[tuple[int, float]]) -> SparsityMask:
-        """A mask at `ratio` with these (k, tau) and this mask's keep bits:
-        the same read-only `keep` array and its kept counts. For a caller
-        that knows the thresholds select exactly these bits."""
-        new = SparsityMask(ratio, None, self.offsets, thresholds, keep=self.keep)
-        new.kept = self.kept
-        return new
 
     @cached_property
     def kept(self) -> list[float]:
@@ -146,14 +132,7 @@ def build_mask(merged: MergedAdapterSet, p: float, scale: ImportanceScale) -> Sp
     scores = importance_scores(merged.flat, scale)
     offs = merged.offsets
     thresholds = [prune_threshold(scores[lo:hi], p) for lo, hi in zip(offs, offs[1:])]
-    return SparsityMask(p, scores, offs, thresholds)
-
-
-def mask_apply(merged: MergedAdapterSet, mask: SparsityMask) -> MergedAdapterSet:
-    """Return a copy with pruned coordinates exactly zero, kept ones unchanged."""
-    out = merged.copy()
-    mask_apply_inplace(out, mask)
-    return out
+    return SparsityMask(keep_above(scores, offs, thresholds), offs)
 
 
 _ZERO = np.zeros(())  # the re-zero's +0.0, a 0-d operand built once
@@ -161,7 +140,7 @@ _ZERO.setflags(write=False)
 
 
 def mask_apply_inplace(merged: MergedAdapterSet, mask: SparsityMask) -> None:
-    """Zero pruned coordinates in place (the per-step reapplication path)."""
+    """Zero pruned coordinates in place, kept ones unchanged."""
     flat = merged.flat
     if mask.keep.size != flat.size:
         raise DimensionError(

@@ -12,8 +12,8 @@ than Python floats and round the same), outputs are passed positionally, and
 a mask's keep bits are folded into the moment coefficients keep*(1 - beta1)
 and keep*(1 - beta2): a masked step is the dense step's ufunc sequence with
 vector coefficients in place of the scalars. The coefficients are keyed on
-the read-only keep array they fold, not on the mask object, so a mask that
-shares its predecessor's keep array (a relabelled commit) reuses them.
+the read-only keep array they fold, so they are rebuilt only when a commit
+installs a new mask; a commit that keeps the live mask reuses them.
 
 No bit changes. Keep bits are exactly 0.0 or 1.0 and the coefficients are
 positive, so g*(k*c) is (g*k)*c (for k = 0, a zero of the sign of g) and
@@ -76,7 +76,8 @@ class OptimizerState:
     def coefficients(self, mask: SparsityMask | None) -> tuple[np.ndarray, np.ndarray]:
         """keep * (1 - beta1) and keep * (1 - beta2) under `mask`, rebuilt
         only when a different keep array arrives (a mask's `keep` is
-        read-only); 1 - beta1 and 1 - beta2 under no mask."""
+        read-only, so the same array means the same bits); 1 - beta1 and
+        1 - beta2 under no mask."""
         keep = None if mask is None else mask.keep
         if keep is not self._folded[0]:
             c1, c2 = self._consts[2:4]

@@ -305,13 +305,14 @@ class MaskedTrainingEnv:
     Invariant: the arena is masked, with every zero +0.0. The caller masks
     it before construction (`_masked_start`), and each commit and masked
     step re-applies the mask, which normalizes zeros. So the live pruned
-    set lies inside the zero set, and a commit to a zero-only ratio keeps
+    set lies inside the zero set, and a commit to a zero-only ratio selects
     the live bits when each tensor's live kept count is its nonzero count
     where floor(p*d_t) > 0 (equal counts make the sets equal) and d_t where
-    it is 0. Such a commit is relabelled (`SparsityMask.relabel`: new ratio
-    and thresholds, the live read-only keep array) and skips the mask
-    apply, the newly-pruned set and the moment reset, which would change
-    no bit. Every other commit takes the full path.
+    it is 0. Such a commit keeps the live mask: the mask apply, the
+    newly-pruned set and the moment reset would change no bit, and the
+    optimizer keeps the coefficients it folded from the live keep array.
+    Every other commit builds its mask from a fresh `keep_above` array,
+    applies it and clears the moments of the newly pruned coordinates.
     """
 
     backbone: FrozenBackbone
@@ -320,7 +321,6 @@ class MaskedTrainingEnv:
     scale: ImportanceScale
     opt_state: OptimizerState
     mask: SparsityMask
-    commits: int = 0
 
     def __post_init__(self):
         # The backbone term of the micro-dev forward never changes (frozen
@@ -412,18 +412,16 @@ class MaskedTrainingEnv:
     def commit(self, p_new: float) -> None:
         zero_only = self._prunes_only_zeros(p_new)
         thresholds = self._thresholds(p_new, zero_only)
-        if zero_only and all(
-            kept == (n if k else d) for kept, n, d, (k, _tau)
+        if not zero_only or any(
+            kept != (n if k else d) for kept, n, d, (k, _tau)
             in zip(self.mask.kept, self._nonzero, self._sizes, thresholds)
         ):
-            self.mask = self.mask.relabel(p_new, thresholds)
-        else:
-            new_mask = SparsityMask(p_new, self._scores, self.merged.offsets, thresholds)
+            offs = self.merged.offsets
+            new_mask = SparsityMask(keep_above(self._scores, offs, thresholds), offs)
             newly = newly_pruned(self.mask, new_mask)
             mask_apply_inplace(self.merged, new_mask)
             reset_moments(self.opt_state, newly)
             self.mask = new_mask
-        self.commits += 1
         self.begin_round()
 
     def checksum(self) -> bytes:
@@ -438,11 +436,14 @@ class PolicyLearningResult:
     merged: MergedAdapterSet  # end-of-phase parameters, diagnostics only
     mask: SparsityMask
     step_losses: list[float]
-    commits: int
 
     @property
     def steps_run(self) -> int:
         return len(self.step_losses)
+
+    @property
+    def commits(self) -> int:
+        return sum(rec.committed for rec in self.records)
 
 
 def _masked_start(
@@ -526,7 +527,6 @@ def sparsity_policy_learning(
         merged=merged,
         mask=env.mask,
         step_losses=losses,
-        commits=env.commits,
     )
 
 

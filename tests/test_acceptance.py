@@ -436,7 +436,10 @@ def test_criterion_08_two_runs_beat_the_grid_budget():
     assert comp.grasp.run_count == 2
     assert comp.grid.run_count == 8
     assert comp.step_speedup == 4.0  # 8 equal-budget runs over 2, exactly
-    assert comp.grasp.speedup >= 3.0
+    assert comp.grasp.speedup >= 3.0, "; ".join(
+        f"{rep.method}: best {rep.seconds:.3f}s, median {rep.median_seconds:.3f}s, "
+        f"spread {rep.spread_seconds:.3f}s" for rep in (comp.grasp, comp.grid)
+    )
     assert "3.90× to 7.45×" in format_runtime_table(comp)
     assert elapsed < 300.0
     print(

@@ -279,6 +279,38 @@ def test_corrupted_parent_checkpoint_is_a_storage_error(fresh, capsys):
     assert "does not match" in capsys.readouterr().err
 
 
+_MALFORMED_MANIFESTS = {
+    "not-utf8": lambda man: b'{"phase": "train-adapters \xff"}',
+    "number": lambda man: b"5",
+    "null": lambda man: b"null",
+    "files-a-list": lambda man: json.dumps({**man, "files": list(man["files"])}).encode(),
+    "seed-none": lambda man: json.dumps({**man, "seed": None}).encode(),
+    "seed-a-word": lambda man: json.dumps({**man, "seed": "seven"}).encode(),
+}
+
+
+@pytest.mark.parametrize("defect", list(_MALFORMED_MANIFESTS))
+def test_a_malformed_parent_manifest_is_a_storage_error(chain, capsys, tmp_path, defect):
+    ini, src_out = chain
+    out = tmp_path / "out"
+    shutil.copytree(src_out / "adapters", out / "adapters")
+    path = out / "adapters" / "manifest.json"
+    path.write_bytes(_MALFORMED_MANIFESTS[defect](read_json(path)))
+    assert run_cli("controller", "--config", str(ini), "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err and "manifest" in err
+    assert not (out / "controller").exists()
+
+
+def test_a_config_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    ini = tmp_path / "latin1.ini"
+    ini.write_bytes(SMALL_INI.replace("[run]", "# caf\xe9\n[run]").encode("latin-1"))
+    out = tmp_path / "out"
+    assert run_cli("train-adapters", "--config", str(ini), "--out", str(out)) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_finalize_p_star_flag_overrides_the_file(chain, tmp_path):
     ini, src_out = chain
     # reuse the finished adapters+controller phases in a copy we may mutate

@@ -135,6 +135,22 @@ def test_header_with_a_mistyped_field_is_a_storage_error(tmp_path):
         read_container(path)
 
 
+@pytest.mark.parametrize("field", ["header", "tensor name"])
+def test_bytes_that_are_not_utf8_are_storage_errors(tmp_path, field):
+    names = ["q.A"] if field == "header" else ["q.\u00e9"]
+    head = ContainerHeader(kind="merged", sites=["q"], ranks={"q": 2}, alphas={"q": 2.0},
+                           tensor_names=names).to_json().encode("utf-8")
+    name = "q.\u00e9".encode("latin-1")  # a lone 0xe9 byte does not decode
+    if field == "header":
+        head = head.replace(b"q.A", name)
+    blob = (MAGIC + struct.pack("<Q", len(head)) + head + struct.pack("<I", len(name)) + name
+            + struct.pack("<II", 1, 1) + b"\0" * 8)
+    path = tmp_path / "latin1.ckpt"
+    path.write_bytes(blob)
+    with pytest.raises(StorageError, match=f"{field} is not UTF-8"):
+        read_container(path)
+
+
 @pytest.mark.parametrize("claim", ["header_length", "tensor_shape"])
 def test_lengths_larger_than_the_file_are_storage_errors(tmp_path, claim):
     """Lengths are checked against the bytes left in the file before any

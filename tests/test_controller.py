@@ -617,6 +617,14 @@ def test_round_log_json_round_trip(tmp_path):
         read_round_log(short)
 
 
+@pytest.mark.parametrize("tail", [b"\xff\n", b'{"note": "caf\xe9"}\n'], ids=["lone-byte", "latin-1"])
+def test_a_round_log_line_that_is_not_utf8_is_a_storage_error(tmp_path, tail):
+    path = tmp_path / "rounds.jsonl"
+    path.write_bytes(canonical_json_line(_logged_records(1)[0].to_obj()).encode() + tail)
+    with pytest.raises(StorageError, match="malformed round log"):
+        read_round_log(path)
+
+
 def _logged_records(n):
     env = ScriptedEnv(baseline=-1.0, reward_fn=lambda p: -1.0 - 0.1 * p)
     cfg = _cfg()

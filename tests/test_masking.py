@@ -11,7 +11,7 @@ from policyprune.masking import (
     estimate_scale,
     importance_scores,
     keep_above,
-    mask_apply,
+    mask_apply_inplace,
     newly_pruned,
     prune_threshold,
     sorted_threshold,
@@ -27,6 +27,20 @@ def _merged_from_flat(values):
 def _bits(mask, tid):
     """Tensor tid's keep bits: its slice of the mask's one keep vector."""
     return mask.keep[mask.offsets[tid - 1]:mask.offsets[tid]]
+
+
+def _tau(merged, tid, p):
+    """Tensor tid's (k, tau) at ratio p, as `build_mask` thresholds it at
+    scale 1."""
+    lo, hi = merged.offsets[tid - 1], merged.offsets[tid]
+    return prune_threshold(importance_scores(merged.flat, ImportanceScale(1.0))[lo:hi], p)
+
+
+def _applied(merged, mask):
+    """A copy of `merged` with the mask applied."""
+    out = merged.copy()
+    mask_apply_inplace(out, mask)
+    return out
 
 
 def test_estimate_scale_hand_value():
@@ -81,7 +95,7 @@ def test_build_mask_hand_value():
     merged = _merged_from_flat([0.1, 0.5, 0.3, 0.9])
     mask = build_mask(merged, 0.5, ImportanceScale(1.0))
     np.testing.assert_array_equal(_bits(mask, 1), [0, 1, 0, 1])
-    assert mask.thresholds[0] == (2, 0.3)
+    assert _tau(merged, 1, 0.5) == (2, 0.3)
     assert mask.kept[0] == 2.0
 
 
@@ -97,9 +111,10 @@ def test_keep_above_equals_the_per_tensor_compare():
         expected = np.concatenate(
             [scores[lo:hi] > tau for lo, hi, (_k, tau) in zip(offs, offs[1:], thresholds)]
         )
-        np.testing.assert_array_equal(keep_above(scores, offs, thresholds), expected)
-        mask = SparsityMask(p, scores, offs, thresholds)
-        assert mask.keep.dtype == np.float64
+        keep = keep_above(scores, offs, thresholds)
+        np.testing.assert_array_equal(keep, expected)
+        mask = SparsityMask(keep, offs)
+        assert mask.keep is keep and mask.keep.dtype == np.float64
         np.testing.assert_array_equal(mask.keep, expected)
 
 
@@ -115,6 +130,11 @@ def test_mask_keep_bits_are_read_only():
     with pytest.raises(ValueError):
         np.multiply(mask.keep, 2.0, mask.keep)
     np.testing.assert_array_equal(_bits(mask, 1), [0, 1, 0, 1])
+    # the constructor makes prebuilt bits read-only too
+    keep = np.ones(merged.flat.size)
+    SparsityMask(keep, merged.offsets)
+    with pytest.raises(ValueError):
+        keep[0] = 0.0
 
 
 def test_mask_thresholds_and_kept_counts_equal_the_per_tensor_loop():
@@ -127,8 +147,8 @@ def test_mask_thresholds_and_kept_counts_equal_the_per_tensor_loop():
     offs = merged.offsets
     for p in (0.0, 0.1, 0.3, 0.7, 1.0):
         thresholds = [prune_threshold(scores[lo:hi], p) for lo, hi in zip(offs, offs[1:])]
-        mask = SparsityMask(p, scores, offs, thresholds)
-        assert mask.offsets == offs and mask.thresholds == thresholds
+        mask = SparsityMask(keep_above(scores, offs, thresholds), offs)
+        assert mask.offsets == offs
         assert len(mask.kept) == len(offs) - 1
         for tid, (lo, hi) in enumerate(zip(offs, offs[1:]), start=1):
             bits = mask.keep[lo:hi]
@@ -141,7 +161,7 @@ def test_build_mask_ties_prune_all_tied_entries():
     mask = build_mask(merged, 0.25, ImportanceScale(1.0))
     # k=1 but both entries tied at tau=0.3 go
     np.testing.assert_array_equal(_bits(mask, 1), [0, 0, 1, 1])
-    assert mask.thresholds[0] == (1, 0.3)
+    assert _tau(merged, 1, 0.25) == (1, 0.3)
     assert (4 - mask.kept[0]) / 4 == 0.5
 
 
@@ -185,7 +205,7 @@ def test_realized_fraction_bounds():
         merged = _merged_from_flat(vals)
         p = float(rng.uniform(0.0, 1.0))
         mask = build_mask(merged, p, ImportanceScale(1.0))
-        (k, tau), d = mask.thresholds[0], vals.size
+        (k, tau), d = _tau(merged, 1, p), vals.size
         fraction = (d - mask.kept[0]) / d
         assert fraction >= k / d
         n_tied = int(np.sum(importance_scores(vals, ImportanceScale(1.0)) == tau))
@@ -198,8 +218,8 @@ def test_mask_apply_zeroes_exactly_and_is_idempotent():
         [SiteFactors("q", rng.normal(size=(2, 8)), rng.normal(size=(4, 2)))]
     )
     mask = build_mask(merged, 0.5, ImportanceScale(2.0))
-    once = mask_apply(merged, mask)
-    twice = mask_apply(once, mask)
+    once = _applied(merged, mask)
+    twice = _applied(once, mask)
     assert once.checksum() == twice.checksum()
     originals = {tid: arr.ravel() for tid, _, _, arr in merged.tensors()}
     for tid, _, _, arr in once.tensors():
@@ -215,10 +235,10 @@ def test_mask_apply_identity_and_annihilation():
         [SiteFactors("q", rng.normal(size=(2, 4)), rng.normal(size=(3, 2)))]
     )
     keep_all = build_mask(merged, 0.0, ImportanceScale(1.0))
-    same = mask_apply(merged, keep_all)
+    same = _applied(merged, keep_all)
     assert same.checksum() == merged.checksum()
     drop_all = build_mask(merged, 1.0, ImportanceScale(1.0))
-    gone = mask_apply(merged, drop_all)
+    gone = _applied(merged, drop_all)
     for _, _, _, arr in gone.tensors():
         assert np.all(arr == 0.0)
 
@@ -238,7 +258,7 @@ def test_rebuild_at_same_ratio_after_apply_is_stable():
     )
     scale = ImportanceScale(1.3)
     m1 = build_mask(merged, 0.45, scale)
-    applied = mask_apply(merged, m1)
+    applied = _applied(merged, m1)
     m2 = build_mask(applied, 0.45, scale)
     np.testing.assert_array_equal(m1.keep, m2.keep)
 

@@ -8,7 +8,7 @@ import pytest
 
 from policyprune.adapters import MergedAdapterSet, SiteFactors
 from policyprune.errors import DimensionError, TrainingDivergedError, UsageError
-from policyprune.masking import ImportanceScale, build_mask, mask_apply
+from policyprune.masking import ImportanceScale, build_mask, mask_apply_inplace
 from policyprune.toytask import (
     DataSplit,
     ToyTaskConfig,
@@ -161,7 +161,9 @@ def test_model_forward_of_a_masked_merge_matches_the_dense_masked_update():
         keep_b = mask.keep[mid:hi].reshape(s.b.shape)
         dense = data.backbone.site(s.site_id) + (s.b * keep_b) @ (s.a * keep_a)
         expected = expected + x @ dense.T
-    got = model_forward(data.backbone, mask_apply(merged, mask), x)
+    masked = merged.copy()
+    mask_apply_inplace(masked, mask)
+    got = model_forward(data.backbone, masked, x)
     np.testing.assert_allclose(got, expected, rtol=1e-12)
 
 
@@ -265,7 +267,8 @@ def _bad_input_sets(data):
     shrunk = random_adapter_set(data, 16, rng)
     for s in shrunk.sites:
         s.a[:, :12] *= 1e-9
-    masked = mask_apply(shrunk, build_mask(shrunk, 0.8, ImportanceScale(1.0)))
+    masked = shrunk.copy()
+    mask_apply_inplace(masked, build_mask(shrunk, 0.8, ImportanceScale(1.0)))
     assert all((s.a[:, :12] == 0.0).all() for s in masked.sites)
     assert not fresh.flat[fresh.offsets[1]:fresh.offsets[2]].any()  # site 1's B
     return {"stock": dense, "fresh": fresh, "masked": masked}

@@ -31,9 +31,10 @@ from policyprune.masking import (
     build_mask,
     estimate_scale,
     importance_scores,
-    mask_apply,
+    keep_above,
     mask_apply_inplace,
     newly_pruned,
+    prune_threshold,
     sorted_threshold,
 )
 from policyprune.optim import (
@@ -90,6 +91,19 @@ def _backbone_only(backbone, x):
 
 def _full_loss(backbone, merged, split):
     return mse_loss(model_forward(backbone, merged, split.x), split.y)
+
+
+def _thresholds(merged, p, scale):
+    """Each tensor's (k, tau) at ratio p, as `build_mask` thresholds it."""
+    scores, offs = importance_scores(merged.flat, scale), merged.offsets
+    return [prune_threshold(scores[lo:hi], p) for lo, hi in zip(offs, offs[1:])]
+
+
+def _applied(merged, mask):
+    """A copy of `merged` with the mask applied."""
+    out = merged.copy()
+    mask_apply_inplace(out, mask)
+    return out
 
 
 def test_step_budget_arithmetic():
@@ -222,7 +236,7 @@ def _probe_env(seed=11, p_init=0.40):
 
 def _reference_candidate_reward(data, env, p):
     trial = build_mask(env.merged, p, env.scale)
-    probed = mask_apply(env.merged, trial)
+    probed = _applied(env.merged, trial)
     return reward_from_loss(microdev_loss(data.backbone, probed, data.microdev))
 
 
@@ -266,6 +280,9 @@ def _probe_order_reward(data, merged):
     return -(float(np.add.reduce(diff * diff, axis=None)) / diff.size)
 
 
+RATCHETED_P = 0.30  # the ratio `_ratcheted_env` commits down to
+
+
 def _ratcheted_env():
     """After masked steps the pruned entries sit at exactly 0.0, so a
     downward commit releases none and the live sparsity stays above it."""
@@ -275,7 +292,7 @@ def _ratcheted_env():
         _, grads = loss_and_gradients(data.backbone, env.merged, x[i:i + 2], y[i:i + 2])
         optimizer_step_and_reset(env.merged, grads, env.opt_state, mask=env.mask)
     env.begin_round()
-    env.commit(0.30)
+    env.commit(RATCHETED_P)
     env.begin_round()
     return data, env
 
@@ -284,7 +301,7 @@ def test_probe_rewards_equal_the_matmul_reference_bit_for_bit():
     data, env = _probe_env()
     assert env.baseline_reward() == _probe_order_reward(data, env.merged)
     # at p = 0.01 every tensor prunes floor(0.01 * d) = 0 entries
-    assert all(k == 0 for k, _tau in build_mask(env.merged, 0.01, env.scale).thresholds)
+    assert all(k == 0 for k, _tau in _thresholds(env.merged, 0.01, env.scale))
     for p in (0.01, 0.15, 0.45, 0.70):
         probed = env.merged.copy()
         probed.flat *= build_mask(env.merged, p, env.scale).keep
@@ -292,7 +309,8 @@ def test_probe_rewards_equal_the_matmul_reference_bit_for_bit():
 
     data, env = _ratcheted_env()
     live = 1.0 - np.count_nonzero(env.merged.flat) / env.merged.flat.size
-    assert env.mask.ratio == 0.30 and live > 0.55
+    # the commit to 0.30 pruned only zeros, so the live sparsity stayed high
+    assert env._prunes_only_zeros(RATCHETED_P) and live > 0.55
     forwards = []
     probe_loss = env._probe_loss
 
@@ -338,8 +356,8 @@ def test_probe_that_prunes_an_underflowing_weight_is_evaluated():
     baseline = env.baseline_reward()
     trial = build_mask(merged, 0.5, scale)
     # every tau is 0.0 at p = 0.5, yet the mask prunes the nonzero A entry
-    assert all(tau == 0.0 for _k, tau in trial.thresholds)
-    probed = mask_apply(merged, trial)
+    assert all(tau == 0.0 for _k, tau in _thresholds(merged, 0.5, scale))
+    probed = _applied(merged, trial)
     assert probed.flat[0] == 0.0 != merged.flat[0]
     reference = reward_from_loss(microdev_loss(backbone, probed, microdev))
     assert env.candidate_reward(0.5) == reference
@@ -437,14 +455,14 @@ def test_zero_count_thresholds_equal_a_fresh_sort(make_env):
     for p in _boundary_ratios(env):
         expected = repr([sorted_threshold(srt, p) for srt in srts])
         ref = build_mask(env.merged, p, env.scale)
+        assert repr(_thresholds(env.merged, p, env.scale)) == expected, p
         zero_path += env._prunes_only_zeros(p)
         live = _clone(env)
         live.commit(p)
         thresholds = env._thresholds(p, env._prunes_only_zeros(p))
-        for mask in (SparsityMask(p, env._scores, offs, thresholds), live.mask):
-            assert repr(mask.thresholds) == expected, p
+        assert repr(thresholds) == expected, p
+        for mask in (SparsityMask(keep_above(env._scores, offs, thresholds), offs), live.mask):
             np.testing.assert_array_equal(mask.keep, ref.keep)
-            assert repr(mask.thresholds) == repr(ref.thresholds), p
             assert mask.kept == ref.kept, p
     if make_env is _ratcheted_env:
         assert zero_path > 0  # the zero counts answered some ratios
@@ -453,10 +471,10 @@ def test_zero_count_thresholds_equal_a_fresh_sort(make_env):
 
 
 def test_lazy_mask_kept_counts_equal_a_per_tensor_count_loop():
-    """Masks from a phase start, a relabelled zero-count commit and a sorted
-    commit: a full commit's mask counts nothing until its counts are read, a
-    relabelled one shares its source's, and each tensor's count is the
-    number of its keep bits."""
+    """Masks from a phase start, a zero-count commit that keeps the live
+    bits and a sorted commit: a full commit's mask counts nothing until its
+    counts are read, the zero-count commit keeps the phase-start mask, and
+    each tensor's count is the number of its keep bits."""
     data, env = _probe_env(p_init=0.60)
     masks = {"phase start": env.mask}
     x, y = data.target_train.x, data.target_train.y
@@ -470,10 +488,9 @@ def test_lazy_mask_kept_counts_equal_a_per_tensor_count_loop():
         masks[name] = env.mask
     offs = env.merged.offsets
     assert "kept" not in vars(masks["sorted commit"])
-    assert masks["zero-count commit"].keep is masks["phase start"].keep
-    assert masks["zero-count commit"].kept is masks["phase start"].kept
+    assert masks["zero-count commit"] is masks["phase start"]
     for name, mask in masks.items():
-        assert len(mask.thresholds) == len(mask.kept) == len(offs) - 1, name
+        assert len(mask.kept) == len(offs) - 1, name
         for tid, (lo, hi) in enumerate(zip(offs, offs[1:]), start=1):
             assert mask.kept[tid - 1] == np.count_nonzero(mask.keep[lo:hi]), name
 
@@ -490,10 +507,11 @@ def test_float_keep_bits_give_the_bytes_of_integer_keep_bits():
         _, grads = loss_and_gradients(data.backbone, env.merged, x[i:i + 2], y[i:i + 2])
         optimizer_step_and_reset(env.merged, grads, env.opt_state, mask=env.mask)
     offs = env.merged.offsets
-    masks, scores = [], []
+    masks, scores, thresholds = [], [], []
     for p, path in ((0.45, "build"), (0.30, "zero-count"), (0.90, "sorted")):
         env.begin_round()
         scores.append(importance_scores(env.merged.flat, env.scale))
+        thresholds.append(_thresholds(env.merged, p, env.scale))
         if path == "build":
             masks.append(build_mask(env.merged, p, env.scale))
         else:
@@ -502,9 +520,9 @@ def test_float_keep_bits_give_the_bytes_of_integer_keep_bits():
             masks.append(env.mask)
     rng = np.random.default_rng(8)
     previous = None
-    for mask, sc in zip(masks, scores):
+    for mask, sc, ths in zip(masks, scores, thresholds):
         ref = np.concatenate([sc[lo:hi] > tau for lo, hi, (_k, tau)
-                              in zip(offs, offs[1:], mask.thresholds)]).astype(np.uint8)
+                              in zip(offs, offs[1:], ths)]).astype(np.uint8)
         assert mask.keep.dtype == np.float64
         assert mask.keep.tobytes() == ref.astype(np.float64).tobytes()
         arena = rng.normal(size=ref.size)
@@ -535,33 +553,31 @@ class _FullCommitEnv(MaskedTrainingEnv):
         mask_apply_inplace(self.merged, new_mask)
         reset_moments(self.opt_state, newly)
         self.mask = new_mask
-        self.commits += 1
         self.begin_round()
 
 
 def _assert_same_state(env, twin):
-    """Keep bits, arena, both moments, ratio, thresholds and kept counts
-    agree bit for bit (repr tells -0.0 from 0.0 and matches NaN)."""
+    """Keep bits, kept counts, arena and both moments agree bit for bit
+    (repr tells -0.0 from 0.0 and matches NaN)."""
     assert env.mask.keep.tobytes() == twin.mask.keep.tobytes()
+    assert repr(env.mask.kept) == repr(twin.mask.kept)
     assert env.checksum() == twin.checksum()
     for name in ("first_moment", "second_moment"):
         assert getattr(env.opt_state, name).tobytes() == getattr(twin.opt_state, name).tobytes()
-    assert env.mask.ratio == twin.mask.ratio
-    assert repr(env.mask.thresholds) == repr(twin.mask.thresholds)
-    assert repr(env.mask.kept) == repr(twin.mask.kept)
 
 
-def test_relabelled_commits_equal_full_commits_at_probe_heavy_settings():
+def test_commits_that_keep_the_live_mask_equal_full_commits_at_probe_heavy_settings():
     """Rounds after every step with 8 probes: each commit leaves the env
-    where the reference commit leaves its twin, both commit paths run, and
-    the optimizer folds new coefficients exactly when the keep bits change."""
+    where the reference commit leaves its twin, both commit paths run (the
+    live mask kept, or a new one built), and the optimizer folds new
+    coefficients exactly when the keep bits change."""
     data, env = _probe_env()
     twin = _clone(env, _FullCommitEnv)
     cfg = ControllerConfig(round_every=1, candidates=8)
     policies = [init_policy(cfg), init_policy(cfg)]
     rngs = [np.random.default_rng(5), np.random.default_rng(5)]
     x, y = data.target_train.x, data.target_train.y
-    paths = {"relabelled": 0, "full": 0}
+    paths = {"kept": 0, "full": 0}
     folded = None  # (coefficient vector, keep bytes) at the previous step
     for step in range(3 * len(x)):
         i = step % len(x)
@@ -578,12 +594,38 @@ def test_relabelled_commits_equal_full_commits_at_probe_heavy_settings():
             e.begin_round()
             policies[j], rec = controller_round(policies[j], cfg, rngs[j], e,
                                                 round_index=step, step=step + 1)
-            records.append(canonical_json_line(rec.to_obj()))
-        assert records[0] == records[1], step
-        if env.mask is not old:
-            paths["relabelled" if env.mask.keep is old.keep else "full"] += 1
+            records.append(rec)
+        assert canonical_json_line(records[0].to_obj()) == canonical_json_line(
+            records[1].to_obj()), step
+        if records[0].committed:
+            paths["kept" if env.mask is old else "full"] += 1
+        else:
+            assert env.mask is old, step
         _assert_same_state(env, twin)
-    assert paths["relabelled"] > 0 and paths["full"] > 0, paths
+    assert paths["kept"] > 0 and paths["full"] > 0, paths
+
+
+def test_a_commit_that_keeps_the_live_bits_changes_nothing():
+    """The ratchet's downward commit prunes only zeros that the live mask
+    already prunes: the env keeps its mask object, no byte of the arena or
+    the moments changes, and the next step folds no new coefficients."""
+    data, env = _ratcheted_env()
+    x, y = data.target_train.x, data.target_train.y
+    _, grads = loss_and_gradients(data.backbone, env.merged, x[:2], y[:2])
+    optimizer_step_and_reset(env.merged, grads, env.opt_state, mask=env.mask)
+    folded = env.opt_state.coefficients(env.mask)
+    env.begin_round()
+    assert env._prunes_only_zeros(RATCHETED_P)
+    old = env.mask
+    before = [a.tobytes() for a in (env.merged.flat, env.opt_state.first_moment,
+                                     env.opt_state.second_moment)]
+    env.commit(RATCHETED_P)
+    assert env.mask is old
+    assert [a.tobytes() for a in (env.merged.flat, env.opt_state.first_moment,
+                                  env.opt_state.second_moment)] == before
+    _, grads = loss_and_gradients(data.backbone, env.merged, x[2:4], y[2:4])
+    optimizer_step_and_reset(env.merged, grads, env.opt_state, mask=env.mask)
+    assert all(a is b for a, b in zip(env.opt_state.coefficients(env.mask), folded))
 
 
 def _k_drops_to_zero(env):
@@ -598,20 +640,20 @@ def _k_drops_to_zero(env):
 def _kept_weight_at_zero(env):
     flat = env.merged.flat
     flat[np.flatnonzero((env.mask.keep == 1.0) & (flat != 0.0))[3]] = 0.0
-    return env.mask.ratio
+    return RATCHETED_P
 
 
 def _kept_weight_nan(env):
     flat = env.merged.flat
     flat[np.flatnonzero((env.mask.keep == 1.0) & (flat != 0.0))[3]] = np.nan
-    return env.mask.ratio
+    return RATCHETED_P
 
 
 @pytest.mark.parametrize("make_ratio", [_k_drops_to_zero, _kept_weight_at_zero, _kept_weight_nan],
                          ids=["k-drops-to-zero", "kept-weight-at-zero", "nan-weight"])
 def test_commits_whose_bits_would_change_take_the_full_path(make_ratio):
-    """Where the live bits are not the new mask's, no commit is relabelled,
-    and the env ends where the reference commit leaves its twin."""
+    """Where the live bits are not the new mask's, no commit keeps the live
+    mask, and the env ends where the reference commit leaves its twin."""
     _, env = _ratcheted_env()
     p = make_ratio(env)
     twin = _clone(env, _FullCommitEnv)
@@ -655,12 +697,15 @@ def test_commit_rejects_a_ratio_outside_the_unit_interval_on_every_path():
     zero-count rule."""
     _, env = _ratcheted_env()
     assert env._prunes_only_zeros(0.0) and not env._prunes_only_zeros(1.0)
+    moments = [m.tobytes() for m in (env.opt_state.first_moment, env.opt_state.second_moment)]
     before, mask = env.checksum(), env.mask
     for p in (-0.1, -1e-300, math.nan, 1.0 + 2**-52, 1.5, math.inf, -math.inf):
         for call in (env.commit, env.candidate_reward):
             with pytest.raises(UsageError, match="prune ratio"):
                 call(p)
-    assert env.checksum() == before and env.mask is mask and env.commits == 1
+    assert env.checksum() == before and env.mask is mask
+    assert [m.tobytes() for m in (env.opt_state.first_moment,
+                                  env.opt_state.second_moment)] == moments
 
 
 def _sort_spy(monkeypatch):
@@ -772,9 +817,9 @@ def test_probes_never_touch_the_parameters():
 def test_commit_zeroes_new_coordinates_and_their_moments():
     _, env = _probe_env(p_init=0.20)
     old_keep = env.mask.keep.copy()
+    ref = build_mask(env.merged, 0.60, env.scale)
     env.commit(0.60)
-    assert env.mask.ratio == 0.60
-    assert env.commits == 1
+    np.testing.assert_array_equal(env.mask.keep, ref.keep)
     newly = (old_keep == 1) & (env.mask.keep == 0)
     assert newly.any()
     assert not env.merged.flat[newly].any()
@@ -801,15 +846,15 @@ def test_commit_equals_build_mask_apply_and_reset_at_the_same_ratio():
             env.opt_state.second_moment.copy(),
         )
         ref_mask = build_mask(ref, p_new, env.scale)
+        assert env._thresholds(p_new, env._prunes_only_zeros(p_new)) == _thresholds(
+            ref, p_new, env.scale)
         newly = newly_pruned(env.mask, ref_mask)
         mask_apply_inplace(ref, ref_mask)
         reset_moments(ref_opt, newly)
 
         env.commit(p_new)
         np.testing.assert_array_equal(env.mask.keep, ref_mask.keep)
-        assert env.mask.thresholds == ref_mask.thresholds
         assert env.mask.kept == ref_mask.kept
-        assert env.mask.ratio == ref_mask.ratio
         assert env.merged.checksum() == ref.checksum()
         np.testing.assert_array_equal(env.opt_state.first_moment, ref_opt.first_moment)
         np.testing.assert_array_equal(env.opt_state.second_moment, ref_opt.second_moment)
@@ -878,11 +923,12 @@ def test_final_run_keeps_one_fixed_mask_and_improves_dev():
         test=data.test,
     )
     assert merged_init.checksum() == frozen
-    assert fin.mask.ratio == 0.30
+    assert fin.p_star == 0.30
+    np.testing.assert_array_equal(fin.mask.keep, build_mask(merged_init, 0.30, env.scale).keep)
     assert not fin.merged.flat[fin.mask.keep == 0].any()
     assert fin.dev_history[0] == pytest.approx(
         microdev_loss(
-            data.backbone, mask_apply(merged_init, fin.mask), data.dev
+            data.backbone, _applied(merged_init, fin.mask), data.dev
         ),
         abs=1e-12,
     )
