@@ -410,6 +410,18 @@ def cmd_report(cfg: RunConfig, args) -> int:
 # --- argument parsing --------------------------------------------------------
 
 
+def _at_least_one(text: str) -> int:
+    """An integer flag value of at least 1, checked while parsing, so a bad
+    value exits 2 before any phase directory is claimed."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="FILE", default=None,
@@ -445,19 +457,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grid", parents=[common],
                        help="train one model per grid ratio, emit the table")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_at_least_one, default=1,
                    help="process pool width for independent grid cells")
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("ablate", parents=[common],
                        help="regularizer and micro-dev-size sweeps")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_at_least_one, default=1,
                    help="process pool width for independent sweep cells")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("report", parents=[common],
                        help="runtime comparison and rolling ratio series")
-    p.add_argument("--repeats", type=int, default=3,
+    p.add_argument("--repeats", type=_at_least_one, default=3,
                    help="timing passes per arm, interleaved; each arm's best is reported")
     p.set_defaults(func=cmd_report)
 

@@ -23,7 +23,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .errors import ProbePurityError, RewardError, StorageError, UsageError
+from .errors import ProbePurityError, RewardError, StorageError, UsageError, require_positive_int
 from .serialize import canonical_json
 
 SIGMA_FLOOR = 1e-3
@@ -58,8 +58,8 @@ class ControllerConfig:
             raise UsageError(
                 f"p_init {self.p_init} outside [{self.p_min}, {self.p_max}]"
             )
-        if min(self.round_every, self.candidates, self.microdev_n) < 1:
-            raise UsageError("round_every, candidates, microdev_n must be >= 1")
+        for name in ("round_every", "candidates", "microdev_n"):
+            require_positive_int(name, getattr(self, name))
         if not all(math.isfinite(v) for v in (self.delta_max, self.eta, self.beta, self.tau_ent)):
             raise UsageError("delta_max, eta, beta and tau_ent must be finite")
         if self.delta_max <= 0 or self.eta <= 0:
@@ -216,8 +216,8 @@ def controller_round(
     The environment supplies the model side of the protocol:
       baseline_reward() -> float   reward of the committed masked model
       candidate_reward(p) -> float score p without touching the parameters
-      commit(p_new)                rebuild mask at p_new, zero newly pruned
-                                   coordinates, clear their optimizer state
+      commit(p_new)                put the mask at p_new in force: zero the
+                                   pruned coordinates and their optimizer state
       checksum() -> bytes          the float64 parameter bytes for the purity
                                    audit: a value that compares equal iff the
                                    parameters are unchanged bit for bit

@@ -46,3 +46,10 @@ class TrainingDivergedError(NumericalError):
 
 class ProbePurityError(NumericalError):
     """Parameters changed across a candidate probe that must restore them."""
+
+
+def require_positive_int(name: str, value) -> None:
+    """Raise `UsageError` unless `value` is an int of at least 1; a bool, a
+    float such as 2.0 and a NumPy integer are not."""
+    if type(value) is not int or value < 1:
+        raise UsageError(f"{name} must be a positive integer, got {value!r}")

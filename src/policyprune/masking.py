@@ -7,12 +7,14 @@ entries by thresholding at the k_t-th smallest score; ties at the threshold
 are all pruned, so the realized fraction can slightly exceed the target.
 
 A mask is its keep bits: float64 0.0/1.0 laid out like the adapter arena, so
-the per-step multiplies (gradient coefficients and parameters) are float by
-float, with no cast, and give the bits a 0/1 integer mask would. They are
-read-only once built: the optimizer folds them into coefficients it keeps
-per keep array, so a mask's bits must never change under it. The ratio a
-mask was built at lives with its caller (the controller's `p_curr`, the
-round log, `p_star`), not in the mask.
+its multiplies (the parameters and the optimizer's moment coefficients) are
+float by float, with no cast, and give the bits a 0/1 integer mask would.
+They are read-only once built. A mask is enforced where it is installed
+(`optim.install_mask`, once per mask change): the install zeroes the pruned
+parameters and moments and folds the bits into the coefficients, so a mask's
+bits must never change under it. The ratio a mask was built at lives with
+its caller (the controller's `p_curr`, the round log, `p_star`), not in the
+mask.
 """
 
 from __future__ import annotations
@@ -135,10 +137,6 @@ def build_mask(merged: MergedAdapterSet, p: float, scale: ImportanceScale) -> Sp
     return SparsityMask(keep_above(scores, offs, thresholds), offs)
 
 
-_ZERO = np.zeros(())  # the re-zero's +0.0, a 0-d operand built once
-_ZERO.setflags(write=False)
-
-
 def mask_apply_inplace(merged: MergedAdapterSet, mask: SparsityMask) -> None:
     """Zero pruned coordinates in place, kept ones unchanged."""
     flat = merged.flat
@@ -148,13 +146,5 @@ def mask_apply_inplace(merged: MergedAdapterSet, mask: SparsityMask) -> None:
         )
     np.multiply(flat, mask.keep, flat)
     # multiplying a negative by 0 leaves -0.0; normalize to +0.0
-    np.add(flat, _ZERO, flat)
+    np.add(flat, 0.0, flat)
 
-
-def newly_pruned(old: SparsityMask, new: SparsityMask) -> np.ndarray:
-    """Flat bool over the arena: kept by the old mask, pruned by the new."""
-    if old.keep.size != new.keep.size:
-        raise DimensionError(
-            f"masks disagree on size ({old.keep.size} vs {new.keep.size})"
-        )
-    return old.keep > new.keep  # keep bits are 0/1: only 1 > 0 holds

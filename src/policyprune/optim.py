@@ -1,19 +1,26 @@
 """Adaptive-moment optimizer with decoupled weight decay over adapter sets.
 
 The optimizer is stateful on purpose: the commit rule requires clearing the
-moment estimates at newly pruned coordinates, which is only observable with
+moment estimates at pruned coordinates, which is only observable with
 per-parameter state. The moments are two flat vectors laid out like the
-adapter set's arena (`MergedAdapterSet.flat`), so one update and one reset
-each cover every tensor at once, and they survive mask rebuilds.
+adapter set's arena (`MergedAdapterSet.flat`), so one update covers every
+tensor at once.
+
+A mask is enforced where it is installed. `install_mask` applies it to the
+arena, zeroes both moments wherever it prunes, folds its keep bits into the
+moment coefficients keep*(1 - beta1) and keep*(1 - beta2), and records it as
+the state's mask in force; a step takes no mask. Under those coefficients a
+pruned coordinate gets a zero gradient, so its moments stay +0.0 and its
+weight stays +0.0 (+0.0 - (+0/(sqrt(+0) + eps) + (+0)*decay)*lr), and a kept
+weight is -0.0 only if it already was, which an install rules out. So a step
+never writes a pruned coordinate and needs no re-zero. Until a mask is
+installed the coefficients are the scalars 1 - beta1 and 1 - beta2.
 
 At batch size 1 a step costs ufunc dispatch more than arithmetic. So the
 update's constants are 0-d float64 operands built once (they dispatch faster
 than Python floats and round the same), outputs are passed positionally, and
-a mask's keep bits are folded into the moment coefficients keep*(1 - beta1)
-and keep*(1 - beta2): a masked step is the dense step's ufunc sequence with
-vector coefficients in place of the scalars. The coefficients are keyed on
-the read-only keep array they fold, so they are rebuilt only when a commit
-installs a new mask; a commit that keeps the live mask reuses them.
+a masked step is the dense step's ufunc sequence with vector coefficients in
+place of the scalars.
 
 No bit changes. Keep bits are exactly 0.0 or 1.0 and the coefficients are
 positive, so g*(k*c) is (g*k)*c (for k = 0, a zero of the sign of g) and
@@ -35,7 +42,7 @@ from .masking import SparsityMask, mask_apply_inplace
 __all__ = [
     "OptimizerState",
     "init_optimizer",
-    "reset_moments",
+    "install_mask",
     "optimizer_step_and_reset",
 ]
 
@@ -50,19 +57,21 @@ EPSILON = 1e-8
 @dataclass
 class OptimizerState:
     """The learning rate and weight decay, first/second moments over the
-    arena, the shared step count, and the update's constants, mask
-    coefficients and scratch vectors (same length as the moments)."""
+    arena, the shared step count, the mask in force (None until
+    `install_mask`), and the update's constants, moment coefficients and
+    scratch vectors (same length as the moments)."""
 
     learning_rate: float
     weight_decay: float
     first_moment: np.ndarray
     second_moment: np.ndarray
     step: int = 0
+    mask: SparsityMask | None = field(default=None, init=False)
     _scratch: tuple[np.ndarray, np.ndarray] = field(
         init=False, repr=False, compare=False
     )
     _consts: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
-    _folded: tuple = field(init=False, repr=False, compare=False)
+    _coeffs: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = self.first_moment
@@ -71,25 +80,7 @@ class OptimizerState:
             BETA1, BETA2, 1.0 - BETA1, 1.0 - BETA2,
             EPSILON, self.weight_decay, self.learning_rate,
         ))
-        self._folded = (None, *self._consts[2:4])  # (keep, c1, c2); no mask: scalars
-
-    def coefficients(self, mask: SparsityMask | None) -> tuple[np.ndarray, np.ndarray]:
-        """keep * (1 - beta1) and keep * (1 - beta2) under `mask`, rebuilt
-        only when a different keep array arrives (a mask's `keep` is
-        read-only, so the same array means the same bits); 1 - beta1 and
-        1 - beta2 under no mask."""
-        keep = None if mask is None else mask.keep
-        if keep is not self._folded[0]:
-            c1, c2 = self._consts[2:4]
-            if keep is not None:
-                if keep.size != self.first_moment.size:
-                    raise DimensionError(
-                        f"mask length {keep.size} does not match the "
-                        f"{self.first_moment.size} moments"
-                    )
-                c1, c2 = np.multiply(keep, c1), np.multiply(keep, c2)
-            self._folded = (keep, c1, c2)
-        return self._folded[1:]
+        self._coeffs = self._consts[2:4]  # no mask: the scalars
 
 
 def init_optimizer(
@@ -104,39 +95,43 @@ def init_optimizer(
     )
 
 
-def reset_moments(state: OptimizerState, newly: np.ndarray) -> None:
-    """Zero both moments where the flat bool `newly` is set (the commit-time reset)."""
-    if newly.size != state.first_moment.size:
+def install_mask(merged: MergedAdapterSet, state: OptimizerState, mask: SparsityMask) -> None:
+    """Put `mask` in force: zero the arena's pruned coordinates (as +0.0),
+    zero both moments there, fold the keep bits into the moment
+    coefficients and record `mask` as `state.mask`. A mask that does not
+    fit the arena or the moments raises `DimensionError` before any byte
+    changes."""
+    sizes = {merged.flat.size, state.first_moment.size, state.second_moment.size}
+    if sizes != {mask.keep.size}:
         raise DimensionError(
-            f"reset index length {newly.size} does not match the "
-            f"{state.first_moment.size} moments"
+            f"mask length {mask.keep.size} does not match the arena and moments "
+            f"({sorted(sizes)})"
         )
-    state.first_moment[newly] = 0.0
-    state.second_moment[newly] = 0.0
+    mask_apply_inplace(merged, mask)
+    pruned = mask.keep == 0.0
+    state.first_moment[pruned] = 0.0
+    state.second_moment[pruned] = 0.0
+    c1, c2 = state._consts[2:4]
+    state._coeffs = (np.multiply(mask.keep, c1), np.multiply(mask.keep, c2))
+    state.mask = mask
 
 
 def optimizer_step_and_reset(
-    merged: MergedAdapterSet,
-    grads: MergedAdapterSet,
-    state: OptimizerState,
-    mask: SparsityMask | None = None,
+    merged: MergedAdapterSet, grads: MergedAdapterSet, state: OptimizerState
 ) -> None:
-    """One in-place update over the whole arena; under a mask, re-zero the
-    pruned coordinates. It resets no moments: the commit-time reset is
-    `reset_moments`, called by `MaskedTrainingEnv.commit`.
+    """One in-place update over the whole arena under the state's mask in
+    force. It neither resets moments nor re-applies the mask: both happen
+    once, in `install_mask`, and the folded coefficients leave every pruned
+    coordinate (weight and moments) at +0.0.
 
     `grads` is a set of the same layout holding the gradient (see
     `loss_and_gradients`); it is read, never written. Kept coordinates
     receive the standard bias-corrected adaptive-moment update with
-    decoupled weight decay. Masked coordinates contribute zero gradient, so
-    once their moments are cleared at commit time they stay exactly zero
-    (parameter and moments alike) for as long as they remain pruned — and
-    the mask reapplication at the end keeps the parameters at exactly +0.0
-    regardless.
+    decoupled weight decay.
     """
     if not merged.same_layout(grads):
         raise DimensionError("gradient layout does not match the adapter set")
-    c1, c2 = state.coefficients(mask)
+    c1, c2 = state._coeffs
     state.step += 1
     t = state.step
     bias1 = 1.0 - BETA1**t
@@ -158,5 +153,3 @@ def optimizer_step_and_reset(
     update += np.multiply(arr, decay, s2)
     np.multiply(update, lr, update)
     arr -= update
-    if mask is not None:
-        mask_apply_inplace(merged, mask)

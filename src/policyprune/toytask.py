@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adapters import FrozenBackbone, MergedAdapterSet, matrix
-from .errors import DimensionError, UsageError
+from .errors import DimensionError, UsageError, require_positive_int
 
 __all__ = [
     "ToyTaskConfig",
@@ -106,9 +106,7 @@ class ToyTaskConfig:
             "microdev_n",
             "test_n",
         ):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise UsageError(f"{name} must be a positive integer, got {v!r}")
+            require_positive_int(name, getattr(self, name))
         if self.d_in < 2 * self.teacher_rank:
             raise UsageError(
                 "d_in must be at least 2 * teacher_rank so orthogonal source "

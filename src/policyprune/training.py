@@ -31,7 +31,7 @@ from .controller import (
     reward_from_loss,
     select_p_star,
 )
-from .errors import TrainingDivergedError, UsageError
+from .errors import TrainingDivergedError, UsageError, require_positive_int
 from .masking import (  # noqa: F401 (prune_threshold: perfbench traces this binding)
     ImportanceScale,
     SparsityMask,
@@ -39,17 +39,10 @@ from .masking import (  # noqa: F401 (prune_threshold: perfbench traces this bin
     estimate_scale,
     importance_scores,
     keep_above,
-    mask_apply_inplace,
-    newly_pruned,
     prune_threshold,
     sorted_threshold,
 )
-from .optim import (
-    OptimizerState,
-    init_optimizer,
-    optimizer_step_and_reset,
-    reset_moments,
-)
+from .optim import OptimizerState, init_optimizer, install_mask, optimizer_step_and_reset
 from .toytask import DataSplit, ToyData, ToyTaskConfig, gen_toy_data, loss_and_gradients, model_forward, mse_loss
 
 __all__ = [
@@ -90,8 +83,7 @@ class LoraConfig:
         return self.alpha / self.rank
 
     def validate(self) -> None:
-        if not isinstance(self.rank, int) or self.rank < 1:
-            raise UsageError(f"rank must be a positive integer, got {self.rank!r}")
+        require_positive_int("rank", self.rank)
         if not (self.alpha > 0 and math.isfinite(self.alpha)):
             raise UsageError(f"alpha must be positive, got {self.alpha}")
         if not (0.0 <= self.dropout < 1.0):
@@ -121,14 +113,10 @@ class TrainConfig:
             raise UsageError(f"learning_rate must be positive, got {self.learning_rate}")
         if not (self.weight_decay >= 0 and math.isfinite(self.weight_decay)):
             raise UsageError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
-        if not isinstance(self.batch_size, int) or self.batch_size < 1:
-            raise UsageError(f"batch_size must be a positive integer, got {self.batch_size!r}")
-        if not isinstance(self.epochs, int) or self.epochs < 1:
-            raise UsageError(f"epochs must be a positive integer, got {self.epochs!r}")
-        if self.early_stop_patience is not None and self.early_stop_patience < 1:
-            raise UsageError(
-                f"early_stop_patience must be >= 1 or None, got {self.early_stop_patience}"
-            )
+        require_positive_int("batch_size", self.batch_size)
+        require_positive_int("epochs", self.epochs)
+        if self.early_stop_patience is not None:
+            require_positive_int("early_stop_patience", self.early_stop_patience)
 
 
 def steps_per_epoch(n: int, batch_size: int) -> int:
@@ -194,16 +182,16 @@ class AdapterTrainResult:
 def _train_loop(
     backbone: FrozenBackbone, merged: MergedAdapterSet, split: DataSplit,
     train_cfg: TrainConfig, rng: np.random.Generator, opt: OptimizerState,
-    current_mask=lambda: None, on_step=None, on_epoch=None,
+    on_step=None, on_epoch=None,
 ) -> tuple[list[float], bool]:
     """The epoch/batch loop of every phase.
 
-    Each step is one optimizer step under `current_mask()`, the mask in
-    force at that step (None trains dense). `on_step(step)` runs after each
-    step with the 1-based step count: phase 2's controller rounds, which may
-    commit a new mask. `on_epoch()` runs after each epoch and returns True
-    to stop: phase 3's dev early stopping. Returns the per-step losses and
-    whether `on_epoch` stopped the run.
+    Each step is one optimizer step under the mask installed in `opt` (none
+    trains dense). `on_step(step)` runs after each step with the 1-based
+    step count: phase 2's controller rounds, which may install a new mask.
+    `on_epoch()` runs after each epoch and returns True to stop: phase 3's
+    dev early stopping. Returns the per-step losses and whether `on_epoch`
+    stopped the run.
     """
     losses: list[float] = []
     grads = merged.empty_like()
@@ -220,7 +208,7 @@ def _train_loop(
                 raise TrainingDivergedError(
                     f"training loss became non-finite ({loss}) at step {len(losses) + 1}"
                 )
-            optimizer_step_and_reset(merged, grads, opt, mask=current_mask())
+            optimizer_step_and_reset(merged, grads, opt)
             losses.append(loss)
             if on_step is not None:
                 on_step(len(losses))
@@ -284,8 +272,10 @@ class MaskedTrainingEnv:
     Baseline probes read the committed masked parameters in place; candidate
     probes evaluate the masked factors in a scratch arena, so the trained
     parameters are untouched (the round audits this by comparing
-    `checksum()`, the arena's bytes, bit for bit). Commits mask at the new
-    ratio, zero the newly pruned coordinates, and clear their moments.
+    `checksum()`, the arena's bytes, bit for bit). A commit that changes
+    keep bits installs its mask (`install_mask`): the arena and both moments
+    are zeroed at every pruned coordinate, and the mask in force lives in
+    `opt_state.mask`.
 
     A ratio's mask flows one way: `_thresholds(p)` gives each tensor's
     (k, tau), and one compare keeps the scores above them.
@@ -302,17 +292,17 @@ class MaskedTrainingEnv:
     multiply with `np.dot` on the sets' cached transposed views, as the
     training step does (see `toytask`).
 
-    Invariant: the arena is masked, with every zero +0.0. The caller masks
-    it before construction (`_masked_start`), and each commit and masked
-    step re-applies the mask, which normalizes zeros. So the live pruned
-    set lies inside the zero set, and a commit to a zero-only ratio selects
-    the live bits when each tensor's live kept count is its nonzero count
-    where floor(p*d_t) > 0 (equal counts make the sets equal) and d_t where
-    it is 0. Such a commit keeps the live mask: the mask apply, the
-    newly-pruned set and the moment reset would change no bit, and the
-    optimizer keeps the coefficients it folded from the live keep array.
-    Every other commit builds its mask from a fresh `keep_above` array,
-    applies it and clears the moments of the newly pruned coordinates.
+    Invariant: the arena is masked, with every zero +0.0. The caller
+    installs the mask before construction (`_masked_start`) and each commit
+    that changes bits installs its own; an install normalizes zeros, and a
+    step leaves pruned coordinates at +0.0 and makes no kept weight -0.0.
+    So the live pruned set lies inside the zero set, and a commit to a
+    zero-only ratio selects the live bits when each tensor's live kept
+    count is its nonzero count where floor(p*d_t) > 0 (equal counts make
+    the sets equal) and d_t where it is 0. Such a commit installs nothing:
+    an install would change no bit of the arena, the moments or the
+    coefficients. Every other commit installs a mask built from a fresh
+    `keep_above` array.
     """
 
     backbone: FrozenBackbone
@@ -320,7 +310,6 @@ class MaskedTrainingEnv:
     microdev: DataSplit
     scale: ImportanceScale
     opt_state: OptimizerState
-    mask: SparsityMask
 
     def __post_init__(self):
         # The backbone term of the micro-dev forward never changes (frozen
@@ -414,14 +403,11 @@ class MaskedTrainingEnv:
         thresholds = self._thresholds(p_new, zero_only)
         if not zero_only or any(
             kept != (n if k else d) for kept, n, d, (k, _tau)
-            in zip(self.mask.kept, self._nonzero, self._sizes, thresholds)
+            in zip(self.opt_state.mask.kept, self._nonzero, self._sizes, thresholds)
         ):
             offs = self.merged.offsets
-            new_mask = SparsityMask(keep_above(self._scores, offs, thresholds), offs)
-            newly = newly_pruned(self.mask, new_mask)
-            mask_apply_inplace(self.merged, new_mask)
-            reset_moments(self.opt_state, newly)
-            self.mask = new_mask
+            install_mask(self.merged, self.opt_state,
+                         SparsityMask(keep_above(self._scores, offs, thresholds), offs))
         self.begin_round()
 
     def checksum(self) -> bytes:
@@ -448,12 +434,13 @@ class PolicyLearningResult:
 
 def _masked_start(
     merged_init: MergedAdapterSet, p: float, scale: ImportanceScale, train_cfg: TrainConfig
-) -> tuple[MergedAdapterSet, SparsityMask, OptimizerState]:
-    """Phases 2 and 3 start alike: copy, mask at p, fresh optimizer."""
+) -> tuple[MergedAdapterSet, OptimizerState]:
+    """Phases 2 and 3 start alike: a copy and a fresh optimizer with the
+    mask at p installed."""
     merged = merged_init.copy()
-    mask = build_mask(merged, p, scale)
-    mask_apply_inplace(merged, mask)
-    return merged, mask, init_optimizer(merged, train_cfg.learning_rate, train_cfg.weight_decay)
+    opt = init_optimizer(merged, train_cfg.learning_rate, train_cfg.weight_decay)
+    install_mask(merged, opt, build_mask(merged, p, scale))
+    return merged, opt
 
 
 def sparsity_policy_learning(
@@ -479,14 +466,13 @@ def sparsity_policy_learning(
     controller_cfg.validate()
     train_cfg.validate()
     scale = estimate_scale(microdev.x)
-    merged, mask, opt = _masked_start(merged_init, controller_cfg.p_init, scale, train_cfg)
+    merged, opt = _masked_start(merged_init, controller_cfg.p_init, scale, train_cfg)
     env = MaskedTrainingEnv(
         backbone=backbone,
         merged=merged,
         microdev=microdev,
         scale=scale,
         opt_state=opt,
-        mask=mask,
     )
     policy = init_policy(controller_cfg)
     records: list[ControllerRecord] = []
@@ -511,7 +497,7 @@ def sparsity_policy_learning(
     try:
         losses, _ = _train_loop(
             backbone, merged, target_train, train_cfg, rng_train, opt,
-            current_mask=lambda: env.mask, on_step=round_hook,
+            on_step=round_hook,
         )
     except TrainingDivergedError as exc:
         exc.records = records
@@ -525,7 +511,7 @@ def sparsity_policy_learning(
         records=records,
         p_star=select_p_star(records),
         merged=merged,
-        mask=env.mask,
+        mask=opt.mask,
         step_losses=losses,
     )
 
@@ -569,7 +555,7 @@ def final_prune_finetune(
     train_cfg.validate()
     if not (p_min <= p_star <= p_max):
         raise UsageError(f"p_star {p_star} outside the prune range [{p_min}, {p_max}]")
-    merged, mask, opt = _masked_start(merged_init, p_star, scale, train_cfg)
+    merged, opt = _masked_start(merged_init, p_star, scale, train_cfg)
     dev_history = [microdev_loss(backbone, merged, dev)]
     patience = train_cfg.early_stop_patience
 
@@ -581,12 +567,12 @@ def final_prune_finetune(
 
     losses, stopped = _train_loop(
         backbone, merged, target_train, train_cfg, rng, opt,
-        current_mask=lambda: mask, on_epoch=early_stop_hook,
+        on_epoch=early_stop_hook,
     )
     test_loss = microdev_loss(backbone, merged, test) if test is not None else None
     return FinalRunResult(
         merged=merged,
-        mask=mask,
+        mask=opt.mask,
         p_star=p_star,
         step_losses=losses,
         dev_history=dev_history,

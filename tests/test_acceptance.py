@@ -39,10 +39,9 @@ from policyprune.masking import (
     build_mask,
     estimate_scale,
     importance_scores,
-    mask_apply_inplace,
     prune_threshold,
 )
-from policyprune.optim import init_optimizer
+from policyprune.optim import init_optimizer, install_mask
 from policyprune.synthetic import quadratic_env, run_synthetic
 from policyprune.toytask import (
     ToyTaskConfig,
@@ -394,15 +393,14 @@ def test_criterion_07_probes_never_touch_trained_parameters():
     ).copy()
     microdev = data.microdev.head(ctrl.microdev_n)
     scale = estimate_scale(microdev.x)
-    mask = build_mask(merged, ctrl.p_init, scale)
-    mask_apply_inplace(merged, mask)
+    opt = init_optimizer(merged, train.learning_rate, train.weight_decay)
+    install_mask(merged, opt, build_mask(merged, ctrl.p_init, scale))
     env = MaskedTrainingEnv(
         backbone=data.backbone,
         merged=merged,
         microdev=microdev,
         scale=scale,
-        opt_state=init_optimizer(merged, train.learning_rate, train.weight_decay),
-        mask=mask,
+        opt_state=opt,
     )
     spy = _ProbeChecksumSpy(env)
     policy = init_policy(ctrl)

@@ -13,8 +13,8 @@ _spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
-METRICS = [{"name": "rounds_per_s", "better": "higher"},
-           {"name": "controller_s", "better": "lower"}]
+METRICS = [{"name": "rounds_per_s", "better": "higher", "bound": 0.25},
+           {"name": "controller_s", "better": "lower", "bound": 0.25}]
 
 
 def _result(correct=True, failed=0, **values):
@@ -55,6 +55,37 @@ def test_a_gain_is_claimed_on_nine_wins_in_ten_and_a_gap_above_the_parent_iqr():
 def test_no_claim_without_the_wins_or_the_gap(parent, change, wins):
     row = _row(_pairs(parent, change, "controller_s"), "controller_s")
     assert (row["wins"], row["claim"]) == (wins, False)
+
+
+@pytest.mark.parametrize("name, parent, change, regressed", [
+    # higher is better: the bound is 25% of the parent's median of 100
+    ("rounds_per_s", [100.0] * 10, [76.0] * 10, False),
+    ("rounds_per_s", [100.0] * 10, [74.0] * 10, True),
+    ("rounds_per_s", [95.0, 105.0] * 5, [70.0, 79.0] * 5, True),  # medians 100 and 74.5
+    # lower is better: the bound is 25% of the parent's median of 2.0 s
+    ("controller_s", [2.0] * 10, [2.4] * 10, False),
+    ("controller_s", [2.0] * 10, [2.6] * 10, True),
+    ("controller_s", [1.0, 3.0] * 5, [2.4, 2.7] * 5, True),  # medians 2.0 and 2.55
+], ids=["higher-within", "higher-regressed", "higher-medians",
+        "lower-within", "lower-regressed", "lower-medians"])
+def test_a_median_worse_by_more_than_the_bound_is_a_regression(
+        monkeypatch, capsys, name, parent, change, regressed):
+    """The change's median against the parent's, with the metric's bound read
+    as a share of the parent's median; any regression makes `main` exit 1."""
+    pairs = _pairs(parent, change, name)
+    row = _row(pairs, name)
+    assert (row["regressed"], row["claim"]) == (regressed, False)
+    values = {"parent": iter(parent), "change": iter(change)}
+
+    def run_once(command, root):
+        side = "change" if root == bench_pairs.ROOT else "parent"
+        return _result(**{name: next(values[side])})
+
+    monkeypatch.setattr(bench_pairs, "unpack", lambda ref, dest: None)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    assert bench_pairs.main(["--parent", "HEAD~1", "--workload", "probe-heavy",
+                             "--pairs", "10"]) == int(regressed)
+    assert ("YES" in capsys.readouterr().out) == regressed
 
 
 def test_missing_or_failed_change_runs_count_as_lost_pairs():

@@ -231,6 +231,36 @@ def test_a_non_finite_setting_exits_2_before_any_phase_directory(
         assert not out.exists()
 
 
+def exit_code(*args: str) -> int:
+    """`cli.main`'s exit status, whether it returns or argparse exits."""
+    try:
+        return run_cli(*args)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("command, flag, parent_phases", [
+    ("grid", "--workers", ("adapters",)),
+    ("ablate", "--workers", ()),
+    ("report", "--repeats", ("adapters", "controller")),
+], ids=["grid", "ablate", "report"])
+def test_a_flag_below_one_exits_2_and_claims_no_phase_directory(
+    chain, tmp_path, capsys, command, flag, parent_phases
+):
+    """The bad flag exits 2 with nothing of the phase on disk, so the
+    corrected rerun needs no --force."""
+    ini, src_out = chain
+    out = tmp_path / "out"
+    out.mkdir()
+    for phase in parent_phases:
+        shutil.copytree(src_out / phase, out / phase)
+    assert exit_code(command, "--config", str(ini), "--out", str(out), flag, "0") == 2
+    assert not (out / command).exists()
+    assert flag in capsys.readouterr().err
+    assert exit_code(command, "--config", str(ini), "--out", str(out), flag, "1") == 0
+    assert (out / command / "manifest.json").is_file()
+
+
 def test_controller_without_adapters_names_the_missing_path(fresh, capsys):
     ini, out = fresh
     assert run_cli("controller", "--config", str(ini), "--out", str(out)) == 2

@@ -158,6 +158,24 @@ def test_non_finite_settings_are_usage_errors(tmp_path, section, key, value):
         load_run_config(ini, env={})
 
 
+@pytest.mark.parametrize("config, key, value", [
+    (ControllerConfig, "round_every", 2.5),
+    (ControllerConfig, "candidates", 2.0),
+    (ControllerConfig, "microdev_n", 16.0),
+    (ControllerConfig, "round_every", True),
+    (TrainConfig, "batch_size", True),
+    (TrainConfig, "epochs", True),
+    (TrainConfig, "early_stop_patience", 2.5),
+    (TrainConfig, "early_stop_patience", True),
+])
+def test_integer_settings_reject_floats_and_bools(config, key, value):
+    # a float count fails deep inside the run (a TypeError in rng.normal or
+    # a slice) or silently misplaces rounds, and a bool passes as 1
+    with pytest.raises(UsageError, match=f"{key} must be a positive integer"):
+        config(**{key: value}).validate()
+    config(**{key: 2}).validate()
+
+
 def test_readme_ini_block_is_the_stock_config():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("```ini\n", 1)[1].split("```", 1)[0]

@@ -12,7 +12,6 @@ from policyprune.masking import (
     importance_scores,
     keep_above,
     mask_apply_inplace,
-    newly_pruned,
     prune_threshold,
     sorted_threshold,
 )
@@ -119,8 +118,8 @@ def test_keep_above_equals_the_per_tensor_compare():
 
 
 def test_mask_keep_bits_are_read_only():
-    # the optimizer keeps coefficients folded from a mask's bits per keep
-    # array, so the bits must not change under it
+    # an install folds a mask's bits into the optimizer's coefficients, so
+    # the bits must not change under it
     merged = _merged_from_flat([0.1, 0.5, 0.3, 0.9])
     mask = build_mask(merged, 0.5, ImportanceScale(1.0))
     with pytest.raises(ValueError):
@@ -261,15 +260,6 @@ def test_rebuild_at_same_ratio_after_apply_is_stable():
     applied = _applied(merged, m1)
     m2 = build_mask(applied, 0.45, scale)
     np.testing.assert_array_equal(m1.keep, m2.keep)
-
-
-def test_newly_pruned_sets():
-    merged = _merged_from_flat([0.1, 0.5, 0.3, 0.9, 0.7])
-    scale = ImportanceScale(1.0)
-    low = build_mask(merged, 0.2, scale)   # prunes 0.1
-    high = build_mask(merged, 0.6, scale)  # prunes 0.1, 0.3, 0.5
-    fresh = newly_pruned(low, high)  # flat over the arena: A's 5 entries, then B's 1
-    np.testing.assert_array_equal(fresh, [False, True, True, False, False, False])
 
 
 def _partition_threshold(scores, p):

@@ -33,15 +33,14 @@ from policyprune.masking import (
     importance_scores,
     keep_above,
     mask_apply_inplace,
-    newly_pruned,
     prune_threshold,
     sorted_threshold,
 )
 from policyprune.optim import (
     OptimizerState,
     init_optimizer,
+    install_mask,
     optimizer_step_and_reset,
-    reset_moments,
 )
 from policyprune.serialize import canonical_json_line
 from policyprune.toytask import (
@@ -219,17 +218,15 @@ def _probe_env(seed=11, p_init=0.40):
         [src.adapters, tgt.adapters], data.backbone.site_ids()
     )
     scale = estimate_scale(data.microdev.x)
-    mask = build_mask(merged, p_init, scale)
     work = merged.copy()
-    mask_apply_inplace(work, mask)
     opt = init_optimizer(work, cfg.learning_rate, cfg.weight_decay)
+    install_mask(work, opt, build_mask(merged, p_init, scale))
     env = MaskedTrainingEnv(
         backbone=data.backbone,
         merged=work,
         microdev=data.microdev,
         scale=scale,
         opt_state=opt,
-        mask=mask,
     )
     return data, env
 
@@ -260,7 +257,7 @@ def test_candidate_probe_matches_reference_mask_and_evaluate():
     loss, grads = loss_and_gradients(
         data.backbone, env.merged, data.target_train.x[:4], data.target_train.y[:4]
     )
-    optimizer_step_and_reset(env.merged, grads, env.opt_state, mask=env.mask)
+    optimizer_step_and_reset(env.merged, grads, env.opt_state)
     env.begin_round()
     assert env.baseline_reward() == fresh_baseline()
     for p in (0.2, 0.6):
@@ -290,7 +287,7 @@ def _ratcheted_env():
     x, y = data.target_train.x, data.target_train.y
     for i in range(3):
         _, grads = loss_and_gradients(data.backbone, env.merged, x[i:i + 2], y[i:i + 2])
-        optimizer_step_and_reset(env.merged, grads, env.opt_state, mask=env.mask)
+        optimizer_step_and_reset(env.merged, grads, env.opt_state)
     env.begin_round()
     env.commit(RATCHETED_P)
     env.begin_round()
@@ -341,10 +338,10 @@ def _underflow_env():
     backbone = FrozenBackbone(sites=(("q", np.zeros((2, 2))),))
     microdev = DataSplit(np.array([[1e10, 0.0]]), np.zeros((1, 2)))
     scale = ImportanceScale(0.5)
+    opt = init_optimizer(merged, TrainConfig().learning_rate, TrainConfig().weight_decay)
+    install_mask(merged, opt, build_mask(merged, 0.0, scale))
     env = MaskedTrainingEnv(
-        backbone=backbone, merged=merged, microdev=microdev, scale=scale,
-        opt_state=init_optimizer(merged, TrainConfig().learning_rate, TrainConfig().weight_decay),
-        mask=build_mask(merged, 0.0, scale),
+        backbone=backbone, merged=merged, microdev=microdev, scale=scale, opt_state=opt,
     )
     return SimpleNamespace(backbone=backbone, microdev=microdev), env
 
@@ -429,14 +426,14 @@ def test_reuse_rule_equals_the_per_probe_threshold_rule(make_env):
 
 
 def _clone(env, cls=MaskedTrainingEnv):
-    """An independent env on copies of the parameters and moments."""
-    opt = env.opt_state
-    return cls(
-        backbone=env.backbone, merged=env.merged.copy(), microdev=env.microdev,
-        scale=env.scale, mask=env.mask,
-        opt_state=OptimizerState(opt.learning_rate, opt.weight_decay,
-                                 opt.first_moment.copy(), opt.second_moment.copy()),
-    )
+    """An independent env on copies of the parameters and moments, with the
+    env's mask installed."""
+    opt, merged = env.opt_state, env.merged.copy()
+    twin_opt = OptimizerState(opt.learning_rate, opt.weight_decay,
+                              opt.first_moment.copy(), opt.second_moment.copy())
+    install_mask(merged, twin_opt, opt.mask)
+    return cls(backbone=env.backbone, merged=merged, microdev=env.microdev,
+               scale=env.scale, opt_state=twin_opt)
 
 
 @_ENVS
@@ -461,7 +458,7 @@ def test_zero_count_thresholds_equal_a_fresh_sort(make_env):
         live.commit(p)
         thresholds = env._thresholds(p, env._prunes_only_zeros(p))
         assert repr(thresholds) == expected, p
-        for mask in (SparsityMask(keep_above(env._scores, offs, thresholds), offs), live.mask):
+        for mask in (SparsityMask(keep_above(env._scores, offs, thresholds), offs), live.opt_state.mask):
             np.testing.assert_array_equal(mask.keep, ref.keep)
             assert mask.kept == ref.kept, p
     if make_env is _ratcheted_env:
@@ -476,16 +473,16 @@ def test_lazy_mask_kept_counts_equal_a_per_tensor_count_loop():
     counts are read, the zero-count commit keeps the phase-start mask, and
     each tensor's count is the number of its keep bits."""
     data, env = _probe_env(p_init=0.60)
-    masks = {"phase start": env.mask}
+    masks = {"phase start": env.opt_state.mask}
     x, y = data.target_train.x, data.target_train.y
     for i in range(3):
         _, grads = loss_and_gradients(data.backbone, env.merged, x[i:i + 2], y[i:i + 2])
-        optimizer_step_and_reset(env.merged, grads, env.opt_state, mask=env.mask)
+        optimizer_step_and_reset(env.merged, grads, env.opt_state)
     for name, p, zero_path in (("zero-count commit", 0.30, True), ("sorted commit", 0.90, False)):
         env.begin_round()
         assert env._prunes_only_zeros(p) == zero_path
         env.commit(p)
-        masks[name] = env.mask
+        masks[name] = env.opt_state.mask
     offs = env.merged.offsets
     assert "kept" not in vars(masks["sorted commit"])
     assert masks["zero-count commit"] is masks["phase start"]
@@ -498,14 +495,13 @@ def test_lazy_mask_kept_counts_equal_a_per_tensor_count_loop():
 def test_float_keep_bits_give_the_bytes_of_integer_keep_bits():
     """Keep bits are float64 0.0/1.0: equal to the score-above-tau compare
     for masks from `build_mask`, a zero-count commit and a sorted commit,
-    and a mask apply, `newly_pruned`, the kept counts, the per-tensor
-    fractions and the overall fraction give what 0/1 uint8 keep bits
-    gave."""
+    and a mask apply, the kept counts, the per-tensor fractions and the
+    overall fraction give what 0/1 uint8 keep bits gave."""
     data, env = _probe_env(p_init=0.60)
     x, y = data.target_train.x, data.target_train.y
     for i in range(3):
         _, grads = loss_and_gradients(data.backbone, env.merged, x[i:i + 2], y[i:i + 2])
-        optimizer_step_and_reset(env.merged, grads, env.opt_state, mask=env.mask)
+        optimizer_step_and_reset(env.merged, grads, env.opt_state)
     offs = env.merged.offsets
     masks, scores, thresholds = [], [], []
     for p, path in ((0.45, "build"), (0.30, "zero-count"), (0.90, "sorted")):
@@ -517,9 +513,8 @@ def test_float_keep_bits_give_the_bytes_of_integer_keep_bits():
         else:
             assert env._prunes_only_zeros(p) == (path == "zero-count")
             env.commit(p)
-            masks.append(env.mask)
+            masks.append(env.opt_state.mask)
     rng = np.random.default_rng(8)
-    previous = None
     for mask, sc, ths in zip(masks, scores, thresholds):
         ref = np.concatenate([sc[lo:hi] > tau for lo, hi, (_k, tau)
                               in zip(offs, offs[1:], ths)]).astype(np.uint8)
@@ -537,30 +532,22 @@ def test_float_keep_bits_give_the_bytes_of_integer_keep_bits():
         for d, got, want in zip(np.diff(offs).tolist(), mask.kept, kept):
             assert repr((d - got) / d) == repr((d - want) / d)
         assert mask.overall_fraction() == (ref.size - np.count_nonzero(ref)) / ref.size
-        if previous is not None:
-            old_mask, old_ref = previous
-            np.testing.assert_array_equal(newly_pruned(old_mask, mask), old_ref > ref)
-        previous = mask, ref
 
 
 class _FullCommitEnv(MaskedTrainingEnv):
-    """The reference commit: every commit builds the mask from a fresh sort,
-    zeroes the newly pruned coordinates and clears their moments."""
+    """The reference commit: every commit builds the mask from a fresh sort
+    and installs it."""
 
     def commit(self, p_new):
-        new_mask = build_mask(self.merged, p_new, self.scale)
-        newly = newly_pruned(self.mask, new_mask)
-        mask_apply_inplace(self.merged, new_mask)
-        reset_moments(self.opt_state, newly)
-        self.mask = new_mask
+        install_mask(self.merged, self.opt_state, build_mask(self.merged, p_new, self.scale))
         self.begin_round()
 
 
 def _assert_same_state(env, twin):
     """Keep bits, kept counts, arena and both moments agree bit for bit
     (repr tells -0.0 from 0.0 and matches NaN)."""
-    assert env.mask.keep.tobytes() == twin.mask.keep.tobytes()
-    assert repr(env.mask.kept) == repr(twin.mask.kept)
+    assert env.opt_state.mask.keep.tobytes() == twin.opt_state.mask.keep.tobytes()
+    assert repr(env.opt_state.mask.kept) == repr(twin.opt_state.mask.kept)
     assert env.checksum() == twin.checksum()
     for name in ("first_moment", "second_moment"):
         assert getattr(env.opt_state, name).tobytes() == getattr(twin.opt_state, name).tobytes()
@@ -569,7 +556,7 @@ def _assert_same_state(env, twin):
 def test_commits_that_keep_the_live_mask_equal_full_commits_at_probe_heavy_settings():
     """Rounds after every step with 8 probes: each commit leaves the env
     where the reference commit leaves its twin, both commit paths run (the
-    live mask kept, or a new one built), and the optimizer folds new
+    live mask kept, or a new one installed), and the optimizer folds new
     coefficients exactly when the keep bits change."""
     data, env = _probe_env()
     twin = _clone(env, _FullCommitEnv)
@@ -583,12 +570,12 @@ def test_commits_that_keep_the_live_mask_equal_full_commits_at_probe_heavy_setti
         i = step % len(x)
         for e in (env, twin):
             _, grads = loss_and_gradients(data.backbone, e.merged, x[i:i + 1], y[i:i + 1])
-            optimizer_step_and_reset(e.merged, grads, e.opt_state, mask=e.mask)
-        c1, keep = env.opt_state.coefficients(env.mask)[0], env.mask.keep.tobytes()
+            optimizer_step_and_reset(e.merged, grads, e.opt_state)
+        c1, keep = env.opt_state._coeffs[0], env.opt_state.mask.keep.tobytes()
         if folded is not None:
             assert (c1 is not folded[0]) == (keep != folded[1]), step
         folded = c1, keep
-        old = env.mask
+        old = env.opt_state.mask
         records = []
         for j, e in enumerate((env, twin)):
             e.begin_round()
@@ -598,34 +585,35 @@ def test_commits_that_keep_the_live_mask_equal_full_commits_at_probe_heavy_setti
         assert canonical_json_line(records[0].to_obj()) == canonical_json_line(
             records[1].to_obj()), step
         if records[0].committed:
-            paths["kept" if env.mask is old else "full"] += 1
+            paths["kept" if env.opt_state.mask is old else "full"] += 1
         else:
-            assert env.mask is old, step
+            assert env.opt_state.mask is old, step
         _assert_same_state(env, twin)
     assert paths["kept"] > 0 and paths["full"] > 0, paths
 
 
 def test_a_commit_that_keeps_the_live_bits_changes_nothing():
     """The ratchet's downward commit prunes only zeros that the live mask
-    already prunes: the env keeps its mask object, no byte of the arena or
-    the moments changes, and the next step folds no new coefficients."""
+    already prunes: the env installs nothing, so the mask object and the
+    folded coefficients stay, and no byte of the arena or the moments
+    changes."""
     data, env = _ratcheted_env()
     x, y = data.target_train.x, data.target_train.y
     _, grads = loss_and_gradients(data.backbone, env.merged, x[:2], y[:2])
-    optimizer_step_and_reset(env.merged, grads, env.opt_state, mask=env.mask)
-    folded = env.opt_state.coefficients(env.mask)
+    optimizer_step_and_reset(env.merged, grads, env.opt_state)
+    folded = env.opt_state._coeffs
     env.begin_round()
     assert env._prunes_only_zeros(RATCHETED_P)
-    old = env.mask
+    old = env.opt_state.mask
     before = [a.tobytes() for a in (env.merged.flat, env.opt_state.first_moment,
                                      env.opt_state.second_moment)]
     env.commit(RATCHETED_P)
-    assert env.mask is old
+    assert env.opt_state.mask is old
     assert [a.tobytes() for a in (env.merged.flat, env.opt_state.first_moment,
                                   env.opt_state.second_moment)] == before
     _, grads = loss_and_gradients(data.backbone, env.merged, x[2:4], y[2:4])
-    optimizer_step_and_reset(env.merged, grads, env.opt_state, mask=env.mask)
-    assert all(a is b for a, b in zip(env.opt_state.coefficients(env.mask), folded))
+    optimizer_step_and_reset(env.merged, grads, env.opt_state)
+    assert all(a is b for a, b in zip(env.opt_state._coeffs, folded))
 
 
 def _k_drops_to_zero(env):
@@ -633,19 +621,19 @@ def _k_drops_to_zero(env):
     hold pruned zeros: the new mask releases them."""
     sizes = np.diff(env.merged.offsets).tolist()
     p = 1.0 / max(sizes)
-    assert any(math.floor(p * d) == 0 and kept < d for d, kept in zip(sizes, env.mask.kept))
+    assert any(math.floor(p * d) == 0 and kept < d for d, kept in zip(sizes, env.opt_state.mask.kept))
     return p
 
 
 def _kept_weight_at_zero(env):
     flat = env.merged.flat
-    flat[np.flatnonzero((env.mask.keep == 1.0) & (flat != 0.0))[3]] = 0.0
+    flat[np.flatnonzero((env.opt_state.mask.keep == 1.0) & (flat != 0.0))[3]] = 0.0
     return RATCHETED_P
 
 
 def _kept_weight_nan(env):
     flat = env.merged.flat
-    flat[np.flatnonzero((env.mask.keep == 1.0) & (flat != 0.0))[3]] = np.nan
+    flat[np.flatnonzero((env.opt_state.mask.keep == 1.0) & (flat != 0.0))[3]] = np.nan
     return RATCHETED_P
 
 
@@ -659,11 +647,11 @@ def test_commits_whose_bits_would_change_take_the_full_path(make_ratio):
     twin = _clone(env, _FullCommitEnv)
     env.begin_round()
     assert env._prunes_only_zeros(p) == (make_ratio is not _kept_weight_nan)
-    old = env.mask
+    old = env.opt_state.mask
     env.commit(p)
     twin.commit(p)
-    assert env.mask.keep is not old.keep
-    assert env.mask.keep.tobytes() != old.keep.tobytes()
+    assert env.opt_state.mask.keep is not old.keep
+    assert env.opt_state.mask.keep.tobytes() != old.keep.tobytes()
     _assert_same_state(env, twin)
 
 
@@ -698,12 +686,12 @@ def test_commit_rejects_a_ratio_outside_the_unit_interval_on_every_path():
     _, env = _ratcheted_env()
     assert env._prunes_only_zeros(0.0) and not env._prunes_only_zeros(1.0)
     moments = [m.tobytes() for m in (env.opt_state.first_moment, env.opt_state.second_moment)]
-    before, mask = env.checksum(), env.mask
+    before, mask = env.checksum(), env.opt_state.mask
     for p in (-0.1, -1e-300, math.nan, 1.0 + 2**-52, 1.5, math.inf, -math.inf):
         for call in (env.commit, env.candidate_reward):
             with pytest.raises(UsageError, match="prune ratio"):
                 call(p)
-    assert env.checksum() == before and env.mask is mask
+    assert env.checksum() == before and env.opt_state.mask is mask
     assert [m.tobytes() for m in (env.opt_state.first_moment,
                                   env.opt_state.second_moment)] == moments
 
@@ -816,11 +804,11 @@ def test_probes_never_touch_the_parameters():
 
 def test_commit_zeroes_new_coordinates_and_their_moments():
     _, env = _probe_env(p_init=0.20)
-    old_keep = env.mask.keep.copy()
+    old_keep = env.opt_state.mask.keep.copy()
     ref = build_mask(env.merged, 0.60, env.scale)
     env.commit(0.60)
-    np.testing.assert_array_equal(env.mask.keep, ref.keep)
-    newly = (old_keep == 1) & (env.mask.keep == 0)
+    np.testing.assert_array_equal(env.opt_state.mask.keep, ref.keep)
+    newly = (old_keep == 1) & (env.opt_state.mask.keep == 0)
     assert newly.any()
     assert not env.merged.flat[newly].any()
     assert not env.opt_state.first_moment[newly].any()
@@ -835,7 +823,7 @@ def test_commit_equals_build_mask_apply_and_reset_at_the_same_ratio():
     for p_new in (0.30, 0.70, 0.45):
         for i in range(3):
             _, grads = loss_and_gradients(data.backbone, env.merged, x[i:i + 2], y[i:i + 2])
-            optimizer_step_and_reset(env.merged, grads, env.opt_state, mask=env.mask)
+            optimizer_step_and_reset(env.merged, grads, env.opt_state)
         env.begin_round()
         env.candidate_reward(0.50)  # a round's probes fill its sort first
         ref = env.merged.copy()
@@ -848,13 +836,14 @@ def test_commit_equals_build_mask_apply_and_reset_at_the_same_ratio():
         ref_mask = build_mask(ref, p_new, env.scale)
         assert env._thresholds(p_new, env._prunes_only_zeros(p_new)) == _thresholds(
             ref, p_new, env.scale)
-        newly = newly_pruned(env.mask, ref_mask)
+        newly = (env.opt_state.mask.keep == 1.0) & (ref_mask.keep == 0.0)
         mask_apply_inplace(ref, ref_mask)
-        reset_moments(ref_opt, newly)
+        ref_opt.first_moment[newly] = 0.0
+        ref_opt.second_moment[newly] = 0.0
 
         env.commit(p_new)
-        np.testing.assert_array_equal(env.mask.keep, ref_mask.keep)
-        assert env.mask.kept == ref_mask.kept
+        np.testing.assert_array_equal(env.opt_state.mask.keep, ref_mask.keep)
+        assert env.opt_state.mask.kept == ref_mask.kept
         assert env.merged.checksum() == ref.checksum()
         np.testing.assert_array_equal(env.opt_state.first_moment, ref_opt.first_moment)
         np.testing.assert_array_equal(env.opt_state.second_moment, ref_opt.second_moment)

@@ -20,10 +20,14 @@ neither side, and a pair whose change run gave no result, reported
 interquartile range, and whether a gain may be claimed: the change wins at
 least nine tenths of all pairs run, its median is better than the parent's
 by more than the parent's interquartile range, and no larger share of its
-operations failed than of the parent's. Runs that exit nonzero, print no
-result, report `correct: false` or count failed operations are listed. The
-temporary copy is removed on exit, and each run has ended before the next
-starts.
+operations failed than of the parent's. It also gives whether the metric
+regressed: the change's median is worse than the parent's median by more
+than the metric's `bound` from `BENCHMARK.json`, read as a share of the
+parent's median (a bound of 0.25 on a parent median of 2.0 s flags a change
+median above 2.5 s). Runs that exit nonzero, print no result, report
+`correct: false` or count failed operations are listed. The tool exits 1
+when any run had such a problem or any metric regressed. The temporary copy
+is removed on exit, and each run has ended before the next starts.
 """
 
 from __future__ import annotations
@@ -72,7 +76,9 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> list[dict]:
     `pairs[i]` maps "parent" and "change" to a run's parsed last line, or
     None for a run that gave none; `metrics` is `BENCHMARK.json`'s
     `end_to_end` list. `n` is the number of pairs run, the denominator of
-    the win share."""
+    the win share. `regressed` holds when the change's median is worse than
+    the parent's by more than the metric's `bound` times the parent's
+    median."""
     sound_share = failed_share(pairs, "change") <= failed_share(pairs, "parent")
     rows = []
     for metric in metrics:
@@ -89,6 +95,7 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> list[dict]:
         stats = {side: quartiles(values[side]) for side in SIDES}
         iqr = stats["parent"][2] - stats["parent"][0]
         gap = stats["change"][1] - stats["parent"][1]
+        worse = -gap if higher else gap
         rows.append({
             "metric": name,
             "n": len(pairs),
@@ -96,8 +103,8 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> list[dict]:
             "change": stats["change"],
             "wins": wins,
             "parent_iqr": iqr,
-            "claim": 10 * wins >= 9 * len(pairs) and (gap if higher else -gap) > iqr
-                     and sound_share,
+            "claim": 10 * wins >= 9 * len(pairs) and -worse > iqr and sound_share,
+            "regressed": worse > metric["bound"] * abs(stats["parent"][1]),
         })
     return rows
 
@@ -174,16 +181,18 @@ def main(argv=None) -> int:
     print(f"{args.workload} seed {args.seed}: {args.parent} (parent) against the "
           f"working tree (change), {len(pairs)} pairs of {seconds} s")
     print(f"  {'metric':<16} {'n':>3} {'parent q1/med/q3':>34} "
-          f"{'change q1/med/q3':>34} {'wins':>5} {'parent IQR':>11}  claim")
-    for row in summarize(pairs, spec["end_to_end"]):
+          f"{'change q1/med/q3':>34} {'wins':>5} {'parent IQR':>11}  claim  regressed")
+    rows = summarize(pairs, spec["end_to_end"])
+    for row in rows:
         sides = ["/".join(map(fmt, row[side])) for side in SIDES]
         print(f"  {row['metric']:<16} {row['n']:>3} {sides[0]:>34} {sides[1]:>34} "
               f"{row['wins']:>5} {fmt(row['parent_iqr']):>11}  "
-              f"{'holds' if row['claim'] else 'no'}")
+              f"{'holds' if row['claim'] else 'no':<5}  "
+              f"{'YES' if row['regressed'] else 'no'}")
     problems = run_problems(pairs)
     for problem in problems:
         print(f"  RUN PROBLEM {problem}")
-    return 1 if problems else 0
+    return 1 if problems or any(row["regressed"] for row in rows) else 0
 
 
 if __name__ == "__main__":
