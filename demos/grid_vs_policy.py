@@ -19,8 +19,7 @@ from policyprune.baselines import (
     run_noprune_baselines,
 )
 from policyprune.configio import load_run_config
-from policyprune.masking import estimate_scale
-from policyprune.training import run_pipeline
+from policyprune.training import run_pipeline, run_scale
 
 cfg = load_run_config()
 seed = cfg.seed
@@ -33,7 +32,7 @@ art = run_pipeline(cfg.task, cfg.lora, train, cfg.controller, seed)
 data = art.data
 outcome = grid_search(
     data.backbone, art.merged_init, data.target_train, data.dev,
-    estimate_scale(data.microdev.head(cfg.controller.microdev_n).x),
+    run_scale(data, cfg.controller),
     train, seed, grid=cfg.grid, test=data.test,
 )
 

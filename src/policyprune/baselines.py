@@ -19,7 +19,7 @@ import numpy as np
 from .adapters import FrozenBackbone, LoraAdapter, MergedAdapterSet, merge_adapter_sets
 from .controller import ControllerConfig, ControllerRecord
 from .errors import NumericalError, TrainingDivergedError, UsageError
-from .masking import ImportanceScale, estimate_scale
+from .masking import ImportanceScale
 from .toytask import (
     DataSplit,
     ToyData,
@@ -30,12 +30,13 @@ from .toytask import (
 from .training import (
     LoraConfig,
     TrainConfig,
+    final_phase,
     final_prune_finetune,
     microdev_loss,
-    microdev_slice,
     pipeline_rngs,
+    policy_phase,
     run_pipeline,
-    sparsity_policy_learning,
+    run_scale,
     train_and_merge,
 )
 
@@ -272,7 +273,6 @@ class EfficiencyComparison:
     grasp: RuntimeReport
     grid: RuntimeReport
     step_speedup: float
-    p_star: float
 
 
 def compare_efficiency(
@@ -303,27 +303,18 @@ def compare_efficiency(
         raise UsageError("repeats must be >= 1")
     grid = (grid or GridSpec()).validate()
     data = gen_toy_data(task_cfg, seed)
-    microdev = microdev_slice(data, controller_cfg)
+    scale = run_scale(data, controller_cfg)
     _source, _target, merged_init = train_and_merge(data, lora_cfg, train_cfg, seed)
-    scale = estimate_scale(microdev.x)
 
     grasp_seconds, grid_seconds = [], []
     for _ in range(repeats):
-        reps = pipeline_rngs(seed)
         t0 = time.perf_counter()
-        policy = sparsity_policy_learning(
-            data.backbone, merged_init, data.target_train, microdev,
-            controller_cfg, train_cfg, reps["phase2_train"], reps["policy"],
-        )
-        final = final_prune_finetune(
-            data.backbone, merged_init, policy.p_star, data.target_train,
-            data.dev, scale, train_cfg, reps["phase3"],
-            p_min=controller_cfg.p_min, p_max=controller_cfg.p_max,
-        )
+        policy = policy_phase(data, merged_init, controller_cfg, train_cfg, seed)
+        final = final_phase(data, merged_init, policy.p_star, controller_cfg, train_cfg, seed)
         t1 = time.perf_counter()
         outcome = grid_search(
             data.backbone, merged_init, data.target_train, data.dev,
-            scale, train_cfg, seed, grid=grid,
+            scale, train_cfg, seed, grid=grid, test=data.test,
         )
         grasp_seconds.append(t1 - t0)
         grid_seconds.append(time.perf_counter() - t1)
@@ -335,7 +326,6 @@ def compare_efficiency(
         grasp=_runtime_report("policy", 2, grasp_steps, grasp_seconds, t_grid),
         grid=_runtime_report("grid", len(grid.ratios), grid_steps, grid_seconds, t_grid),
         step_speedup=grid_steps / grasp_steps,
-        p_star=policy.p_star,
     )
 
 

@@ -53,14 +53,12 @@ from .configio import RunConfig, config_hash, load_run_config, render_ini
 from .container import load_merged, save_adapters, save_merged
 from .controller import append_round_log, read_round_log
 from .errors import PolicyPruneError, StorageError, UsageError
-from .masking import estimate_scale
-from .adapters import merge_adapter_sets
+from .adapters import merge_adapter_sets  # noqa: F401 (perfbench traces this binding)
 from .serialize import canonical_json_line, sha256_file
 from .toytask import gen_toy_data
-from .training import (
+from .training import final_phase, policy_phase, run_scale, train_and_merge
+from .training import (  # noqa: F401 (perfbench traces these bindings)
     final_prune_finetune,
-    microdev_slice,
-    pipeline_rngs,
     sparsity_policy_learning,
     train_adapter,
 )
@@ -179,15 +177,21 @@ def _verified_parent(root: Path, command: str, name: str, chash: str):
     return path, man["seed"], parent
 
 
-def _load_parent_checkpoint(root: Path, chash: str):
-    """The verified merged-init checkpoint: (merged_init, parent_seed, parent)."""
-    ckpt, seed, parent = _verified_parent(root, "train-adapters", "merged_init.ckpt", chash)
-    merged, _header = load_merged(ckpt)
-    return merged, seed, parent
-
-
 def _inherited_seed(args, parent_seed: int) -> int:
     return int(args.seed) if args.seed is not None else parent_seed
+
+
+def _from_merge(cfg: RunConfig, args):
+    """The start of controller, finalize and grid: the config hash, the
+    verified merged-init checkpoint with its parent record, the seed
+    (inherited unless --seed says otherwise) and that seed's task data."""
+    chash = config_hash(cfg)
+    ckpt, parent_seed, parent = _verified_parent(
+        Path(cfg.out), "train-adapters", "merged_init.ckpt", chash
+    )
+    merged_init, _header = load_merged(ckpt)
+    seed = _inherited_seed(args, parent_seed)
+    return chash, merged_init, parent, seed, gen_toy_data(cfg.task, seed)
 
 
 # --- subcommands -------------------------------------------------------------
@@ -197,16 +201,8 @@ def cmd_train_adapters(cfg: RunConfig, args) -> int:
     chash = config_hash(cfg)
     d = _claim_phase_dir(cfg, "train-adapters", args.force)
     seed = cfg.seed
-    data = gen_toy_data(cfg.task, seed)
-    rngs = pipeline_rngs(seed)
-    source = train_adapter(
-        data.backbone, data.source_train, cfg.lora, cfg.training, rngs["source"]
-    )
-    target = train_adapter(
-        data.backbone, data.target_train, cfg.lora, cfg.training, rngs["target"]
-    )
-    merged = merge_adapter_sets(
-        [source.adapters, target.adapters], data.backbone.site_ids()
+    source, target, merged = train_and_merge(
+        gen_toy_data(cfg.task, seed), cfg.lora, cfg.training, seed
     )
     save_adapters(d / "source.ckpt", source.adapters, kind="source",
                   seed=seed, config_hash=chash)
@@ -220,24 +216,11 @@ def cmd_train_adapters(cfg: RunConfig, args) -> int:
 
 
 def cmd_controller(cfg: RunConfig, args) -> int:
-    root = Path(cfg.out)
-    chash = config_hash(cfg)
-    merged_init, parent_seed, parent = _load_parent_checkpoint(root, chash)
-    seed = _inherited_seed(args, parent_seed)
-    data = gen_toy_data(cfg.task, seed)
-    microdev = microdev_slice(data, cfg.controller)
-    rngs = pipeline_rngs(seed)
+    chash, merged_init, parent, seed, data = _from_merge(cfg, args)
     d = _claim_phase_dir(cfg, "controller", args.force)
     log_path = d / "rounds.jsonl"
-    policy = sparsity_policy_learning(
-        data.backbone,
-        merged_init,
-        data.target_train,
-        microdev,
-        cfg.controller,
-        cfg.training,
-        rngs["phase2_train"],
-        rngs["policy"],
+    policy = policy_phase(
+        data, merged_init, cfg.controller, cfg.training, seed,
         on_round=functools.partial(append_round_log, log_path),
     )
     p_star_payload = {
@@ -278,28 +261,10 @@ def _resolve_p_star(root: Path, chash: str, args) -> tuple[float, str]:
 
 
 def cmd_finalize(cfg: RunConfig, args) -> int:
-    root = Path(cfg.out)
-    chash = config_hash(cfg)
-    merged_init, parent_seed, parent = _load_parent_checkpoint(root, chash)
-    p_star, p_star_source = _resolve_p_star(root, chash, args)
-    seed = _inherited_seed(args, parent_seed)
-    data = gen_toy_data(cfg.task, seed)
-    microdev = microdev_slice(data, cfg.controller)
-    rngs = pipeline_rngs(seed)
+    chash, merged_init, parent, seed, data = _from_merge(cfg, args)
+    p_star, p_star_source = _resolve_p_star(Path(cfg.out), chash, args)
     d = _claim_phase_dir(cfg, "finalize", args.force)
-    fin = final_prune_finetune(
-        data.backbone,
-        merged_init,
-        p_star,
-        data.target_train,
-        data.dev,
-        estimate_scale(microdev.x),
-        cfg.training,
-        rngs["phase3"],
-        p_min=cfg.controller.p_min,
-        p_max=cfg.controller.p_max,
-        test=data.test,
-    )
+    fin = final_phase(data, merged_init, p_star, cfg.controller, cfg.training, seed)
     save_merged(d / "final.ckpt", fin.merged, kind="final",
                 seed=seed, config_hash=chash)
     per_tensor = []
@@ -330,24 +295,12 @@ def cmd_finalize(cfg: RunConfig, args) -> int:
 
 
 def cmd_grid(cfg: RunConfig, args) -> int:
-    root = Path(cfg.out)
-    chash = config_hash(cfg)
-    merged_init, parent_seed, parent = _load_parent_checkpoint(root, chash)
-    seed = _inherited_seed(args, parent_seed)
-    data = gen_toy_data(cfg.task, seed)
-    microdev = microdev_slice(data, cfg.controller)
+    chash, merged_init, parent, seed, data = _from_merge(cfg, args)
     d = _claim_phase_dir(cfg, "grid", args.force)
     outcome = grid_search(
-        data.backbone,
-        merged_init,
-        data.target_train,
-        data.dev,
-        estimate_scale(microdev.x),
-        cfg.training,
-        seed,
-        grid=cfg.grid,
-        test=data.test,
-        workers=args.workers,
+        data.backbone, merged_init, data.target_train, data.dev,
+        run_scale(data, cfg.controller), cfg.training, seed,
+        grid=cfg.grid, test=data.test, workers=args.workers,
     )
     write_grid_csv(d / "grid.csv", outcome)
     _write_manifest(d, "grid", seed, chash, parent)

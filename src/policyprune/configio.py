@@ -38,7 +38,7 @@ from .controller import ControllerConfig
 from .errors import StorageError, UsageError
 from .serialize import canonical_json, sha256_text
 from .toytask import ToyTaskConfig
-from .training import LoraConfig, TrainConfig
+from .training import LoraConfig, TrainConfig, total_steps
 
 __all__ = [
     "DEFAULT_SEEDS",
@@ -84,6 +84,18 @@ class RunConfig:
                 raise UsageError(f"seeds must be non-negative integers, got {s!r}")
         if not self.out:
             raise UsageError("output directory must not be empty")
+        ctrl, task = self.controller, self.task
+        if ctrl.microdev_n > task.microdev_n:
+            raise UsageError(
+                f"[controller] microdev_n = {ctrl.microdev_n} exceeds the generated "
+                f"micro-dev pool ([task] microdev_n = {task.microdev_n})"
+            )
+        budget = total_steps(self.training, task.target_train_n)
+        if ctrl.round_every > budget:
+            raise UsageError(
+                f"[controller] round_every = {ctrl.round_every} exceeds the phase-2 "
+                f"step budget {budget}; no controller round would run"
+            )
         return self
 
 

@@ -68,6 +68,11 @@ class ControllerConfig:
             raise UsageError("beta and tau_ent must be non-negative")
         if not (self.sigma_floor > 0 and math.isfinite(self.sigma_floor)):
             raise UsageError(f"sigma_floor must be positive, got {self.sigma_floor}")
+        if self.sigma_floor > (sigma := (self.p_max - self.p_min) / 6.0):
+            raise UsageError(
+                f"sigma_floor {self.sigma_floor} exceeds the initial sigma "
+                f"(p_max - p_min)/6 = {sigma}"
+            )
         return self
 
 

@@ -155,8 +155,6 @@ class DataSplit:
 class ToyData:
     """Everything one (cfg, seed) pair generates, regenerable bit-exactly."""
 
-    config: ToyTaskConfig
-    seed: int
     backbone: FrozenBackbone
     source_train: DataSplit
     target_train: DataSplit
@@ -253,8 +251,6 @@ def gen_toy_data(cfg: ToyTaskConfig, seed: int) -> ToyData:
     test = _sample_split(rng_target, cfg.test_n, backbone, d_tgt, cfg.noise_std)
 
     return ToyData(
-        config=cfg,
-        seed=seed,
         backbone=backbone,
         source_train=source_train,
         target_train=target_train,

@@ -64,6 +64,9 @@ __all__ = [
     "sparsity_policy_learning",
     "final_prune_finetune",
     "pipeline_rngs",
+    "run_scale",
+    "policy_phase",
+    "final_phase",
     "run_pipeline",
 ]
 
@@ -586,7 +589,6 @@ def final_prune_finetune(
 class RunArtifacts:
     """Everything one pipeline run produces, in memory."""
 
-    seed: int
     data: ToyData
     source_adapters: list[LoraAdapter]
     target_adapters: list[LoraAdapter]
@@ -618,6 +620,39 @@ def pipeline_rngs(seed: int) -> dict[str, np.random.Generator]:
     }
 
 
+def run_scale(data: ToyData, controller_cfg: ControllerConfig) -> ImportanceScale:
+    """The run's importance scale: `estimate_scale` of its micro-dev slice,
+    the one both the controller's probes and every fixed-ratio mask use."""
+    return estimate_scale(microdev_slice(data, controller_cfg).x)
+
+
+def policy_phase(
+    data: ToyData, merged_init: MergedAdapterSet, controller_cfg: ControllerConfig,
+    train_cfg: TrainConfig, seed: int, on_round=None,
+) -> PolicyLearningResult:
+    """Phase 2 of the run at `seed`: learn p_star on the run's micro-dev
+    slice, training on the `phase2_train` stream and sampling on `policy`."""
+    rngs = pipeline_rngs(seed)
+    return sparsity_policy_learning(
+        data.backbone, merged_init, data.target_train, microdev_slice(data, controller_cfg),
+        controller_cfg, train_cfg, rngs["phase2_train"], rngs["policy"], on_round=on_round,
+    )
+
+
+def final_phase(
+    data: ToyData, merged_init: MergedAdapterSet, p_star: float,
+    controller_cfg: ControllerConfig, train_cfg: TrainConfig, seed: int,
+) -> FinalRunResult:
+    """Phase 3 of the run at `seed`: prune at p_star (inside the controller's
+    range) with the run's scale, fine-tune on the `phase3` stream, and
+    report the test loss."""
+    return final_prune_finetune(
+        data.backbone, merged_init, p_star, data.target_train, data.dev,
+        run_scale(data, controller_cfg), train_cfg, pipeline_rngs(seed)["phase3"],
+        p_min=controller_cfg.p_min, p_max=controller_cfg.p_max, test=data.test,
+    )
+
+
 def run_pipeline(
     task_cfg: ToyTaskConfig,
     lora_cfg: LoraConfig,
@@ -634,41 +669,13 @@ def run_pipeline(
     that slice.
     """
     data = data if data is not None else gen_toy_data(task_cfg, seed)
-    microdev = microdev_slice(data, controller_cfg)
     assert {r.tobytes() for r in data.dev.x}.isdisjoint(
-        {r.tobytes() for r in microdev.x}
-    ), "dev split overlaps the micro-dev slice"
-    rngs = pipeline_rngs(seed)
-    backbone = data.backbone
+        {r.tobytes() for r in data.microdev.x}
+    ), "dev split overlaps the micro-dev pool"
     source, target, merged_init = train_and_merge(data, lora_cfg, train_cfg, seed)
-
-    policy = sparsity_policy_learning(
-        backbone,
-        merged_init,
-        data.target_train,
-        microdev,
-        controller_cfg,
-        train_cfg,
-        rngs["phase2_train"],
-        rngs["policy"],
-    )
-
-    scale = estimate_scale(microdev.x)
-    final = final_prune_finetune(
-        backbone,
-        merged_init,
-        policy.p_star,
-        data.target_train,
-        data.dev,
-        scale,
-        train_cfg,
-        rngs["phase3"],
-        p_min=controller_cfg.p_min,
-        p_max=controller_cfg.p_max,
-        test=data.test,
-    )
+    policy = policy_phase(data, merged_init, controller_cfg, train_cfg, seed)
+    final = final_phase(data, merged_init, policy.p_star, controller_cfg, train_cfg, seed)
     return RunArtifacts(
-        seed=seed,
         data=data,
         source_adapters=source.adapters,
         target_adapters=target.adapters,

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from policyprune import cli
+from policyprune import cli, training
 from policyprune.configio import load_run_config, render_ini
 from policyprune.container import load_merged
 from policyprune.controller import read_round_log
@@ -231,6 +231,25 @@ def test_a_non_finite_setting_exits_2_before_any_phase_directory(
         assert not out.exists()
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("[controller]\n", "[controller]\nsigma_floor = 0.5\n", "exceeds the initial sigma"),
+    ("[controller]\n", "[controller]\nround_every = 100000\n", "exceeds the phase-2 step budget"),
+    ("microdev_n = 8\n", "microdev_n = 64\n", "exceeds the generated micro-dev pool"),
+], ids=["sigma_floor", "round_every", "microdev_n"])
+def test_a_controller_setting_that_cannot_run_exits_2_from_every_subcommand(
+    tmp_path, capsys, old, new, message
+):
+    """A controller that cannot run fails at load, before any phase claims a
+    directory, so the corrected rerun needs no --force."""
+    ini = tmp_path / "bad.ini"
+    ini.write_text(SMALL_INI.replace(old, new))
+    out = tmp_path / "out"
+    for command in cli.PHASE_DIRS:
+        assert run_cli(command, "--config", str(ini), "--out", str(out)) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 def exit_code(*args: str) -> int:
     """`cli.main`'s exit status, whether it returns or argparse exits."""
     try:
@@ -391,7 +410,7 @@ def test_interrupted_controller_leaves_a_parseable_partial_log(
 ):
     ini, out = fresh
     assert run_cli("train-adapters", "--config", str(ini), "--out", str(out)) == 0
-    real = cli.sparsity_policy_learning
+    real = training.sparsity_policy_learning
 
     def cut_short(*args, **kwargs):
         on_round = kwargs["on_round"]
@@ -404,7 +423,7 @@ def test_interrupted_controller_leaves_a_parseable_partial_log(
         kwargs["on_round"] = spy
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "sparsity_policy_learning", cut_short)
+    monkeypatch.setattr(training, "sparsity_policy_learning", cut_short)
     assert run_cli("controller", "--config", str(ini), "--out", str(out)) == 4
     log = out / "controller" / "rounds.jsonl"
     records = read_round_log(log)
@@ -412,7 +431,7 @@ def test_interrupted_controller_leaves_a_parseable_partial_log(
     assert [r.round for r in records] == [0, 1]
     assert not (out / "controller" / "manifest.json").exists()
     # rerunning after the interruption needs --force (partial output exists)
-    monkeypatch.setattr(cli, "sparsity_policy_learning", real)
+    monkeypatch.setattr(training, "sparsity_policy_learning", real)
     assert run_cli("controller", "--config", str(ini), "--out", str(out)) == 3
     assert run_cli("controller", "--config", str(ini), "--out", str(out),
                    "--force") == 0

@@ -140,6 +140,30 @@ def test_validation_runs_on_the_resolved_config(tmp_path):
         load_run_config(seed=-3, env={})
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[controller]\nsigma_floor = 0.2\n",
+     r"sigma_floor 0.2 exceeds the initial sigma \(p_max - p_min\)/6"),
+    ("[training]\nepochs = 1\n[controller]\nround_every = 289\n",
+     "round_every = 289 exceeds the phase-2 step budget 288"),
+    ("[controller]\nmicrodev_n = 33\n",
+     r"microdev_n = 33 exceeds the generated micro-dev pool \(\[task\] microdev_n = 32\)"),
+], ids=["sigma_floor", "round_every", "microdev_n"])
+def test_a_controller_that_cannot_run_is_rejected_at_load(tmp_path, text, message):
+    # each of these would otherwise fail only once phase 2 is under way
+    ini = tmp_path / "bad.ini"
+    ini.write_text(text)
+    with pytest.raises(UsageError, match=message):
+        load_run_config(ini, env={})
+
+
+def test_controller_limits_at_their_bounds_load(tmp_path):
+    ini = tmp_path / "edge.ini"
+    ini.write_text("[training]\nepochs = 1\n[controller]\nround_every = 288\n"
+                   "microdev_n = 32\nsigma_floor = 0.1\n")
+    cfg = load_run_config(ini, env={})
+    assert (cfg.controller.round_every, cfg.controller.microdev_n) == (288, 32)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("section, key", [
     ("training", "learning_rate"),
