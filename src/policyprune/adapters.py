@@ -19,19 +19,15 @@ import numpy as np
 from .errors import DimensionError, UsageError
 
 
-def matrix(data, rows: int | None = None, cols: int | None = None) -> np.ndarray:
+def matrix(data) -> np.ndarray:
     """Validate and normalize a 2-D float64 matrix.
 
-    Rejects non-finite entries and, when rows/cols are given, wrong shapes.
-    Returns a C-contiguous float64 array (copying only if needed).
+    Rejects non-finite entries and anything but two dimensions. Returns a
+    C-contiguous float64 array (copying only if needed).
     """
     arr = np.ascontiguousarray(data, dtype=np.float64)
     if arr.ndim != 2:
         raise DimensionError(f"expected a 2-D matrix, got ndim={arr.ndim}")
-    if rows is not None and arr.shape[0] != rows:
-        raise DimensionError(f"expected {rows} rows, got {arr.shape[0]}")
-    if cols is not None and arr.shape[1] != cols:
-        raise DimensionError(f"expected {cols} cols, got {arr.shape[1]}")
     if not np.isfinite(arr).all():
         raise UsageError("matrix entries must be finite (no NaN/Inf)")
     return arr

@@ -20,13 +20,7 @@ from .adapters import FrozenBackbone, LoraAdapter, MergedAdapterSet, merge_adapt
 from .controller import ControllerConfig, ControllerRecord
 from .errors import NumericalError, TrainingDivergedError, UsageError
 from .masking import ImportanceScale
-from .toytask import (
-    DataSplit,
-    ToyData,
-    ToyTaskConfig,
-    gen_toy_data,
-    mse_loss,
-)
+from .toytask import DataSplit, ToyData, ToyTaskConfig, gen_toy_data, mse_loss, run_stream
 from .training import (
     LoraConfig,
     TrainConfig,
@@ -83,11 +77,6 @@ REGULARIZER_SWEEP: tuple[tuple[float, float], ...] = (
 
 MICRODEV_SIZES: tuple[int, ...] = (4, 8, 16, 32)
 
-# Child-stream indices 0-7 of a run's root seed belong to the pipeline
-# (data generation and the three phases); grid cells draw from 10 upward
-# so extra baseline runs never share a stream with the run they shadow.
-_GRID_CHILD_BASE = 10
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -107,9 +96,9 @@ class GridSpec:
 
 
 def grid_run_rng(seed: int, index: int) -> np.random.Generator:
-    """Deterministic generator for the index-th grid cell of a run seed."""
-    kids = np.random.SeedSequence(seed).spawn(_GRID_CHILD_BASE + index + 1)
-    return np.random.Generator(np.random.PCG64(kids[_GRID_CHILD_BASE + index]))
+    """The index-th grid cell's stream: child 10 + index of the run seed
+    (see `toytask.run_stream`)."""
+    return run_stream(seed, 10 + index)
 
 
 @dataclass(frozen=True)
@@ -392,20 +381,20 @@ def ablate_regularizers(
     train_cfg: TrainConfig,
     controller_cfg: ControllerConfig,
     seeds: tuple[int, ...] = (42,),
-    sweep: tuple[tuple[float, float], ...] = REGULARIZER_SWEEP,
     workers: int = 1,
 ) -> list[RegularizerCell]:
-    """One policy pipeline per (anchoring, exploration) cell and seed.
+    """One policy pipeline per (anchoring, exploration) cell of
+    `REGULARIZER_SWEEP` and seed.
 
     Every cell sees the same seed set; rows report the mean selected ratio
     and mean final dev loss over those seeds. `workers` > 1 spreads the
     independent (cell, seed) runs over a process pool.
     """
-    cfgs = [replace(controller_cfg, beta=beta, tau_ent=tau) for beta, tau in sweep]
+    cfgs = [replace(controller_cfg, beta=beta, tau_ent=tau) for beta, tau in REGULARIZER_SWEEP]
     means = _sweep(task_cfg, lora_cfg, train_cfg, cfgs, seeds, workers)
     return [
         RegularizerCell(beta=beta, tau=tau, p_star=p_star, dev_loss=dev_loss)
-        for (beta, tau), (p_star, dev_loss) in zip(sweep, means)
+        for (beta, tau), (p_star, dev_loss) in zip(REGULARIZER_SWEEP, means)
     ]
 
 
@@ -423,27 +412,26 @@ def ablate_microdev(
     train_cfg: TrainConfig,
     controller_cfg: ControllerConfig,
     seeds: tuple[int, ...] = (42,),
-    sizes: tuple[int, ...] = MICRODEV_SIZES,
     workers: int = 1,
 ) -> list[MicrodevCell]:
-    """Sweep the micro-dev size m; smaller slices nest inside larger ones.
+    """Sweep the micro-dev size m over `MICRODEV_SIZES`; smaller slices nest
+    inside larger ones.
 
     All sizes share one generated pool per seed, head-sliced to m, so the
     4-example slice is literally the first quarter of the 16-example one.
     `workers` > 1 spreads the independent (size, seed) runs over a pool.
     """
-    for m in sizes:  # sizes below 1 fail the config check in _sweep
-        if m > task_cfg.microdev_n:
-            raise UsageError(
-                f"micro-dev size {m} exceeds the task's generated pool "
-                f"({task_cfg.microdev_n})"
-            )
-    cfgs = [replace(controller_cfg, microdev_n=m) for m in sizes]
+    if (largest := max(MICRODEV_SIZES)) > task_cfg.microdev_n:
+        raise UsageError(
+            f"micro-dev size {largest} exceeds the task's generated pool "
+            f"({task_cfg.microdev_n})"
+        )
+    cfgs = [replace(controller_cfg, microdev_n=m) for m in MICRODEV_SIZES]
     means = _sweep(task_cfg, lora_cfg, train_cfg, cfgs, seeds, workers)
     return [
         MicrodevCell(m=m, p_star=p_star, dev_loss=dev_loss,
                      non_micro=m >= task_cfg.target_train_n)
-        for m, (p_star, dev_loss) in zip(sizes, means)
+        for m, (p_star, dev_loss) in zip(MICRODEV_SIZES, means)
     ]
 
 

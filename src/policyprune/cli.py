@@ -37,6 +37,7 @@ import sys
 from pathlib import Path
 
 from .baselines import (
+    MICRODEV_SIZES,
     ablate_microdev,
     ablate_regularizers,
     compare_efficiency,
@@ -263,6 +264,12 @@ def _resolve_p_star(root: Path, chash: str, args) -> tuple[float, str]:
 def cmd_finalize(cfg: RunConfig, args) -> int:
     chash, merged_init, parent, seed, data = _from_merge(cfg, args)
     p_star, p_star_source = _resolve_p_star(Path(cfg.out), chash, args)
+    ctrl = cfg.controller
+    if not ctrl.p_min <= p_star <= ctrl.p_max:  # NaN fails too
+        raise UsageError(
+            f"p_star {p_star} ({p_star_source}) outside [controller] p_min … p_max "
+            f"= [{ctrl.p_min}, {ctrl.p_max}]"
+        )
     d = _claim_phase_dir(cfg, "finalize", args.force)
     fin = final_phase(data, merged_init, p_star, cfg.controller, cfg.training, seed)
     save_merged(d / "final.ckpt", fin.merged, kind="final",
@@ -314,6 +321,11 @@ def cmd_grid(cfg: RunConfig, args) -> int:
 
 def cmd_ablate(cfg: RunConfig, args) -> int:
     chash = config_hash(cfg)
+    if (largest := max(MICRODEV_SIZES)) > cfg.task.microdev_n:
+        raise UsageError(
+            f"ablate sweeps micro-dev sizes up to {largest}, but [task] microdev_n "
+            f"= {cfg.task.microdev_n} generates a smaller pool"
+        )
     d = _claim_phase_dir(cfg, "ablate", args.force)
     reg_rows = ablate_regularizers(
         cfg.task, cfg.lora, cfg.training, cfg.controller,

@@ -62,11 +62,10 @@ def quadratic_env(
     rng: np.random.Generator,
     p_target: float,
     noise_std: float = 0.01,
-    curvature: float = 1.0,
 ) -> SyntheticEnv:
-    """Single planted optimum: clean reward -curvature * (p - p_target)^2."""
+    """Single planted optimum: clean reward -(p - p_target)^2."""
     return SyntheticEnv(
-        clean=lambda p: -curvature * (p - p_target) ** 2,
+        clean=lambda p: -((p - p_target) ** 2),
         noise_std=lambda p: noise_std,
         rng=rng,
     )

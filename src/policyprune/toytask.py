@@ -25,7 +25,7 @@ so it still raises `UsageError` before a gradient is written, and rows that
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +37,7 @@ __all__ = [
     "DataSplit",
     "ToyData",
     "site_names",
+    "run_stream",
     "gen_toy_data",
     "teacher_forward",
     "model_forward",
@@ -161,8 +162,6 @@ class ToyData:
     dev: DataSplit
     microdev: DataSplit
     test: DataSplit
-    teacher_source: dict[str, np.ndarray] = field(repr=False, default_factory=dict)
-    teacher_target: dict[str, np.ndarray] = field(repr=False, default_factory=dict)
 
 
 def _teacher_site(
@@ -214,19 +213,31 @@ def _sample_split(
     return DataSplit(x, y)
 
 
+# Every stochastic stage of a run draws from its own child stream of the
+# run seed, `run_stream(seed, i)`, at a fixed index, so no stage's stream
+# depends on another stage's outcome:
+#   0-2     teacher construction, source sampling, target sampling (`gen_toy_data`)
+#   3-7     `pipeline_rngs`: "source" and "target" (the phase-1 adapters),
+#           "phase2_train", "policy" (controller sampling) and "phase3"
+#   10 + i  grid cell i (`grid_run_rng`), clear of the run it shadows
+
+
+def run_stream(seed: int, i: int) -> np.random.Generator:
+    """Child stream i of the run seed: the i-th child of any spawn of
+    `SeedSequence(seed)` into more than i children."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(i + 1)[i]))
+
+
 def gen_toy_data(cfg: ToyTaskConfig, seed: int) -> ToyData:
     """Generate the task pair and all splits as a pure function of (cfg, seed).
 
-    Seed handling: three independent substreams (teacher construction,
-    source sampling, target sampling), so every split is reproducible
-    bit-for-bit. The dev and micro-dev splits are sliced from one block of
-    draws, which makes them disjoint by construction.
+    The teacher, the source splits and the target splits each draw from
+    their own stream (children 0-2, see `run_stream`), so every split is
+    reproducible bit-for-bit. The dev and micro-dev splits are sliced from
+    one block of draws, which makes them disjoint by construction.
     """
     cfg.validate()
-    kids = np.random.SeedSequence(seed).spawn(3)
-    rng_teacher = np.random.Generator(np.random.PCG64(kids[0]))
-    rng_source = np.random.Generator(np.random.PCG64(kids[1]))
-    rng_target = np.random.Generator(np.random.PCG64(kids[2]))
+    rng_teacher, rng_source, rng_target = (run_stream(seed, i) for i in range(3))
 
     names = site_names(cfg.n_sites)
     weights, d_src, d_tgt = [], {}, {}
@@ -257,8 +268,6 @@ def gen_toy_data(cfg: ToyTaskConfig, seed: int) -> ToyData:
         dev=dev,
         microdev=microdev,
         test=test,
-        teacher_source=d_src,
-        teacher_target=d_tgt,
     )
 
 

@@ -43,7 +43,8 @@ from .masking import (  # noqa: F401 (prune_threshold: perfbench traces this bin
     sorted_threshold,
 )
 from .optim import OptimizerState, init_optimizer, install_mask, optimizer_step_and_reset
-from .toytask import DataSplit, ToyData, ToyTaskConfig, gen_toy_data, loss_and_gradients, model_forward, mse_loss
+from .toytask import DataSplit, ToyData, ToyTaskConfig, gen_toy_data, run_stream
+from .toytask import loss_and_gradients, model_forward, mse_loss
 
 __all__ = [
     "LoraConfig",
@@ -422,8 +423,6 @@ class MaskedTrainingEnv:
 class PolicyLearningResult:
     records: list[ControllerRecord]
     p_star: float
-    merged: MergedAdapterSet  # end-of-phase parameters, diagnostics only
-    mask: SparsityMask
     step_losses: list[float]
 
     @property
@@ -513,8 +512,6 @@ def sparsity_policy_learning(
     return PolicyLearningResult(
         records=records,
         p_star=select_p_star(records),
-        merged=merged,
-        mask=opt.mask,
         step_losses=losses,
     )
 
@@ -523,9 +520,7 @@ def sparsity_policy_learning(
 class FinalRunResult:
     merged: MergedAdapterSet
     mask: SparsityMask
-    p_star: float
     step_losses: list[float]
-    dev_history: list[float]  # index 0 is the pre-training dev loss
     dev_loss: float
     test_loss: float | None
     stopped_early: bool
@@ -576,9 +571,7 @@ def final_prune_finetune(
     return FinalRunResult(
         merged=merged,
         mask=opt.mask,
-        p_star=p_star,
         step_losses=losses,
-        dev_history=dev_history,
         dev_loss=dev_history[-1],
         test_loss=test_loss,
         stopped_early=stopped,
@@ -590,7 +583,6 @@ class RunArtifacts:
     """Everything one pipeline run produces, in memory."""
 
     data: ToyData
-    source_adapters: list[LoraAdapter]
     target_adapters: list[LoraAdapter]
     merged_init: MergedAdapterSet
     policy: PolicyLearningResult
@@ -604,20 +596,10 @@ class RunArtifacts:
 
 
 def pipeline_rngs(seed: int) -> dict[str, np.random.Generator]:
-    """Independent substreams for every stochastic stage of one run.
-
-    The data generator internally consumes child streams 0-2 of the same
-    root seed, so the training-side streams start at child 3. Fixed indices
-    keep each stage's stream independent of every other stage's outcome.
-    """
-    kids = np.random.SeedSequence(seed).spawn(8)
-    return {
-        "source": np.random.Generator(np.random.PCG64(kids[3])),
-        "target": np.random.Generator(np.random.PCG64(kids[4])),
-        "phase2_train": np.random.Generator(np.random.PCG64(kids[5])),
-        "policy": np.random.Generator(np.random.PCG64(kids[6])),
-        "phase3": np.random.Generator(np.random.PCG64(kids[7])),
-    }
+    """The training-side streams of one run: children 3-7 of the run seed
+    (the table is at `toytask.run_stream`)."""
+    keys = ("source", "target", "phase2_train", "policy", "phase3")
+    return {key: run_stream(seed, i) for i, key in enumerate(keys, start=3)}
 
 
 def run_scale(data: ToyData, controller_cfg: ControllerConfig) -> ImportanceScale:
@@ -659,7 +641,6 @@ def run_pipeline(
     train_cfg: TrainConfig,
     controller_cfg: ControllerConfig,
     seed: int,
-    data: ToyData | None = None,
 ) -> RunArtifacts:
     """All three phases end to end as a pure function of configs and seed.
 
@@ -668,16 +649,12 @@ def run_pipeline(
     larger ones); both the probe rewards and the importance scale see only
     that slice.
     """
-    data = data if data is not None else gen_toy_data(task_cfg, seed)
-    assert {r.tobytes() for r in data.dev.x}.isdisjoint(
-        {r.tobytes() for r in data.microdev.x}
-    ), "dev split overlaps the micro-dev pool"
+    data = gen_toy_data(task_cfg, seed)
     source, target, merged_init = train_and_merge(data, lora_cfg, train_cfg, seed)
     policy = policy_phase(data, merged_init, controller_cfg, train_cfg, seed)
     final = final_phase(data, merged_init, policy.p_star, controller_cfg, train_cfg, seed)
     return RunArtifacts(
         data=data,
-        source_adapters=source.adapters,
         target_adapters=target.adapters,
         merged_init=merged_init,
         policy=policy,

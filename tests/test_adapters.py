@@ -135,7 +135,7 @@ def test_matrix_validation():
     with pytest.raises(DimensionError):
         matrix([1.0, 2.0])
     with pytest.raises(DimensionError):
-        matrix([[1.0, 2.0]], rows=2)
+        matrix(np.zeros((1, 2, 2)))
     with pytest.raises(UsageError):
         matrix([[np.nan, 0.0]])
     m = matrix([[1, 2], [3, 4]])

@@ -299,7 +299,6 @@ def test_regularizer_ablation_covers_the_six_cells():
     assert [(r.beta, r.tau) for r in rows] == list(REGULARIZER_SWEEP)
     assert all(0.10 <= r.p_star <= 0.80 for r in rows)
     assert all(np.isfinite(r.dev_loss) for r in rows)
-    assert ablate_regularizers(SMALL, LORA4, cfg, CTRL8, seeds=(11,), sweep=()) == []
     with pytest.raises(UsageError):
         ablate_regularizers(SMALL, LORA4, cfg, CTRL8, seeds=())
 
@@ -319,10 +318,9 @@ def test_microdev_ablation_nests_slices_and_flags_non_micro():
     m16 = next(r for r in rows if r.m == 16)
     assert m16.p_star == direct.p_star
     assert m16.dev_loss == direct.final.dev_loss
-    with pytest.raises(UsageError):
-        ablate_microdev(SMALL, LORA4, cfg, CTRL8, seeds=(11,), sizes=(64,))
-    with pytest.raises(UsageError):
-        ablate_microdev(SMALL, LORA4, cfg, CTRL8, seeds=(11,), sizes=(0,))
+    # a pool below the largest size (32) is refused before any run
+    with pytest.raises(UsageError, match="micro-dev size 32 exceeds"):
+        ablate_microdev(replace(SMALL, microdev_n=16), LORA4, cfg, CTRL8, seeds=(11,))
 
 
 def _records(ps):
@@ -390,20 +388,16 @@ def test_csv_writers_round_trip(tmp_path):
     assert int(rows[1][2]) == 8 and int(rows[2][2]) == 2
 
     reg = tmp_path / "reg.csv"
-    write_regularizer_csv(reg, ablate_regularizers(
-        SMALL, LORA4, cfg, CTRL8, seeds=(5,), sweep=((0.05, 0.01),)
-    ))
+    write_regularizer_csv(reg, ablate_regularizers(SMALL, LORA4, cfg, CTRL8, seeds=(5,)))
     rows = list(csv.reader(reg.open()))
     assert rows[0] == ["beta", "tau", "p_star", "dev_loss"]
-    assert len(rows) == 2
+    assert [(float(r[0]), float(r[1])) for r in rows[1:]] == list(REGULARIZER_SWEEP)
 
     mic = tmp_path / "mic.csv"
-    write_microdev_csv(mic, ablate_microdev(
-        SMALL, LORA4, cfg, CTRL8, seeds=(5,), sizes=(4, 8)
-    ))
+    write_microdev_csv(mic, ablate_microdev(SMALL, LORA4, cfg, CTRL8, seeds=(5,)))
     rows = list(csv.reader(mic.open()))
     assert rows[0] == ["m", "p_star", "dev_loss"]
-    assert [int(r[0]) for r in rows[1:]] == [4, 8]
+    assert [int(r[0]) for r in rows[1:]] == list(MICRODEV_SIZES)
 
     rol = tmp_path / "roll.csv"
     write_rolling_csv(rol, rolling_pcurr(_records([0.3, 0.5])))

@@ -387,6 +387,55 @@ def test_finalize_refuses_a_p_star_file_its_manifest_does_not_match(chain, capsy
     assert not (out / "final").exists()
 
 
+@pytest.mark.parametrize("p_star, source", [
+    ("0.95", "flag"), ("nan", "flag"), (0.95, "file"), (float("nan"), "file"),
+], ids=["flag-above", "flag-nan", "file-above", "file-nan"])
+def test_finalize_checks_p_star_against_the_range_before_claiming_final(
+    chain, capsys, tmp_path, p_star, source
+):
+    """A p_star outside [controller] p_min … p_max, NaN included, exits 2
+    with nothing of the phase on disk, so the corrected rerun needs no
+    --force."""
+    ini, src_out = chain
+    out = tmp_path / "out"
+    shutil.copytree(src_out / "adapters", out / "adapters")
+    if source == "flag":
+        args = ("--p-star", p_star)
+    else:  # a hand-written p_star file, as no controller phase wrote it
+        (out / "controller").mkdir()
+        (out / "controller" / "p_star.json").write_text(json.dumps({"p_star": p_star}))
+        args = ()
+    assert run_cli("finalize", "--config", str(ini), "--out", str(out), *args) == 2
+    assert "outside [controller] p_min … p_max = [0.1, 0.8]" in capsys.readouterr().err
+    assert not (out / "final").exists()
+    assert run_cli("finalize", "--config", str(ini), "--out", str(out),
+                   "--p-star", "0.3") == 0
+
+
+def test_finalize_force_with_a_bad_p_star_keeps_the_completed_phase(chain, capsys, tmp_path):
+    ini, src_out = chain
+    out = tmp_path / "out"
+    shutil.copytree(src_out, out)
+    before = digests(out / "final")
+    assert run_cli("finalize", "--config", str(ini), "--out", str(out),
+                   "--force", "--p-star", "0.95") == 2
+    assert "outside [controller] p_min" in capsys.readouterr().err
+    assert digests(out / "final") == before
+
+
+def test_ablate_refuses_a_pool_below_the_largest_microdev_size_before_claiming(
+    tmp_path, capsys
+):
+    """`[task] microdev_n = 16` suits every other subcommand, but the
+    micro-dev sweep reaches 32: ablate exits 2 before any run or directory."""
+    ini = tmp_path / "pool16.ini"
+    ini.write_text(SMALL_INI.replace("microdev_n = 32\n", "microdev_n = 16\n"))
+    out = tmp_path / "out"
+    assert run_cli("ablate", "--config", str(ini), "--out", str(out)) == 2
+    assert "micro-dev sizes up to 32" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_finalize_without_controller_suggests_what_to_run(fresh, capsys):
     ini, out = fresh
     assert run_cli("train-adapters", "--config", str(ini), "--out", str(out)) == 0

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from policyprune.adapters import MergedAdapterSet, SiteFactors
+from policyprune.baselines import grid_run_rng
 from policyprune.errors import DimensionError, TrainingDivergedError, UsageError
 from policyprune.masking import ImportanceScale, build_mask, mask_apply_inplace
 from policyprune.toytask import (
@@ -15,11 +16,19 @@ from policyprune.toytask import (
     gen_toy_data,
     loss_and_gradients,
     model_forward,
+    _teacher_site,
     mse_loss,
+    run_stream,
     site_names,
     teacher_forward,
 )
-from policyprune.training import LoraConfig, TrainConfig, init_adapter_factors, train_adapter
+from policyprune.training import (
+    LoraConfig,
+    TrainConfig,
+    init_adapter_factors,
+    pipeline_rngs,
+    train_adapter,
+)
 
 
 def random_adapter_set(data, rank, rng):
@@ -41,13 +50,23 @@ def data_checksum(data):
     arrays = [w for _, w in data.backbone.sites]
     for split in (data.source_train, data.target_train, data.dev, data.microdev, data.test):
         arrays += [split.x, split.y]
-    arrays += [data.teacher_source[s] for s in data.backbone.site_ids()]
-    arrays += [data.teacher_target[s] for s in data.backbone.site_ids()]
     h = hashlib.sha256()
     for arr in arrays:
         h.update(str(arr.shape).encode())
         h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()
+
+
+def planted_deltas(data, cfg, seed):
+    """The source and target perturbations planted in `data`, rebuilt from
+    the teacher stream (child 0 of the seed, one `_teacher_site` per site)
+    once the rebuilt frozen weights are checked against the backbone's."""
+    rng = run_stream(seed, 0)
+    d_src, d_tgt = {}, {}
+    for sid in data.backbone.site_ids():
+        w, d_src[sid], d_tgt[sid] = _teacher_site(rng, cfg)
+        assert w.tobytes() == data.backbone.site(sid).tobytes()
+    return d_src, d_tgt
 
 
 def test_site_names_default_pair_and_extension():
@@ -59,6 +78,29 @@ def test_generation_is_bit_exact_for_a_fixed_seed():
     cfg = ToyTaskConfig()
     assert data_checksum(gen_toy_data(cfg, 42)) == data_checksum(gen_toy_data(cfg, 42))
     assert data_checksum(gen_toy_data(cfg, 42)) != data_checksum(gen_toy_data(cfg, 43))
+
+
+def test_every_named_stream_draws_as_its_spawn_did():
+    """Each stage's stream is the child its own spawn gave it before the
+    streams shared `run_stream`: children 0-2 of a 3-way spawn for the data,
+    3-7 of an 8-way spawn for `pipeline_rngs`, and 10 + j of a (11 + j)-way
+    spawn for grid cell j."""
+
+    def spawned(seed, i, n):
+        kids = np.random.SeedSequence(seed).spawn(n)
+        return np.random.Generator(np.random.PCG64(kids[i])).random(4).tolist()
+
+    keys = ("source", "target", "phase2_train", "policy", "phase3")
+    for seed in (42, 1337, 9001):
+        for i in range(8):
+            assert run_stream(seed, i).random(4).tolist() == spawned(seed, i, 8)
+        for i in range(3):
+            assert run_stream(seed, i).random(4).tolist() == spawned(seed, i, 3)
+        rngs = pipeline_rngs(seed)
+        for i, key in enumerate(keys, start=3):
+            assert rngs[key].random(4).tolist() == spawned(seed, i, 8), key
+        for j in range(8):
+            assert grid_run_rng(seed, j).random(4).tolist() == spawned(seed, 10 + j, 11 + j)
 
 
 def test_split_sizes_and_shapes():
@@ -92,11 +134,11 @@ def test_dev_and_microdev_are_disjoint():
 
 def test_interference_controls_teacher_alignment():
     def mean_cosine(interference, seed=11):
-        data = gen_toy_data(ToyTaskConfig(interference=interference), seed)
+        cfg = ToyTaskConfig(interference=interference)
+        d_src, d_tgt = planted_deltas(gen_toy_data(cfg, seed), cfg, seed)
         cosines = []
-        for sid in data.backbone.site_ids():
-            a = data.teacher_source[sid]
-            b = data.teacher_target[sid]
+        for sid in d_src:
+            a, b = d_src[sid], d_tgt[sid]
             cosines.append(
                 float(np.sum(a * b))
                 / (np.linalg.norm(a) * np.linalg.norm(b))
@@ -110,24 +152,21 @@ def test_interference_controls_teacher_alignment():
 
 def test_teacher_perturbation_energies_follow_the_configured_strengths():
     for i in (0.0, 0.3, 0.8, 1.0):
-        data = gen_toy_data(
-            ToyTaskConfig(interference=i, target_strength=0.5, source_strength=0.2),
-            3,
-        )
-        for sid in data.backbone.site_ids():
-            ratio = np.linalg.norm(data.teacher_source[sid]) / np.linalg.norm(
-                data.teacher_target[sid]
-            )
+        cfg = ToyTaskConfig(interference=i, target_strength=0.5, source_strength=0.2)
+        d_src, d_tgt = planted_deltas(gen_toy_data(cfg, 3), cfg, 3)
+        for sid in d_src:
+            ratio = np.linalg.norm(d_src[sid]) / np.linalg.norm(d_tgt[sid])
             assert ratio == pytest.approx(0.4, rel=1e-12)
 
 
 def test_noise_free_task_is_realizable_by_a_rank_limited_adapter():
     cfg = ToyTaskConfig(noise_std=0.0, teacher_rank=3)
     data = gen_toy_data(cfg, 5)
+    _d_src, d_tgt = planted_deltas(data, cfg, 5)
     sites = []
     for sid in data.backbone.site_ids():
         # Exact rank-3 factorization of the planted target perturbation.
-        u, s, vt = np.linalg.svd(data.teacher_target[sid], full_matrices=False)
+        u, s, vt = np.linalg.svd(d_tgt[sid], full_matrices=False)
         r = cfg.teacher_rank
         sites.append(SiteFactors(sid, s[:r, None] * vt[:r], u[:, :r]))
     merged = MergedAdapterSet(sites)
@@ -168,10 +207,12 @@ def test_model_forward_of_a_masked_merge_matches_the_dense_masked_update():
 
 
 def test_noise_free_targets_equal_teacher_forward():
-    data = gen_toy_data(ToyTaskConfig(noise_std=0.0), 2)
+    cfg = ToyTaskConfig(noise_std=0.0)
+    data = gen_toy_data(cfg, 2)
+    _d_src, d_tgt = planted_deltas(data, cfg, 2)
     np.testing.assert_allclose(
         data.target_train.y,
-        teacher_forward(data.backbone, data.teacher_target, data.target_train.x),
+        teacher_forward(data.backbone, d_tgt, data.target_train.x),
         rtol=0,
         atol=0,
     )
