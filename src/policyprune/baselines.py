@@ -29,7 +29,6 @@ from .training import (
     microdev_loss,
     pipeline_rngs,
     policy_phase,
-    run_pipeline,
     run_scale,
     train_and_merge,
 )
@@ -348,10 +347,12 @@ class RegularizerCell:
 
 
 def _pipeline_cell(args: tuple) -> tuple[float, float]:
-    """One full pipeline run; returns (p_star, final dev loss)."""
-    task_cfg, lora_cfg, train_cfg, controller_cfg, seed = args
-    art = run_pipeline(task_cfg, lora_cfg, train_cfg, controller_cfg, seed)
-    return art.p_star, art.final.dev_loss
+    """Phases 2 and 3 of one run from its seed's phase 1; returns (p_star,
+    final dev loss)."""
+    data, merged_init, train_cfg, controller_cfg, seed = args
+    policy = policy_phase(data, merged_init, controller_cfg, train_cfg, seed)
+    final = final_phase(data, merged_init, policy.p_star, controller_cfg, train_cfg, seed)
+    return policy.p_star, final.dev_loss
 
 
 def _sweep(
@@ -359,14 +360,19 @@ def _sweep(
     controller_cfgs: list[ControllerConfig], seeds: tuple[int, ...], workers: int,
 ) -> list[tuple[float, float]]:
     """One policy pipeline per (controller config, seed), on a pool of `workers`;
-    per config, the mean selected ratio and mean final dev loss over the seeds."""
+    per config, the mean selected ratio and mean final dev loss over the seeds.
+
+    Phase 1 depends on no controller setting, so each seed's data and merge
+    are built once and every config at that seed runs phases 2 and 3 from
+    them, as `run_pipeline` would."""
     if not seeds:
         raise UsageError("need at least one seed")
-    cells = [
-        (task_cfg, lora_cfg, train_cfg, cfg.validate(), seed)
-        for cfg in controller_cfgs
-        for seed in seeds
-    ]
+    cfgs = [cfg.validate() for cfg in controller_cfgs]
+    starts = {}
+    for seed in seeds:
+        data = gen_toy_data(task_cfg, seed)
+        starts[seed] = data, train_and_merge(data, lora_cfg, train_cfg, seed)[2]
+    cells = [(*starts[seed], train_cfg, cfg, seed) for cfg in cfgs for seed in seeds]
     results = _pool_map(_pipeline_cell, cells, workers)
     n = len(seeds)
     return [

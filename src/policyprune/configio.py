@@ -19,9 +19,7 @@ produces a new one. ``render_ini`` writes the fully resolved configuration
 back out, less the output directory, so every run directory records the
 exact values it ran with and its bytes do not depend on where it sits.
 
-Every default lives on its dataclass; ``LoraConfig.dropout``'s 0.05 (the
-published recipe's value) is carried and hashed but is a mathematical
-no-op on this deterministic linear trainer.
+Every default lives on its dataclass.
 """
 
 from __future__ import annotations
@@ -122,13 +120,6 @@ def _values(cfg: RunConfig, section: str) -> dict:
     return {name: getattr(obj, name) for name in _KEYS[section]}
 
 
-def _to_bool(raw: str) -> bool:
-    key = raw.strip().lower()
-    if key not in configparser.ConfigParser.BOOLEAN_STATES:
-        raise ValueError(f"not a boolean: {raw!r}")
-    return configparser.ConfigParser.BOOLEAN_STATES[key]
-
-
 def _to_opt_int(raw: str) -> int | None:
     key = raw.strip().lower()
     if key in ("none", "off", ""):
@@ -147,7 +138,6 @@ def _to_list(conv, raw: str) -> tuple:
 _CONVERTERS = {
     "int": int,
     "float": float,
-    "bool": _to_bool,
     "int | None": _to_opt_int,
     "str": str.strip,
     "tuple[int, ...]": functools.partial(_to_list, int),
@@ -255,8 +245,6 @@ def config_hash(cfg: RunConfig) -> str:
 def _fmt(value) -> str:
     if value is None:
         return "none"
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, tuple):

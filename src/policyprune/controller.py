@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ProbePurityError, RewardError, StorageError, UsageError, require_positive_int
 from .serialize import canonical_json
 
-SIGMA_FLOOR = 1e-3
+SIGMA_FLOOR = 1e-3  # smallest sigma the policy keeps
 
 
 def clamp(x: float, lo: float, hi: float) -> float:
@@ -47,7 +47,6 @@ class ControllerConfig:
     beta: float = 0.05           # mean-anchoring weight
     tau_ent: float = 0.01        # constant exploration offset added to sigma
     delta_max: float = 0.10      # largest committed move per round
-    sigma_floor: float = SIGMA_FLOOR
 
     def validate(self) -> "ControllerConfig":
         if not (0.0 <= self.p_min < self.p_max <= 1.0):
@@ -66,12 +65,10 @@ class ControllerConfig:
             raise UsageError("delta_max and eta must be positive")
         if self.beta < 0 or self.tau_ent < 0:
             raise UsageError("beta and tau_ent must be non-negative")
-        if not (self.sigma_floor > 0 and math.isfinite(self.sigma_floor)):
-            raise UsageError(f"sigma_floor must be positive, got {self.sigma_floor}")
-        if self.sigma_floor > (sigma := (self.p_max - self.p_min) / 6.0):
+        if (sigma := (self.p_max - self.p_min) / 6.0) < SIGMA_FLOOR:
             raise UsageError(
-                f"sigma_floor {self.sigma_floor} exceeds the initial sigma "
-                f"(p_max - p_min)/6 = {sigma}"
+                f"prune range too narrow: the initial sigma (p_max - p_min)/6 = "
+                f"{sigma} is below the sigma floor {SIGMA_FLOOR}"
             )
         return self
 
@@ -118,17 +115,16 @@ def centered_advantages(rewards: list[float]) -> list[float]:
 
 
 def score_gradients(
-    zs: list[float], advantages: list[float], mu: float, sigma: float,
-    floor: float = SIGMA_FLOOR,
+    zs: list[float], advantages: list[float], mu: float, sigma: float
 ) -> tuple[float, float]:
     """Monte-Carlo score-function estimators over draws z_i, advantages A_i.
 
     g_mu = (1/C) sum A_i (z_i - mu) / sigma^2
     g_sigma = (1/C) sum A_i ((z_i - mu)^2 - sigma^2) / sigma^3
-    sigma must be at least `floor`; rounds pass their config's `sigma_floor`.
+    sigma must be at least `SIGMA_FLOOR`.
     """
-    if sigma < floor:
-        raise UsageError(f"sigma {sigma} below floor {floor}")
+    if sigma < SIGMA_FLOOR:
+        raise UsageError(f"sigma {sigma} below floor {SIGMA_FLOOR}")
     var, cube = sigma**2, sigma**3
     g_mu = g_sigma = 0.0
     for z, a in zip(zs, advantages):
@@ -143,11 +139,11 @@ def policy_update(
     """Gradient step with mean anchoring toward p_curr and a sigma offset.
 
     mu    <- clamp(mu + eta*g_mu - eta*beta*(mu - p_curr), p_min, p_max)
-    sigma <- max(floor, sigma + eta*g_sigma + tau_ent)
+    sigma <- max(SIGMA_FLOOR, sigma + eta*g_sigma + tau_ent)
     """
     mu = policy.mu + cfg.eta * g_mu - cfg.eta * cfg.beta * (policy.mu - policy.p_curr)
     mu = clamp(mu, cfg.p_min, cfg.p_max)
-    sigma = max(cfg.sigma_floor, policy.sigma + cfg.eta * g_sigma + cfg.tau_ent)
+    sigma = max(SIGMA_FLOOR, policy.sigma + cfg.eta * g_sigma + cfg.tau_ent)
     return PolicyState(mu=mu, sigma=sigma, p_curr=policy.p_curr)
 
 
@@ -269,7 +265,7 @@ def controller_round(
                                         False, True, p_curr, policy.mu, policy.sigma)
 
     g_mu, g_sigma = score_gradients(alive_z, centered_advantages(alive_rel),
-                                    policy.mu, policy.sigma, cfg.sigma_floor)
+                                    policy.mu, policy.sigma)
     new_policy = policy_update(policy, g_mu, g_sigma, cfg)
     committed, p_new, _best = commit_decision(alive_p, alive_rel, p_curr, cfg)
     if committed:
@@ -324,7 +320,7 @@ def audit_records(records: list[ControllerRecord], cfg: ControllerConfig) -> lis
             value = getattr(rec, name)
             if value is None or not math.isfinite(value):  # a NaN is logged as null
                 problems.append(f"{tag}: {name} is not finite ({value})")
-        if rec.sigma_after is not None and rec.sigma_after < cfg.sigma_floor - 1e-15:
+        if rec.sigma_after is not None and rec.sigma_after < SIGMA_FLOOR - 1e-15:
             problems.append(f"{tag}: sigma {rec.sigma_after} below floor")
         if abs(rec.p_curr_after - rec.p_curr_before) > cfg.delta_max + 1e-12:
             problems.append(f"{tag}: committed move exceeds delta_max")

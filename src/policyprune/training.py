@@ -74,13 +74,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LoraConfig:
-    """Adapter shape and scaling. `dropout` defaults to the published
-    recipe's 0.05; it is carried and hashed but is a no-op on this
-    deterministic linear model."""
+    """Adapter shape and scaling."""
 
     rank: int = 8
     alpha: float = 32.0
-    dropout: float = 0.05
 
     @property
     def scale(self) -> float:
@@ -90,8 +87,6 @@ class LoraConfig:
         require_positive_int("rank", self.rank)
         if not (self.alpha > 0 and math.isfinite(self.alpha)):
             raise UsageError(f"alpha must be positive, got {self.alpha}")
-        if not (0.0 <= self.dropout < 1.0):
-            raise UsageError(f"dropout must be in [0, 1), got {self.dropout}")
 
 
 @dataclass(frozen=True)
@@ -110,7 +105,6 @@ class TrainConfig:
     epochs: int = 10
     weight_decay: float = 0.01
     early_stop_patience: int | None = 3
-    shuffle: bool = True
 
     def validate(self) -> None:
         if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
@@ -202,7 +196,7 @@ def _train_loop(
     size = train_cfg.batch_size
     for _ in range(train_cfg.epochs):
         # one shuffle draw and one gather per epoch; steps take slices
-        order = rng.permutation(split.n) if train_cfg.shuffle else slice(None)
+        order = rng.permutation(split.n)
         xs, ys = split.x[order], split.y[order]
         for lo in range(0, split.n, size):
             loss, grads = loss_and_gradients(

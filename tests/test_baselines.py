@@ -189,7 +189,7 @@ def _reference_noprune_training(data, merged, cfg, rng):
     n, size = data.target_train.n, cfg.batch_size
     for _ in range(cfg.epochs):
         # index batches from the same one shuffle draw per epoch
-        order = rng.permutation(n) if cfg.shuffle else np.arange(n)
+        order = rng.permutation(n)
         for lo in range(0, n, size):
             idx = order[lo : lo + size]
             loss, grads = loss_and_gradients(
@@ -209,18 +209,18 @@ def _reference_noprune_training(data, merged, cfg, rng):
 
 
 @pytest.mark.parametrize(
-    "batch_size, shuffle, patience, lr",
+    "batch_size, patience, lr",
     [
-        pytest.param(1, True, 3, 1e-4, id="b1-shuffled"),
+        pytest.param(1, 3, 1e-4, id="b1-shuffled"),
         # 32 rows in batches of 7: the last batch is short
-        pytest.param(7, False, 3, 1e-4, id="b7-in-order"),
+        pytest.param(7, 3, 1e-4, id="b7-short-last-batch"),
         # a large step overshoots the dev minimum: patience 1 stops at epoch 2
-        pytest.param(1, True, 1, 3e-2, id="b1-shuffled-stops-early"),
+        pytest.param(1, 1, 3e-2, id="b1-shuffled-stops-early"),
     ],
 )
-def test_noprune_baselines_reference_points(batch_size, shuffle, patience, lr):
+def test_noprune_baselines_reference_points(batch_size, patience, lr):
     data = gen_toy_data(SMALL, 9)
-    cfg = TrainConfig(epochs=3, batch_size=batch_size, shuffle=shuffle,
+    cfg = TrainConfig(epochs=3, batch_size=batch_size,
                       early_stop_patience=patience, learning_rate=lr)
     _source, target, merged_init = train_and_merge(data, LORA4, cfg, 9)
     before = merged_init.flat.copy()

@@ -232,7 +232,7 @@ def test_a_non_finite_setting_exits_2_before_any_phase_directory(
 
 
 @pytest.mark.parametrize("old, new, message", [
-    ("[controller]\n", "[controller]\nsigma_floor = 0.5\n", "exceeds the initial sigma"),
+    ("[controller]\n", "[controller]\np_min = 0.40\np_max = 0.405\n", "prune range too narrow"),
     ("[controller]\n", "[controller]\nround_every = 100000\n", "exceeds the phase-2 step budget"),
     ("microdev_n = 8\n", "microdev_n = 64\n", "exceeds the generated micro-dev pool"),
 ], ids=["sigma_floor", "round_every", "microdev_n"])

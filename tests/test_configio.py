@@ -15,7 +15,7 @@ from policyprune.configio import (
     load_run_config,
     render_ini,
 )
-from policyprune.controller import ControllerConfig
+from policyprune.controller import SIGMA_FLOOR, ControllerConfig
 from policyprune.errors import UsageError
 from policyprune.toytask import ToyTaskConfig
 from policyprune.training import LoraConfig, TrainConfig
@@ -24,10 +24,10 @@ from policyprune.training import LoraConfig, TrainConfig
 def test_stock_defaults():
     cfg = load_run_config(env={})
     assert cfg.task == ToyTaskConfig()
-    assert cfg.lora == LoraConfig(rank=8, alpha=32.0, dropout=0.05)
+    assert cfg.lora == LoraConfig(rank=8, alpha=32.0)
     assert cfg.training == TrainConfig(
         learning_rate=1e-4, batch_size=1, epochs=10, weight_decay=0.01,
-        early_stop_patience=3, shuffle=True,
+        early_stop_patience=3,
     )
     assert cfg.controller == ControllerConfig(
         p_min=0.10, p_max=0.80, p_init=0.40, round_every=10, candidates=3,
@@ -79,7 +79,7 @@ def test_resolved_ini_round_trips(tmp_path):
     custom = dataclasses.replace(
         cfg,
         training=dataclasses.replace(cfg.training, learning_rate=3.7e-3,
-                                     early_stop_patience=None, shuffle=False),
+                                     early_stop_patience=None),
         grid=GridSpec((0.125, 0.25)),
         seeds=(1, 2, 3),
     )
@@ -110,7 +110,6 @@ def test_rejects_unknown_names_and_bad_values(tmp_path):
         "unknown_section.ini": "[warp]\nx = 1\n",
         "unknown_key.ini": "[training]\nlr = 3\n",
         "bad_value.ini": "[training]\nepochs = soon\n",
-        "bad_bool.ini": "[training]\nshuffle = maybe\n",
         "empty_seeds.ini": "[run]\nseeds = ,\n",
         "bad_grid.ini": "[grid]\nratios = 0.5, 0.2\n",
     }
@@ -119,6 +118,11 @@ def test_rejects_unknown_names_and_bad_values(tmp_path):
         path.write_text(text)
         with pytest.raises(UsageError):
             load_run_config(path, env={})
+    # no section has a dropout, shuffle or sigma_floor key
+    for text in ("[lora]\ndropout = 0.05\n", "[training]\nshuffle = true\n",
+                 "[controller]\nsigma_floor = 1e-3\n"):
+        with pytest.raises(UsageError, match="unknown key"):
+            apply_ini(RunConfig(), text)
 
 
 def test_missing_config_file_is_a_usage_error(tmp_path):
@@ -141,8 +145,9 @@ def test_validation_runs_on_the_resolved_config(tmp_path):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("[controller]\nsigma_floor = 0.2\n",
-     r"sigma_floor 0.2 exceeds the initial sigma \(p_max - p_min\)/6"),
+    ("[controller]\np_min = 0.40\np_max = 0.405\n",
+     r"prune range too narrow: the initial sigma \(p_max - p_min\)/6 = "
+     r"0.000833\d* is below the sigma floor 0.001"),
     ("[training]\nepochs = 1\n[controller]\nround_every = 289\n",
      "round_every = 289 exceeds the phase-2 step budget 288"),
     ("[controller]\nmicrodev_n = 33\n",
@@ -159,9 +164,11 @@ def test_a_controller_that_cannot_run_is_rejected_at_load(tmp_path, text, messag
 def test_controller_limits_at_their_bounds_load(tmp_path):
     ini = tmp_path / "edge.ini"
     ini.write_text("[training]\nepochs = 1\n[controller]\nround_every = 288\n"
-                   "microdev_n = 32\nsigma_floor = 0.1\n")
+                   "microdev_n = 32\np_min = 0.40\np_max = 0.406\n")
     cfg = load_run_config(ini, env={})
     assert (cfg.controller.round_every, cfg.controller.microdev_n) == (288, 32)
+    # the narrowest range whose initial sigma still reaches the floor
+    assert (cfg.controller.p_max - cfg.controller.p_min) / 6 >= SIGMA_FLOOR
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

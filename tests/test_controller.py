@@ -148,8 +148,16 @@ def test_score_gradients_degenerate_cases():
     assert score_gradients([0.5, 0.3], [0.0, 0.0], 0.4, 0.1) == (0.0, 0.0)
     g_mu, _ = score_gradients([0.4], [5.0], 0.4, 0.1)
     assert g_mu == 0.0
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="below floor"):
         score_gradients([0.5], [1.0], 0.4, 1e-4)
+
+
+def test_score_gradients_check_sigma_against_the_given_floor():
+    zs, advantages = [0.5, 0.3], [1.0, -1.0]
+    with pytest.raises(UsageError, match="below floor"):
+        score_gradients(zs, advantages, 0.4, SIGMA_FLOOR / 10)
+    g_mu, g_sigma = score_gradients(zs, advantages, 0.4, SIGMA_FLOOR)
+    assert math.isfinite(g_mu) and math.isfinite(g_sigma)
 
 
 def test_score_terms_match_log_density_derivatives():
@@ -184,29 +192,11 @@ def test_policy_update_sigma_floor_single_expression():
     assert out.sigma == 1e-3
 
 
-def test_sigma_floor_must_be_positive():
-    for bad in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(UsageError, match="sigma_floor"):
-            ControllerConfig(sigma_floor=bad).validate()
-    assert _cfg(sigma_floor=1e-5).sigma_floor == 1e-5
-    assert ControllerConfig().sigma_floor == SIGMA_FLOOR
-
-
-def test_score_gradients_check_sigma_against_the_given_floor():
-    zs, advantages = [0.5, 0.3], [1.0, -1.0]
-    with pytest.raises(UsageError, match="below floor"):
-        score_gradients(zs, advantages, 0.4, 1e-5)
-    g_mu, g_sigma = score_gradients(zs, advantages, 0.4, 1e-5, 1e-5)
-    assert math.isfinite(g_mu) and math.isfinite(g_sigma)
-    with pytest.raises(UsageError, match="below floor"):
-        score_gradients(zs, advantages, 0.4, 1e-5, 1e-4)
-
-
-def test_small_floor_config_runs_rounds_after_sigma_decays_below_stock_floor():
-    cfg = _cfg(sigma_floor=1e-5, tau_ent=0.0)
-    # sigma + eta*g_sigma = 0 -> floored at the config's 1e-5, not the stock 1e-3
+def test_rounds_still_run_once_sigma_reaches_the_floor():
+    cfg = _cfg(tau_ent=0.0)
+    # sigma + eta*g_sigma = 0 -> floored
     policy = policy_update(PolicyState(mu=0.4, sigma=0.0, p_curr=0.4), 0.0, 0.0, cfg)
-    assert policy.sigma == 1e-5 < SIGMA_FLOOR
+    assert policy.sigma == SIGMA_FLOOR
     env = ScriptedEnv(baseline=-1.0, reward_fn=lambda p: -1.0 - (p - 0.45) ** 2)
     rng = np.random.default_rng(0)
     records = []
@@ -214,7 +204,7 @@ def test_small_floor_config_runs_rounds_after_sigma_decays_below_stock_floor():
         policy, rec = controller_round(policy, cfg, rng, env, k, (k + 1) * 10)
         records.append(rec)
     assert not any(rec.failed for rec in records)
-    assert all(rec.sigma_after >= 1e-5 for rec in records)
+    assert all(rec.sigma_after >= SIGMA_FLOOR for rec in records)
     assert audit_records(records, cfg) == []
 
 

@@ -14,8 +14,8 @@ from policyprune.adapters import LoraAdapter, MergedAdapterSet, SiteFactors
 from policyprune.configio import config_hash, load_run_config, render_ini
 from policyprune.container import save_adapters, save_merged
 
-STOCK_CONFIG_HASH = "7f9c702f8e0ac02014d84030f2f49aa5c2d42bebb25a205b7d03d166aae446ba"
-STOCK_INI_SHA256 = "d2c1625ee398330da3007efa3a1a0cad89eb32452c9492fbe0f11b35ae9303a5"
+STOCK_CONFIG_HASH = "0f02a7d0e2458d9f37fad368ae070e25ff661f528ba07e9b8e19340c915ee9e0"
+STOCK_INI_SHA256 = "f9d17073affe19a5eca304c5c29cc811cef48d3f50d2edb83d15640c62b69c65"
 ADAPTERS_SHA256 = "fb649516407d907323bf786d3eeab2795be1ade180549344adf6dff5ecda272a"
 MERGED_SHA256 = "4d01fbd4f02866c87fbccc09f6b49f37b9d159e409c516a519c0b5886634d02a"
 
