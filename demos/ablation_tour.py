@@ -12,26 +12,26 @@ quick — the test suite runs the multi-seed versions):
 Run it:  python3 demos/ablation_tour.py
 """
 
-from policyprune.baselines import ablate_microdev, ablate_regularizers, rolling_pcurr
+from policyprune.baselines import ablate, rolling_pcurr
 from policyprune.configio import load_run_config
 from policyprune.training import run_pipeline
 
 cfg = load_run_config()
 task = cfg.task
-seeds = (cfg.seed,)
+# both sweeps in one call, so phase 1 trains once
+regularizer_rows, microdev_rows = ablate(task, cfg.lora, cfg.training, cfg.controller,
+                                         seeds=(cfg.seed,), workers=1)
 
 # --- 1. anchoring x exploration ---------------------------------------------
 print("regularizer grid (mean selected ratio / mean final dev loss):")
 print("  beta   tau     p_star   dev_loss")
-for cell in ablate_regularizers(task, cfg.lora, cfg.training, cfg.controller,
-                                seeds=seeds):
+for cell in regularizer_rows:
     print(f"  {cell.beta:<5}  {cell.tau:<5}  {cell.p_star:.3f}    {cell.dev_loss:.5f}")
 
 # --- 2. micro-dev size -------------------------------------------------------
 print("\nmicro-dev size sweep (smaller slices are prefixes of larger ones):")
 print("  m    p_star   dev_loss")
-for cell in ablate_microdev(task, cfg.lora, cfg.training, cfg.controller,
-                            seeds=seeds):
+for cell in microdev_rows:
     note = "  (not micro anymore)" if cell.non_micro else ""
     print(f"  {cell.m:<3}  {cell.p_star:.3f}    {cell.dev_loss:.5f}{note}")
 

@@ -50,8 +50,7 @@ __all__ = [
     "run_noprune_baselines",
     "compare_efficiency",
     "format_runtime_table",
-    "ablate_regularizers",
-    "ablate_microdev",
+    "ablate",
     "rolling_pcurr",
     "write_grid_csv",
     "write_runtime_csv",
@@ -83,7 +82,7 @@ class GridSpec:
 
     ratios: tuple[float, ...] = (0.10, 0.20, 0.30, 0.40, 0.50, 0.60, 0.70, 0.80)
 
-    def validate(self) -> "GridSpec":
+    def __post_init__(self) -> None:
         if not self.ratios:
             raise UsageError("a grid needs at least one ratio")
         for r in self.ratios:
@@ -91,7 +90,6 @@ class GridSpec:
                 raise UsageError(f"grid ratio {r} outside [0, 1]")
         if any(b <= a for a, b in zip(self.ratios, self.ratios[1:])):
             raise UsageError("grid ratios must be strictly increasing")
-        return self
 
 
 def grid_run_rng(seed: int, index: int) -> np.random.Generator:
@@ -175,7 +173,7 @@ def grid_search(
     smaller ratio. `workers` > 1 spreads the independent cells over a
     process pool without changing any result.
     """
-    grid = (grid or GridSpec()).validate()
+    grid = grid or GridSpec()
     cells = [
         (backbone, merged_init, p, i, target_train, dev, scale, train_cfg, seed, test)
         for i, p in enumerate(grid.ratios)
@@ -224,7 +222,7 @@ def run_noprune_baselines(
     # ratio 0 keeps every coordinate, so the scale never decides anything
     fin = final_prune_finetune(
         backbone, merged_init, 0.0, data.target_train, data.dev, ImportanceScale(1.0),
-        train_cfg, pipeline_rngs(seed)["phase3"], p_min=0.0, test=data.test,
+        train_cfg, pipeline_rngs(seed)["phase3"], p_min=0.0, p_max=1.0, test=data.test,
     )
     return NopruneBaselines(
         zero_adapter_dev=_backbone_loss(backbone, data.dev),
@@ -289,7 +287,7 @@ def compare_efficiency(
         )
     if repeats < 1:
         raise UsageError("repeats must be >= 1")
-    grid = (grid or GridSpec()).validate()
+    grid = grid or GridSpec()
     data = gen_toy_data(task_cfg, seed)
     scale = run_scale(data, controller_cfg)
     _source, _target, merged_init = train_and_merge(data, lora_cfg, train_cfg, seed)
@@ -367,40 +365,16 @@ def _sweep(
     them, as `run_pipeline` would."""
     if not seeds:
         raise UsageError("need at least one seed")
-    cfgs = [cfg.validate() for cfg in controller_cfgs]
     starts = {}
     for seed in seeds:
         data = gen_toy_data(task_cfg, seed)
         starts[seed] = data, train_and_merge(data, lora_cfg, train_cfg, seed)[2]
-    cells = [(*starts[seed], train_cfg, cfg, seed) for cfg in cfgs for seed in seeds]
+    cells = [(*starts[seed], train_cfg, cfg, seed) for cfg in controller_cfgs for seed in seeds]
     results = _pool_map(_pipeline_cell, cells, workers)
     n = len(seeds)
     return [
         (float(np.mean([c[0] for c in chunk])), float(np.mean([c[1] for c in chunk])))
         for chunk in (results[j * n: (j + 1) * n] for j in range(len(controller_cfgs)))
-    ]
-
-
-def ablate_regularizers(
-    task_cfg: ToyTaskConfig,
-    lora_cfg: LoraConfig,
-    train_cfg: TrainConfig,
-    controller_cfg: ControllerConfig,
-    seeds: tuple[int, ...] = (42,),
-    workers: int = 1,
-) -> list[RegularizerCell]:
-    """One policy pipeline per (anchoring, exploration) cell of
-    `REGULARIZER_SWEEP` and seed.
-
-    Every cell sees the same seed set; rows report the mean selected ratio
-    and mean final dev loss over those seeds. `workers` > 1 spreads the
-    independent (cell, seed) runs over a process pool.
-    """
-    cfgs = [replace(controller_cfg, beta=beta, tau_ent=tau) for beta, tau in REGULARIZER_SWEEP]
-    means = _sweep(task_cfg, lora_cfg, train_cfg, cfgs, seeds, workers)
-    return [
-        RegularizerCell(beta=beta, tau=tau, p_star=p_star, dev_loss=dev_loss)
-        for (beta, tau), (p_star, dev_loss) in zip(REGULARIZER_SWEEP, means)
     ]
 
 
@@ -412,33 +386,43 @@ class MicrodevCell:
     non_micro: bool = False  # m at (or past) the fine-tuning set size
 
 
-def ablate_microdev(
+def ablate(
     task_cfg: ToyTaskConfig,
     lora_cfg: LoraConfig,
     train_cfg: TrainConfig,
     controller_cfg: ControllerConfig,
-    seeds: tuple[int, ...] = (42,),
-    workers: int = 1,
-) -> list[MicrodevCell]:
-    """Sweep the micro-dev size m over `MICRODEV_SIZES`; smaller slices nest
-    inside larger ones.
+    seeds: tuple[int, ...],
+    workers: int,
+) -> tuple[list[RegularizerCell], list[MicrodevCell]]:
+    """Both ablations in one sweep: one policy pipeline per seed and per
+    (anchoring, exploration) cell of `REGULARIZER_SWEEP` or micro-dev size m
+    of `MICRODEV_SIZES`, so each seed trains phase 1 once for all of them.
 
-    All sizes share one generated pool per seed, head-sliced to m, so the
-    4-example slice is literally the first quarter of the 16-example one.
-    `workers` > 1 spreads the independent (size, seed) runs over a pool.
+    Every cell sees the same seed set; rows report the mean selected ratio
+    and mean final dev loss over those seeds. All sizes share one generated
+    pool per seed, head-sliced to m, so the 4-example slice is literally the
+    first quarter of the 16-example one. `workers` > 1 spreads the
+    independent (cell, seed) runs over a process pool.
     """
     if (largest := max(MICRODEV_SIZES)) > task_cfg.microdev_n:
         raise UsageError(
             f"micro-dev size {largest} exceeds the task's generated pool "
             f"({task_cfg.microdev_n})"
         )
-    cfgs = [replace(controller_cfg, microdev_n=m) for m in MICRODEV_SIZES]
+    cfgs = [replace(controller_cfg, beta=beta, tau_ent=tau) for beta, tau in REGULARIZER_SWEEP]
+    cfgs += [replace(controller_cfg, microdev_n=m) for m in MICRODEV_SIZES]
     means = _sweep(task_cfg, lora_cfg, train_cfg, cfgs, seeds, workers)
-    return [
+    n_reg = len(REGULARIZER_SWEEP)
+    regularizers = [
+        RegularizerCell(beta=beta, tau=tau, p_star=p_star, dev_loss=dev_loss)
+        for (beta, tau), (p_star, dev_loss) in zip(REGULARIZER_SWEEP, means[:n_reg])
+    ]
+    microdev = [
         MicrodevCell(m=m, p_star=p_star, dev_loss=dev_loss,
                      non_micro=m >= task_cfg.target_train_n)
-        for m, (p_star, dev_loss) in zip(MICRODEV_SIZES, means)
+        for m, (p_star, dev_loss) in zip(MICRODEV_SIZES, means[n_reg:])
     ]
+    return regularizers, microdev
 
 
 def rolling_pcurr(

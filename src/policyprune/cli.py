@@ -38,8 +38,7 @@ from pathlib import Path
 
 from .baselines import (
     MICRODEV_SIZES,
-    ablate_microdev,
-    ablate_regularizers,
+    ablate,
     compare_efficiency,
     format_runtime_table,
     grid_search,
@@ -327,11 +326,7 @@ def cmd_ablate(cfg: RunConfig, args) -> int:
             f"= {cfg.task.microdev_n} generates a smaller pool"
         )
     d = _claim_phase_dir(cfg, "ablate", args.force)
-    reg_rows = ablate_regularizers(
-        cfg.task, cfg.lora, cfg.training, cfg.controller,
-        seeds=cfg.seeds, workers=args.workers,
-    )
-    micro_rows = ablate_microdev(
+    reg_rows, micro_rows = ablate(
         cfg.task, cfg.lora, cfg.training, cfg.controller,
         seeds=cfg.seeds, workers=args.workers,
     )

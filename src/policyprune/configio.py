@@ -19,7 +19,9 @@ produces a new one. ``render_ini`` writes the fully resolved configuration
 back out, less the output directory, so every run directory records the
 exact values it ran with and its bytes do not depend on where it sits.
 
-Every default lives on its dataclass.
+Every default lives on its dataclass, and every config dataclass checks
+its values when it is built, `dataclasses.replace` included, so a config
+that exists is valid. `RunConfig` adds the checks that span sections.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ __all__ = [
     "DEFAULT_OUT",
     "RunConfig",
     "load_run_config",
-    "apply_ini",
     "config_hash",
     "render_ini",
 ]
@@ -71,10 +72,7 @@ class RunConfig:
         """Primary seed: single-run subcommands use the first of the list."""
         return self.seeds[0]
 
-    def validate(self) -> RunConfig:
-        for section in _SECTIONS:
-            if section != "run":
-                getattr(self, section).validate()
+    def __post_init__(self) -> None:
         if not self.seeds:
             raise UsageError("seed list must not be empty")
         for s in self.seeds:
@@ -94,7 +92,6 @@ class RunConfig:
                 f"[controller] round_every = {ctrl.round_every} exceeds the phase-2 "
                 f"step budget {budget}; no controller round would run"
             )
-        return self
 
 
 # --- the section table ------------------------------------------------------
@@ -185,17 +182,17 @@ def _parse_ini(text: str) -> dict[str, dict]:
     return out
 
 
-def apply_ini(cfg: RunConfig, text: str) -> RunConfig:
-    """Overlay an INI document on `cfg`; absent keys keep their values."""
-    replacements: dict = {}
+def _ini_fields(text: str) -> dict:
+    """The `RunConfig` fields an INI document sets: `[run]` keys as they
+    are, every other section as its config built from the document's keys
+    over the defaults."""
+    resolved: dict = {}
     for section, overrides in _parse_ini(text).items():
         if section == "run":
-            replacements.update(overrides)
-        elif overrides:
-            replacements[section] = dataclasses.replace(
-                getattr(cfg, section), **overrides
-            )
-    return dataclasses.replace(cfg, **replacements) if replacements else cfg
+            resolved.update(overrides)
+        else:
+            resolved[section] = _SECTIONS[section](**overrides)
+    return resolved
 
 
 def load_run_config(
@@ -210,10 +207,12 @@ def load_run_config(
     `path` is an optional INI file; `seed` and `out` are the command-line
     overrides and win over the file. With no file the defaults run as-is.
     The environment variable named by `OUT_ENV_VAR` supplies the default
-    output root, below the file and flags in precedence.
+    output root, below the file and flags in precedence. The `RunConfig`
+    is built once from the resolved values, so a file value that a flag
+    overrides is never checked.
     """
     environ = os.environ if env is None else env
-    cfg = RunConfig(out=environ.get(OUT_ENV_VAR, DEFAULT_OUT))
+    resolved = {"out": environ.get(OUT_ENV_VAR, DEFAULT_OUT)}
     if path is not None:
         p = Path(path)
         if not p.is_file():
@@ -224,12 +223,12 @@ def load_run_config(
             raise StorageError(f"cannot read config file {p}: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise UsageError(f"config file {p} is not UTF-8 text: {exc}") from exc
-        cfg = apply_ini(cfg, text)
+        resolved.update(_ini_fields(text))
     if seed is not None:
-        cfg = dataclasses.replace(cfg, seeds=(int(seed),))
+        resolved["seeds"] = (int(seed),)
     if out is not None:
-        cfg = dataclasses.replace(cfg, out=str(out))
-    return cfg.validate()
+        resolved["out"] = str(out)
+    return RunConfig(**resolved)
 
 
 # --- hashing and rendering -------------------------------------------------

@@ -35,7 +35,7 @@ def clamp(x: float, lo: float, hi: float) -> float:
     return hi if hi < x else x
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControllerConfig:
     p_min: float = 0.10
     p_max: float = 0.80
@@ -48,7 +48,7 @@ class ControllerConfig:
     tau_ent: float = 0.01        # constant exploration offset added to sigma
     delta_max: float = 0.10      # largest committed move per round
 
-    def validate(self) -> "ControllerConfig":
+    def __post_init__(self) -> None:
         if not (0.0 <= self.p_min < self.p_max <= 1.0):
             raise UsageError(
                 f"need 0 <= p_min < p_max <= 1, got [{self.p_min}, {self.p_max}]"
@@ -70,7 +70,6 @@ class ControllerConfig:
                 f"prune range too narrow: the initial sigma (p_max - p_min)/6 = "
                 f"{sigma} is below the sigma floor {SIGMA_FLOOR}"
             )
-        return self
 
 
 @dataclass
@@ -82,7 +81,6 @@ class PolicyState:
 
 def init_policy(cfg: ControllerConfig) -> PolicyState:
     """mu starts at p_init; sigma spans the range at (p_max - p_min)/6."""
-    cfg.validate()
     return PolicyState(
         mu=cfg.p_init, sigma=(cfg.p_max - cfg.p_min) / 6.0, p_curr=cfg.p_init
     )

@@ -48,7 +48,7 @@ __all__ = [
 
 # AdamW's standard moment decays and epsilon (Loshchilov & Hutter,
 # arXiv:1711.05101); the learning rate and weight decay come from
-# `TrainConfig`, which validates them.
+# `TrainConfig`, which checks them when it is built.
 BETA1 = 0.9
 BETA2 = 0.999
 EPSILON = 1e-8

@@ -95,7 +95,7 @@ class ToyTaskConfig:
     noise_std: float = 0.05
     interference: float = 0.5
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in (
             "d_in",
             "d_out",
@@ -236,7 +236,6 @@ def gen_toy_data(cfg: ToyTaskConfig, seed: int) -> ToyData:
     reproducible bit-for-bit. The dev and micro-dev splits are sliced from
     one block of draws, which makes them disjoint by construction.
     """
-    cfg.validate()
     rng_teacher, rng_source, rng_target = (run_stream(seed, i) for i in range(3))
 
     names = site_names(cfg.n_sites)

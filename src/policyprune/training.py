@@ -83,7 +83,7 @@ class LoraConfig:
     def scale(self) -> float:
         return self.alpha / self.rank
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         require_positive_int("rank", self.rank)
         if not (self.alpha > 0 and math.isfinite(self.alpha)):
             raise UsageError(f"alpha must be positive, got {self.alpha}")
@@ -106,7 +106,7 @@ class TrainConfig:
     weight_decay: float = 0.01
     early_stop_patience: int | None = 3
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
             raise UsageError(f"learning_rate must be positive, got {self.learning_rate}")
         if not (self.weight_decay >= 0 and math.isfinite(self.weight_decay)):
@@ -136,7 +136,6 @@ def init_adapter_factors(
     convention merged checkpoints use), so the forward pass carries scale 1
     and `factors_to_adapters` can unfold it for persistence.
     """
-    lora_cfg.validate()
     sites = []
     for sid in backbone.site_ids():
         d_out, d_in = backbone.site(sid).shape
@@ -223,7 +222,6 @@ def train_adapter(
     rng: np.random.Generator,
 ) -> AdapterTrainResult:
     """Phase 1: fit one adapter set to one task; the backbone stays frozen."""
-    train_cfg.validate()
     merged = init_adapter_factors(backbone, lora_cfg, rng)
     opt = init_optimizer(merged, train_cfg.learning_rate, train_cfg.weight_decay)
     losses, _ = _train_loop(backbone, merged, split, train_cfg, rng, opt)
@@ -459,8 +457,6 @@ def sparsity_policy_learning(
     finishes — the hook that lets callers persist an append-only log that
     stays valid even when the run is cut short.
     """
-    controller_cfg.validate()
-    train_cfg.validate()
     scale = estimate_scale(microdev.x)
     merged, opt = _masked_start(merged_init, controller_cfg.p_init, scale, train_cfg)
     env = MaskedTrainingEnv(
@@ -533,8 +529,8 @@ def final_prune_finetune(
     scale: ImportanceScale,
     train_cfg: TrainConfig,
     rng: np.random.Generator,
-    p_min: float = 0.10,
-    p_max: float = 0.80,
+    p_min: float,
+    p_max: float,
     test: DataSplit | None = None,
 ) -> FinalRunResult:
     """Phase 3: restart from the pre-controller merge, mask once, train.
@@ -544,7 +540,6 @@ def final_prune_finetune(
     split must be disjoint from the controller's micro-dev slice; the data
     generator guarantees this).
     """
-    train_cfg.validate()
     if not (p_min <= p_star <= p_max):
         raise UsageError(f"p_star {p_star} outside the prune range [{p_min}, {p_max}]")
     merged, opt = _masked_start(merged_init, p_star, scale, train_cfg)

@@ -14,8 +14,7 @@ from policyprune.baselines import (
     REGULARIZER_SWEEP,
     EfficiencyComparison,
     GridSpec,
-    ablate_microdev,
-    ablate_regularizers,
+    ablate,
     compare_efficiency,
     format_runtime_table,
     grid_run_rng,
@@ -66,15 +65,15 @@ def _trained_merge(data, train_cfg, seed):
 
 
 def test_grid_spec_validation():
-    assert len(GridSpec().validate().ratios) == 8
+    assert len(GridSpec().ratios) == 8
     with pytest.raises(UsageError):
-        GridSpec(ratios=()).validate()
+        GridSpec(ratios=())
     with pytest.raises(UsageError):
-        GridSpec(ratios=(0.1, 1.2)).validate()
+        GridSpec(ratios=(0.1, 1.2))
     with pytest.raises(UsageError):
-        GridSpec(ratios=(0.3, 0.3)).validate()
+        GridSpec(ratios=(0.3, 0.3))
     with pytest.raises(UsageError):
-        GridSpec(ratios=(0.4, 0.2)).validate()
+        GridSpec(ratios=(0.4, 0.2))
 
 
 def test_default_grid_trains_exactly_eight_runs():
@@ -103,7 +102,7 @@ def test_single_ratio_grid_reduces_to_one_final_run():
     )
     direct = final_prune_finetune(
         data.backbone, merged, 0.30, data.target_train, data.dev, scale,
-        cfg, grid_run_rng(6, 0), test=data.test,
+        cfg, grid_run_rng(6, 0), p_min=0.10, p_max=0.80, test=data.test,
     )
     assert out.best_p == 0.30
     pt = out.points[0]
@@ -293,19 +292,23 @@ def test_efficiency_comparison_guards():
         compare_efficiency(SMALL, LORA4, TrainConfig(), CTRL8, 3, repeats=0)
 
 
-def test_regularizer_ablation_covers_the_six_cells():
-    cfg = TrainConfig(epochs=2)
-    rows = ablate_regularizers(SMALL, LORA4, cfg, CTRL8, seeds=(11,))
+@pytest.fixture(scope="module")
+def ablation_rows():
+    return ablate(SMALL, LORA4, TrainConfig(epochs=2), CTRL8, seeds=(11,), workers=1)
+
+
+def test_regularizer_ablation_covers_the_six_cells(ablation_rows):
+    rows, _micro = ablation_rows
     assert [(r.beta, r.tau) for r in rows] == list(REGULARIZER_SWEEP)
     assert all(0.10 <= r.p_star <= 0.80 for r in rows)
     assert all(np.isfinite(r.dev_loss) for r in rows)
     with pytest.raises(UsageError):
-        ablate_regularizers(SMALL, LORA4, cfg, CTRL8, seeds=())
+        ablate(SMALL, LORA4, TrainConfig(epochs=2), CTRL8, seeds=(), workers=1)
 
 
-def test_microdev_ablation_nests_slices_and_flags_non_micro():
+def test_microdev_ablation_nests_slices_and_flags_non_micro(ablation_rows):
     cfg = TrainConfig(epochs=2)
-    rows = ablate_microdev(SMALL, LORA4, cfg, CTRL8, seeds=(11,))
+    _reg, rows = ablation_rows
     assert [r.m for r in rows] == list(MICRODEV_SIZES)
     # the m=32 slice equals the whole 32-example fine-tuning set here
     assert [r.non_micro for r in rows] == [False, False, False, True]
@@ -320,7 +323,7 @@ def test_microdev_ablation_nests_slices_and_flags_non_micro():
     assert m16.dev_loss == direct.final.dev_loss
     # a pool below the largest size (32) is refused before any run
     with pytest.raises(UsageError, match="micro-dev size 32 exceeds"):
-        ablate_microdev(replace(SMALL, microdev_n=16), LORA4, cfg, CTRL8, seeds=(11,))
+        ablate(replace(SMALL, microdev_n=16), LORA4, cfg, CTRL8, seeds=(11,), workers=1)
 
 
 def _records(ps):
@@ -387,14 +390,15 @@ def test_csv_writers_round_trip(tmp_path):
     assert [r[0] for r in rows[1:]] == ["grid", "policy"]
     assert int(rows[1][2]) == 8 and int(rows[2][2]) == 2
 
+    reg_rows, mic_rows = ablate(SMALL, LORA4, cfg, CTRL8, seeds=(5,), workers=1)
     reg = tmp_path / "reg.csv"
-    write_regularizer_csv(reg, ablate_regularizers(SMALL, LORA4, cfg, CTRL8, seeds=(5,)))
+    write_regularizer_csv(reg, reg_rows)
     rows = list(csv.reader(reg.open()))
     assert rows[0] == ["beta", "tau", "p_star", "dev_loss"]
     assert [(float(r[0]), float(r[1])) for r in rows[1:]] == list(REGULARIZER_SWEEP)
 
     mic = tmp_path / "mic.csv"
-    write_microdev_csv(mic, ablate_microdev(SMALL, LORA4, cfg, CTRL8, seeds=(5,)))
+    write_microdev_csv(mic, mic_rows)
     rows = list(csv.reader(mic.open()))
     assert rows[0] == ["m", "p_star", "dev_loss"]
     assert [int(r[0]) for r in rows[1:]] == list(MICRODEV_SIZES)

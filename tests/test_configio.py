@@ -10,7 +10,6 @@ from policyprune.configio import (
     DEFAULT_SEEDS,
     OUT_ENV_VAR,
     RunConfig,
-    apply_ini,
     config_hash,
     load_run_config,
     render_ini,
@@ -121,8 +120,10 @@ def test_rejects_unknown_names_and_bad_values(tmp_path):
     # no section has a dropout, shuffle or sigma_floor key
     for text in ("[lora]\ndropout = 0.05\n", "[training]\nshuffle = true\n",
                  "[controller]\nsigma_floor = 1e-3\n"):
+        path = tmp_path / "removed_key.ini"
+        path.write_text(text)
         with pytest.raises(UsageError, match="unknown key"):
-            apply_ini(RunConfig(), text)
+            load_run_config(path, env={})
 
 
 def test_missing_config_file_is_a_usage_error(tmp_path):
@@ -130,9 +131,11 @@ def test_missing_config_file_is_a_usage_error(tmp_path):
         load_run_config(tmp_path / "nope.ini", env={})
 
 
-def test_values_must_live_under_a_section():
+def test_values_must_live_under_a_section(tmp_path):
+    path = tmp_path / "top_level.ini"
+    path.write_text("epochs = 3\n[task]\nd_in = 8\n")
     with pytest.raises(UsageError):
-        apply_ini(RunConfig(), "epochs = 3\n[task]\nd_in = 8\n")
+        load_run_config(path, env={})
 
 
 def test_validation_runs_on_the_resolved_config(tmp_path):
@@ -142,6 +145,39 @@ def test_validation_runs_on_the_resolved_config(tmp_path):
         load_run_config(ini, env={})
     with pytest.raises(UsageError):
         load_run_config(seed=-3, env={})
+
+
+def test_only_the_resolved_seeds_and_out_are_checked(tmp_path):
+    # a value a flag overrides never reaches a config, so it cannot fail one
+    assert load_run_config(out="x", env={OUT_ENV_VAR: ""}).out == "x"
+    ini = tmp_path / "run.ini"
+    ini.write_text("[run]\nseeds = -1\n")
+    assert load_run_config(ini, seed=5, env={}).seeds == (5,)
+    with pytest.raises(UsageError, match="non-negative"):
+        load_run_config(ini, env={})
+
+
+@pytest.mark.parametrize("config, bad, message", [
+    (ToyTaskConfig, {"dev_n": 0}, "dev_n must be a positive integer"),
+    (LoraConfig, {"rank": 0}, "rank must be a positive integer"),
+    (TrainConfig, {"epochs": 0}, "epochs must be a positive integer"),
+    (ControllerConfig, {"p_init": 0.95}, "p_init 0.95 outside"),
+    (GridSpec, {"ratios": ()}, "at least one ratio"),
+    (RunConfig, {"seeds": ()}, "seed list must not be empty"),
+    (RunConfig, {"out": ""}, "output directory must not be empty"),
+    (RunConfig, {"controller": ControllerConfig(microdev_n=33)}, "exceeds the generated"),
+])
+def test_every_config_checks_itself_when_built_and_when_replaced(config, bad, message):
+    with pytest.raises(UsageError, match=message):
+        config(**bad)
+    with pytest.raises(UsageError, match=message):
+        dataclasses.replace(config(), **bad)
+
+
+def test_a_controller_config_cannot_change_after_it_is_checked():
+    cfg = ControllerConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.p_init = 0.95
 
 
 @pytest.mark.parametrize("text, message", [
@@ -203,11 +239,12 @@ def test_integer_settings_reject_floats_and_bools(config, key, value):
     # a float count fails deep inside the run (a TypeError in rng.normal or
     # a slice) or silently misplaces rounds, and a bool passes as 1
     with pytest.raises(UsageError, match=f"{key} must be a positive integer"):
-        config(**{key: value}).validate()
-    config(**{key: 2}).validate()
+        config(**{key: value})
+    config(**{key: 2})
 
 
-def test_readme_ini_block_is_the_stock_config():
+def test_readme_ini_block_is_the_stock_config(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
-    assert apply_ini(RunConfig(), block) == load_run_config(env={})
+    path = tmp_path / "readme.ini"
+    path.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+    assert load_run_config(path, env={}) == load_run_config(env={})

@@ -63,36 +63,32 @@ class ScriptedEnv:
         return np.float64(self._probes if self._impure else 0).tobytes()
 
 
-def _cfg(**kw):
-    return ControllerConfig(**kw).validate()
-
-
 def test_init_policy_default_range():
-    pol = init_policy(_cfg())
+    pol = init_policy(ControllerConfig())
     assert pol.mu == 0.40 and pol.p_curr == 0.40
     assert pol.sigma == pytest.approx(0.7 / 6, abs=1e-15)
 
 
 def test_init_policy_unit_range():
-    pol = init_policy(_cfg(p_min=0.0, p_max=1.0, p_init=0.5))
+    pol = init_policy(ControllerConfig(p_min=0.0, p_max=1.0, p_init=0.5))
     assert pol.sigma == pytest.approx(1 / 6, abs=1e-15)
 
 
 def test_config_validation_rejects_bad_ranges():
     with pytest.raises(UsageError):
-        _cfg(p_min=0.5, p_max=0.5)
+        ControllerConfig(p_min=0.5, p_max=0.5)
     with pytest.raises(UsageError):
-        _cfg(p_init=0.05)
+        ControllerConfig(p_init=0.05)
     with pytest.raises(UsageError):
-        _cfg(candidates=0)
+        ControllerConfig(candidates=0)
     with pytest.raises(UsageError):
-        _cfg(delta_max=0.0)
+        ControllerConfig(delta_max=0.0)
     with pytest.raises(UsageError):
-        _cfg(beta=-0.1)
+        ControllerConfig(beta=-0.1)
 
 
 def test_sample_candidates_clamps_and_keeps_raw_z():
-    cfg = _cfg()
+    cfg = ControllerConfig()
     pol = PolicyState(mu=0.78, sigma=0.3, p_curr=0.4)
     rng = np.random.default_rng(0)
     zs, ps = sample_candidates(pol, cfg, rng)
@@ -103,7 +99,7 @@ def test_sample_candidates_clamps_and_keeps_raw_z():
 
 
 def test_sample_candidates_deterministic():
-    cfg = _cfg()
+    cfg = ControllerConfig()
     pol = init_policy(cfg)
     a = sample_candidates(pol, cfg, np.random.default_rng(42))
     b = sample_candidates(pol, cfg, np.random.default_rng(42))
@@ -177,7 +173,7 @@ def test_score_terms_match_log_density_derivatives():
 
 
 def test_policy_update_hand_values():
-    cfg = _cfg()
+    cfg = ControllerConfig()
     pol = PolicyState(mu=0.5, sigma=0.05, p_curr=0.4)
     out = policy_update(pol, g_mu=0.0, g_sigma=0.0, cfg=cfg)
     assert out.mu == pytest.approx(0.49975, abs=1e-15)
@@ -185,7 +181,7 @@ def test_policy_update_hand_values():
 
 
 def test_policy_update_sigma_floor_single_expression():
-    cfg = _cfg(tau_ent=0.0004)
+    cfg = ControllerConfig(tau_ent=0.0004)
     pol = PolicyState(mu=0.4, sigma=0.0, p_curr=0.4)
     # sigma + eta*g_sigma + tau = 0.0004 -> floored at 1e-3
     out = policy_update(pol, g_mu=0.0, g_sigma=0.0, cfg=cfg)
@@ -193,7 +189,7 @@ def test_policy_update_sigma_floor_single_expression():
 
 
 def test_rounds_still_run_once_sigma_reaches_the_floor():
-    cfg = _cfg(tau_ent=0.0)
+    cfg = ControllerConfig(tau_ent=0.0)
     # sigma + eta*g_sigma = 0 -> floored
     policy = policy_update(PolicyState(mu=0.4, sigma=0.0, p_curr=0.4), 0.0, 0.0, cfg)
     assert policy.sigma == SIGMA_FLOOR
@@ -209,21 +205,21 @@ def test_rounds_still_run_once_sigma_reaches_the_floor():
 
 
 def test_policy_update_clamps_mu_to_range():
-    cfg = _cfg()
+    cfg = ControllerConfig()
     pol = PolicyState(mu=0.78, sigma=0.1, p_curr=0.78)
     out = policy_update(pol, g_mu=10.0, g_sigma=0.0, cfg=cfg)
     assert out.mu == cfg.p_max
 
 
 def test_commit_decision_cases():
-    cfg = _cfg()
+    cfg = ControllerConfig()
     committed, p_new, best = commit_decision([0.55], [0.02], 0.40, cfg)
     assert (committed, p_new, best) == (True, 0.50, 0)
     committed, p_new, _ = commit_decision([0.35], [0.01], 0.40, cfg)
     assert (committed, p_new) == (True, 0.35)
     committed, p_new, _ = commit_decision([0.3, 0.5], [-0.01, -0.01], 0.40, cfg)
     assert (committed, p_new) == (False, 0.40)
-    cfg2 = _cfg(p_min=0.10, p_max=0.80)
+    cfg2 = ControllerConfig(p_min=0.10, p_max=0.80)
     committed, p_new, _ = commit_decision([0.02], [0.5], 0.15, cfg2)
     assert (committed, p_new) == (True, 0.10)
     with pytest.raises(UsageError):
@@ -231,7 +227,7 @@ def test_commit_decision_cases():
 
 
 def _run_round(env, seed=7, cfg=None, policy=None):
-    cfg = cfg or _cfg()
+    cfg = cfg or ControllerConfig()
     policy = policy or init_policy(cfg)
     rng = np.random.default_rng(seed)
     return controller_round(policy, cfg, rng, env, round_index=0, step=10)
@@ -261,7 +257,7 @@ def test_round_commits_only_on_nonnegative_reward():
 
 
 def test_round_with_nan_baseline_changes_nothing():
-    cfg = _cfg()
+    cfg = ControllerConfig()
     start = init_policy(cfg)
     env = ScriptedEnv(baseline=-1.0, reward_fn=lambda p: 0.0, fail_baseline=True)
     policy, rec = _run_round(env, cfg=cfg, policy=start)
@@ -288,7 +284,7 @@ def test_round_skips_failed_candidate_and_renormalizes():
 
 
 def test_round_with_all_candidates_failed_is_failed():
-    cfg = _cfg()
+    cfg = ControllerConfig()
     start = init_policy(cfg)
     env = ScriptedEnv(baseline=-1.0, reward_fn=lambda p: 0.0, fail_candidates=True)
     policy, rec = _run_round(env, cfg=cfg, policy=start)
@@ -305,7 +301,7 @@ def test_round_detects_impure_probe():
 
 def test_round_sequence_is_deterministic(tmp_path):
     def run(path):
-        cfg = _cfg()
+        cfg = ControllerConfig()
         policy = init_policy(cfg)
         rng = np.random.default_rng(42)
         env = ScriptedEnv(baseline=-1.0,
@@ -320,8 +316,8 @@ def test_round_sequence_is_deterministic(tmp_path):
     r1 = run(tmp_path / "a.jsonl")
     r2 = run(tmp_path / "b.jsonl")
     assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
-    assert audit_records(r1, _cfg()) == []
-    assert audit_records(r2, _cfg()) == []
+    assert audit_records(r1, ControllerConfig()) == []
+    assert audit_records(r2, ControllerConfig()) == []
 
 
 RAISE = object()  # a scripted reward that raises RewardError
@@ -383,7 +379,7 @@ class QueueEnv:
 def test_round_edge_paths_match_their_pin(tmp_path):
     # The stock runs never reach most of these paths; the pin fixes every
     # logged byte and the pick.
-    cfg = _cfg(candidates=4)
+    cfg = ControllerConfig(candidates=4)
     policy = PolicyState(mu=0.45, sigma=0.35, p_curr=0.45)
     rng, env, path = np.random.default_rng(11), QueueEnv(EDGE_SCRIPT), tmp_path / "r.jsonl"
     records = []
@@ -430,7 +426,7 @@ def test_non_finite_losses_fail_the_round_or_drop_the_probe(tmp_path):
     # An overflowed live loss once gave -inf - (-inf) = NaN relative rewards
     # that survived: mu went NaN, sigma fell to the floor, the round still
     # committed, and the next round drew NaN ratios.
-    cfg = _cfg(candidates=4)
+    cfg = ControllerConfig(candidates=4)
     script = [
         (1.0, [0.9, 1.1, 0.95, 1.0]),
         (INF, [INF, 1.0, 2.0, 1.0]),        # infinite baseline: the round fails
@@ -458,7 +454,7 @@ def test_non_finite_losses_fail_the_round_or_drop_the_probe(tmp_path):
 
 
 def test_audit_flags_a_non_finite_policy_read_back_from_the_log(tmp_path):
-    cfg = _cfg()
+    cfg = ControllerConfig()
     path = tmp_path / "r.jsonl"
     for k, (mu, sigma) in enumerate([(NAN, SIGMA_FLOOR), (0.4, INF), (-INF, 0.1)]):
         append_round_log(path, ControllerRecord(
@@ -572,7 +568,7 @@ def test_select_p_star_equals_the_sort_based_pick_on_tied_rewards():
 
 def test_round_log_json_round_trip(tmp_path):
     env = ScriptedEnv(baseline=-1.0, reward_fn=lambda p: -1.0 - 0.1 * p)
-    cfg = _cfg()
+    cfg = ControllerConfig()
     policy = init_policy(cfg)
     rng = np.random.default_rng(3)
     records = []
@@ -617,7 +613,7 @@ def test_a_round_log_line_that_is_not_utf8_is_a_storage_error(tmp_path, tail):
 
 def _logged_records(n):
     env = ScriptedEnv(baseline=-1.0, reward_fn=lambda p: -1.0 - 0.1 * p)
-    cfg = _cfg()
+    cfg = ControllerConfig()
     policy, rng, records = init_policy(cfg), np.random.default_rng(3), []
     for k in range(n):
         policy, rec = controller_round(policy, cfg, rng, env, k, (k + 1) * 10)
@@ -712,7 +708,7 @@ def test_append_round_log_raises_storage_error_on_an_unwritable_path(tmp_path):
 
 
 def test_audit_flags_violations():
-    cfg = _cfg()
+    cfg = ControllerConfig()
     bad = ControllerRecord(
         round=0, step=10, p_curr_before=0.40, baseline_reward=-1.0,
         candidates=[CandidateOutcome(z=0.6, p=0.6, reward=-1.5, relative=-0.5)],

@@ -15,13 +15,14 @@ count as a check here: it fails on every change, bug or fix alike.
 
 import functools
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from policyprune import baselines, cli, training
-from policyprune.configio import RunConfig, apply_ini
+from policyprune.configio import load_run_config
 from policyprune.controller import audit_records
 from policyprune.toytask import gen_toy_data
 from policyprune.training import MaskedTrainingEnv
@@ -34,7 +35,10 @@ SEED = 7
 @functools.lru_cache(maxsize=1)
 def _small():
     """The small config and its phase 1 at `SEED`: (config, data, merge)."""
-    cfg = apply_ini(RunConfig(), SMALL_INI).validate()
+    with tempfile.TemporaryDirectory() as tmp:
+        ini = Path(tmp) / "small.ini"
+        ini.write_text(SMALL_INI)
+        cfg = load_run_config(ini, env={})
     data = gen_toy_data(cfg.task, SEED)
     merged_init = training.train_and_merge(data, cfg.lora, cfg.training, SEED)[2]
     return cfg, data, merged_init

@@ -170,9 +170,9 @@ def test_shape_and_config_errors():
         install_mask(merged, state, SparsityMask(np.ones(3), [0, 1, 3]))
     # the training config owns the optimizer's settings and their checks
     with pytest.raises(UsageError):
-        TrainConfig(learning_rate=0.0).validate()
+        TrainConfig(learning_rate=0.0)
     with pytest.raises(UsageError):
-        TrainConfig(weight_decay=-0.1).validate()
+        TrainConfig(weight_decay=-0.1)
 
 
 def reference_step(arr, g, m, v, t, lr, decay, keep=None):

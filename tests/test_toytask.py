@@ -245,13 +245,13 @@ def test_analytic_gradients_match_central_finite_differences():
 
 def test_config_validation_errors():
     with pytest.raises(UsageError):
-        ToyTaskConfig(d_in=6, teacher_rank=4).validate()
+        ToyTaskConfig(d_in=6, teacher_rank=4)
     with pytest.raises(UsageError):
-        ToyTaskConfig(interference=1.5).validate()
+        ToyTaskConfig(interference=1.5)
     with pytest.raises(UsageError):
-        ToyTaskConfig(noise_std=-0.1).validate()
+        ToyTaskConfig(noise_std=-0.1)
     with pytest.raises(UsageError):
-        ToyTaskConfig(dev_n=0).validate()
+        ToyTaskConfig(dev_n=0)
 
 
 def test_split_head_is_nested_and_bounds_checked():

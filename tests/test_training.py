@@ -909,6 +909,8 @@ def test_final_run_keeps_one_fixed_mask_and_improves_dev():
         env.scale,
         cfg,
         _rng(50),
+        p_min=0.10,
+        p_max=0.80,
         test=data.test,
     )
     assert merged_init.checksum() == frozen
@@ -936,6 +938,8 @@ def test_final_run_rejects_ratios_outside_the_prune_range():
                 env.scale,
                 TrainConfig(epochs=1),
                 _rng(51),
+                p_min=0.10,
+                p_max=0.80,
             )
 
 
@@ -974,6 +978,8 @@ def test_final_run_stops_early_on_a_dev_plateau():
         estimate_scale(data.microdev.x),
         patient,
         _rng(4),
+        p_min=0.10,
+        p_max=0.80,
     )
     assert fin.stopped_early
     assert fin.steps_run < total_steps(patient, clean.target_train_n)
