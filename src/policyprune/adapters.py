@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, UsageError
+from .errors import DimensionError, UsageError, require_positive_int
 
 
 def matrix(data) -> np.ndarray:
@@ -50,8 +50,7 @@ class LoraAdapter:
     def __post_init__(self):
         object.__setattr__(self, "a", matrix(self.a))
         object.__setattr__(self, "b", matrix(self.b))
-        if self.rank < 1:
-            raise UsageError(f"rank must be >= 1, got {self.rank}")
+        require_positive_int("rank", self.rank)
         if self.a.shape[0] != self.rank or self.b.shape[1] != self.rank:
             raise DimensionError(
                 f"adapter {self.site_id}: A rows ({self.a.shape[0]}) and B cols "

@@ -18,8 +18,8 @@ import numpy as np
 
 from .adapters import FrozenBackbone, LoraAdapter, MergedAdapterSet, merge_adapter_sets
 from .controller import ControllerConfig, ControllerRecord
-from .errors import NumericalError, TrainingDivergedError, UsageError
-from .masking import ImportanceScale
+from .errors import NumericalError, TrainingDivergedError, UsageError, require_positive_int
+from .masking import ImportanceScale, require_ratio
 from .toytask import DataSplit, ToyData, ToyTaskConfig, gen_toy_data, mse_loss, run_stream
 from .training import (
     LoraConfig,
@@ -50,6 +50,8 @@ __all__ = [
     "run_noprune_baselines",
     "compare_efficiency",
     "format_runtime_table",
+    "require_seeds",
+    "require_ablation_pool",
     "ablate",
     "rolling_pcurr",
     "write_grid_csv",
@@ -86,8 +88,7 @@ class GridSpec:
         if not self.ratios:
             raise UsageError("a grid needs at least one ratio")
         for r in self.ratios:
-            if not 0.0 <= r <= 1.0:
-                raise UsageError(f"grid ratio {r} outside [0, 1]")
+            require_ratio(r)
         if any(b <= a for a, b in zip(self.ratios, self.ratios[1:])):
             raise UsageError("grid ratios must be strictly increasing")
 
@@ -128,8 +129,7 @@ def _pool_map(fn, cells: list, workers: int) -> list:
     and copies its inputs, so the outputs are identical at any pool width;
     workers only return rows — the parent alone writes artifacts.
     """
-    if workers < 1:
-        raise UsageError(f"workers must be >= 1, got {workers}")
+    require_positive_int("workers", workers)
     if workers == 1 or len(cells) <= 1:
         return [fn(c) for c in cells]
     from concurrent.futures import ProcessPoolExecutor
@@ -285,8 +285,7 @@ def compare_efficiency(
             "the efficiency comparison needs identical per-run budgets; "
             "disable early stopping"
         )
-    if repeats < 1:
-        raise UsageError("repeats must be >= 1")
+    require_positive_int("repeats", repeats)
     grid = grid or GridSpec()
     data = gen_toy_data(task_cfg, seed)
     scale = run_scale(data, controller_cfg)
@@ -353,6 +352,12 @@ def _pipeline_cell(args: tuple) -> tuple[float, float]:
     return policy.p_star, final.dev_loss
 
 
+def require_seeds(seeds: tuple[int, ...]) -> None:
+    """Raise `UsageError` if the seed list is empty."""
+    if not seeds:
+        raise UsageError("seed list must not be empty")
+
+
 def _sweep(
     task_cfg: ToyTaskConfig, lora_cfg: LoraConfig, train_cfg: TrainConfig,
     controller_cfgs: list[ControllerConfig], seeds: tuple[int, ...], workers: int,
@@ -363,8 +368,7 @@ def _sweep(
     Phase 1 depends on no controller setting, so each seed's data and merge
     are built once and every config at that seed runs phases 2 and 3 from
     them, as `run_pipeline` would."""
-    if not seeds:
-        raise UsageError("need at least one seed")
+    require_seeds(seeds)
     starts = {}
     for seed in seeds:
         data = gen_toy_data(task_cfg, seed)
@@ -386,6 +390,15 @@ class MicrodevCell:
     non_micro: bool = False  # m at (or past) the fine-tuning set size
 
 
+def require_ablation_pool(task_cfg: ToyTaskConfig) -> None:
+    """Raise `UsageError` unless the task's micro-dev pool holds every `MICRODEV_SIZES` size."""
+    if (largest := max(MICRODEV_SIZES)) > task_cfg.microdev_n:
+        raise UsageError(
+            f"ablate sweeps micro-dev sizes up to {largest}, but [task] microdev_n "
+            f"= {task_cfg.microdev_n} generates a smaller pool"
+        )
+
+
 def ablate(
     task_cfg: ToyTaskConfig,
     lora_cfg: LoraConfig,
@@ -404,11 +417,7 @@ def ablate(
     first quarter of the 16-example one. `workers` > 1 spreads the
     independent (cell, seed) runs over a process pool.
     """
-    if (largest := max(MICRODEV_SIZES)) > task_cfg.microdev_n:
-        raise UsageError(
-            f"micro-dev size {largest} exceeds the task's generated pool "
-            f"({task_cfg.microdev_n})"
-        )
+    require_ablation_pool(task_cfg)
     cfgs = [replace(controller_cfg, beta=beta, tau_ent=tau) for beta, tau in REGULARIZER_SWEEP]
     cfgs += [replace(controller_cfg, microdev_n=m) for m in MICRODEV_SIZES]
     means = _sweep(task_cfg, lora_cfg, train_cfg, cfgs, seeds, workers)
@@ -434,8 +443,7 @@ def rolling_pcurr(
     """
     if not records:
         raise UsageError("cannot summarize an empty controller log")
-    if window < 1:
-        raise UsageError("window must be >= 1")
+    require_positive_int("window", window)
     ps = [r.p_curr_after for r in records]
     out = []
     for i, rec in enumerate(records):

@@ -37,11 +37,11 @@ import sys
 from pathlib import Path
 
 from .baselines import (
-    MICRODEV_SIZES,
     ablate,
     compare_efficiency,
     format_runtime_table,
     grid_search,
+    require_ablation_pool,
     rolling_pcurr,
     write_grid_csv,
     write_microdev_csv,
@@ -57,6 +57,7 @@ from .adapters import merge_adapter_sets  # noqa: F401 (perfbench traces this bi
 from .serialize import canonical_json_line, sha256_file
 from .toytask import gen_toy_data
 from .training import final_phase, policy_phase, run_scale, train_and_merge
+from .training import require_p_star_in_range
 from .training import (  # noqa: F401 (perfbench traces these bindings)
     final_prune_finetune,
     sparsity_policy_learning,
@@ -263,12 +264,7 @@ def _resolve_p_star(root: Path, chash: str, args) -> tuple[float, str]:
 def cmd_finalize(cfg: RunConfig, args) -> int:
     chash, merged_init, parent, seed, data = _from_merge(cfg, args)
     p_star, p_star_source = _resolve_p_star(Path(cfg.out), chash, args)
-    ctrl = cfg.controller
-    if not ctrl.p_min <= p_star <= ctrl.p_max:  # NaN fails too
-        raise UsageError(
-            f"p_star {p_star} ({p_star_source}) outside [controller] p_min … p_max "
-            f"= [{ctrl.p_min}, {ctrl.p_max}]"
-        )
+    require_p_star_in_range(p_star, cfg.controller.p_min, cfg.controller.p_max, p_star_source)
     d = _claim_phase_dir(cfg, "finalize", args.force)
     fin = final_phase(data, merged_init, p_star, cfg.controller, cfg.training, seed)
     save_merged(d / "final.ckpt", fin.merged, kind="final",
@@ -320,11 +316,7 @@ def cmd_grid(cfg: RunConfig, args) -> int:
 
 def cmd_ablate(cfg: RunConfig, args) -> int:
     chash = config_hash(cfg)
-    if (largest := max(MICRODEV_SIZES)) > cfg.task.microdev_n:
-        raise UsageError(
-            f"ablate sweeps micro-dev sizes up to {largest}, but [task] microdev_n "
-            f"= {cfg.task.microdev_n} generates a smaller pool"
-        )
+    require_ablation_pool(cfg.task)
     d = _claim_phase_dir(cfg, "ablate", args.force)
     reg_rows, micro_rows = ablate(
         cfg.task, cfg.lora, cfg.training, cfg.controller,

@@ -33,12 +33,13 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .baselines import GridSpec
+from .baselines import GridSpec, require_seeds
 from .controller import ControllerConfig
 from .errors import StorageError, UsageError
 from .serialize import canonical_json, sha256_text
 from .toytask import ToyTaskConfig
 from .training import LoraConfig, TrainConfig, total_steps
+from .training import require_microdev_fits, require_round_fits
 
 __all__ = [
     "DEFAULT_SEEDS",
@@ -73,25 +74,15 @@ class RunConfig:
         return self.seeds[0]
 
     def __post_init__(self) -> None:
-        if not self.seeds:
-            raise UsageError("seed list must not be empty")
+        require_seeds(self.seeds)
         for s in self.seeds:
             if not isinstance(s, int) or s < 0:
                 raise UsageError(f"seeds must be non-negative integers, got {s!r}")
         if not self.out:
             raise UsageError("output directory must not be empty")
         ctrl, task = self.controller, self.task
-        if ctrl.microdev_n > task.microdev_n:
-            raise UsageError(
-                f"[controller] microdev_n = {ctrl.microdev_n} exceeds the generated "
-                f"micro-dev pool ([task] microdev_n = {task.microdev_n})"
-            )
-        budget = total_steps(self.training, task.target_train_n)
-        if ctrl.round_every > budget:
-            raise UsageError(
-                f"[controller] round_every = {ctrl.round_every} exceeds the phase-2 "
-                f"step budget {budget}; no controller round would run"
-            )
+        require_microdev_fits(ctrl.microdev_n, task.microdev_n)
+        require_round_fits(ctrl.round_every, total_steps(self.training, task.target_train_n))
 
 
 # --- the section table ------------------------------------------------------
@@ -125,10 +116,8 @@ def _to_opt_int(raw: str) -> int | None:
 
 
 def _to_list(conv, raw: str) -> tuple:
-    items = tuple(conv(p) for p in raw.split(",") if p.strip())
-    if not items:
-        raise ValueError("need a non-empty comma-separated list")
-    return items
+    # an empty list is left to the config's own check (seeds, grid ratios)
+    return tuple(conv(p) for p in raw.split(",") if p.strip())
 
 
 # keyed by field annotation, which deferred annotations keep as strings

@@ -52,15 +52,18 @@ def estimate_scale(microdev_inputs) -> ImportanceScale:
     dim = vecs[0].size
     if any(v.size != dim for v in vecs):
         raise DimensionError("micro-dev inputs disagree on dimension")
-    s = float(np.mean([np.linalg.norm(v) for v in vecs]))
-    if s <= 0.0:
-        raise DegenerateScaleError("all micro-dev inputs are zero; scale would be 0")
-    return ImportanceScale(s)
+    return ImportanceScale(float(np.mean([np.linalg.norm(v) for v in vecs])))
 
 
 def importance_scores(values: np.ndarray, scale: ImportanceScale) -> np.ndarray:
     """Elementwise |value| * s over a flat tensor."""
     return np.abs(np.asarray(values, dtype=np.float64).ravel()) * scale.s
+
+
+def require_ratio(p: float) -> None:
+    """Raise `UsageError` unless prune ratio p lies in [0, 1]; NaN fails."""
+    if not 0.0 <= p <= 1.0:
+        raise UsageError(f"prune ratio must lie in [0, 1], got {p}")
 
 
 def prune_threshold(scores: np.ndarray, p: float) -> tuple[int, float]:
@@ -79,8 +82,7 @@ def sorted_threshold(sorted_scores: np.ndarray, p: float) -> tuple[int, float]:
     """`prune_threshold` read off scores already sorted ascending: the k-th
     smallest is entry k-1, so one sort serves every ratio probed against
     the same scores."""
-    if not 0.0 <= p <= 1.0:
-        raise UsageError(f"prune ratio must lie in [0, 1], got {p}")
+    require_ratio(p)
     k = math.floor(p * sorted_scores.size)
     if k == 0:
         return 0, float("-inf")

@@ -25,7 +25,7 @@ so it still raises `UsageError` before a gradient is written, and rows that
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -96,18 +96,9 @@ class ToyTaskConfig:
     interference: float = 0.5
 
     def __post_init__(self) -> None:
-        for name in (
-            "d_in",
-            "d_out",
-            "n_sites",
-            "teacher_rank",
-            "source_train_n",
-            "target_train_n",
-            "dev_n",
-            "microdev_n",
-            "test_n",
-        ):
-            require_positive_int(name, getattr(self, name))
+        for f in fields(self):  # every int setting is a size or a count
+            if f.type == "int":  # annotations stay strings here
+                require_positive_int(f.name, getattr(self, f.name))
         if self.d_in < 2 * self.teacher_rank:
             raise UsageError(
                 "d_in must be at least 2 * teacher_rank so orthogonal source "
@@ -147,7 +138,8 @@ class DataSplit:
 
     def head(self, n: int) -> "DataSplit":
         """The first n examples (used for nested micro-dev slices)."""
-        if not 1 <= n <= self.n:
+        require_positive_int("n", n)
+        if n > self.n:
             raise UsageError(f"requested {n} examples from a split of {self.n}")
         return DataSplit(self.x[:n], self.y[:n])
 

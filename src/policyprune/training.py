@@ -40,6 +40,7 @@ from .masking import (  # noqa: F401 (prune_threshold: perfbench traces this bin
     importance_scores,
     keep_above,
     prune_threshold,
+    require_ratio,
     sorted_threshold,
 )
 from .optim import OptimizerState, init_optimizer, install_mask, optimizer_step_and_reset
@@ -60,6 +61,9 @@ __all__ = [
     "factors_to_adapters",
     "train_adapter",
     "train_and_merge",
+    "require_round_fits",
+    "require_microdev_fits",
+    "require_p_star_in_range",
     "microdev_slice",
     "microdev_loss",
     "sparsity_policy_learning",
@@ -126,6 +130,15 @@ def total_steps(cfg: TrainConfig, n: int) -> int:
     return cfg.epochs * steps_per_epoch(n, cfg.batch_size)
 
 
+def require_round_fits(round_every: int, budget: int) -> None:
+    """Raise `UsageError` unless a round every `round_every` steps fits in `budget` steps."""
+    if round_every > budget:
+        raise UsageError(
+            f"[controller] round_every = {round_every} exceeds the phase-2 step "
+            f"budget {budget}; no controller round would run"
+        )
+
+
 def init_adapter_factors(
     backbone: FrozenBackbone, lora_cfg: LoraConfig, rng: np.random.Generator
 ) -> MergedAdapterSet:
@@ -150,24 +163,13 @@ def init_adapter_factors(
 def factors_to_adapters(
     merged: MergedAdapterSet, lora_cfg: LoraConfig
 ) -> list[LoraAdapter]:
-    """Unfold single-adapter stacked factors back into adapter pairs."""
-    out = []
-    for s in merged.sites:
-        if s.a.shape[0] != lora_cfg.rank:
-            raise UsageError(
-                f"site {s.site_id!r} has stacked rank {s.a.shape[0]}, not a "
-                f"single rank-{lora_cfg.rank} adapter"
-            )
-        out.append(
-            LoraAdapter(
-                site_id=s.site_id,
-                a=s.a / lora_cfg.scale,
-                b=s.b.copy(),
-                rank=lora_cfg.rank,
-                alpha=lora_cfg.alpha,
-            )
-        )
-    return out
+    """Unfold single-adapter stacked factors back into adapter pairs;
+    `LoraAdapter` rejects factors of any other rank."""
+    return [
+        LoraAdapter(site_id=s.site_id, a=s.a / lora_cfg.scale, b=s.b.copy(),
+                    rank=lora_cfg.rank, alpha=lora_cfg.alpha)
+        for s in merged.sites
+    ]
 
 
 @dataclass
@@ -241,23 +243,25 @@ def train_and_merge(
     return source, target, merged
 
 
+def require_microdev_fits(m: int, pool: int) -> None:
+    """Raise `UsageError` unless an m-example micro-dev slice fits a pool of `pool`."""
+    if m > pool:
+        raise UsageError(
+            f"[controller] microdev_n = {m} exceeds the generated micro-dev pool "
+            f"([task] microdev_n = {pool})"
+        )
+
+
 def microdev_slice(data: ToyData, controller_cfg: ControllerConfig) -> DataSplit:
     """The controller's micro-dev slice: the head of the generated pool."""
-    m = controller_cfg.microdev_n
-    if m > data.microdev.n:
-        raise UsageError(
-            f"controller wants m={m} micro-dev examples but the generated "
-            f"pool holds {data.microdev.n}"
-        )
-    return data.microdev.head(m)
+    require_microdev_fits(controller_cfg.microdev_n, data.microdev.n)
+    return data.microdev.head(controller_cfg.microdev_n)
 
 
 def microdev_loss(
     backbone: FrozenBackbone, merged: MergedAdapterSet, split: DataSplit
 ) -> float:
     """Mean loss over a fixed evaluation slice; pure, no gradients."""
-    if split.n < 1:
-        raise UsageError("cannot evaluate on an empty slice")
     return mse_loss(model_forward(backbone, merged, split.x), split.y)
 
 
@@ -347,8 +351,7 @@ class MaskedTrainingEnv:
         """Whether ratio p prunes only exact zeros: p*d_t < zeros_t + 1 (that
         is, floor(p*d_t) <= zeros_t) in every tensor t. Rejects p outside
         [0, 1], NaN included, whichever path the caller then takes."""
-        if not 0.0 <= p <= 1.0:
-            raise UsageError(f"prune ratio must lie in [0, 1], got {p}")
+        require_ratio(p)
         self._score()
         for d, cap in self._caps:
             if p * d >= cap:  # p is not NaN here
@@ -455,8 +458,10 @@ def sparsity_policy_learning(
     the partial round log is attached to the raised error as `.records`.
     `on_round`, if given, is called with each record as soon as its round
     finishes — the hook that lets callers persist an append-only log that
-    stays valid even when the run is cut short.
+    stays valid even when the run is cut short. The phase never stops
+    early, so a round interval past its step budget fails before any step.
     """
+    require_round_fits(controller_cfg.round_every, total_steps(train_cfg, target_train.n))
     scale = estimate_scale(microdev.x)
     merged, opt = _masked_start(merged_init, controller_cfg.p_init, scale, train_cfg)
     env = MaskedTrainingEnv(
@@ -494,16 +499,21 @@ def sparsity_policy_learning(
     except TrainingDivergedError as exc:
         exc.records = records
         raise
-    if not records:
-        raise UsageError(
-            f"step budget {len(losses)} is smaller than the controller interval "
-            f"{controller_cfg.round_every}; no rounds ran"
-        )
     return PolicyLearningResult(
         records=records,
         p_star=select_p_star(records),
         step_losses=losses,
     )
+
+
+def require_p_star_in_range(p_star: float, p_min: float, p_max: float, source: str) -> None:
+    """Raise `UsageError` unless p_min <= p_star <= p_max (NaN fails); `source` says
+    where p_star came from."""
+    if not p_min <= p_star <= p_max:
+        raise UsageError(
+            f"p_star {p_star} ({source}) outside [controller] p_min … p_max "
+            f"= [{p_min}, {p_max}]"
+        )
 
 
 @dataclass
@@ -540,8 +550,7 @@ def final_prune_finetune(
     split must be disjoint from the controller's micro-dev slice; the data
     generator guarantees this).
     """
-    if not (p_min <= p_star <= p_max):
-        raise UsageError(f"p_star {p_star} outside the prune range [{p_min}, {p_max}]")
+    require_p_star_in_range(p_star, p_min, p_max, "argument")
     merged, opt = _masked_start(merged_init, p_star, scale, train_cfg)
     dev_history = [microdev_loss(backbone, merged, dev)]
     patience = train_cfg.early_stop_patience

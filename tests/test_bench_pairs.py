@@ -184,3 +184,37 @@ def test_main_runs_the_benchmark_length_alternately_against_a_required_parent(
         "--seconds", str(spec["run_seconds"]), "--trace", "0")}
     out = capsys.readouterr().out
     assert "rounds_per_s" in out and "holds" in out
+
+
+def test_the_last_stdout_line_is_one_json_object_of_every_pair_and_every_row(
+        monkeypatch, capsys):
+    """The line holds each pair's parsed results, each summary row (both
+    sides' quartiles, wins, the parent's IQR, claim, regressed) and the run
+    problems, so a saved line keeps the spread of the runs."""
+    results = {"parent": iter([_result(controller_s=v) for v in (1.0, 2.0, 1.5)]),
+               "change": iter([_result(controller_s=0.5), None,
+                               _result(correct=False, controller_s=0.75)])}
+
+    def run_once(command, root):
+        return next(results["change" if root == bench_pairs.ROOT else "parent"])
+
+    monkeypatch.setattr(bench_pairs, "unpack", lambda ref, dest: None)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    assert bench_pairs.main(["--parent", "HEAD~1", "--workload", "probe-heavy",
+                             "--pairs", "3"]) == 1
+    line = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    spec = json.loads((TOOL.parents[1] / "BENCHMARK.json").read_text())
+    assert {k: line[k] for k in ("workload", "seed", "parent", "run_seconds")} == {
+        "workload": "probe-heavy", "seed": 42, "parent": "HEAD~1",
+        "run_seconds": spec["run_seconds"]}
+    pairs = [{"parent": _result(controller_s=1.0), "change": _result(controller_s=0.5)},
+             {"parent": _result(controller_s=2.0), "change": None},
+             {"parent": _result(controller_s=1.5),
+              "change": _result(correct=False, controller_s=0.75)}]
+    assert line["pairs"] == pairs
+    assert line["summary"] == [{
+        "metric": "controller_s", "n": 3, "parent": [1.25, 1.5, 1.75],
+        "change": [0.5625, 0.625, 0.6875], "wins": 1, "parent_iqr": 0.5,
+        "claim": False, "regressed": False}]
+    assert line["problems"] == bench_pairs.run_problems(pairs) == [
+        "pair 1 change: no result", "pair 2 change: correct=False failed=0 of 10"]

@@ -25,7 +25,11 @@ regressed: the change's median is worse than the parent's median by more
 than the metric's `bound` from `BENCHMARK.json`, read as a share of the
 parent's median (a bound of 0.25 on a parent median of 2.0 s flags a change
 median above 2.5 s). Runs that exit nonzero, print no result, report
-`correct: false` or count failed operations are listed. The tool exits 1
+`correct: false` or count failed operations are listed. The last line of
+standard output is one JSON object holding the workload, seed, parent ref
+and run length, every pair's parsed results (`null` for a run that gave
+none), every summary row as `summarize` returns it and the run problems, so
+a saved line records the spread and not only one run. The tool exits 1
 when any run had such a problem or any metric regressed. The temporary copy
 is removed on exit, and each run has ended before the next starts.
 """
@@ -192,6 +196,9 @@ def main(argv=None) -> int:
     problems = run_problems(pairs)
     for problem in problems:
         print(f"  RUN PROBLEM {problem}")
+    print(json.dumps({"workload": args.workload, "seed": args.seed, "parent": args.parent,
+                      "run_seconds": seconds, "pairs": pairs, "summary": rows,
+                      "problems": problems}))
     return 1 if problems or any(row["regressed"] for row in rows) else 0
 
 
