@@ -125,12 +125,16 @@ def _write_manifest(
     _write_text(d / "manifest.json", canonical_json_line(payload))
 
 
+def _require_upstream(path: Path, command: str, hint: str) -> None:
+    """`path`, a file the `command` phase writes, must exist: if it does not,
+    a `UsageError` (exit 2) names it and the phase to run, then `hint`."""
+    if not path.is_file():
+        raise UsageError(f"missing {path}; run `policyprune {command}` first{hint}")
+
+
 def _read_manifest(root: Path, command: str) -> dict:
     path = _phase_dir(root, command) / "manifest.json"
-    if not path.is_file():
-        raise UsageError(
-            f"missing {path}; run `policyprune {command}` first"
-        )
+    _require_upstream(path, command, "")
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
@@ -166,8 +170,7 @@ def _verified_parent(root: Path, command: str, name: str, chash: str):
     man = _read_manifest(root, command)
     _check_config(man["config_hash"], chash, f"the {command} phase")
     path = _phase_dir(root, command) / name
-    if not path.is_file():
-        raise UsageError(f"missing {path}; run `policyprune {command}` first")
+    _require_upstream(path, command, "")
     actual = sha256_file(path)
     if actual != man["files"].get(name):
         raise StorageError(
@@ -247,10 +250,8 @@ def _resolve_p_star(root: Path, chash: str, args) -> tuple[float, str]:
     if (path.parent / "manifest.json").is_file():
         # a completed controller phase: its p_star file must be the one it wrote
         _verified_parent(root, "controller", path.name, chash)
-    elif not path.is_file():
-        raise UsageError(
-            f"missing {path}; run `policyprune controller` first or pass --p-star"
-        )
+    else:
+        _require_upstream(path, "controller", " or pass --p-star")
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
         p_star = float(payload["p_star"])

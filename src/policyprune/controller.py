@@ -13,18 +13,15 @@ passed through).
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
 from dataclasses import dataclass, field, fields
-from itertools import chain
-from operator import attrgetter
 
 import numpy as np
 
 from .errors import ProbePurityError, RewardError, StorageError, UsageError, require_positive_int
-from .serialize import canonical_json
+from .serialize import canonical_json_line
 
 SIGMA_FLOOR = 1e-3  # smallest sigma the policy keeps
 
@@ -147,8 +144,8 @@ def policy_update(
 
 def commit_decision(
     ps: list[float], rels: list[float], p_curr: float, cfg: ControllerConfig
-) -> tuple[bool, float, int]:
-    """(committed, p_new, best_index) for ratios p_i with relative rewards R_i.
+) -> tuple[bool, float]:
+    """(committed, p_new) for ratios p_i with relative rewards R_i.
 
     The first best candidate wins only if its relative reward is >= 0; the
     move is clipped to delta_max and the result clamped back into the range.
@@ -156,11 +153,10 @@ def commit_decision(
     if not rels:
         raise UsageError("commit decision needs at least one candidate")
     r_best = max(rels)
-    best = rels.index(r_best)
     if r_best < 0.0:
-        return False, p_curr, best
-    dp = clamp(ps[best] - p_curr, -cfg.delta_max, cfg.delta_max)
-    return True, clamp(p_curr + dp, cfg.p_min, cfg.p_max), best
+        return False, p_curr
+    dp = clamp(ps[rels.index(r_best)] - p_curr, -cfg.delta_max, cfg.delta_max)
+    return True, clamp(p_curr + dp, cfg.p_min, cfg.p_max)
 
 
 @dataclass
@@ -265,7 +261,7 @@ def controller_round(
     g_mu, g_sigma = score_gradients(alive_z, centered_advantages(alive_rel),
                                     policy.mu, policy.sigma)
     new_policy = policy_update(policy, g_mu, g_sigma, cfg)
-    committed, p_new, _best = commit_decision(alive_p, alive_rel, p_curr, cfg)
+    committed, p_new = commit_decision(alive_p, alive_rel, p_curr, cfg)
     if committed:
         env.commit(p_new)
         new_policy.p_curr = p_new
@@ -342,73 +338,10 @@ def audit_records(records: list[ControllerRecord], cfg: ControllerConfig) -> lis
     return problems
 
 
-def _layout(cls) -> tuple[tuple[str, ...], attrgetter]:
-    """`cls`'s JSON keys as `canonical_json` writes them (`"name":`) and a
-    getter of its field values, both in sorted key order."""
-    names = sorted(f.name for f in fields(cls))
-    return tuple(canonical_json(n) + ":" for n in names), attrgetter(*names)
-
-
-_RECORD_KEYS, _record_values = _layout(ControllerRecord)
-_CANDIDATE_KEYS, _candidate_values = _layout(CandidateOutcome)
-_CANDIDATES_AT = _RECORD_KEYS.index('"candidates":')
-
-
-@functools.lru_cache(maxsize=8)
-def _line_template(n_candidates: int) -> str:
-    """A %-template of the round-log line of a record with n candidates."""
-    cand = "{" + ",".join(k + "%s" for k in _CANDIDATE_KEYS) + "}"
-    parts = [k + "%s" for k in _RECORD_KEYS]
-    parts[_CANDIDATES_AT] = (
-        _RECORD_KEYS[_CANDIDATES_AT] + "[" + ",".join([cand] * n_candidates) + "]"
-    )
-    return "{" + ",".join(parts) + "}\n"
-
-
-def _text(value) -> str:
-    """One field value as `canonical_json` writes it."""
-    if isinstance(value, float):
-        return float.__repr__(value) if math.isfinite(value) else "null"
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if type(value) is int:
-        return int.__repr__(value)
-    return canonical_json(value)
-
-
-def _round_log_line(record: ControllerRecord) -> str:
-    """`canonical_json_line(record.to_obj())`, built from the fields with
-    each distinct nonzero float formatted once. Only floats enter the memo,
-    and zeros skip it: as dict keys 0.0 == -0.0 == 0 == False and
-    1.0 == 1 == True, yet each of them has its own text."""
-    values = list(_record_values(record))
-    values[_CANDIDATES_AT:_CANDIDATES_AT + 1] = chain.from_iterable(
-        map(_candidate_values, record.candidates)
-    )
-    memo: dict[float, str] = {}
-    texts = []
-    for v in values:
-        if type(v) is not float:
-            text = _text(v)
-        elif not v:
-            text = float.__repr__(v)  # "0.0" or "-0.0"
-        else:
-            text = memo.get(v)
-            if text is None:
-                text = memo[v] = _text(v)
-        texts.append(text)
-    return _line_template(len(record.candidates)) % tuple(texts)
-
-
 def append_round_log(path, record: ControllerRecord) -> None:
     """One open, write and close per record: the log is valid after every
-    round. The line is built from the record's fields, with the same bytes
-    as `canonical_json_line(record.to_obj())`."""
-    data = memoryview(_round_log_line(record).encode())
+    round. The line is `canonical_json_line(record.to_obj())`."""
+    data = memoryview(canonical_json_line(record.to_obj()).encode())
     try:
         fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
         try:

@@ -99,13 +99,12 @@ def install_mask(merged: MergedAdapterSet, state: OptimizerState, mask: Sparsity
     """Put `mask` in force: zero the arena's pruned coordinates (as +0.0),
     zero both moments there, fold the keep bits into the moment
     coefficients and record `mask` as `state.mask`. A mask that does not
-    fit the arena or the moments raises `DimensionError` before any byte
-    changes."""
-    sizes = {merged.flat.size, state.first_moment.size, state.second_moment.size}
+    fit the moments, or the arena (checked by `mask_apply_inplace`), raises
+    `DimensionError` before any byte changes."""
+    sizes = {state.first_moment.size, state.second_moment.size}
     if sizes != {mask.keep.size}:
         raise DimensionError(
-            f"mask length {mask.keep.size} does not match the arena and moments "
-            f"({sorted(sizes)})"
+            f"mask length {mask.keep.size} does not match the moments ({sorted(sizes)})"
         )
     mask_apply_inplace(merged, mask)
     pruned = mask.keep == 0.0

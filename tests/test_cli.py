@@ -288,6 +288,20 @@ def test_controller_without_adapters_names_the_missing_path(fresh, capsys):
     assert "train-adapters" in err
 
 
+def test_controller_without_the_merged_checkpoint_names_the_missing_path(
+    chain, capsys, tmp_path
+):
+    ini, src_out = chain
+    out = tmp_path / "out"
+    shutil.copytree(src_out / "adapters", out / "adapters")
+    (out / "adapters" / "merged_init.ckpt").unlink()
+    assert run_cli("controller", "--config", str(ini), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert str(out / "adapters" / "merged_init.ckpt") in err
+    assert "train-adapters" in err
+    assert not (out / "controller").exists()
+
+
 def test_cross_phase_config_mismatch_is_a_hard_error(fresh, capsys, tmp_path):
     ini, out = fresh
     assert run_cli("train-adapters", "--config", str(ini), "--out", str(out)) == 0

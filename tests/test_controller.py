@@ -213,15 +213,13 @@ def test_policy_update_clamps_mu_to_range():
 
 def test_commit_decision_cases():
     cfg = ControllerConfig()
-    committed, p_new, best = commit_decision([0.55], [0.02], 0.40, cfg)
-    assert (committed, p_new, best) == (True, 0.50, 0)
-    committed, p_new, _ = commit_decision([0.35], [0.01], 0.40, cfg)
-    assert (committed, p_new) == (True, 0.35)
-    committed, p_new, _ = commit_decision([0.3, 0.5], [-0.01, -0.01], 0.40, cfg)
-    assert (committed, p_new) == (False, 0.40)
+    assert commit_decision([0.55], [0.02], 0.40, cfg) == (True, 0.50)
+    assert commit_decision([0.35], [0.01], 0.40, cfg) == (True, 0.35)
+    # a tie goes to the first candidate
+    assert commit_decision([0.45, 0.35], [0.01, 0.01], 0.40, cfg) == (True, 0.45)
+    assert commit_decision([0.3, 0.5], [-0.01, -0.01], 0.40, cfg) == (False, 0.40)
     cfg2 = ControllerConfig(p_min=0.10, p_max=0.80)
-    committed, p_new, _ = commit_decision([0.02], [0.5], 0.15, cfg2)
-    assert (committed, p_new) == (True, 0.10)
+    assert commit_decision([0.02], [0.5], 0.15, cfg2) == (True, 0.10)
     with pytest.raises(UsageError):
         commit_decision([], [], 0.4, cfg)
 
@@ -649,9 +647,9 @@ def test_append_round_log_writes_each_canonical_line(tmp_path, monkeypatch):
 
 
 def _adversarial_records():
-    """Records whose values trip a hand-built JSON line: None rewards,
-    non-finite floats, -0.0 beside 0.0, ints equal to floats, extreme
-    magnitudes and a failed round with no candidates."""
+    """Records on the canonical encoder's edge cases: None rewards,
+    non-finite floats, -0.0 beside 0.0, ints equal to floats, 5e-324 and
+    1e+16, and a failed round with no candidates."""
     inf, nan = math.inf, math.nan
     yield ControllerRecord(round=0, step=1, p_curr_before=0.4, baseline_reward=None,
                            failed=True, p_curr_after=0.4, mu_after=0.4, sigma_after=0.1)

@@ -1,9 +1,10 @@
 """The on-disk formats stay byte-stable across refactors.
 
 Each pin is the SHA-256 of bytes the format code writes for fixed input:
-the stock config's content hash, its rendered ``resolved.ini``, and the
-adapter and merged checkpoints of a small hand-built set. A change to any
-of them changes every run directory, so it must be deliberate.
+the stock config's content hash, its rendered ``resolved.ini``, the
+adapter and merged checkpoints of a small hand-built set, and the round log
+of the controller tests' adversarial records. A change to any of them
+changes every run directory, so it must be deliberate.
 """
 
 import hashlib
@@ -13,11 +14,15 @@ import numpy as np
 from policyprune.adapters import LoraAdapter, MergedAdapterSet, SiteFactors
 from policyprune.configio import config_hash, load_run_config, render_ini
 from policyprune.container import save_adapters, save_merged
+from policyprune.controller import append_round_log
+
+from test_controller import _adversarial_records
 
 STOCK_CONFIG_HASH = "0f02a7d0e2458d9f37fad368ae070e25ff661f528ba07e9b8e19340c915ee9e0"
 STOCK_INI_SHA256 = "f9d17073affe19a5eca304c5c29cc811cef48d3f50d2edb83d15640c62b69c65"
 ADAPTERS_SHA256 = "fb649516407d907323bf786d3eeab2795be1ade180549344adf6dff5ecda272a"
 MERGED_SHA256 = "4d01fbd4f02866c87fbccc09f6b49f37b9d159e409c516a519c0b5886634d02a"
+ROUND_LOG_SHA256 = "57917ec44334d93732329154896c86acc716724d90126540a9e168cb92afbb64"
 
 
 def _sha256(data: bytes) -> str:
@@ -40,3 +45,10 @@ def test_config_and_checkpoint_bytes_are_pinned(tmp_path):
     save_merged(tmp_path / "m.ckpt", merged, kind="final")
     assert _sha256((tmp_path / "a.ckpt").read_bytes()) == ADAPTERS_SHA256
     assert _sha256((tmp_path / "m.ckpt").read_bytes()) == MERGED_SHA256
+
+
+def test_round_log_bytes_are_pinned(tmp_path):
+    path = tmp_path / "rounds.jsonl"
+    for rec in _adversarial_records():
+        append_round_log(path, rec)
+    assert _sha256(path.read_bytes()) == ROUND_LOG_SHA256

@@ -384,9 +384,9 @@ def test_a_state_built_by_its_constructor_steps_like_init_optimizer():
 
 
 def test_a_mask_of_another_size_is_a_dimension_error():
-    """A mask that fits neither the arena nor the moments, or the arena but
-    not the moments, raises before any byte changes or any mask is put in
-    force."""
+    """A mask that fits neither the arena nor the moments, the arena but not
+    the moments, or the moments but not the arena, raises before any byte
+    changes or any mask is put in force."""
     merged = one_site_set()
     other = MergedAdapterSet([SiteFactors("q", np.ones((1, 3)), np.ones((2, 1)))])
     mask = build_mask(other, 0.5, ImportanceScale(1.0))
@@ -404,5 +404,9 @@ def test_a_mask_of_another_size_is_a_dimension_error():
     narrow = init_optimizer(other, LR, DECAY)
     with pytest.raises(DimensionError):
         install_mask(other, narrow, fits_arena)
+    other_bytes = other.flat.tobytes()
+    with pytest.raises(DimensionError):  # fits the moments, not the arena
+        install_mask(other, state, fits_arena)
+    assert other.flat.tobytes() == other_bytes
     assert _bytes(merged, state) == before and state.step == 1 and state.mask is None
     assert not narrow.first_moment.any() and narrow.mask is None
