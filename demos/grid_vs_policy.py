@@ -2,22 +2,17 @@
 """Why learn the ratio online: the grid baseline needs one full training
 run per candidate ratio; the policy route needs two runs total (one that
 learns the ratio while fine-tuning, one final run at the learned ratio).
-This script runs both on the stock task and prints quality and cost side
-by side, with the three reference points that search no ratio at all.
-The wall-clock section re-executes both arms three times under a timer;
-the whole script takes about 10 s on a 2-CPU machine.
+This script runs both on the stock task and prints their quality side by
+side, with the three reference points that search no ratio at all, and
+their cost in optimizer steps. It takes about 2 s on a 2-CPU machine;
+the wall-clock comparison is `policyprune report`'s.
 
 Run it:  python3 demos/grid_vs_policy.py
 """
 
 import dataclasses
 
-from policyprune.baselines import (
-    compare_efficiency,
-    format_runtime_table,
-    grid_search,
-    run_noprune_baselines,
-)
+from policyprune.baselines import grid_search, run_noprune_baselines
 from policyprune.configio import load_run_config
 from policyprune.training import run_pipeline, run_scale
 
@@ -57,17 +52,10 @@ print(f"grid best ratio:      p = {best.p:.2f} (dev {best.dev_loss:.5f})")
 print(f"quality ratio (policy / grid best): "
       f"{art.final.dev_loss / best.dev_loss:.4f}")
 
-# --- cost: steps by arithmetic, wall clock by measurement -------------------
-# three interleaved passes per arm (policy, grid, policy, ...); each arm's
-# clock is its fastest pass, so one slow spell of the host does not decide it
-comp = compare_efficiency(cfg.task, cfg.lora, train, cfg.controller, seed,
-                          grid=cfg.grid)
-print()
-print(format_runtime_table(comp))
-print(f"\nstep accounting: grid trains {comp.grid.run_count} runs, the policy "
-      f"route {comp.grasp.run_count}; {comp.grid.total_steps} vs "
-      f"{comp.grasp.total_steps} optimizer steps")
-print(f"  step ratio: {comp.step_speedup:.1f}x (exact, by arithmetic)")
-print(f"  wall ratio: {comp.grasp.speedup:.2f}x (measured, best of 3 passes per arm)")
+# --- cost: optimizer steps, exact by arithmetic -----------------------------
+policy_steps = art.policy.steps_run + art.final.steps_run
+print(f"\nstep accounting: grid trains {len(outcome.points)} runs, the policy "
+      f"route 2; {outcome.total_steps} vs {policy_steps} optimizer steps")
+print(f"  step ratio: {outcome.total_steps / policy_steps:.1f}x (exact, by arithmetic)")
 print("probe evaluations ride on the first run, so the wall ratio sits below "
-      "the step ratio.")
+      "the step ratio;\nmeasure it with `policyprune report`.")

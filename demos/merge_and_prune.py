@@ -73,4 +73,4 @@ for p in (0.2, 0.4, 0.6, 0.8):
     pruned = merged.copy()
     mask_apply_inplace(pruned, build_mask(merged, p, scale))
     print(f"  p={p} : {microdev_loss(data.backbone, pruned, data.microdev):.5f}")
-print("\n(retraining after the single prune is phase 3; see full_pipeline.py)")
+print("\n(retraining after the single prune is phase 3; see grid_vs_policy.py)")

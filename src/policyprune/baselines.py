@@ -387,7 +387,6 @@ class MicrodevCell:
     m: int
     p_star: float
     dev_loss: float
-    non_micro: bool = False  # m at (or past) the fine-tuning set size
 
 
 def require_ablation_pool(task_cfg: ToyTaskConfig) -> None:
@@ -427,27 +426,22 @@ def ablate(
         for (beta, tau), (p_star, dev_loss) in zip(REGULARIZER_SWEEP, means[:n_reg])
     ]
     microdev = [
-        MicrodevCell(m=m, p_star=p_star, dev_loss=dev_loss,
-                     non_micro=m >= task_cfg.target_train_n)
+        MicrodevCell(m=m, p_star=p_star, dev_loss=dev_loss)
         for m, (p_star, dev_loss) in zip(MICRODEV_SIZES, means[n_reg:])
     ]
     return regularizers, microdev
 
 
-def rolling_pcurr(
-    records: list[ControllerRecord], window: int = 10
-) -> list[tuple[int, float, float]]:
-    """Trailing-window mean and population std of the committed ratio.
-
-    Early rounds with fewer than `window` records use everything available.
+def rolling_pcurr(records: list[ControllerRecord]) -> list[tuple[int, float, float]]:
+    """Mean and population std of the committed ratio over each round's
+    trailing window of 10 rounds; the first nine rounds average all rounds so far.
     """
     if not records:
         raise UsageError("cannot summarize an empty controller log")
-    require_positive_int("window", window)
     ps = [r.p_curr_after for r in records]
     out = []
     for i, rec in enumerate(records):
-        w = np.asarray(ps[max(0, i - window + 1): i + 1])
+        w = np.asarray(ps[max(0, i - 9): i + 1])
         out.append((rec.round, float(w.mean()), float(w.std())))
     return out
 

@@ -281,24 +281,31 @@ def model_forward(
             )
         y = x @ w.T + (x @ s.a.T) @ s.b.T
         out = y if out is None else out + y
-    if out is None:
-        raise UsageError("adapter set has no sites")
+    _require_sites(out)
     return out
+
+
+def _require_sites(site_sum: np.ndarray | None) -> None:
+    """Raise `UsageError` if the sum over sites is None: the set has none."""
+    if site_sum is None:
+        raise UsageError("adapter set has no sites")
 
 
 def mse_loss(pred: np.ndarray, y: np.ndarray) -> float:
     """Mean squared error over all examples and output coordinates."""
+    return _residual_and_loss(pred, y, None)[1]
+
+
+def _residual_and_loss(pred: np.ndarray, y: np.ndarray, out) -> tuple[np.ndarray, float]:
+    """pred - y, written into the array `out` (None allocates), and its mean
+    square: np.mean's arithmetic (one pairwise add.reduce, then / count)
+    without its Python-level dispatch."""
     if pred.shape != y.shape:
         raise DimensionError(f"prediction shape {pred.shape} != target shape {y.shape}")
-    return _mean_square(pred - y)
-
-
-def _mean_square(diff: np.ndarray) -> float:
-    # np.mean's own arithmetic (one pairwise add.reduce, then / count)
-    # without its Python-level dispatch
+    diff = np.subtract(pred, y, out)
     if not diff.size:
         raise UsageError(f"cannot take the loss of an empty batch (shape {diff.shape})")
-    return float(np.add.reduce(diff * diff, axis=None)) / diff.size
+    return diff, float(np.add.reduce(diff * diff, axis=None)) / diff.size
 
 
 def loss_and_gradients(
@@ -341,12 +348,8 @@ def loss_and_gradients(
         raise DimensionError(f"x of shape {x.shape} does not fit the set: {exc}") from None
     except KeyError as exc:
         raise UsageError(f"unknown site {exc.args[0]!r}") from None
-    if pred is None:
-        raise UsageError("adapter set has no sites")
-    if pred.shape != y.shape:
-        raise DimensionError(f"prediction shape {pred.shape} != target shape {y.shape}")
-    diff = np.subtract(pred, y, pred)
-    loss = _mean_square(diff)
+    _require_sites(pred)
+    diff, loss = _residual_and_loss(pred, y, pred)
     if not math.isfinite(loss):
         matrix(x)  # raises UsageError on a NaN/Inf entry; finite inputs pass
         matrix(y)

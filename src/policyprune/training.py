@@ -12,7 +12,7 @@ with the mask fixed, early-stopping on the dev split.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -175,7 +175,6 @@ def factors_to_adapters(
 @dataclass
 class AdapterTrainResult:
     adapters: list[LoraAdapter]
-    step_losses: list[float]
 
 
 def _train_loop(
@@ -226,10 +225,8 @@ def train_adapter(
     """Phase 1: fit one adapter set to one task; the backbone stays frozen."""
     merged = init_adapter_factors(backbone, lora_cfg, rng)
     opt = init_optimizer(merged, train_cfg.learning_rate, train_cfg.weight_decay)
-    losses, _ = _train_loop(backbone, merged, split, train_cfg, rng, opt)
-    return AdapterTrainResult(
-        adapters=factors_to_adapters(merged, lora_cfg), step_losses=losses
-    )
+    _train_loop(backbone, merged, split, train_cfg, rng, opt)
+    return AdapterTrainResult(adapters=factors_to_adapters(merged, lora_cfg))
 
 
 def train_and_merge(
@@ -454,8 +451,7 @@ def sparsity_policy_learning(
     """Phase 2: fine-tune under the committed mask, one controller round
     every `round_every` steps, and select p_star from the round log.
 
-    `merged_init` is never modified; the phase trains a copy. On divergence
-    the partial round log is attached to the raised error as `.records`.
+    `merged_init` is never modified; the phase trains a copy.
     `on_round`, if given, is called with each record as soon as its round
     finishes — the hook that lets callers persist an append-only log that
     stays valid even when the run is cut short. The phase never stops
@@ -491,14 +487,10 @@ def sparsity_policy_learning(
         if on_round is not None:
             on_round(rec)
 
-    try:
-        losses, _ = _train_loop(
-            backbone, merged, target_train, train_cfg, rng_train, opt,
-            on_step=round_hook,
-        )
-    except TrainingDivergedError as exc:
-        exc.records = records
-        raise
+    losses, _ = _train_loop(
+        backbone, merged, target_train, train_cfg, rng_train, opt,
+        on_step=round_hook,
+    )
     return PolicyLearningResult(
         records=records,
         p_star=select_p_star(records),
@@ -585,8 +577,6 @@ class RunArtifacts:
     merged_init: MergedAdapterSet
     policy: PolicyLearningResult
     final: FinalRunResult
-    source_losses: list[float] = field(repr=False, default_factory=list)
-    target_losses: list[float] = field(repr=False, default_factory=list)
 
     @property
     def p_star(self) -> float:
@@ -648,7 +638,7 @@ def run_pipeline(
     that slice.
     """
     data = gen_toy_data(task_cfg, seed)
-    source, target, merged_init = train_and_merge(data, lora_cfg, train_cfg, seed)
+    _source, target, merged_init = train_and_merge(data, lora_cfg, train_cfg, seed)
     policy = policy_phase(data, merged_init, controller_cfg, train_cfg, seed)
     final = final_phase(data, merged_init, policy.p_star, controller_cfg, train_cfg, seed)
     return RunArtifacts(
@@ -657,6 +647,4 @@ def run_pipeline(
         merged_init=merged_init,
         policy=policy,
         final=final,
-        source_losses=source.step_losses,
-        target_losses=target.step_losses,
     )

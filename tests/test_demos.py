@@ -1,8 +1,9 @@
-"""The two fast demos run end to end as scripts, the way their docstrings say.
+"""Every demo under `demos/` runs end to end as a script, the way its
+docstring says.
 
-`merge_and_prune` reads a mask's per-tensor keep bits and stats, and
-`policy_convergence` drives the controller alone. The slower demos
-(`ablation_tour`, `grid_vs_policy`, `full_pipeline`) are run by hand.
+`merge_and_prune` reads a mask's per-tensor keep bits and stats,
+`policy_convergence` drives the controller alone, and `grid_vs_policy` runs
+the pipeline, the grid and the no-search reference points on the stock task.
 """
 
 import os
@@ -15,7 +16,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("demo", ["merge_and_prune", "policy_convergence"])
+@pytest.mark.parametrize("demo", sorted(p.stem for p in (ROOT / "demos").glob("*.py")))
 def test_demo_runs_to_completion(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -1,16 +1,24 @@
-"""README's "Key entry points" table names objects the package has.
+"""README's code and names stay true to the package.
 
-Every backticked name in the table's first column must resolve: a dotted
-`module.name` in the `policyprune` package, or a bare name, which belongs to
-the module named before it in the same row. A renamed or deleted function
-then fails here instead of leaving a stale row.
+Every backticked name in the "Key entry points" table's first column must
+resolve: a dotted `module.name` in the `policyprune` package, or a bare
+name, which belongs to the module named before it in the same row. A
+renamed or deleted function then fails here instead of leaving a stale row.
+The "Library quickstart" block runs as written, and the "Demos" section
+names exactly the scripts under `demos/`.
 """
 
 import importlib
 import re
 from pathlib import Path
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+
+
+def _section(readme: str, heading: str) -> str:
+    """The text under `## heading`, up to the next `## ` heading."""
+    return readme.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
 
 
 def _entry_point_table(readme: str) -> str:
@@ -51,3 +59,18 @@ def test_a_stale_entry_point_is_caught():
     assert _unresolved(table) == [
         "baselines.ablate_regularizers", "baselines.ablate_microdev", "controller.nope",
     ]
+
+
+def test_the_library_quickstart_runs(capsys):
+    quickstart = _section(README.read_text(encoding="utf-8"), "Library quickstart")
+    block = quickstart.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    p_star, losses, fraction = capsys.readouterr().out.splitlines()
+    assert 0.0 < float(p_star) < 1.0 and 0.0 < float(fraction) < 1.0
+    assert all(float(loss) > 0.0 for loss in losses.split())
+
+
+def test_the_demos_section_names_every_demo():
+    demos = _section(README.read_text(encoding="utf-8"), "Demos")
+    assert sorted(re.findall(r"^- `([^`]+\.py)`", demos, re.M)) == sorted(
+        p.name for p in (ROOT / "demos").glob("*.py"))

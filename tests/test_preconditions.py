@@ -14,20 +14,20 @@ import numpy as np
 import pytest
 
 from policyprune import training
-from policyprune.adapters import LoraAdapter
-from policyprune.baselines import (
-    GridSpec,
-    _pool_map,
-    ablate,
-    compare_efficiency,
-    rolling_pcurr,
-)
+from policyprune.adapters import LoraAdapter, MergedAdapterSet
+from policyprune.baselines import GridSpec, _pool_map, ablate, compare_efficiency
 from policyprune.configio import RunConfig, load_run_config
-from policyprune.controller import ControllerConfig, ControllerRecord
-from policyprune.errors import UsageError
+from policyprune.controller import ControllerConfig
+from policyprune.errors import DimensionError, UsageError
 from policyprune.masking import estimate_scale, sorted_threshold
 from policyprune.optim import init_optimizer
-from policyprune.toytask import ToyTaskConfig, gen_toy_data
+from policyprune.toytask import (
+    ToyTaskConfig,
+    gen_toy_data,
+    loss_and_gradients,
+    model_forward,
+    mse_loss,
+)
 from policyprune.training import (
     LoraConfig,
     MaskedTrainingEnv,
@@ -38,11 +38,8 @@ from policyprune.training import (
     microdev_slice,
     sparsity_policy_learning,
 )
+from test_baselines import LORA4, SMALL
 from test_cli import SMALL_INI, run_cli
-
-SMALL = ToyTaskConfig(d_in=8, d_out=6, teacher_rank=2, source_train_n=48,
-                      target_train_n=32, dev_n=16, microdev_n=32, test_n=16)
-LORA4 = LoraConfig(rank=4)
 
 
 def _raised(call, *args, **kwargs) -> str:
@@ -178,9 +175,26 @@ def test_r6_the_empty_seed_list_text_is_the_same_from_the_config_and_the_sweep(t
                    ControllerConfig(microdev_n=8), seeds=(), workers=1) == text
 
 
-def _record():
-    return ControllerRecord(round=0, step=10, p_curr_before=0.4, baseline_reward=0.0,
-                            p_curr_after=0.4)
+def test_r7_the_empty_adapter_set_text_is_the_same_from_the_forward_and_the_step():
+    """The step checks it before the shape rule: a target of the wrong width
+    still gets this text."""
+    text = "adapter set has no sites"
+    data = gen_toy_data(SMALL, 1)
+    empty = MergedAdapterSet()
+    assert _raised(model_forward, data.backbone, empty, data.dev.x) == text
+    assert _raised(loss_and_gradients, data.backbone, empty, data.dev.x,
+                   data.dev.y[:, :-1]) == text
+
+
+def test_r8_the_shape_mismatch_text_is_the_same_from_the_loss_and_the_step():
+    data, merged = _merge()
+    x, y = data.dev.x, data.dev.y[:, :-1]
+    text = f"prediction shape {data.dev.y.shape} != target shape {y.shape}"
+    for call in (lambda: mse_loss(model_forward(data.backbone, merged, x), y),
+                 lambda: loss_and_gradients(data.backbone, merged, x, y)):
+        with pytest.raises(DimensionError) as info:
+            call()
+        assert str(info.value) == text
 
 
 @pytest.mark.parametrize("name, call", [
@@ -192,9 +206,8 @@ def _record():
     ("repeats", lambda: compare_efficiency(
         SMALL, LORA4, TrainConfig(epochs=1, early_stop_patience=None),
         ControllerConfig(microdev_n=8), 1, repeats=1.0)),
-    ("window", lambda: rolling_pcurr([_record()], window=True)),
 ], ids=["adapter-rank-true", "head-true", "head-float", "pool-workers-true",
-        "efficiency-repeats-float", "rolling-window-true"])
+        "efficiency-repeats-float"])
 def test_a_count_that_is_a_bool_or_a_float_is_refused(name, call):
     with pytest.raises(UsageError, match=f"^{name} must be a positive integer, got "):
         call()

@@ -166,7 +166,6 @@ def test_adapter_training_descends():
         _backbone_only(data.backbone, data.target_train.x), data.target_train.y
     )
     after = _full_loss(data.backbone, merged, data.target_train)
-    assert len(res.step_losses) == total_steps(TrainConfig(epochs=3), SMALL.target_train_n)
     assert after < 0.95 * before
 
 
