@@ -33,7 +33,7 @@ outcome = grid_search(
 
 print("per-ratio table (dev/test loss after prune-at-p + fine-tune):")
 for pt in outcome.points:
-    marker = "  <- grid best" if pt.p == outcome.best_p else ""
+    marker = "  <- grid best" if pt.p == outcome.best.p else ""
     print(f"  p={pt.p:.2f}  dev {pt.dev_loss:.5f}  test {pt.test_loss:.5f}{marker}")
 
 ref = run_noprune_baselines(data, art.merged_init, art.target_adapters, train, seed)

@@ -17,8 +17,10 @@ import numpy as np
 
 from policyprune.adapters import merge_adapter_sets
 from policyprune.masking import build_mask, estimate_scale, mask_apply_inplace
-from policyprune.toytask import ToyTaskConfig, gen_toy_data, model_forward, mse_loss
-from policyprune.training import LoraConfig, TrainConfig, microdev_loss, train_adapter, pipeline_rngs
+from policyprune.toytask import ToyTaskConfig, gen_toy_data, model_forward
+from policyprune.training import (
+    LoraConfig, TrainConfig, init_adapter_factors, microdev_loss, pipeline_rngs, train_adapter,
+)
 
 task = ToyTaskConfig(
     d_in=12, d_out=8, teacher_rank=3,
@@ -32,8 +34,6 @@ data = gen_toy_data(task, seed)
 rngs = pipeline_rngs(seed)
 
 # --- 1. adapters start as exact identities ---------------------------------
-from policyprune.training import init_adapter_factors
-
 fresh = init_adapter_factors(data.backbone, lora, np.random.default_rng(0))
 x = data.dev.x[:4]
 backbone_only = sum(x @ w.T for _, w in data.backbone.sites)
@@ -51,7 +51,7 @@ for s in merged.sites:
 
 # --- 3. importance scores and exact prune counts ---------------------------
 scale = estimate_scale(data.microdev.x)
-print("\nper-factor-row input scale:", np.round(scale.s, 3))
+print("\nglobal input scale s:", np.round(scale.s, 3))
 
 for p in (0.3, 0.5):
     mask = build_mask(merged, p, scale)

@@ -36,6 +36,8 @@ print("""
 Things to try:
   - raise noise_std and watch convergence widen,
   - shrink ControllerConfig(delta_max=...) and watch the walk slow down,
-  - set tau_ent=0.0 and compare sigma's trajectory (the exploration floor
-    is what keeps late rounds from locking in early luck).
+  - set tau_ent=0.0 and compare sigma's trajectory (the exploration offset
+    tau_ent, added to sigma every round, is what keeps late rounds from
+    locking in early luck; the floor controller.SIGMA_FLOOR only keeps
+    sigma above zero).
 """)

@@ -111,11 +111,7 @@ class GridPoint:
 @dataclass(frozen=True)
 class GridOutcome:
     points: tuple[GridPoint, ...]
-    best_p: float
-
-    @property
-    def best(self) -> GridPoint:
-        return next(pt for pt in self.points if pt.p == self.best_p)
+    best: GridPoint
 
     @property
     def total_steps(self) -> int:
@@ -183,7 +179,7 @@ def grid_search(
     if not survivors:
         raise NumericalError("every grid cell diverged; no best ratio exists")
     best = min(survivors, key=lambda pt: pt.dev_loss)  # ascending order → ties to smaller p
-    return GridOutcome(points=tuple(points), best_p=best.p)
+    return GridOutcome(points=tuple(points), best=best)
 
 
 @dataclass(frozen=True)
@@ -258,7 +254,10 @@ def _runtime_report(method: str, runs: int, steps: int, passes: list[float],
 class EfficiencyComparison:
     grasp: RuntimeReport
     grid: RuntimeReport
-    step_speedup: float
+
+    @property
+    def step_speedup(self) -> float:
+        return self.grid.total_steps / self.grasp.total_steps
 
 
 def compare_efficiency(
@@ -305,12 +304,10 @@ def compare_efficiency(
         grid_seconds.append(time.perf_counter() - t1)
 
     grasp_steps = policy.steps_run + final.steps_run
-    grid_steps = outcome.total_steps
     t_grid = min(grid_seconds)
     return EfficiencyComparison(
         grasp=_runtime_report("policy", 2, grasp_steps, grasp_seconds, t_grid),
-        grid=_runtime_report("grid", len(grid.ratios), grid_steps, grid_seconds, t_grid),
-        step_speedup=grid_steps / grasp_steps,
+        grid=_runtime_report("grid", len(grid.ratios), outcome.total_steps, grid_seconds, t_grid),
     )
 
 

@@ -310,7 +310,7 @@ def cmd_grid(cfg: RunConfig, args) -> int:
     failed = sum(1 for pt in outcome.points if pt.failed)
     print(
         f"grid searched {len(outcome.points)} ratios "
-        f"({failed} failed); best p = {outcome.best_p}; table in {d / 'grid.csv'}"
+        f"({failed} failed); best p = {outcome.best.p}; table in {d / 'grid.csv'}"
     )
     return 0
 

@@ -181,17 +181,17 @@ def _train_loop(
     backbone: FrozenBackbone, merged: MergedAdapterSet, split: DataSplit,
     train_cfg: TrainConfig, rng: np.random.Generator, opt: OptimizerState,
     on_step=None, on_epoch=None,
-) -> tuple[list[float], bool]:
+) -> tuple[int, bool]:
     """The epoch/batch loop of every phase.
 
     Each step is one optimizer step under the mask installed in `opt` (none
     trains dense). `on_step(step)` runs after each step with the 1-based
     step count: phase 2's controller rounds, which may install a new mask.
     `on_epoch()` runs after each epoch and returns True to stop: phase 3's
-    dev early stopping. Returns the per-step losses and whether `on_epoch`
-    stopped the run.
+    dev early stopping. Returns the number of steps run and whether
+    `on_epoch` stopped the run.
     """
-    losses: list[float] = []
+    step = 0
     grads = merged.empty_like()
     size = train_cfg.batch_size
     for _ in range(train_cfg.epochs):
@@ -202,17 +202,17 @@ def _train_loop(
             loss, grads = loss_and_gradients(
                 backbone, merged, xs[lo : lo + size], ys[lo : lo + size], out=grads
             )
+            step += 1
             if not math.isfinite(loss):
                 raise TrainingDivergedError(
-                    f"training loss became non-finite ({loss}) at step {len(losses) + 1}"
+                    f"training loss became non-finite ({loss}) at step {step}"
                 )
             optimizer_step_and_reset(merged, grads, opt)
-            losses.append(loss)
             if on_step is not None:
-                on_step(len(losses))
+                on_step(step)
         if on_epoch is not None and on_epoch():
-            return losses, True
-    return losses, False
+            return step, True
+    return step, False
 
 
 def train_adapter(
@@ -415,11 +415,7 @@ class MaskedTrainingEnv:
 class PolicyLearningResult:
     records: list[ControllerRecord]
     p_star: float
-    step_losses: list[float]
-
-    @property
-    def steps_run(self) -> int:
-        return len(self.step_losses)
+    steps_run: int
 
     @property
     def commits(self) -> int:
@@ -487,14 +483,14 @@ def sparsity_policy_learning(
         if on_round is not None:
             on_round(rec)
 
-    losses, _ = _train_loop(
+    steps, _ = _train_loop(
         backbone, merged, target_train, train_cfg, rng_train, opt,
         on_step=round_hook,
     )
     return PolicyLearningResult(
         records=records,
         p_star=select_p_star(records),
-        step_losses=losses,
+        steps_run=steps,
     )
 
 
@@ -512,14 +508,10 @@ def require_p_star_in_range(p_star: float, p_min: float, p_max: float, source: s
 class FinalRunResult:
     merged: MergedAdapterSet
     mask: SparsityMask
-    step_losses: list[float]
+    steps_run: int
     dev_loss: float
     test_loss: float | None
     stopped_early: bool
-
-    @property
-    def steps_run(self) -> int:
-        return len(self.step_losses)
 
 
 def final_prune_finetune(
@@ -553,7 +545,7 @@ def final_prune_finetune(
         best = min(range(len(dev_history)), key=dev_history.__getitem__)
         return patience is not None and len(dev_history) - 1 - best >= patience
 
-    losses, stopped = _train_loop(
+    steps, stopped = _train_loop(
         backbone, merged, target_train, train_cfg, rng, opt,
         on_epoch=early_stop_hook,
     )
@@ -561,7 +553,7 @@ def final_prune_finetune(
     return FinalRunResult(
         merged=merged,
         mask=opt.mask,
-        step_losses=losses,
+        steps_run=steps,
         dev_loss=dev_history[-1],
         test_loss=test_loss,
         stopped_early=stopped,

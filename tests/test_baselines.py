@@ -104,7 +104,7 @@ def test_single_ratio_grid_reduces_to_one_final_run():
         data.backbone, merged, 0.30, data.target_train, data.dev, scale,
         cfg, grid_run_rng(6, 0), p_min=0.10, p_max=0.80, test=data.test,
     )
-    assert out.best_p == 0.30
+    assert out.best.p == 0.30
     pt = out.points[0]
     assert pt.dev_loss == direct.dev_loss
     assert pt.test_loss == direct.test_loss
@@ -122,7 +122,7 @@ def test_grid_prefers_lightest_pruning_when_all_pruning_harms():
     out = grid_search(
         data.backbone, merged, data.target_train, data.dev, scale, cfg, 1337
     )
-    assert out.best_p == 0.10
+    assert out.best.p == 0.10
     devs = [pt.dev_loss for pt in out.points]
     assert devs == sorted(devs)
 
@@ -144,7 +144,7 @@ def test_grid_ties_resolve_to_the_smaller_ratio(monkeypatch):
         None, None, None, None, None, TrainConfig(), 0,
         grid=GridSpec(ratios=(0.2, 0.4, 0.6, 0.8)),
     )
-    assert out.best_p == 0.4  # 0.4 and 0.6 tie; the smaller ratio wins
+    assert out.best.p == 0.4  # 0.4 and 0.6 tie; the smaller ratio wins
 
 
 def test_grid_excludes_diverged_cells_from_the_argmin(monkeypatch):
@@ -165,7 +165,7 @@ def test_grid_excludes_diverged_cells_from_the_argmin(monkeypatch):
         grid=GridSpec(ratios=(0.2, 0.4, 0.6)),
     )
     assert out.points[0].failed and out.points[0].dev_loss is None
-    assert out.best_p == 0.6
+    assert out.best.p == 0.6
 
     def always_diverges(*a, **k):
         raise TrainingDivergedError("boom")

@@ -4,13 +4,17 @@ Every backticked name in the "Key entry points" table's first column must
 resolve: a dotted `module.name` in the `policyprune` package, or a bare
 name, which belongs to the module named before it in the same row. A
 renamed or deleted function then fails here instead of leaving a stale row.
-The "Library quickstart" block runs as written, and the "Demos" section
-names exactly the scripts under `demos/`.
+The "Library quickstart" block runs as written, the INI block is the stock
+config with every key on its own line, and the "Demos" section names
+exactly the scripts under `demos/`.
 """
 
 import importlib
 import re
 from pathlib import Path
+
+from policyprune import configio
+from policyprune.configio import load_run_config
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -68,6 +72,20 @@ def test_the_library_quickstart_runs(capsys):
     p_star, losses, fraction = capsys.readouterr().out.splitlines()
     assert 0.0 < float(p_star) < 1.0 and 0.0 < float(fraction) < 1.0
     assert all(float(loss) > 0.0 for loss in losses.split())
+
+
+def test_the_readme_ini_block_is_the_stock_config(tmp_path):
+    block = README.read_text(encoding="utf-8").split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.ini"
+    path.write_text(block, encoding="utf-8")
+    assert load_run_config(path, env={}) == load_run_config(env={})
+    sections = dict(re.findall(r"^\[(\w+)\]\n(.*?)(?=^\[|\Z)", block, re.M | re.S))
+    missing = [
+        f"[{section}] {key}"
+        for section, keys in configio._KEYS.items() for key in keys
+        if not re.search(rf"^{key} =", sections.get(section, ""), re.M)
+    ]
+    assert missing == []
 
 
 def test_the_demos_section_names_every_demo():

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from policyprune import training
 from policyprune.adapters import (
     FrozenBackbone,
     MergedAdapterSet,
@@ -194,6 +195,22 @@ def test_non_finite_loss_raises_diverged():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingDivergedError):
             train_adapter(data.backbone, data.target_train, LORA4, reckless, _rng(3))
+
+
+def test_divergence_names_the_1_based_step(monkeypatch):
+    real = training.loss_and_gradients
+    calls = 0
+
+    def nan_on_fifth_call(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        loss, grads = real(*args, **kwargs)
+        return (math.nan if calls == 5 else loss), grads
+
+    monkeypatch.setattr(training, "loss_and_gradients", nan_on_fifth_call)
+    data = gen_toy_data(SMALL, 7)
+    with pytest.raises(TrainingDivergedError, match=r"at step 5$"):
+        train_adapter(data.backbone, data.target_train, LORA4, TrainConfig(epochs=1), _rng(3))
 
 
 def test_microdev_loss_matches_direct_evaluation_and_guards_empty():
