@@ -8,13 +8,16 @@ data for both tasks is sampled from the corresponding teacher with Gaussian
 observation noise, so a low-rank adapter of sufficient rank can realize
 either task exactly.
 
-The training step (`loss_and_gradients`) multiplies with `np.dot`: on these
-2-D float64 operands it makes the same BLAS call as `@`, so the same bits,
-with less dispatch than the `matmul` ufunc. Its transposed operands are the
-views the backbone and the adapter set build once (`FrozenBackbone.transposed`,
-`MergedAdapterSet.transposed`), and it sums the site outputs and forms the
-residual and its gradient scale in place, in the same order. `model_forward`
-stays on `@` as the plain reference the tests hold the step to, bit for bit.
+The training step (`loss_and_gradients`) multiplies with `ndarray.dot`,
+which calls `np.dot`'s C routine without its `__array_function__`
+dispatcher; on these 2-D float64 operands that routine makes the same BLAS
+call as `@`, so the same bits, with less dispatch than the `matmul` ufunc. Its
+transposed operands are the views the backbone and the adapter set build
+once (`FrozenBackbone.transposed`, `MergedAdapterSet.transposed`); it writes
+its intermediates into scratch the reused gradient set keeps, and sums the
+site outputs and forms the residual and its gradient scale in place, in the
+same order. `model_forward` stays on `@` as the plain reference the tests
+hold the step to, bit for bit.
 
 The step checks shapes on every call but scans x and y for NaN/Inf only
 when the loss is not finite: any such entry makes it so (inf * 0 is NaN),
@@ -324,6 +327,11 @@ def loss_and_gradients(
     it), written into `out` when given — the training loop reuses one —
     else into a new set.
 
+    Products go through `ndarray.dot` with `out=` (same bits as `np.dot`,
+    see the module docstring): x a^T, the site outputs and G b land in the
+    gradient set's `scratch`, one set of buffers per batch row count, made
+    on first use and wholly overwritten by every call.
+
     Every call converts x and y to C-contiguous float64 and checks their
     shapes (`DimensionError`) and that the batch is not empty (`UsageError`).
     Only a non-finite loss has them scanned for NaN/Inf (`matrix`,
@@ -334,17 +342,21 @@ def loss_and_gradients(
     y = np.ascontiguousarray(y, dtype=np.float64)
     if x.ndim != 2 or y.ndim != 2:
         raise DimensionError(f"expected 2-D x and y, got ndim={x.ndim} and ndim={y.ndim}")
-    dot, weights_t = np.dot, backbone.transposed
-    hidden = []
+    grads = merged.empty_like() if out is None else out
+    n, weights_t = x.shape[0], backbone.transposed
+    bufs = grads.scratch.get(n) or grads.scratch.setdefault(n, [
+        (np.empty((n, g.a.shape[0])), np.empty((n, g.b.shape[0])),
+         np.empty((n, g.b.shape[0])), np.empty((n, g.b.shape[1])))
+        for g in grads.sites
+    ])
     pred = None
     try:
-        for s, (a_t, b_t) in zip(merged.sites, merged.transposed):
-            h = dot(x, a_t)
-            hidden.append(h)
-            site_out = dot(x, weights_t[s.site_id])
-            site_out += dot(h, b_t)
+        for s, (a_t, b_t), (h, site_out, hb, _gb) in zip(merged.sites, merged.transposed, bufs):
+            x.dot(a_t, h)
+            x.dot(weights_t[s.site_id], site_out)
+            site_out += h.dot(b_t, hb)
             pred = site_out if pred is None else np.add(pred, site_out, pred)
-    except ValueError as exc:  # np.dot on misaligned operands
+    except ValueError as exc:  # misaligned operands
         raise DimensionError(f"x of shape {x.shape} does not fit the set: {exc}") from None
     except KeyError as exc:
         raise UsageError(f"unknown site {exc.args[0]!r}") from None
@@ -355,8 +367,7 @@ def loss_and_gradients(
         matrix(y)
     g_out = np.multiply(diff, 2.0 / diff.size, diff)
     g_out_t = g_out.T
-    grads = merged.empty_like() if out is None else out
-    for s, g, h in zip(merged.sites, grads.sites, hidden):
-        dot(dot(g_out, s.b).T, x, g.a)
-        dot(g_out_t, h, g.b)
+    for s, g, (h, _site_out, _hb, gb) in zip(merged.sites, grads.sites, bufs):
+        g_out.dot(s.b, gb).T.dot(x, g.a)
+        g_out_t.dot(h, g.b)
     return loss, grads

@@ -286,8 +286,9 @@ class MaskedTrainingEnv:
     round): its trial arena is the live arena bit for bit. Any other ratio
     reads its thresholds off one sort of each tensor's scores, made at most
     once per round. Every path rejects a ratio outside [0, 1]. Probes
-    multiply with `np.dot` on the sets' cached transposed views, as the
-    training step does (see `toytask`).
+    multiply with `ndarray.dot` on the sets' cached transposed views, as
+    the training step does: `np.dot`'s C routine without its
+    `__array_function__` dispatcher, so `np.dot`'s bits (see `toytask`).
 
     Invariant: the arena is masked, with every zero +0.0. The caller
     installs the mask before construction (`_masked_start`) and each commit
@@ -312,7 +313,7 @@ class MaskedTrainingEnv:
         # The backbone term of the micro-dev forward never changes (frozen
         # weights, fixed slice), so probes only recompute the adapter term.
         self._base = sum(
-            np.dot(self.microdev.x, self.backbone.transposed[s.site_id])
+            self.microdev.x.dot(self.backbone.transposed[s.site_id])
             for s in self.merged.sites
         )
         self._trial = self.merged.empty_like()
@@ -368,10 +369,9 @@ class MaskedTrainingEnv:
         return [sorted_threshold(srt, p) for srt in self._sorted]
 
     def _probe_loss(self, params: MergedAdapterSet) -> float:
-        x, dot = self.microdev.x, np.dot
-        pred = self._base
+        x, pred = self.microdev.x, self._base
         for a_t, b_t in params.transposed:
-            pred = pred + dot(dot(x, a_t), b_t)
+            pred = pred + x.dot(a_t).dot(b_t)
         return mse_loss(pred, self.microdev.y)
 
     def _live(self) -> float:

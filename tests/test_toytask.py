@@ -298,6 +298,31 @@ def test_loss_and_gradients_equal_the_matmul_reference_bit_for_bit(rows):
         assert (grads.flat == ref_grads).all()
 
 
+def test_one_reused_out_set_across_batch_sizes_equals_the_matmul_reference():
+    """The step keeps its scratch per batch row count in the `out` set; a
+    set reused across row counts, and right after a call that raised on a
+    NaN input, still gives the reference's bits on every call."""
+    data = gen_toy_data(ToyTaskConfig(), 5)
+    merged = random_adapter_set(data, 16, np.random.default_rng(6))
+    xs, ys = data.target_train.x, data.target_train.y
+    out = merged.empty_like()
+    lo = 0
+    for rows, nan_first in ((1, False), (5, False), (1, True), (3, True), (5, False)):
+        x, y = xs[lo : lo + rows], ys[lo : lo + rows]
+        lo += rows
+        if nan_first:
+            bad = x.copy()
+            bad[-1, -1] = np.nan
+            with np.errstate(invalid="ignore"), pytest.raises(UsageError, match="finite"):
+                loss_and_gradients(data.backbone, merged, bad, y, out=out)
+        ref_loss, ref_grads = _matmul_loss_and_gradients(data.backbone, merged, x, y)
+        loss, grads = loss_and_gradients(data.backbone, merged, x, y, out=out)
+        assert grads is out
+        assert loss == ref_loss
+        assert (grads.flat == ref_grads).all(), rows
+    assert sorted(out.scratch) == [1, 3, 5]
+
+
 def _bad_input_sets(data):
     """Stock-shaped dense factors, fresh factors (B = 0), and a set masked
     at p = 0.8 whose A factors are zero in the first 12 input columns (those

@@ -213,6 +213,30 @@ def test_divergence_names_the_1_based_step(monkeypatch):
         train_adapter(data.backbone, data.target_train, LORA4, TrainConfig(epochs=1), _rng(3))
 
 
+def test_the_train_loop_equals_a_hand_loop_of_fresh_gradient_sets_with_a_short_last_batch():
+    """`_train_loop` reuses one gradient set, whose step scratch is kept per
+    batch row count; at batch size 5 on 32 examples each epoch ends on a
+    2-row batch, and the parameters match a loop that allocates every
+    gradient set anew, byte for byte."""
+    data = gen_toy_data(SMALL, 7)
+    split, cfg = data.target_train, TrainConfig(batch_size=5, epochs=3, learning_rate=1e-2)
+    assert split.n % cfg.batch_size == 2
+    start = training.init_adapter_factors(data.backbone, LORA4, _rng(1))
+    looped, by_hand = start.copy(), start.copy()
+    opt = init_optimizer(looped, cfg.learning_rate, cfg.weight_decay)
+    assert training._train_loop(data.backbone, looped, split, cfg, _rng(2), opt) == (21, False)
+    opt, rng = init_optimizer(by_hand, cfg.learning_rate, cfg.weight_decay), _rng(2)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(split.n)
+        for lo in range(0, split.n, cfg.batch_size):
+            rows = order[lo : lo + cfg.batch_size]
+            _loss, grads = loss_and_gradients(
+                data.backbone, by_hand, split.x[rows], split.y[rows], out=None
+            )
+            optimizer_step_and_reset(by_hand, grads, opt)
+    assert looped.flat.tobytes() == by_hand.flat.tobytes()
+
+
 def test_microdev_loss_matches_direct_evaluation_and_guards_empty():
     data = gen_toy_data(SMALL, 7)
     res = train_adapter(
