@@ -17,10 +17,12 @@ completed — recording the seed, the resolved-config content hash, the
 SHA-256 of every file the phase wrote, and the parent file it consumed. A
 phase directory with content is never overwritten without ``--force``.
 Downstream phases refuse to run when their parent was produced under a
-different config hash or its file no longer matches the parent manifest,
-and inherit the parent's seed unless ``--seed`` says otherwise. No
-artifact carries a timestamp or the output root, so a rerun at the same
-seed reproduces every byte under any root.
+different config hash or its file no longer matches the parent manifest;
+they run at the parent's seed, which ``--seed`` may only repeat, and
+``finalize`` reads ``p_star`` from ``--p-star`` or a completed controller
+phase. No artifact carries a timestamp or the output root, so a rerun at
+the same seed reproduces every byte under any root, but for ``report``'s
+wall-clock ``runtime.csv``, ``report.txt`` and so its ``manifest.json``.
 
 Exit codes: 0 success, 2 usage errors (including bad flags), 3 storage
 failures, 4 numerical failures such as diverged training.
@@ -151,24 +153,27 @@ def _read_manifest(root: Path, command: str) -> dict:
     return data
 
 
-def _check_config(recorded, chash: str, what: str) -> None:
-    """A phase consumes only what was produced under its own config hash."""
-    if recorded != chash:
-        raise UsageError(
-            f"config mismatch: {what} was produced under config hash "
-            f"{str(recorded)[:12]}… but the current resolved config hashes to "
-            f"{chash[:12]}…; rerun that phase or restore the config"
-        )
-
-
-def _verified_parent(root: Path, command: str, name: str, chash: str):
+def _verified_parent(root: Path, command: str, name: str, chash: str,
+                     seed: int | None):
     """A file of a completed upstream phase, checked against its manifest:
-    same config hash, and the bytes the manifest recorded.
+    the same config hash, the same seed (when `seed` is not None) and the
+    bytes the manifest recorded. A mismatched hash or seed exits 2.
 
     Returns (path, parent_seed, parent_record_for_manifest).
     """
     man = _read_manifest(root, command)
-    _check_config(man["config_hash"], chash, f"the {command} phase")
+    if man["config_hash"] != chash:
+        raise UsageError(
+            f"config mismatch: the {command} phase was produced under config hash "
+            f"{str(man['config_hash'])[:12]}… but the current resolved config "
+            f"hashes to {chash[:12]}…; rerun that phase or restore the config"
+        )
+    if seed is not None and seed != man["seed"]:
+        raise UsageError(
+            f"seed mismatch: the {command} phase ran at seed {man['seed']} but "
+            f"this phase runs at seed {seed}; rerun that phase at seed {seed} "
+            f"or run this one at seed {man['seed']}"
+        )
     path = _phase_dir(root, command) / name
     _require_upstream(path, command, "")
     actual = sha256_file(path)
@@ -181,20 +186,15 @@ def _verified_parent(root: Path, command: str, name: str, chash: str):
     return path, man["seed"], parent
 
 
-def _inherited_seed(args, parent_seed: int) -> int:
-    return int(args.seed) if args.seed is not None else parent_seed
-
-
 def _from_merge(cfg: RunConfig, args):
     """The start of controller, finalize and grid: the config hash, the
-    verified merged-init checkpoint with its parent record, the seed
-    (inherited unless --seed says otherwise) and that seed's task data."""
+    verified merged-init checkpoint with its parent record, the merge's seed
+    (which --seed may only repeat) and that seed's task data."""
     chash = config_hash(cfg)
-    ckpt, parent_seed, parent = _verified_parent(
-        Path(cfg.out), "train-adapters", "merged_init.ckpt", chash
+    ckpt, seed, parent = _verified_parent(
+        Path(cfg.out), "train-adapters", "merged_init.ckpt", chash, args.seed
     )
     merged_init, _header = load_merged(ckpt)
-    seed = _inherited_seed(args, parent_seed)
     return chash, merged_init, parent, seed, gen_toy_data(cfg.task, seed)
 
 
@@ -243,28 +243,23 @@ def cmd_controller(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _resolve_p_star(root: Path, chash: str, args) -> tuple[float, str]:
+def _resolve_p_star(root: Path, chash: str, seed: int, args) -> tuple[float, str]:
+    """--p-star, else the p_star file of a completed controller phase run
+    under this config at this seed."""
     if args.p_star is not None:
         return float(args.p_star), "flag"
-    path = _phase_dir(root, "controller") / "p_star.json"
-    if (path.parent / "manifest.json").is_file():
-        # a completed controller phase: its p_star file must be the one it wrote
-        _verified_parent(root, "controller", path.name, chash)
-    else:
-        _require_upstream(path, "controller", " or pass --p-star")
+    manifest = _phase_dir(root, "controller") / "manifest.json"
+    _require_upstream(manifest, "controller", " or pass --p-star")
+    path, _seed, _parent = _verified_parent(root, "controller", "p_star.json", chash, seed)
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        p_star = float(payload["p_star"])
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        return float(json.loads(path.read_text(encoding="utf-8"))["p_star"]), "file"
+    except (OSError, ValueError, KeyError, TypeError) as exc:  # ValueError: bad JSON
         raise UsageError(f"cannot parse p_star file {path}: {exc}") from exc
-    # a hand-written p_star file may leave the config hash out
-    _check_config(payload.get("config_hash") or chash, chash, str(path))
-    return p_star, "file"
 
 
 def cmd_finalize(cfg: RunConfig, args) -> int:
     chash, merged_init, parent, seed, data = _from_merge(cfg, args)
-    p_star, p_star_source = _resolve_p_star(Path(cfg.out), chash, args)
+    p_star, p_star_source = _resolve_p_star(Path(cfg.out), chash, seed, args)
     require_p_star_in_range(p_star, cfg.controller.p_min, cfg.controller.p_max, p_star_source)
     d = _claim_phase_dir(cfg, "finalize", args.force)
     fin = final_phase(data, merged_init, p_star, cfg.controller, cfg.training, seed)
@@ -337,11 +332,10 @@ def cmd_ablate(cfg: RunConfig, args) -> int:
 def cmd_report(cfg: RunConfig, args) -> int:
     root = Path(cfg.out)
     chash = config_hash(cfg)
-    log_path, parent_seed, parent = _verified_parent(
-        root, "controller", "rounds.jsonl", chash
+    log_path, seed, parent = _verified_parent(
+        root, "controller", "rounds.jsonl", chash, args.seed
     )
     records = read_round_log(log_path)
-    seed = _inherited_seed(args, parent_seed)
     d = _claim_phase_dir(cfg, "report", args.force)
     series = rolling_pcurr(records)
     write_rolling_csv(d / "rolling.csv", series)
@@ -380,8 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", metavar="FILE", default=None,
                         help="INI config file (defaults < file < flags)")
     common.add_argument("--seed", type=int, default=None,
-                        help="run seed (downstream phases inherit the parent "
-                             "checkpoint's seed unless this is given)")
+                        help="run seed of train-adapters and ablate; a downstream "
+                             "phase runs at its parent's seed, which this may "
+                             "only repeat")
     common.add_argument("--out", metavar="DIR", default=None,
                         help="output root (default: $POLICYPRUNE_OUT or runs/)")
     common.add_argument("--force", action="store_true",
@@ -405,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("finalize", parents=[common],
                        help="phase 3: prune once at p_star and fine-tune")
     p.add_argument("--p-star", dest="p_star", type=float, default=None,
-                   help="prune ratio to use (overrides the controller's p_star file)")
+                   help="prune ratio to use (instead of the controller phase's p_star)")
     p.set_defaults(func=cmd_finalize)
 
     p = sub.add_parser("grid", parents=[common],

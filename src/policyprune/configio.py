@@ -76,7 +76,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         require_seeds(self.seeds)
         for s in self.seeds:
-            if not isinstance(s, int) or s < 0:
+            if type(s) is not int or s < 0:  # a bool is not a seed
                 raise UsageError(f"seeds must be non-negative integers, got {s!r}")
         if not self.out:
             raise UsageError("output directory must not be empty")
@@ -109,10 +109,8 @@ def _values(cfg: RunConfig, section: str) -> dict:
 
 
 def _to_opt_int(raw: str) -> int | None:
-    key = raw.strip().lower()
-    if key in ("none", "off", ""):
-        return None
-    return int(key)
+    # `none`, the spelling `render_ini` writes, is the one way to say no value
+    return None if raw.strip() == "none" else int(raw)
 
 
 def _to_list(conv, raw: str) -> tuple:

@@ -54,6 +54,21 @@ def digests(d: Path) -> dict[str, str]:
     return {p.name: sha256_file(p) for p in d.iterdir()}
 
 
+def vouch_p_star(out: Path, text: str, **manifest) -> None:
+    """A controller phase of `text` as its p_star.json, with a manifest that
+    vouches for those bytes at the merge's seed and config hash unless
+    `manifest` sets other fields."""
+    ctrl = out / "controller"
+    ctrl.mkdir()
+    (ctrl / "p_star.json").write_text(text)
+    merge = read_json(out / "adapters" / "manifest.json")
+    (ctrl / "manifest.json").write_text(json.dumps({
+        "phase": "controller", "seed": merge["seed"],
+        "config_hash": merge["config_hash"], "parent": None,
+        "files": {"p_star.json": sha256_file(ctrl / "p_star.json")}, **manifest,
+    }))
+
+
 def assert_manifest_covers_its_directory(d: Path) -> None:
     """The manifest hashes exactly the files its phase wrote."""
     files = read_json(d / "manifest.json")["files"]
@@ -188,6 +203,23 @@ def test_report_emits_rolling_series_and_runtime_table(chain, capsys):
     }
 
 
+def test_a_report_rerun_reproduces_its_rolling_series_and_resolved_config(
+    chain, tmp_path
+):
+    """Only the wall-clock files (runtime.csv, report.txt, and so the
+    manifest) may differ between two report runs."""
+    ini, src_out = chain
+    out = tmp_path / "out"
+    shutil.copytree(src_out, out, ignore=shutil.ignore_patterns("report"))
+    runs = []
+    for _ in range(2):
+        assert run_cli("report", "--config", str(ini), "--out", str(out),
+                       "--repeats", "1", "--force") == 0
+        runs.append({n: (out / "report" / n).read_bytes()
+                     for n in ("rolling.csv", "resolved.ini")})
+    assert runs[0] == runs[1]
+
+
 def test_report_refuses_a_round_log_its_manifest_does_not_match(chain, capsys, tmp_path):
     ini, src_out = chain
     out = tmp_path / "out"
@@ -314,13 +346,31 @@ def test_cross_phase_config_mismatch_is_a_hard_error(fresh, capsys, tmp_path):
 def test_finalize_rejects_a_p_star_file_from_another_config(fresh, capsys):
     ini, out = fresh
     assert run_cli("train-adapters", "--config", str(ini), "--out", str(out)) == 0
-    ctrl = out / "controller"
-    ctrl.mkdir(parents=True)
-    (ctrl / "p_star.json").write_text(
-        json.dumps({"p_star": 0.3, "config_hash": "0" * 64})
-    )
+    vouch_p_star(out, json.dumps({"p_star": 0.3}), config_hash="0" * 64)
     assert run_cli("finalize", "--config", str(ini), "--out", str(out)) == 2
-    assert "config mismatch" in capsys.readouterr().err
+    assert "config mismatch: the controller phase" in capsys.readouterr().err
+    assert not (out / "final").exists()
+
+
+def test_finalize_refuses_a_controller_phase_at_another_seed_than_the_merge(
+    chain, capsys, tmp_path
+):
+    """A merge redone at seed 11 under a seed-7 controller phase: the
+    controller's p_star was learned on another backbone, so finalize refuses
+    it, while --p-star, which reads no controller phase, still runs."""
+    ini, src_out = chain
+    out = tmp_path / "out"
+    for phase in ("adapters", "controller"):
+        shutil.copytree(src_out / phase, out / phase)
+    assert run_cli("train-adapters", "--config", str(ini), "--out", str(out),
+                   "--seed", "11", "--force") == 0
+    assert run_cli("finalize", "--config", str(ini), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "seed mismatch: the controller phase ran at seed 7" in err
+    assert not (out / "final").exists()
+    assert run_cli("finalize", "--config", str(ini), "--out", str(out),
+                   "--p-star", "0.3") == 0
+    assert read_json(out / "final" / "manifest.json")["seed"] == 11
 
 
 def test_report_rejects_a_controller_phase_from_another_config(chain, capsys, tmp_path):
@@ -415,9 +465,8 @@ def test_finalize_checks_p_star_against_the_range_before_claiming_final(
     shutil.copytree(src_out / "adapters", out / "adapters")
     if source == "flag":
         args = ("--p-star", p_star)
-    else:  # a hand-written p_star file, as no controller phase wrote it
-        (out / "controller").mkdir()
-        (out / "controller" / "p_star.json").write_text(json.dumps({"p_star": p_star}))
+    else:  # a p_star file its controller manifest vouches for
+        vouch_p_star(out, json.dumps({"p_star": p_star}))
         args = ()
     assert run_cli("finalize", "--config", str(ini), "--out", str(out), *args) == 2
     assert "outside [controller] p_min … p_max = [0.1, 0.8]" in capsys.readouterr().err
@@ -458,12 +507,21 @@ def test_finalize_without_controller_suggests_what_to_run(fresh, capsys):
     assert "controller" in err and "--p-star" in err
 
 
+def test_finalize_reads_no_p_star_file_without_a_controller_manifest(fresh, capsys):
+    ini, out = fresh
+    assert run_cli("train-adapters", "--config", str(ini), "--out", str(out)) == 0
+    (out / "controller").mkdir()
+    (out / "controller" / "p_star.json").write_text(json.dumps({"p_star": 0.3}))
+    assert run_cli("finalize", "--config", str(ini), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert str(out / "controller" / "manifest.json") in err and "--p-star" in err
+    assert not (out / "final").exists()
+
+
 def test_finalize_rejects_malformed_p_star_file(fresh, capsys):
     ini, out = fresh
     assert run_cli("train-adapters", "--config", str(ini), "--out", str(out)) == 0
-    ctrl = out / "controller"
-    ctrl.mkdir(parents=True)
-    (ctrl / "p_star.json").write_text("{not json")
+    vouch_p_star(out, "{not json")
     assert run_cli("finalize", "--config", str(ini), "--out", str(out)) == 2
     assert "cannot parse" in capsys.readouterr().err
 
@@ -543,10 +601,28 @@ def test_unknown_subcommand_exits_with_usage_code():
     assert exc.value.code == 2
 
 
-def test_seed_flag_overrides_the_inherited_seed(fresh):
-    ini, out = fresh
-    assert run_cli("train-adapters", "--config", str(ini), "--out", str(out)) == 0
-    assert run_cli("controller", "--config", str(ini), "--out", str(out),
-                   "--seed", "11") == 0
-    ps = read_json(out / "controller" / "p_star.json")
-    assert ps["seed"] == 11
+@pytest.mark.parametrize("command", ["controller", "finalize", "grid", "report"])
+def test_a_seed_flag_other_than_the_parents_exits_2_and_claims_no_directory(
+    chain, capsys, tmp_path, command
+):
+    """A downstream phase runs at its parent's seed; --seed may only repeat
+    it, so seed 11 on the seed-7 chain would train against another backbone."""
+    ini, src_out = chain
+    out = tmp_path / "out"
+    shutil.copytree(src_out, out,
+                    ignore=shutil.ignore_patterns(cli.PHASE_DIRS[command]))
+    assert run_cli(command, "--config", str(ini), "--out", str(out),
+                   "--seed", "11") == 2
+    err = capsys.readouterr().err
+    assert "seed mismatch" in err and "ran at seed 7" in err
+    assert not (out / cli.PHASE_DIRS[command]).exists()
+
+
+def test_the_same_seed_flag_on_every_command_writes_the_flagless_tree(chain, tmp_path):
+    ini, out = chain
+    other = tmp_path / "out"
+    for command in ("train-adapters", "controller", "finalize", "grid"):
+        assert run_cli(command, "--config", str(ini), "--out", str(other),
+                       "--seed", "7") == 0
+    for sub in ("adapters", "controller", "final", "grid"):
+        assert digests(other / sub) == digests(out / sub)

@@ -111,6 +111,9 @@ def test_rejects_unknown_names_and_bad_values(tmp_path):
         "bad_value.ini": "[training]\nepochs = soon\n",
         "empty_seeds.ini": "[run]\nseeds = ,\n",
         "bad_grid.ini": "[grid]\nratios = 0.5, 0.2\n",
+        # `none` is the one spelling of no patience
+        "off_patience.ini": "[training]\nearly_stop_patience = off\n",
+        "empty_patience.ini": "[training]\nearly_stop_patience =\n",
     }
     for name, text in cases.items():
         path = tmp_path / name
@@ -166,6 +169,7 @@ def test_only_the_resolved_seeds_and_out_are_checked(tmp_path):
     (RunConfig, {"seeds": ()}, "seed list must not be empty"),
     (RunConfig, {"out": ""}, "output directory must not be empty"),
     (RunConfig, {"controller": ControllerConfig(microdev_n=33)}, "exceeds the generated"),
+    (RunConfig, {"seeds": (True,)}, "seeds must be non-negative integers, got True"),
 ])
 def test_every_config_checks_itself_when_built_and_when_replaced(config, bad, message):
     with pytest.raises(UsageError, match=message):

@@ -39,7 +39,7 @@ from policyprune.training import (
     sparsity_policy_learning,
 )
 from test_baselines import LORA4, SMALL
-from test_cli import SMALL_INI, run_cli
+from test_cli import SMALL_INI, run_cli, vouch_p_star
 
 
 def _raised(call, *args, **kwargs) -> str:
@@ -81,8 +81,8 @@ def test_r1_the_ablation_pool_text_is_the_same_from_the_cli_and_the_library(
 @pytest.mark.parametrize("p_star", [0.95, 0.05, math.nan], ids=["above", "below", "nan"])
 def test_r2_the_p_star_range_text_is_the_same_from_the_cli_and_the_library(
         capsys, tmp_path, p_star):
-    """Only the source of p_star differs: the flag, the controller's file or
-    a library argument."""
+    """Only the source of p_star differs: the flag, the file of a controller
+    phase or a library argument."""
     text = "p_star {} ({}) outside [controller] p_min … p_max = [0.1, 0.8]"
     ctrl, train_cfg = ControllerConfig(microdev_n=8), TrainConfig(epochs=1)
     data, merged = _merge()
@@ -99,9 +99,7 @@ def test_r2_the_p_star_range_text_is_the_same_from_the_cli_and_the_library(
     assert run_cli("train-adapters", "--config", str(ini), "--out", str(out)) == 0
     assert _cli_error(capsys, tmp_path, SMALL_INI, "finalize", "--p-star",
                       str(p_star)) == text.format(p_star, "flag")
-    (out / "controller").mkdir()
-    (out / "controller" / "p_star.json").write_text(f'{{"p_star": {p_star}}}'
-                                                   .replace("nan", "NaN"))
+    vouch_p_star(out, f'{{"p_star": {p_star}}}'.replace("nan", "NaN"))
     assert _cli_error(capsys, tmp_path, SMALL_INI, "finalize") == text.format(p_star, "file")
 
 
