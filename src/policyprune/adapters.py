@@ -1,11 +1,16 @@
-"""Dense matrix primitives, low-rank adapters, and merging.
+"""Dense matrix primitives, the frozen backbone, adapter sets and merging.
 
-All tensors are float64 numpy arrays in C (row-major) order. Matrices are
-validated once at construction: finite entries, 2-D shape. A merged adapter
-set keeps every factor in one contiguous float64 arena (`MergedAdapterSet.flat`)
-and hands out each factor as a view into it, so training, masking and the
-optimizer update the set in place, one buffer at a time; phases that must not
-disturb their input work on an explicit `copy()`.
+An adapter, trained or merged, has one form: a `MergedAdapterSet` of
+per-site (A, B) factors whose product b @ a is the site's dense update,
+LoRA's alpha/rank scale already folded into A.
+
+All tensors are float64 numpy arrays in C (row-major) order; `matrix`
+validates the ones that come from outside (backbone weights, checkpoint
+records): finite entries, 2-D shape. A set keeps every factor in one
+contiguous float64 arena (`MergedAdapterSet.flat`) and hands out each factor
+as a view into it, so training, masking and the optimizer update the set in
+place, one buffer at a time; phases that must not disturb their input work
+on an explicit `copy()`.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, UsageError, require_positive_int
+from .errors import DimensionError, UsageError
 
 
 def matrix(data) -> np.ndarray:
@@ -31,43 +36,6 @@ def matrix(data) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise UsageError("matrix entries must be finite (no NaN/Inf)")
     return arr
-
-
-@dataclass(frozen=True)
-class LoraAdapter:
-    """Low-rank factor pair for one projection site.
-
-    The adapter's dense contribution is (alpha / rank) * B @ A, with
-    A of shape (rank, d_in) and B of shape (d_out, rank).
-    """
-
-    site_id: str
-    a: np.ndarray
-    b: np.ndarray
-    rank: int
-    alpha: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", matrix(self.a))
-        object.__setattr__(self, "b", matrix(self.b))
-        require_positive_int("rank", self.rank)
-        if self.a.shape[0] != self.rank or self.b.shape[1] != self.rank:
-            raise DimensionError(
-                f"adapter {self.site_id}: A rows ({self.a.shape[0]}) and B cols "
-                f"({self.b.shape[1]}) must both equal rank {self.rank}"
-            )
-
-    @property
-    def d_in(self) -> int:
-        return self.a.shape[1]
-
-    @property
-    def d_out(self) -> int:
-        return self.b.shape[0]
-
-    @property
-    def scale(self) -> float:
-        return self.alpha / self.rank
 
 
 @dataclass(frozen=True)
@@ -115,11 +83,13 @@ class SiteFactors:
 
 
 class MergedAdapterSet:
-    """Per-site stacked merged factors; the tensors that get scored and masked.
+    """Per-site factors: one trained adapter set, or several stacked by
+    `merge_adapter_sets`; the tensors that get trained, scored and masked.
 
     Tensor ids run 1..T in site order, A factor before B factor, so
-    T = 2 * len(sites). The factor product b @ a is the site's dense update
-    (constituent scalings are folded in at merge time, see merge_adapters).
+    T = 2 * len(sites). The factor product b @ a is the site's dense update,
+    with no further scaling: `training.init_adapter_factors` folds LoRA's
+    alpha/rank into A once, and a merge only stacks.
 
     All factors live in one contiguous float64 vector, `flat`, in tensor-id
     order, each factor row-major: the order the checkpoint container writes.
@@ -194,42 +164,26 @@ def _from_arena(layout: tuple, flat: np.ndarray) -> MergedAdapterSet:
     return out
 
 
-def merge_adapters(
-    adapters: list[LoraAdapter], site_id: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stack adapters targeting one site into merged (A, B) factors.
-
-    A factors stack row-wise and B factors column-wise; each constituent's
-    alpha/rank scaling is folded into its A block, so the merged product
-    b @ a equals the sum of the constituents' dense deltas and the merged
-    pair needs no further scaling. Merged rank is the sum of ranks.
-    """
-    if not adapters:
-        raise UsageError(f"no adapters to merge at site {site_id!r}")
-    for ad in adapters:
-        if ad.site_id != site_id:
-            raise UsageError(
-                f"adapter targets site {ad.site_id!r}, expected {site_id!r}"
-            )
-    d_in, d_out = adapters[0].d_in, adapters[0].d_out
-    for ad in adapters[1:]:
-        if ad.d_in != d_in or ad.d_out != d_out:
-            raise DimensionError(
-                f"site {site_id!r}: adapters disagree on dimensions "
-                f"({ad.d_out}x{ad.d_in} vs {d_out}x{d_in})"
-            )
-    a_merged = np.vstack([ad.scale * ad.a for ad in adapters])
-    b_merged = np.hstack([ad.b for ad in adapters])
-    return a_merged, b_merged
-
-
 def merge_adapter_sets(
-    adapter_sets: list[list[LoraAdapter]], site_ids: list[str]
+    adapter_sets: list[MergedAdapterSet], site_ids: list[str]
 ) -> MergedAdapterSet:
-    """Merge several trained adapter sets (one adapter per site each)."""
+    """Stack trained adapter sets site by site: A factors row-wise, B factors
+    column-wise. Each set already carries its alpha/rank scale in A, so the
+    merged product b @ a is the sum of the sets' products at that site, and
+    the merged rank is the sum of their ranks."""
     sites = []
     for sid in site_ids:
-        at_site = [ad for ads in adapter_sets for ad in ads if ad.site_id == sid]
-        a, b = merge_adapters(at_site, sid)
-        sites.append(SiteFactors(sid, a, b))
+        at_site = [s for aset in adapter_sets for s in aset.sites if s.site_id == sid]
+        if not at_site:
+            raise UsageError(f"no adapters to merge at site {sid!r}")
+        d_in, d_out = at_site[0].a.shape[1], at_site[0].b.shape[0]
+        for s in at_site[1:]:
+            if s.a.shape[1] != d_in or s.b.shape[0] != d_out:
+                raise DimensionError(
+                    f"site {sid!r}: adapters disagree on dimensions "
+                    f"({s.b.shape[0]}x{s.a.shape[1]} vs {d_out}x{d_in})"
+                )
+        sites.append(SiteFactors(
+            sid, np.vstack([s.a for s in at_site]), np.hstack([s.b for s in at_site])
+        ))
     return MergedAdapterSet(sites)

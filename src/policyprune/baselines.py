@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .adapters import FrozenBackbone, LoraAdapter, MergedAdapterSet, merge_adapter_sets
+from .adapters import FrozenBackbone, MergedAdapterSet
 from .controller import ControllerConfig, ControllerRecord
 from .errors import NumericalError, TrainingDivergedError, UsageError, require_positive_int
 from .masking import ImportanceScale, require_ratio
@@ -202,7 +202,7 @@ def _backbone_loss(backbone: FrozenBackbone, split: DataSplit) -> float:
 def run_noprune_baselines(
     data: ToyData,
     merged_init: MergedAdapterSet,
-    target_adapters: list[LoraAdapter],
+    target_adapters: MergedAdapterSet,
     train_cfg: TrainConfig,
     seed: int,
 ) -> NopruneBaselines:
@@ -214,7 +214,6 @@ def run_noprune_baselines(
     pipeline's own phase-3 stream.
     """
     backbone = data.backbone
-    target_merged = merge_adapter_sets([target_adapters], backbone.site_ids())
     # ratio 0 keeps every coordinate, so the scale never decides anything
     fin = final_prune_finetune(
         backbone, merged_init, 0.0, data.target_train, data.dev, ImportanceScale(1.0),
@@ -223,8 +222,8 @@ def run_noprune_baselines(
     return NopruneBaselines(
         zero_adapter_dev=_backbone_loss(backbone, data.dev),
         zero_adapter_test=_backbone_loss(backbone, data.test),
-        target_only_dev=microdev_loss(backbone, target_merged, data.dev),
-        target_only_test=microdev_loss(backbone, target_merged, data.test),
+        target_only_dev=microdev_loss(backbone, target_adapters, data.dev),
+        target_only_test=microdev_loss(backbone, target_adapters, data.test),
         merged_noprune_dev=fin.dev_loss,
         merged_noprune_test=fin.test_loss,
     )

@@ -85,9 +85,10 @@ def _phase_dir(root: Path, command: str) -> Path:
     return root / PHASE_DIRS[command]
 
 
-def _claim_phase_dir(cfg: RunConfig, command: str, force: bool) -> Path:
-    """A clean phase directory holding the resolved config; existing output
-    needs --force."""
+def _claim_phase_dir(cfg: RunConfig, command: str, force: bool,
+                     seeds: tuple[int, ...]) -> Path:
+    """A clean phase directory holding the resolved config at `seeds`, the
+    seeds the phase runs at; existing output needs --force."""
     d = _phase_dir(Path(cfg.out), command)
     if d.exists() and any(d.iterdir()):
         if not force:
@@ -102,7 +103,7 @@ def _claim_phase_dir(cfg: RunConfig, command: str, force: bool) -> Path:
         d.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise StorageError(f"cannot create output directory {d}: {exc}") from exc
-    _write_text(d / "resolved.ini", render_ini(cfg))
+    _write_text(d / "resolved.ini", render_ini(dataclasses.replace(cfg, seeds=seeds)))
     return d
 
 
@@ -203,8 +204,8 @@ def _from_merge(cfg: RunConfig, args):
 
 def cmd_train_adapters(cfg: RunConfig, args) -> int:
     chash = config_hash(cfg)
-    d = _claim_phase_dir(cfg, "train-adapters", args.force)
     seed = cfg.seed
+    d = _claim_phase_dir(cfg, "train-adapters", args.force, (seed,))
     source, target, merged = train_and_merge(
         gen_toy_data(cfg.task, seed), cfg.lora, cfg.training, seed
     )
@@ -221,7 +222,7 @@ def cmd_train_adapters(cfg: RunConfig, args) -> int:
 
 def cmd_controller(cfg: RunConfig, args) -> int:
     chash, merged_init, parent, seed, data = _from_merge(cfg, args)
-    d = _claim_phase_dir(cfg, "controller", args.force)
+    d = _claim_phase_dir(cfg, "controller", args.force, (seed,))
     log_path = d / "rounds.jsonl"
     policy = policy_phase(
         data, merged_init, cfg.controller, cfg.training, seed,
@@ -231,8 +232,6 @@ def cmd_controller(cfg: RunConfig, args) -> int:
         "p_star": policy.p_star,
         "rounds": len(policy.records),
         "commits": policy.commits,
-        "seed": seed,
-        "config_hash": chash,
     }
     _write_text(d / "p_star.json", canonical_json_line(p_star_payload))
     _write_manifest(d, "controller", seed, chash, parent)
@@ -261,7 +260,7 @@ def cmd_finalize(cfg: RunConfig, args) -> int:
     chash, merged_init, parent, seed, data = _from_merge(cfg, args)
     p_star, p_star_source = _resolve_p_star(Path(cfg.out), chash, seed, args)
     require_p_star_in_range(p_star, cfg.controller.p_min, cfg.controller.p_max, p_star_source)
-    d = _claim_phase_dir(cfg, "finalize", args.force)
+    d = _claim_phase_dir(cfg, "finalize", args.force, (seed,))
     fin = final_phase(data, merged_init, p_star, cfg.controller, cfg.training, seed)
     save_merged(d / "final.ckpt", fin.merged, kind="final",
                 seed=seed, config_hash=chash)
@@ -279,8 +278,6 @@ def cmd_finalize(cfg: RunConfig, args) -> int:
         "stopped_early": fin.stopped_early,
         "realized_fraction": fin.mask.overall_fraction(),
         "per_tensor": per_tensor,
-        "seed": seed,
-        "config_hash": chash,
     }
     _write_text(d / "metrics.json", canonical_json_line(metrics))
     _write_manifest(d, "finalize", seed, chash, parent)
@@ -294,7 +291,7 @@ def cmd_finalize(cfg: RunConfig, args) -> int:
 
 def cmd_grid(cfg: RunConfig, args) -> int:
     chash, merged_init, parent, seed, data = _from_merge(cfg, args)
-    d = _claim_phase_dir(cfg, "grid", args.force)
+    d = _claim_phase_dir(cfg, "grid", args.force, (seed,))
     outcome = grid_search(
         data.backbone, merged_init, data.target_train, data.dev,
         run_scale(data, cfg.controller), cfg.training, seed,
@@ -313,7 +310,7 @@ def cmd_grid(cfg: RunConfig, args) -> int:
 def cmd_ablate(cfg: RunConfig, args) -> int:
     chash = config_hash(cfg)
     require_ablation_pool(cfg.task)
-    d = _claim_phase_dir(cfg, "ablate", args.force)
+    d = _claim_phase_dir(cfg, "ablate", args.force, cfg.seeds)
     reg_rows, micro_rows = ablate(
         cfg.task, cfg.lora, cfg.training, cfg.controller,
         seeds=cfg.seeds, workers=args.workers,
@@ -336,7 +333,7 @@ def cmd_report(cfg: RunConfig, args) -> int:
         root, "controller", "rounds.jsonl", chash, args.seed
     )
     records = read_round_log(log_path)
-    d = _claim_phase_dir(cfg, "report", args.force)
+    d = _claim_phase_dir(cfg, "report", args.force, (seed,))
     series = rolling_pcurr(records)
     write_rolling_csv(d / "rolling.csv", series)
     # the runtime comparison is a fixed-budget measurement: both arms run

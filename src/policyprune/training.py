@@ -16,13 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapters import (
-    FrozenBackbone,
-    LoraAdapter,
-    MergedAdapterSet,
-    SiteFactors,
-    merge_adapter_sets,
-)
+from .adapters import FrozenBackbone, MergedAdapterSet, SiteFactors, merge_adapter_sets
 from .controller import (
     ControllerConfig,
     ControllerRecord,
@@ -58,7 +52,6 @@ __all__ = [
     "steps_per_epoch",
     "total_steps",
     "init_adapter_factors",
-    "factors_to_adapters",
     "train_adapter",
     "train_and_merge",
     "require_round_fits",
@@ -142,12 +135,12 @@ def require_round_fits(round_every: int, budget: int) -> None:
 def init_adapter_factors(
     backbone: FrozenBackbone, lora_cfg: LoraConfig, rng: np.random.Generator
 ) -> MergedAdapterSet:
-    """Fresh single-adapter factors per site, in trainable stacked form.
+    """Fresh single-adapter factors per site: the one form an adapter has,
+    trained, merged and saved.
 
     A starts Gaussian, B starts zero, so the initial update is exactly zero.
-    The alpha/rank scaling is folded into the A factor up front (the same
-    convention merged checkpoints use), so the forward pass carries scale 1
-    and `factors_to_adapters` can unfold it for persistence.
+    LoRA's alpha/rank scale is folded into A here, once, so the forward
+    pass, the merge and the checkpoint all carry scale 1.
     """
     sites = []
     for sid in backbone.site_ids():
@@ -160,21 +153,10 @@ def init_adapter_factors(
     return MergedAdapterSet(sites)
 
 
-def factors_to_adapters(
-    merged: MergedAdapterSet, lora_cfg: LoraConfig
-) -> list[LoraAdapter]:
-    """Unfold single-adapter stacked factors back into adapter pairs;
-    `LoraAdapter` rejects factors of any other rank."""
-    return [
-        LoraAdapter(site_id=s.site_id, a=s.a / lora_cfg.scale, b=s.b.copy(),
-                    rank=lora_cfg.rank, alpha=lora_cfg.alpha)
-        for s in merged.sites
-    ]
-
-
 @dataclass
 class AdapterTrainResult:
-    adapters: list[LoraAdapter]
+    # a wrapper only because perfbench reads `train_adapter(...).adapters`
+    adapters: MergedAdapterSet
 
 
 def _train_loop(
@@ -223,10 +205,10 @@ def train_adapter(
     rng: np.random.Generator,
 ) -> AdapterTrainResult:
     """Phase 1: fit one adapter set to one task; the backbone stays frozen."""
-    merged = init_adapter_factors(backbone, lora_cfg, rng)
-    opt = init_optimizer(merged, train_cfg.learning_rate, train_cfg.weight_decay)
-    _train_loop(backbone, merged, split, train_cfg, rng, opt)
-    return AdapterTrainResult(adapters=factors_to_adapters(merged, lora_cfg))
+    adapters = init_adapter_factors(backbone, lora_cfg, rng)
+    opt = init_optimizer(adapters, train_cfg.learning_rate, train_cfg.weight_decay)
+    _train_loop(backbone, adapters, split, train_cfg, rng, opt)
+    return AdapterTrainResult(adapters=adapters)
 
 
 def train_and_merge(
@@ -565,7 +547,7 @@ class RunArtifacts:
     """Everything one pipeline run produces, in memory."""
 
     data: ToyData
-    target_adapters: list[LoraAdapter]
+    target_adapters: MergedAdapterSet
     merged_init: MergedAdapterSet
     policy: PolicyLearningResult
     final: FinalRunResult

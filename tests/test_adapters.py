@@ -6,113 +6,85 @@ import pytest
 
 from policyprune.adapters import (
     FrozenBackbone,
-    LoraAdapter,
+    MergedAdapterSet,
+    SiteFactors,
     matrix,
     merge_adapter_sets,
-    merge_adapters,
 )
-from policyprune.container import load_merged, save_merged
+from policyprune.container import ContainerHeader, load_merged, save_merged, write_container
 from policyprune.errors import DimensionError, UsageError
 from policyprune.training import LoraConfig, init_adapter_factors
 
 
-def _delta(ad: LoraAdapter) -> np.ndarray:
-    """An adapter's dense update, (alpha/rank) * B @ A, as its one-adapter merge."""
-    a, b = merge_adapters([ad], ad.site_id)
-    return b @ a
+def _set(*sites) -> MergedAdapterSet:
+    """A set of (site_id, a, b) triples."""
+    return MergedAdapterSet(SiteFactors(sid, np.asarray(a, float), np.asarray(b, float))
+                            for sid, a, b in sites)
 
 
-def test_lora_delta_rank1_hand_value():
-    ad = LoraAdapter("q", a=[[2.0, 3.0]], b=[[1.0], [0.0]], rank=1, alpha=1.0)
-    expected = np.array([[2.0, 3.0], [0.0, 0.0]])
-    np.testing.assert_array_equal(_delta(ad), expected)
+def _random_sets(rng, ranks, site_ids=("q",), d_in=6, d_out=4):
+    return [_set(*((sid, rng.normal(size=(r, d_in)), rng.normal(size=(d_out, r)))
+                   for sid in site_ids)) for r in ranks]
 
 
-def test_lora_delta_rank2_scaled_hand_value():
-    # alpha/rank = 2, so delta = 2 * B @ A
-    ad = LoraAdapter(
-        "v",
-        a=[[1.0, 0.0, 2.0], [0.0, 1.0, 1.0]],
-        b=[[1.0, 2.0], [3.0, 4.0]],
-        rank=2,
-        alpha=4.0,
-    )
+def test_lora_delta_rank2_scaled_hand_value(tmp_path):
+    # raw LoRA factors at alpha/rank = 2 read back as a set whose b @ a is
+    # the adapter's delta, 2 * B @ A
+    path = tmp_path / "raw.ckpt"
+    header = ContainerHeader(kind="source", sites=["v"], ranks={"v": 2}, alphas={"v": 4.0})
+    write_container(path, header, [("v.A", np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 1.0]])),
+                                   ("v.B", np.array([[1.0, 2.0], [3.0, 4.0]]))])
+    loaded, _header = load_merged(path)
+    (site,) = loaded.sites
     expected = np.array([[2.0, 4.0, 8.0], [6.0, 8.0, 20.0]])
-    np.testing.assert_array_equal(_delta(ad), expected)
-
-
-def test_lora_delta_is_sum_of_scaled_outer_products():
-    rng = np.random.default_rng(7)
-    a = rng.normal(size=(3, 5))
-    b = rng.normal(size=(4, 3))
-    ad = LoraAdapter("q", a=a, b=b, rank=3, alpha=6.0)
-    dense = sum(2.0 * np.outer(b[:, j], a[j]) for j in range(3))
-    np.testing.assert_allclose(_delta(ad), dense, atol=1e-12)
+    np.testing.assert_array_equal(site.b @ site.a, expected)
 
 
 def test_merge_product_equals_sum_of_deltas():
-    a1 = LoraAdapter("q", a=[[2.0, 3.0]], b=[[1.0], [0.0]], rank=1, alpha=1.0)
-    a2 = LoraAdapter("q", a=[[1.0, -1.0]], b=[[0.5], [2.0]], rank=1, alpha=8.0)
-    am, bm = merge_adapters([a1, a2], "q")
+    s1 = _set(("q", [[2.0, 3.0]], [[1.0], [0.0]]))
+    s2 = _set(("q", [[8.0, -8.0]], [[0.5], [2.0]]))
+    merged = merge_adapter_sets([s1, s2], ["q"])
+    (m,) = merged.sites
     expected = np.array([[6.0, -1.0], [16.0, -16.0]])
-    np.testing.assert_array_equal(bm @ am, expected)
+    np.testing.assert_array_equal(m.b @ m.a, expected)
     np.testing.assert_array_equal(
-        bm @ am, a1.scale * (a1.b @ a1.a) + a2.scale * (a2.b @ a2.a)
+        m.b @ m.a, sum(s.sites[0].b @ s.sites[0].a for s in (s1, s2))
     )
 
 
 def test_merge_random_adapters_matches_dense_sum():
-    rng = np.random.default_rng(11)
-    ads = [
-        LoraAdapter(
-            "k",
-            a=rng.normal(size=(r, 6)),
-            b=rng.normal(size=(4, r)),
-            rank=r,
-            alpha=alpha,
-        )
-        for r, alpha in [(2, 8.0), (3, 6.0)]
-    ]
-    am, bm = merge_adapters(ads, "k")
-    assert am.shape == (5, 6) and bm.shape == (4, 5)
-    dense = sum(ad.scale * (ad.b @ ad.a) for ad in ads)
-    np.testing.assert_allclose(bm @ am, dense, atol=1e-10)
+    sets = _random_sets(np.random.default_rng(11), ranks=(2, 3))
+    (m,) = merge_adapter_sets(sets, ["q"]).sites
+    assert m.a.shape == (5, 6) and m.b.shape == (4, 5)
+    dense = sum(s.sites[0].b @ s.sites[0].a for s in sets)
+    np.testing.assert_allclose(m.b @ m.a, dense, atol=1e-10)
 
 
 def test_merge_order_does_not_change_product():
-    rng = np.random.default_rng(5)
-    ads = [
-        LoraAdapter("q", a=rng.normal(size=(2, 4)), b=rng.normal(size=(3, 2)),
-                    rank=2, alpha=4.0)
-        for _ in range(2)
-    ]
-    am1, bm1 = merge_adapters(ads, "q")
-    am2, bm2 = merge_adapters(ads[::-1], "q")
-    np.testing.assert_allclose(bm1 @ am1, bm2 @ am2, atol=1e-12)
+    sets = _random_sets(np.random.default_rng(5), ranks=(2, 2), site_ids=("q", "v"))
+    forward = merge_adapter_sets(sets, ["q", "v"])
+    backward = merge_adapter_sets(sets[::-1], ["q", "v"])
+    for m1, m2 in zip(forward.sites, backward.sites, strict=True):
+        np.testing.assert_allclose(m1.b @ m1.a, m2.b @ m2.a, atol=1e-12)
 
 
 def test_merge_rejects_mismatched_sites_and_dims():
-    a1 = LoraAdapter("q", a=[[1.0, 0.0]], b=[[1.0], [1.0]], rank=1, alpha=1.0)
-    a2 = LoraAdapter("v", a=[[1.0, 0.0]], b=[[1.0], [1.0]], rank=1, alpha=1.0)
+    q = _set(("q", [[1.0, 0.0]], [[1.0], [1.0]]))
+    v = _set(("v", [[1.0, 0.0]], [[1.0], [1.0]]))
+    with pytest.raises(UsageError, match="no adapters to merge at site 'q'"):
+        merge_adapter_sets([v], ["q"])
     with pytest.raises(UsageError):
-        merge_adapters([a1, a2], "q")
-    a3 = LoraAdapter("q", a=[[1.0, 0.0, 0.0]], b=[[1.0], [1.0]], rank=1, alpha=1.0)
-    with pytest.raises(DimensionError):
-        merge_adapters([a1, a3], "q")
-    with pytest.raises(UsageError):
-        merge_adapters([], "q")
+        merge_adapter_sets([], ["q"])
+    wide = _set(("q", [[1.0, 0.0, 0.0]], [[1.0], [1.0]]))
+    tall = _set(("q", [[1.0, 0.0]], [[1.0], [1.0], [1.0]]))
+    for other in (wide, tall):
+        with pytest.raises(DimensionError):
+            merge_adapter_sets([q, other], ["q"])
 
 
 def test_merged_set_tensor_ids_run_in_site_order():
-    rng = np.random.default_rng(3)
-    sets = [
-        [
-            LoraAdapter(sid, a=rng.normal(size=(1, 3)), b=rng.normal(size=(2, 1)),
-                        rank=1, alpha=2.0)
-            for sid in ("q", "v")
-        ]
-        for _ in range(2)
-    ]
+    sets = _random_sets(np.random.default_rng(3), ranks=(1, 1), site_ids=("q", "v"),
+                        d_in=3, d_out=2)
     merged = merge_adapter_sets(sets, ["q", "v"])
     ids = [(tid, sid, fac) for tid, sid, fac, _ in merged.tensors()]
     assert ids == [(1, "q", "A"), (2, "q", "B"), (3, "v", "A"), (4, "v", "B")]
@@ -142,23 +114,9 @@ def test_matrix_validation():
     assert m.dtype == np.float64 and m.flags["C_CONTIGUOUS"]
 
 
-def test_adapter_shape_invariants():
-    with pytest.raises(DimensionError):
-        LoraAdapter("q", a=[[1.0, 2.0]], b=[[1.0, 0.0], [0.0, 1.0]], rank=1, alpha=1.0)
-    with pytest.raises(UsageError):
-        LoraAdapter("q", a=[[1.0, 2.0]], b=[[1.0], [0.0]], rank=0, alpha=1.0)
-
-
 def test_every_merged_set_is_one_arena_of_views(tmp_path):
     rng = np.random.default_rng(4)
-    sets = [
-        [
-            LoraAdapter(sid, a=rng.normal(size=(2, 5)), b=rng.normal(size=(3, 2)),
-                        rank=2, alpha=4.0)
-            for sid in ("q", "v")
-        ]
-        for _ in range(2)
-    ]
+    sets = _random_sets(rng, ranks=(2, 2), site_ids=("q", "v"), d_in=5, d_out=3)
     merged = merge_adapter_sets(sets, ["q", "v"])
     backbone = FrozenBackbone(
         sites=tuple((sid, rng.normal(size=(3, 5))) for sid in ("q", "v"))

@@ -142,7 +142,7 @@ def test_controller_log_round_arithmetic_and_p_star_file(chain):
     ps = read_json(out / "controller" / "p_star.json")
     assert cfg.controller.p_min <= ps["p_star"] <= cfg.controller.p_max
     assert ps["rounds"] == len(records)
-    assert ps["seed"] == 7
+    assert read_json(out / "controller" / "manifest.json")["seed"] == 7
 
 
 def test_cli_chain_reproduces_the_library_pipeline(chain):
@@ -371,6 +371,18 @@ def test_finalize_refuses_a_controller_phase_at_another_seed_than_the_merge(
     assert run_cli("finalize", "--config", str(ini), "--out", str(out),
                    "--p-star", "0.3") == 0
     assert read_json(out / "final" / "manifest.json")["seed"] == 11
+
+
+def test_a_downstream_phase_renders_the_seed_it_runs_at(fresh):
+    """A flagless controller on a merge made at --seed 11 runs at seed 11,
+    and its resolved.ini says 11, not the config file's seeds = 7."""
+    ini, out = fresh
+    assert run_cli("train-adapters", "--config", str(ini), "--out", str(out),
+                   "--seed", "11") == 0
+    assert run_cli("controller", "--config", str(ini), "--out", str(out)) == 0
+    for sub in ("adapters", "controller"):
+        assert read_json(out / sub / "manifest.json")["seed"] == 11
+        assert load_run_config(out / sub / "resolved.ini", env={}).seeds == (11,)
 
 
 def test_report_rejects_a_controller_phase_from_another_config(chain, capsys, tmp_path):

@@ -3,14 +3,12 @@ import struct
 import numpy as np
 import pytest
 
-from policyprune.adapters import LoraAdapter, MergedAdapterSet, SiteFactors
+from policyprune.adapters import MergedAdapterSet, SiteFactors
 from policyprune.container import (
     MAGIC,
     ContainerHeader,
-    load_adapters,
     load_merged,
     read_container,
-    save_adapters,
     save_merged,
     write_container,
 )
@@ -18,22 +16,20 @@ from policyprune.errors import StorageError
 
 
 def _adapters(rng):
-    return [
-        LoraAdapter("q", a=rng.normal(size=(2, 5)), b=rng.normal(size=(4, 2)),
-                    rank=2, alpha=8.0),
-        LoraAdapter("v", a=rng.normal(size=(2, 5)), b=rng.normal(size=(4, 2)),
-                    rank=2, alpha=8.0),
-    ]
+    return MergedAdapterSet(
+        SiteFactors(sid, rng.normal(size=(2, 5)), rng.normal(size=(4, 2)))
+        for sid in ("q", "v")
+    )
 
 
 def test_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(42)
     ads = _adapters(rng)
     p1, p2 = tmp_path / "a.adpk", tmp_path / "b.adpk"
-    save_adapters(p1, ads, kind="source", seed=42, config_hash="ab" * 32)
-    loaded, header = load_adapters(p1)
-    save_adapters(p2, loaded, kind=header.kind, seed=header.seed,
-                  config_hash=header.config_hash)
+    save_merged(p1, ads, kind="source", seed=42, config_hash="ab" * 32)
+    loaded, header = load_merged(p1)
+    save_merged(p2, loaded, kind=header.kind, seed=header.seed,
+                config_hash=header.config_hash)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -41,14 +37,14 @@ def test_values_survive_exactly(tmp_path):
     rng = np.random.default_rng(1337)
     ads = _adapters(rng)
     path = tmp_path / "c.adpk"
-    save_adapters(path, ads, kind="target")
-    loaded, header = load_adapters(path)
+    save_merged(path, ads, kind="target")
+    loaded, header = load_merged(path)
     assert header.kind == "target"
     assert header.sites == ["q", "v"]
     assert header.ranks == {"q": 2, "v": 2}
-    assert header.alphas == {"q": 8.0, "v": 8.0}
+    assert header.alphas == {"q": 2.0, "v": 2.0}
     assert header.seed is None and header.config_hash is None
-    for orig, back in zip(ads, loaded):
+    for orig, back in zip(ads.sites, loaded.sites):
         np.testing.assert_array_equal(orig.a, back.a)
         np.testing.assert_array_equal(orig.b, back.b)
         assert back.a.flags["C_CONTIGUOUS"] and back.a.dtype == np.float64
@@ -85,7 +81,7 @@ def test_rejects_bad_magic(tmp_path):
 def test_rejects_truncation(tmp_path):
     rng = np.random.default_rng(3)
     path = tmp_path / "t.adpk"
-    save_adapters(path, _adapters(rng), kind="source")
+    save_merged(path, _adapters(rng), kind="source")
     whole = path.read_bytes()
     for cut in (len(MAGIC) + 4, len(whole) // 2, len(whole) - 5):
         path.write_bytes(whole[:cut])
@@ -96,7 +92,7 @@ def test_rejects_truncation(tmp_path):
 def test_rejects_trailing_garbage(tmp_path):
     rng = np.random.default_rng(4)
     path = tmp_path / "g.adpk"
-    save_adapters(path, _adapters(rng), kind="source")
+    save_merged(path, _adapters(rng), kind="source")
     path.write_bytes(path.read_bytes() + b"x")
     with pytest.raises(StorageError, match="trailing"):
         read_container(path)
@@ -107,23 +103,28 @@ def test_missing_file_is_storage_error(tmp_path):
         read_container(tmp_path / "nope.adpk")
 
 
-@pytest.mark.parametrize("defect", ["nan_factor", "missing_rank", "rank_mismatch"])
+_DEFECTS = {  # defect -> (ranks, alphas, records kept, NaN in A)
+    "nan_factor": ({"q": 2}, {"q": 2.0}, ("q.A", "q.B"), True),
+    "missing_rank": ({}, {"q": 2.0}, ("q.A", "q.B"), False),
+    "zero_rank": ({"q": 0}, {"q": 2.0}, ("q.A", "q.B"), False),
+    "rank_mismatch": ({"q": 3}, {"q": 2.0}, ("q.A", "q.B"), False),
+    "missing_alpha": ({"q": 2}, {}, ("q.A", "q.B"), False),
+    "missing_record": ({"q": 2}, {"q": 2.0}, ("q.A",), False),
+}
+
+
+@pytest.mark.parametrize("defect", list(_DEFECTS))
 def test_malformed_adapter_records_are_storage_errors(tmp_path, defect):
+    ranks, alphas, kept, nan = _DEFECTS[defect]
     a, b = np.ones((2, 3)), np.ones((4, 2))
-    ranks = {"q": 2}
-    if defect == "nan_factor":
+    if nan:
         a[0, 1] = np.nan
-    elif defect == "missing_rank":
-        ranks = {}
-    else:
-        ranks = {"q": 3}
     path = tmp_path / "bad.ckpt"
-    header = ContainerHeader(kind="merged", sites=["q"], ranks=ranks, alphas={"q": 2.0})
-    write_container(path, header, [("q.A", a), ("q.B", b)])
-    for load in (load_adapters, load_merged):
-        with pytest.raises(StorageError) as err:
-            load(path)
-        assert str(path) in str(err.value) and "'q'" in str(err.value)
+    header = ContainerHeader(kind="merged", sites=["q"], ranks=ranks, alphas=alphas)
+    write_container(path, header, [(n, m) for n, m in (("q.A", a), ("q.B", b)) if n in kept])
+    with pytest.raises(StorageError) as err:
+        load_merged(path)
+    assert str(path) in str(err.value) and "'q'" in str(err.value)
 
 
 def test_header_with_a_mistyped_field_is_a_storage_error(tmp_path):
@@ -164,6 +165,5 @@ def test_lengths_larger_than_the_file_are_storage_errors(tmp_path, claim):
                 + struct.pack("<I", 3) + b"q.A" + struct.pack("<II", 2**31, 2**31) + b"\0" * 64)
     path = tmp_path / "huge.ckpt"
     path.write_bytes(blob)
-    for load in (load_adapters, load_merged):
-        with pytest.raises(StorageError, match="truncated container"):
-            load(path)
+    with pytest.raises(StorageError, match="truncated container"):
+        load_merged(path)

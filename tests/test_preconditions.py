@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from policyprune import training
-from policyprune.adapters import LoraAdapter, MergedAdapterSet
+from policyprune.adapters import MergedAdapterSet
 from policyprune.baselines import GridSpec, _pool_map, ablate, compare_efficiency
 from policyprune.configio import RunConfig, load_run_config
 from policyprune.controller import ControllerConfig
@@ -196,8 +196,7 @@ def test_r8_the_shape_mismatch_text_is_the_same_from_the_loss_and_the_step():
 
 
 @pytest.mark.parametrize("name, call", [
-    ("rank", lambda: LoraAdapter("q_proj", np.ones((1, 3)), np.ones((2, 1)),
-                                 rank=True, alpha=1.0)),
+    ("rank", lambda: LoraConfig(rank=True)),
     ("n", lambda: gen_toy_data(SMALL, 1).microdev.head(True)),
     ("n", lambda: gen_toy_data(SMALL, 1).microdev.head(2.5)),
     ("workers", lambda: _pool_map(abs, [-1, -2], True)),

@@ -56,7 +56,6 @@ from policyprune.training import (
     LoraConfig,
     MaskedTrainingEnv,
     TrainConfig,
-    factors_to_adapters,
     final_prune_finetune,
     init_adapter_factors,
     microdev_loss,
@@ -129,40 +128,24 @@ def test_zero_b_init_leaves_the_model_at_the_backbone():
     assert all(not s.b.any() for s in merged.sites)
 
 
-def test_factor_unfolding_round_trips_the_forward_pass():
+def test_a_merge_at_a_scale_that_is_not_a_power_of_two_is_the_trained_factors_bit_for_bit():
+    """At rank 3 and alpha 10 the scale 10/3 does not divide back out
+    exactly; the merge only stacks, so its blocks are the trained bytes."""
     data = gen_toy_data(SMALL, 7)
-    merged = init_adapter_factors(data.backbone, LORA4, _rng(3))
-    for s in merged.sites:  # give B content so the adapter term is non-zero
-        s.b[:] = _rng(4).normal(size=s.b.shape)
-    adapters = factors_to_adapters(merged, LORA4)
-    assert all(ad.rank == LORA4.rank and ad.alpha == LORA4.alpha for ad in adapters)
-    again = merge_adapter_sets([adapters], data.backbone.site_ids())
-    x = data.dev.x
-    np.testing.assert_allclose(
-        model_forward(data.backbone, again, x),
-        model_forward(data.backbone, merged, x),
-        rtol=0,
-        atol=1e-12,
-    )
-
-
-def test_factor_unfolding_rejects_stacked_checkpoints():
-    data = gen_toy_data(SMALL, 7)
-    one = init_adapter_factors(data.backbone, LORA4, _rng(5))
-    stacked = merge_adapter_sets(
-        [factors_to_adapters(one, LORA4), factors_to_adapters(one, LORA4)],
-        data.backbone.site_ids(),
-    )
-    with pytest.raises(UsageError):
-        factors_to_adapters(stacked, LORA4)
+    lora, cfg = LoraConfig(rank=3, alpha=10.0), TrainConfig(epochs=2)
+    src = train_adapter(data.backbone, data.source_train, lora, cfg, _rng(6))
+    tgt = train_adapter(data.backbone, data.target_train, lora, cfg, _rng(7))
+    merged = merge_adapter_sets([src.adapters, tgt.adapters], data.backbone.site_ids())
+    for m, s, t in zip(merged.sites, src.adapters.sites, tgt.adapters.sites, strict=True):
+        assert m.a.tobytes() == s.a.tobytes() + t.a.tobytes()
+        assert m.b.tobytes() == np.hstack([s.b, t.b]).tobytes()
 
 
 def test_adapter_training_descends():
     data = gen_toy_data(SMALL, 7)
-    res = train_adapter(
+    merged = train_adapter(
         data.backbone, data.target_train, LORA4, TrainConfig(epochs=3), _rng(1)
-    )
-    merged = merge_adapter_sets([res.adapters], data.backbone.site_ids())
+    ).adapters
     before = mse_loss(
         _backbone_only(data.backbone, data.target_train.x), data.target_train.y
     )
@@ -184,8 +167,7 @@ def test_adapter_training_reaches_a_realizable_teacher():
     )
     data = gen_toy_data(clean, 3)
     generous = TrainConfig(epochs=30, learning_rate=3e-3, weight_decay=0.0)
-    res = train_adapter(data.backbone, data.target_train, LORA4, generous, _rng(2))
-    merged = merge_adapter_sets([res.adapters], data.backbone.site_ids())
+    merged = train_adapter(data.backbone, data.target_train, LORA4, generous, _rng(2)).adapters
     assert _full_loss(data.backbone, merged, data.target_train) < 1e-3
 
 
@@ -239,10 +221,9 @@ def test_the_train_loop_equals_a_hand_loop_of_fresh_gradient_sets_with_a_short_l
 
 def test_microdev_loss_matches_direct_evaluation_and_guards_empty():
     data = gen_toy_data(SMALL, 7)
-    res = train_adapter(
+    merged = train_adapter(
         data.backbone, data.target_train, LORA4, TrainConfig(epochs=1), _rng(4)
-    )
-    merged = merge_adapter_sets([res.adapters], data.backbone.site_ids())
+    ).adapters
     direct = mse_loss(
         model_forward(data.backbone, merged, data.microdev.x), data.microdev.y
     )
