@@ -29,6 +29,7 @@ from .training import (
     microdev_loss,
     pipeline_rngs,
     policy_phase,
+    pool_map,
     run_scale,
     train_and_merge,
 )
@@ -118,22 +119,6 @@ class GridOutcome:
         return sum(pt.steps for pt in self.points)
 
 
-def _pool_map(fn, cells: list, workers: int) -> list:
-    """Map `fn` over `cells` with a pool of at most `workers` processes.
-
-    Results come back in input order. Every cell derives its own generator
-    and copies its inputs, so the outputs are identical at any pool width;
-    workers only return rows — the parent alone writes artifacts.
-    """
-    require_positive_int("workers", workers)
-    if workers == 1 or len(cells) <= 1:
-        return [fn(c) for c in cells]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
-        return list(pool.map(fn, cells))
-
-
 def _grid_cell(args: tuple) -> GridPoint:
     """One grid cell: prune at a fixed ratio, fine-tune, report the row."""
     backbone, merged_init, p, index, target_train, dev, scale, train_cfg, seed, test = args
@@ -174,7 +159,7 @@ def grid_search(
         (backbone, merged_init, p, i, target_train, dev, scale, train_cfg, seed, test)
         for i, p in enumerate(grid.ratios)
     ]
-    points: list[GridPoint] = _pool_map(_grid_cell, cells, workers)
+    points: list[GridPoint] = pool_map(_grid_cell, cells, workers)
     survivors = [pt for pt in points if not pt.failed]
     if not survivors:
         raise NumericalError("every grid cell diverged; no best ratio exists")
@@ -370,7 +355,7 @@ def _sweep(
         data = gen_toy_data(task_cfg, seed)
         starts[seed] = data, train_and_merge(data, lora_cfg, train_cfg, seed)[2]
     cells = [(*starts[seed], train_cfg, cfg, seed) for cfg in controller_cfgs for seed in seeds]
-    results = _pool_map(_pipeline_cell, cells, workers)
+    results = pool_map(_pipeline_cell, cells, workers)
     n = len(seeds)
     return [
         (float(np.mean([c[0] for c in chunk])), float(np.mean([c[1] for c in chunk])))

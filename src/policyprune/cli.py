@@ -387,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train-adapters", parents=[common],
-                       help="phase 1: train both adapters, write the merged checkpoint")
+                       help="phase 1: train both adapters (at once on two usable CPUs), "
+                            "write the merged checkpoint")
     p.set_defaults(func=cmd_train_adapters)
 
     p = sub.add_parser("controller", parents=[common],

@@ -21,6 +21,7 @@ that recorded raw factors with their own alpha.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -45,14 +46,12 @@ class ContainerHeader:
     tensor_names: list[str] = field(default_factory=list)
 
     def to_json(self) -> str:
-        return canonical_json({
-            **self.__dict__,
-            "ranks": {k: int(v) for k, v in self.ranks.items()},
-            "alphas": {k: float(v) for k, v in self.alphas.items()},
-        })
+        return canonical_json(self.__dict__)
 
     @classmethod
     def from_json(cls, text: str) -> "ContainerHeader":
+        """The header as its JSON says it: ranks and alphas keep their JSON
+        types, which `load_merged` checks per site."""
         import json
 
         try:
@@ -60,8 +59,8 @@ class ContainerHeader:
             return cls(
                 kind=raw["kind"],
                 sites=list(raw["sites"]),
-                ranks={k: int(v) for k, v in raw["ranks"].items()},
-                alphas={k: float(v) for k, v in raw["alphas"].items()},
+                ranks=dict(raw["ranks"].items()),
+                alphas=dict(raw["alphas"].items()),
                 seed=raw["seed"],
                 config_hash=raw["config_hash"],
                 tensor_names=list(raw["tensor_names"]),
@@ -177,15 +176,19 @@ def load_merged(path) -> tuple[MergedAdapterSet, ContainerHeader]:
     for sid in header.sites:
         try:
             a, b = matrix(by_name[f"{sid}.A"]), matrix(by_name[f"{sid}.B"])
-            rank = header.ranks[sid]
+            rank, alpha = header.ranks[sid], header.alphas[sid]
             require_positive_int("rank", rank)
             if a.shape[0] != rank or b.shape[1] != rank:
                 raise DimensionError(
                     f"A rows ({a.shape[0]}) and B cols ({b.shape[1]}) must both "
                     f"equal rank {rank}"
                 )
-            sites.append(SiteFactors(sid, header.alphas[sid] / rank * a, b))
-        except (KeyError, DimensionError, UsageError) as exc:
+            # a JSON number, not a bool or a string; an int past the float
+            # range overflows in the fold below
+            if type(alpha) not in (int, float) or not 0 < alpha < math.inf:
+                raise UsageError(f"alpha must be a positive finite number, got {alpha!r}")
+            sites.append(SiteFactors(sid, alpha / rank * a, b))
+        except (KeyError, OverflowError, DimensionError, UsageError) as exc:
             raise StorageError(
                 f"checkpoint {path}: site {sid!r} has a missing or malformed "
                 f"factor, rank or alpha ({exc!r})"

@@ -1,7 +1,8 @@
 """Three-phase pipeline harness on the synthetic task.
 
-Phase 1 trains one low-rank adapter set per task on the frozen backbone and
-merges them into stacked factors (the pre-controller merged initialization).
+Phase 1 trains one low-rank adapter set per task on the frozen backbone (the
+two at once where two CPUs are usable) and merges them into stacked factors
+(the pre-controller merged initialization).
 Phase 2 continues target fine-tuning from that initialization with a
 controller round interleaved every K optimizer steps, learning the global
 prune ratio online. Phase 3 restarts from the same pre-controller merged
@@ -12,6 +13,7 @@ with the mask fixed, early-stopping on the dev split.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +56,8 @@ __all__ = [
     "init_adapter_factors",
     "train_adapter",
     "train_and_merge",
+    "usable_cpus",
+    "pool_map",
     "require_round_fits",
     "require_microdev_fits",
     "require_p_star_in_range",
@@ -211,13 +215,65 @@ def train_adapter(
     return AdapterTrainResult(adapters=adapters)
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    reports one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def pool_map(fn, cells: list, workers: int) -> list:
+    """Map `fn` over `cells` on a pool of min(`workers`, len(cells)) processes.
+
+    Results come back in input order. Every cell carries or derives its own
+    generator and copies its inputs, so the outputs are identical at any
+    pool width; workers only return rows — the parent alone writes
+    artifacts. A width of 1 maps in this process. Workers start by `fork`
+    where the platform has it, and by the platform's default method
+    elsewhere. A forked worker inherits the loaded modules: two start in
+    about 0.02 s on a 2-CPU VM, where two spawned ones took 0.37 s, more
+    than all of phase 1 (0.2 s). The executor forks every worker before it
+    starts its own thread, and the package starts no other, so a worker
+    forks from a threaded process only where the caller runs threads. An
+    exception a cell raises is raised here, from the first failing cell in
+    input order.
+
+    The grid and the sweeps take their width from the caller; phase 1
+    (`train_and_merge`) takes min(2, `usable_cpus()`) where `fork` exists
+    and 1 where it does not.
+    """
+    require_positive_int("workers", workers)
+    width = min(workers, len(cells))
+    if width <= 1:
+        return [fn(c) for c in cells]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    ctx = multiprocessing.get_context("fork") if hasattr(os, "fork") else None
+    with ProcessPoolExecutor(max_workers=width, mp_context=ctx) as pool:
+        return list(pool.map(fn, cells))
+
+
+def _adapter_cell(args: tuple) -> AdapterTrainResult:
+    """One phase-1 adapter, through this module's `train_adapter` binding."""
+    return train_adapter(*args)
+
+
 def train_and_merge(
     data: ToyData, lora_cfg: LoraConfig, train_cfg: TrainConfig, seed: int
 ) -> tuple[AdapterTrainResult, AdapterTrainResult, MergedAdapterSet]:
-    """Phase 1: the source and target adapters and their merge (merged_init)."""
+    """Phase 1: the source and target adapters and their merge (merged_init).
+
+    The two adapters are independent, so on two usable CPUs they train at
+    once, one worker process each; on one, or with no `fork`, they train
+    here in turn. Each has its own stream, so the bytes are the same.
+    """
     rngs = pipeline_rngs(seed)
-    source = train_adapter(data.backbone, data.source_train, lora_cfg, train_cfg, rngs["source"])
-    target = train_adapter(data.backbone, data.target_train, lora_cfg, train_cfg, rngs["target"])
+    cells = [(data.backbone, split, lora_cfg, train_cfg, rngs[key])
+             for key, split in (("source", data.source_train), ("target", data.target_train))]
+    width = min(2, usable_cpus()) if hasattr(os, "fork") else 1
+    source, target = pool_map(_adapter_cell, cells, width)
     merged = merge_adapter_sets([source.adapters, target.adapters], data.backbone.site_ids())
     return source, target, merged
 

@@ -2,10 +2,13 @@
 
 import importlib.util
 import json
+import os
+import platform
 import statistics
 import subprocess
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
@@ -188,9 +191,10 @@ def test_main_runs_the_benchmark_length_alternately_against_a_required_parent(
 
 def test_the_last_stdout_line_is_one_json_object_of_every_pair_and_every_row(
         monkeypatch, capsys):
-    """The line holds each pair's parsed results, each summary row (both
-    sides' quartiles, wins, the parent's IQR, claim, regressed) and the run
-    problems, so a saved line keeps the spread of the runs."""
+    """The line holds the host's usable CPUs and Python and NumPy versions,
+    each pair's parsed results, each summary row (both sides' quartiles,
+    wins, the parent's IQR, claim, regressed) and the run problems, so a
+    saved line keeps the spread of the runs and what they ran on."""
     results = {"parent": iter([_result(controller_s=v) for v in (1.0, 2.0, 1.5)]),
                "change": iter([_result(controller_s=0.5), None,
                                _result(correct=False, controller_s=0.75)])}
@@ -204,9 +208,11 @@ def test_the_last_stdout_line_is_one_json_object_of_every_pair_and_every_row(
                              "--pairs", "3"]) == 1
     line = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     spec = json.loads((TOOL.parents[1] / "BENCHMARK.json").read_text())
-    assert {k: line[k] for k in ("workload", "seed", "parent", "run_seconds")} == {
+    keys = ("workload", "seed", "parent", "run_seconds", "usable_cpus", "python", "numpy")
+    assert {k: line[k] for k in keys} == {
         "workload": "probe-heavy", "seed": 42, "parent": "HEAD~1",
-        "run_seconds": spec["run_seconds"]}
+        "run_seconds": spec["run_seconds"], "usable_cpus": len(os.sched_getaffinity(0)),
+        "python": platform.python_version(), "numpy": np.__version__}
     pairs = [{"parent": _result(controller_s=1.0), "change": _result(controller_s=0.5)},
              {"parent": _result(controller_s=2.0), "change": None},
              {"parent": _result(controller_s=1.5),

@@ -4,6 +4,7 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from policyprune import cli, training
@@ -536,6 +537,16 @@ def test_finalize_rejects_malformed_p_star_file(fresh, capsys):
     vouch_p_star(out, "{not json")
     assert run_cli("finalize", "--config", str(ini), "--out", str(out)) == 2
     assert "cannot parse" in capsys.readouterr().err
+
+
+def test_train_adapters_exits_4_when_a_phase_1_worker_diverges(fresh, capsys, monkeypatch):
+    ini, out = fresh
+    ini.write_text(SMALL_INI.replace("epochs = 3\n", "epochs = 50\nlearning_rate = 1e6\n"))
+    monkeypatch.setattr(training, "usable_cpus", lambda: 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run_cli("train-adapters", "--config", str(ini), "--out", str(out)) == 4
+    assert "training loss became non-finite" in capsys.readouterr().err
+    assert not (out / "adapters" / "manifest.json").exists()
 
 
 def test_interrupted_controller_leaves_a_parseable_partial_log(

@@ -110,6 +110,13 @@ _DEFECTS = {  # defect -> (ranks, alphas, records kept, NaN in A)
     "rank_mismatch": ({"q": 3}, {"q": 2.0}, ("q.A", "q.B"), False),
     "missing_alpha": ({"q": 2}, {}, ("q.A", "q.B"), False),
     "missing_record": ({"q": 2}, {"q": 2.0}, ("q.A",), False),
+    # the header's JSON types are kept, so none of these is coerced to a rank
+    # of 2 or an alpha of 1.0 or 4.0
+    "float_rank": ({"q": 2.7}, {"q": 2.0}, ("q.A", "q.B"), False),
+    "bool_rank": ({"q": True}, {"q": 2.0}, ("q.A", "q.B"), False),
+    "bool_alpha": ({"q": 2}, {"q": True}, ("q.A", "q.B"), False),
+    "string_alpha": ({"q": 2}, {"q": "4"}, ("q.A", "q.B"), False),
+    "alpha_past_float_range": ({"q": 2}, {"q": 10**400}, ("q.A", "q.B"), False),
 }
 
 

@@ -15,7 +15,7 @@ import pytest
 
 from policyprune import training
 from policyprune.adapters import MergedAdapterSet
-from policyprune.baselines import GridSpec, _pool_map, ablate, compare_efficiency
+from policyprune.baselines import GridSpec, ablate, compare_efficiency
 from policyprune.configio import RunConfig, load_run_config
 from policyprune.controller import ControllerConfig
 from policyprune.errors import DimensionError, UsageError
@@ -36,6 +36,7 @@ from policyprune.training import (
     final_prune_finetune,
     init_adapter_factors,
     microdev_slice,
+    pool_map,
     sparsity_policy_learning,
 )
 from test_baselines import LORA4, SMALL
@@ -199,7 +200,7 @@ def test_r8_the_shape_mismatch_text_is_the_same_from_the_loss_and_the_step():
     ("rank", lambda: LoraConfig(rank=True)),
     ("n", lambda: gen_toy_data(SMALL, 1).microdev.head(True)),
     ("n", lambda: gen_toy_data(SMALL, 1).microdev.head(2.5)),
-    ("workers", lambda: _pool_map(abs, [-1, -2], True)),
+    ("workers", lambda: pool_map(abs, [-1, -2], True)),
     ("repeats", lambda: compare_efficiency(
         SMALL, LORA4, TrainConfig(epochs=1, early_stop_patience=None),
         ControllerConfig(microdev_n=8), 1, repeats=1.0)),

@@ -5,6 +5,7 @@ import contextlib
 import dataclasses
 import hashlib
 import math
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -60,6 +61,7 @@ from policyprune.training import (
     init_adapter_factors,
     microdev_loss,
     pipeline_rngs,
+    pool_map,
     run_pipeline,
     run_scale,
     sparsity_policy_learning,
@@ -1044,6 +1046,49 @@ def test_pipeline_keeps_the_merge_checkpoint_pristine():
     # phase 3 pruned at the learned ratio
     scale = run_scale(art.data, ControllerConfig())
     assert art.final.mask.keep.tobytes() == build_mask(art.merged_init, art.p_star, scale).keep.tobytes()
+
+
+def _phase1(monkeypatch, cpus, *args):
+    """`train_and_merge` on a host with `cpus` usable CPUs, and the pool
+    widths it asked for."""
+    widths = []
+
+    def spy(fn, cells, workers):
+        widths.append(workers)
+        return pool_map(fn, cells, workers)
+
+    monkeypatch.setattr(training, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(training, "pool_map", spy)
+    return train_and_merge(*args), widths
+
+
+POOLED_WIDTH = 2 if hasattr(os, "fork") else 1  # no fork: phase 1 stays in-process
+
+
+@pytest.mark.parametrize("seed", [7, 1337])
+def test_phase_1_on_two_cpus_is_the_one_cpu_phase_1_bit_for_bit(monkeypatch, seed):
+    data = gen_toy_data(SMALL, seed)
+    args = (data, LORA4, TrainConfig(epochs=2), seed)
+    pooled, wide = _phase1(monkeypatch, 2, *args)
+    serial, narrow = _phase1(monkeypatch, 1, *args)
+    assert (wide, narrow) == ([POOLED_WIDTH], [1])
+    sums = [[r.adapters.checksum() for r in run[:2]] + [run[2].checksum()]
+            for run in (pooled, serial)]
+    assert sums[0] == sums[1]
+
+
+def test_a_divergence_in_a_phase_1_worker_reads_as_the_in_process_one(monkeypatch):
+    """The worker's `TrainingDivergedError` reaches the caller with the
+    in-process text, step number included."""
+    data = gen_toy_data(SMALL, 7)
+    args = (data, LORA4, TrainConfig(epochs=50, learning_rate=1e6), 7)
+    texts = []
+    for cpus in (2, 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDivergedError, match=r" at step \d+$") as info:
+                _phase1(monkeypatch, cpus, *args)
+        texts.append(str(info.value))
+    assert texts[0] == texts[1]
 
 
 # Two 2-epoch pipelines at seed 7: the stock one, recorded before the factors

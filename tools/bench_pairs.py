@@ -26,19 +26,24 @@ than the metric's `bound` from `BENCHMARK.json`, read as a share of the
 parent's median (a bound of 0.25 on a parent median of 2.0 s flags a change
 median above 2.5 s). Runs that exit nonzero, print no result, report
 `correct: false` or count failed operations are listed. The last line of
-standard output is one JSON object holding the workload, seed, parent ref
-and run length, every pair's parsed results (`null` for a run that gave
-none), every summary row as `summarize` returns it and the run problems, so
-a saved line records the spread and not only one run. The tool exits 1
-when any run had such a problem or any metric regressed. The temporary copy
-is removed on exit, and each run has ended before the next starts.
+standard output is one JSON object holding the workload, seed, parent ref,
+run length, what a gain may hang on (`usable_cpus`, the CPUs the runs
+inherit, and this interpreter's `python` and `numpy` versions), every
+pair's parsed results (`null` for a run that gave none), every summary
+row as `summarize` returns it and the run problems, so a saved line
+records the spread and not only one run. The tool exits 1 when any run had
+such a problem or any metric regressed. The temporary copy is removed on
+exit, and each run has ended before the next starts.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import io
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -151,6 +156,13 @@ def run_once(command: list[str], root: Path) -> dict | None:
         return None
 
 
+def host() -> dict:
+    """The CPUs this process may run on, which every benchmark run inherits,
+    and the Python and NumPy versions installed for it."""
+    return {"usable_cpus": len(os.sched_getaffinity(0)), "python": platform.python_version(),
+            "numpy": importlib.metadata.version("numpy")}
+
+
 def fmt(value: float) -> str:
     return f"{value:.6g}"
 
@@ -197,7 +209,7 @@ def main(argv=None) -> int:
     for problem in problems:
         print(f"  RUN PROBLEM {problem}")
     print(json.dumps({"workload": args.workload, "seed": args.seed, "parent": args.parent,
-                      "run_seconds": seconds, "pairs": pairs, "summary": rows,
+                      "run_seconds": seconds, **host(), "pairs": pairs, "summary": rows,
                       "problems": problems}))
     return 1 if problems or any(row["regressed"] for row in rows) else 0
 
