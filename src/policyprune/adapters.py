@@ -95,9 +95,7 @@ class MergedAdapterSet:
     order, each factor row-major: the order the checkpoint container writes.
     Tensor t occupies ``flat[offsets[t-1]:offsets[t]]``; `sites[i].a`/`.b`
     and the views `tensors()` lists are 2-D views of it, and `transposed[i]`
-    holds site i's `(a.T, b.T)` views for the training step. `scratch` holds
-    the training step's buffers while the set is that step's gradient
-    output (`toytask.loss_and_gradients`); copies start with none.
+    holds site i's `(a.T, b.T)` views for the training step.
     Construction copies the given factors into a fresh arena.
     """
 
@@ -121,7 +119,6 @@ class MergedAdapterSet:
         self._layout = layout
         self._layout_key = repr(layout).encode()  # the checksum's prefix
         self.flat = flat
-        self.scratch = {}
         self.offsets = tuple(offsets)
         self.sites = tuple(
             SiteFactors(sid, views[2 * i], views[2 * i + 1])

@@ -18,7 +18,9 @@ import numpy as np
 
 from .adapters import FrozenBackbone, MergedAdapterSet
 from .controller import ControllerConfig, ControllerRecord
-from .errors import NumericalError, TrainingDivergedError, UsageError, require_positive_int
+from .errors import (
+    NumericalError, TrainingDivergedError, UsageError, require_positive_int, require_real,
+)
 from .masking import ImportanceScale, require_ratio
 from .toytask import DataSplit, ToyData, ToyTaskConfig, gen_toy_data, mse_loss, run_stream
 from .training import (
@@ -89,6 +91,7 @@ class GridSpec:
         if not self.ratios:
             raise UsageError("a grid needs at least one ratio")
         for r in self.ratios:
+            require_real("ratio", r)
             require_ratio(r)
         if any(b <= a for a, b in zip(self.ratios, self.ratios[1:])):
             raise UsageError("grid ratios must be strictly increasing")

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adapters import MergedAdapterSet, SiteFactors, matrix
-from .errors import DimensionError, StorageError, UsageError, require_positive_int
+from .errors import DimensionError, StorageError, UsageError, require_positive_int, require_real
 from .serialize import canonical_json
 
 MAGIC = b"ADPACK01"
@@ -167,13 +167,23 @@ def save_merged(
 
 
 def load_merged(path) -> tuple[MergedAdapterSet, ContainerHeader]:
-    """Every site's factors with alpha/rank folded into A; a record the
-    header does not describe is a storage error naming the file and the
-    site."""
+    """Every site's factors with alpha/rank folded into A. A site the header
+    lists twice, a record name written twice, a record no site owns, and a
+    record the header does not describe are storage errors naming the
+    file."""
     header, tensors = read_container(path)
+    sites, names = header.sites, [name for name, _ in tensors]
+    if any(type(sid) is not str for sid in sites) or len(set(sites)) != len(sites):
+        raise StorageError(f"checkpoint {path}: sites {sites!r} are not distinct names")
+    owned = {f"{sid}.{factor}" for sid in sites for factor in "AB"}
+    if len(set(names)) != len(names) or not owned.issuperset(names):
+        raise StorageError(
+            f"checkpoint {path}: records {names!r} are not at most one A and one B "
+            f"per site of {sites!r}"
+        )
     by_name = dict(tensors)
-    sites = []
-    for sid in header.sites:
+    factors = []
+    for sid in sites:
         try:
             a, b = matrix(by_name[f"{sid}.A"]), matrix(by_name[f"{sid}.B"])
             rank, alpha = header.ranks[sid], header.alphas[sid]
@@ -185,15 +195,16 @@ def load_merged(path) -> tuple[MergedAdapterSet, ContainerHeader]:
                 )
             # a JSON number, not a bool or a string; an int past the float
             # range overflows in the fold below
-            if type(alpha) not in (int, float) or not 0 < alpha < math.inf:
+            require_real("alpha", alpha)
+            if not 0 < alpha < math.inf:
                 raise UsageError(f"alpha must be a positive finite number, got {alpha!r}")
-            sites.append(SiteFactors(sid, alpha / rank * a, b))
+            factors.append(SiteFactors(sid, alpha / rank * a, b))
         except (KeyError, OverflowError, DimensionError, UsageError) as exc:
             raise StorageError(
                 f"checkpoint {path}: site {sid!r} has a missing or malformed "
                 f"factor, rank or alpha ({exc!r})"
             ) from exc
-    return MergedAdapterSet(sites), header
+    return MergedAdapterSet(factors), header
 
 
 # perfbench traces the source/target writes under this name, and criterion

@@ -20,7 +20,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ProbePurityError, RewardError, StorageError, UsageError, require_positive_int
+from .errors import (
+    ProbePurityError, RewardError, StorageError, UsageError, require_positive_int, require_real,
+)
 from .serialize import canonical_json_line
 
 SIGMA_FLOOR = 1e-3  # smallest sigma the policy keeps
@@ -46,6 +48,9 @@ class ControllerConfig:
     delta_max: float = 0.10      # largest committed move per round
 
     def __post_init__(self) -> None:
+        for f in fields(self):  # annotations stay strings here
+            check = require_positive_int if f.type == "int" else require_real
+            check(f.name, getattr(self, f.name))
         if not (0.0 <= self.p_min < self.p_max <= 1.0):
             raise UsageError(
                 f"need 0 <= p_min < p_max <= 1, got [{self.p_min}, {self.p_max}]"
@@ -54,8 +59,6 @@ class ControllerConfig:
             raise UsageError(
                 f"p_init {self.p_init} outside [{self.p_min}, {self.p_max}]"
             )
-        for name in ("round_every", "candidates", "microdev_n"):
-            require_positive_int(name, getattr(self, name))
         if not all(math.isfinite(v) for v in (self.delta_max, self.eta, self.beta, self.tau_ent)):
             raise UsageError("delta_max, eta, beta and tau_ent must be finite")
         if self.delta_max <= 0 or self.eta <= 0:

@@ -48,6 +48,14 @@ class ProbePurityError(NumericalError):
     """Parameters changed across a candidate probe that must restore them."""
 
 
+def require_real(name: str, value) -> None:
+    """Raise `UsageError` unless `value` is an int or a float: the type rule
+    of every real-valued setting; a bool, a string and a NumPy scalar are
+    not."""
+    if type(value) not in (int, float):
+        raise UsageError(f"{name} must be an int or a float, got {value!r}")
+
+
 def require_positive_int(name: str, value) -> None:
     """Raise `UsageError` unless `value` is an int of at least 1; a bool, a
     float such as 2.0 and a NumPy integer are not."""

@@ -16,11 +16,15 @@ weight is -0.0 only if it already was, which an install rules out. So a step
 never writes a pruned coordinate and needs no re-zero. Until a mask is
 installed the coefficients are the scalars 1 - beta1 and 1 - beta2.
 
-At batch size 1 a step costs ufunc dispatch more than arithmetic. So the
-update's constants are 0-d float64 operands built once (they dispatch faster
-than Python floats and round the same), outputs are passed positionally, and
-a masked step is the dense step's ufunc sequence with vector coefficients in
-place of the scalars.
+At batch size 1 a step costs ufunc dispatch more than arithmetic. So
+`make_optimizer_step` binds the arena, the gradient, the moments, the
+scratch and the constants once per run and returns the update as a closure
+that reads only the step count and the moment coefficients from the state;
+`optimizer_step_and_reset` is one call of a fresh one. The constants are
+0-d float64 operands built once (they dispatch faster than Python floats
+and round the same), outputs are passed positionally, and a masked step is
+the dense step's ufunc sequence with vector coefficients in place of the
+scalars.
 
 No bit changes. Keep bits are exactly 0.0 or 1.0 and the coefficients are
 positive, so g*(k*c) is (g*k)*c (for k = 0, a zero of the sign of g) and
@@ -43,6 +47,7 @@ __all__ = [
     "OptimizerState",
     "init_optimizer",
     "install_mask",
+    "make_optimizer_step",
     "optimizer_step_and_reset",
 ]
 
@@ -115,40 +120,53 @@ def install_mask(merged: MergedAdapterSet, state: OptimizerState, mask: Sparsity
     state.mask = mask
 
 
-def optimizer_step_and_reset(
+def make_optimizer_step(
     merged: MergedAdapterSet, grads: MergedAdapterSet, state: OptimizerState
-) -> None:
-    """One in-place update over the whole arena under the state's mask in
-    force. It neither resets moments nor re-applies the mask: both happen
-    once, in `install_mask`, and the folded coefficients leave every pruned
+):
+    """One AdamW update over the whole arena, bound once: a closure that
+    applies it in place under the state's mask in force, read at every
+    call, so a mask installed between two calls governs the second. It
+    neither resets moments nor re-applies the mask: both happen once, in
+    `install_mask`, and the folded coefficients leave every pruned
     coordinate (weight and moments) at +0.0.
 
-    `grads` is a set of the same layout holding the gradient (see
-    `loss_and_gradients`); it is read, never written. Kept coordinates
-    receive the standard bias-corrected adaptive-moment update with
-    decoupled weight decay.
+    `grads`, a set of the same layout (`DimensionError` otherwise), holds
+    the gradient and is never written. Kept coordinates receive the
+    standard bias-corrected adaptive-moment update with decoupled weight
+    decay.
     """
     if not merged.same_layout(grads):
         raise DimensionError("gradient layout does not match the adapter set")
-    c1, c2 = state._coeffs
-    state.step += 1
-    t = state.step
-    bias1 = 1.0 - BETA1**t
-    bias2 = 1.0 - BETA2**t
     beta1, beta2, _, _, eps, decay, lr = state._consts
     arr, g, m, v = merged.flat, grads.flat, state.first_moment, state.second_moment
     s1, s2 = state._scratch
-    # The textbook update, one elementwise operation at a time and in its
-    # order, so every coordinate gets the per-coordinate formula's bits.
-    np.multiply(m, beta1, m)
-    m += np.multiply(g, c1, s2)                      # (keep * (1 - beta1)) * g
-    np.multiply(v, beta2, v)
-    np.multiply(g, c2, s2)
-    v += np.multiply(s2, g, s2)                      # (keep * (1 - beta2)) * g * g
-    m_hat = m if bias1 == 1.0 else np.divide(m, bias1, s1)  # m / 1.0 is m
-    denom = np.sqrt(np.divide(v, bias2, s2), s2)
-    np.add(denom, eps, denom)
-    update = np.divide(m_hat, denom, s1)
-    update += np.multiply(arr, decay, s2)
-    np.multiply(update, lr, update)
-    arr -= update
+
+    def step() -> None:
+        c1, c2 = state._coeffs
+        state.step += 1
+        t = state.step
+        bias1 = 1.0 - BETA1**t
+        bias2 = 1.0 - BETA2**t
+        # The textbook update, one elementwise operation at a time and in
+        # its order, so every coordinate gets the per-coordinate formula's bits.
+        np.multiply(m, beta1, m)
+        np.add(m, np.multiply(g, c1, s2), m)             # (keep * (1 - beta1)) * g
+        np.multiply(v, beta2, v)
+        np.multiply(g, c2, s2)
+        np.add(v, np.multiply(s2, g, s2), v)             # (keep * (1 - beta2)) * g * g
+        m_hat = m if bias1 == 1.0 else np.divide(m, bias1, s1)  # m / 1.0 is m
+        denom = np.sqrt(np.divide(v, bias2, s2), s2)
+        np.add(denom, eps, denom)
+        update = np.divide(m_hat, denom, s1)
+        update += np.multiply(arr, decay, s2)
+        np.multiply(update, lr, update)
+        np.subtract(arr, update, arr)
+
+    return step
+
+
+def optimizer_step_and_reset(
+    merged: MergedAdapterSet, grads: MergedAdapterSet, state: OptimizerState
+) -> None:
+    """One call of a fresh `make_optimizer_step(merged, grads, state)`."""
+    make_optimizer_step(merged, grads, state)()

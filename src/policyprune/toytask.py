@@ -8,21 +8,24 @@ data for both tasks is sampled from the corresponding teacher with Gaussian
 observation noise, so a low-rank adapter of sufficient rank can realize
 either task exactly.
 
-The training step (`loss_and_gradients`) multiplies with `ndarray.dot`,
-which calls `np.dot`'s C routine without its `__array_function__`
-dispatcher; on these 2-D float64 operands that routine makes the same BLAS
-call as `@`, so the same bits, with less dispatch than the `matmul` ufunc. Its
-transposed operands are the views the backbone and the adapter set build
-once (`FrozenBackbone.transposed`, `MergedAdapterSet.transposed`); it writes
-its intermediates into scratch the reused gradient set keeps, and sums the
-site outputs and forms the residual and its gradient scale in place, in the
-same order. `model_forward` stays on `@` as the plain reference the tests
-hold the step to, bit for bit.
+The training step is bound once per batch shape: `make_loss_and_gradients`
+checks the shapes, makes the buffers and returns a closure that the training
+loop calls at every step, and `loss_and_gradients` is one call of a fresh
+one. The closure multiplies with `ndarray.dot`, which calls `np.dot`'s C
+routine without its `__array_function__` dispatcher; on these 2-D float64
+operands that routine makes the same BLAS call as `@`, so the same bits,
+with less dispatch than the `matmul` ufunc. Its transposed operands are the
+views the backbone and the adapter set build once
+(`FrozenBackbone.transposed`, `MergedAdapterSet.transposed`); it writes its
+intermediates into buffers of its own, and sums the site outputs and forms
+the residual and its gradient scale in place, in the same order.
+`model_forward` stays on `@` as the plain reference the tests hold the step
+to, bit for bit.
 
-The step checks shapes on every call but scans x and y for NaN/Inf only
-when the loss is not finite: any such entry makes it so (inf * 0 is NaN),
-so it still raises `UsageError` before a gradient is written, and rows that
-`DataSplit` already checked are not scanned again at every step.
+The step scans x and y for NaN/Inf only when the loss is not finite: any
+such entry makes it so (inf * 0 is NaN), so it still raises `UsageError`
+before a gradient is written, and rows that `DataSplit` already checked are
+not scanned again at every step.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .adapters import FrozenBackbone, MergedAdapterSet, matrix
-from .errors import DimensionError, UsageError, require_positive_int
+from .errors import DimensionError, UsageError, require_positive_int, require_real
 
 __all__ = [
     "ToyTaskConfig",
@@ -45,6 +48,7 @@ __all__ = [
     "teacher_forward",
     "model_forward",
     "mse_loss",
+    "make_loss_and_gradients",
     "loss_and_gradients",
 ]
 
@@ -102,6 +106,8 @@ class ToyTaskConfig:
         for f in fields(self):  # every int setting is a size or a count
             if f.type == "int":  # annotations stay strings here
                 require_positive_int(f.name, getattr(self, f.name))
+            else:
+                require_real(f.name, getattr(self, f.name))
         if self.d_in < 2 * self.teacher_rank:
             raise UsageError(
                 "d_in must be at least 2 * teacher_rank so orthogonal source "
@@ -284,90 +290,113 @@ def model_forward(
             )
         y = x @ w.T + (x @ s.a.T) @ s.b.T
         out = y if out is None else out + y
-    _require_sites(out)
+    _require_sites(merged)
     return out
 
 
-def _require_sites(site_sum: np.ndarray | None) -> None:
-    """Raise `UsageError` if the sum over sites is None: the set has none."""
-    if site_sum is None:
+def _require_sites(merged: MergedAdapterSet) -> None:
+    """Raise `UsageError` if the set has no sites."""
+    if not merged.sites:
         raise UsageError("adapter set has no sites")
 
 
 def mse_loss(pred: np.ndarray, y: np.ndarray) -> float:
     """Mean squared error over all examples and output coordinates."""
-    return _residual_and_loss(pred, y, None)[1]
+    _require_loss_shapes(pred.shape, y.shape)
+    diff = pred - y
+    return float(np.add.reduce(diff * diff, axis=None)) / diff.size
 
 
-def _residual_and_loss(pred: np.ndarray, y: np.ndarray, out) -> tuple[np.ndarray, float]:
-    """pred - y, written into the array `out` (None allocates), and its mean
-    square: np.mean's arithmetic (one pairwise add.reduce, then / count)
-    without its Python-level dispatch."""
-    if pred.shape != y.shape:
-        raise DimensionError(f"prediction shape {pred.shape} != target shape {y.shape}")
-    diff = np.subtract(pred, y, out)
-    if not diff.size:
-        raise UsageError(f"cannot take the loss of an empty batch (shape {diff.shape})")
-    return diff, float(np.add.reduce(diff * diff, axis=None)) / diff.size
+def _require_loss_shapes(pred_shape: tuple, y_shape: tuple) -> None:
+    """Raise unless predictions of `pred_shape` and targets of `y_shape`
+    have one shape (`DimensionError`) with at least one entry (`UsageError`)."""
+    if pred_shape != y_shape:
+        raise DimensionError(f"prediction shape {pred_shape} != target shape {y_shape}")
+    if not math.prod(pred_shape):
+        raise UsageError(f"cannot take the loss of an empty batch (shape {pred_shape})")
 
 
-def loss_and_gradients(
+def make_loss_and_gradients(
     backbone: FrozenBackbone,
     merged: MergedAdapterSet,
-    x: np.ndarray,
-    y: np.ndarray,
-    out: MergedAdapterSet | None = None,
-) -> tuple[float, MergedAdapterSet]:
-    """MSE loss plus exact analytic gradients for every factor tensor.
+    grads: MergedAdapterSet,
+    x_shape: tuple,
+    y_shape: tuple,
+):
+    """The training step for an x of `x_shape` and a y of `y_shape`, bound
+    once: a closure `step(x, y)` that returns the MSE loss and writes its
+    exact analytic gradient into `grads`, a set laid out like `merged`.
 
     With E = pred - y and G = 2 E / (n * d_out):
       dL/db = G^T (x a^T)        dL/da = (G b)^T x
-    The gradient is a set laid out like `merged` (so `grads.tensors()`
-    lists each tensor's gradient view and `grads.flat` holds the whole of
-    it), written into `out` when given — the training loop reuses one —
-    else into a new set.
 
-    Products go through `ndarray.dot` with `out=` (same bits as `np.dot`,
-    see the module docstring): x a^T, the site outputs and G b land in the
-    gradient set's `scratch`, one set of buffers per batch row count, made
-    on first use and wholly overwritten by every call.
-
-    Every call converts x and y to C-contiguous float64 and checks their
-    shapes (`DimensionError`) and that the batch is not empty (`UsageError`).
-    Only a non-finite loss has them scanned for NaN/Inf (`matrix`,
-    `UsageError`), before `out` is written; from finite inputs, that loss is
-    returned for the caller to judge.
+    Every check runs here, once: both shapes must be 2-D, fit the set and
+    the backbone and match `grads`'s layout (`DimensionError`; an unknown
+    site, a set with no sites or an empty batch is a `UsageError`). The
+    closure takes C-contiguous float64 x and y of those shapes, reads the
+    factors through `merged`'s views and overwrites its own buffers with
+    `ndarray.dot` products at every call. Only a non-finite loss has x and
+    y scanned for NaN/Inf (`matrix`, `UsageError`), before `grads` is
+    written; from finite inputs, that loss is returned for the caller to
+    judge.
     """
+    if len(x_shape) != 2 or len(y_shape) != 2:
+        raise DimensionError(
+            f"expected 2-D x and y, got ndim={len(x_shape)} and ndim={len(y_shape)}"
+        )
+    if not merged.same_layout(grads):
+        raise DimensionError("gradient layout does not match the adapter set")
+    rows, d_in = x_shape
+    d_out = merged.sites[0].b.shape[0] if merged.sites else None
+    forward, backward = [], []
+    for s, g, (a_t, b_t) in zip(merged.sites, grads.sites, merged.transposed):
+        try:
+            w_t = backbone.transposed[s.site_id]
+        except KeyError:
+            raise UsageError(f"unknown site {s.site_id!r}") from None
+        if a_t.shape[0] != d_in or w_t.shape != (d_in, d_out) or b_t.shape[1] != d_out:
+            raise DimensionError(f"x of shape {x_shape} does not fit the set")
+        h, site_out = np.empty((rows, a_t.shape[1])), np.empty((rows, d_out))
+        gb = np.empty((rows, b_t.shape[0]))
+        forward.append((a_t, w_t, b_t, h, site_out, np.empty((rows, d_out))))
+        backward.append((s.b, gb, gb.T, g.a, h, g.b))
+    _require_sites(merged)
+    _require_loss_shapes((rows, d_out), y_shape)
+    pred = forward[0][4]  # the first site's output buffer holds the sum
+    sums = [site_out for _a_t, _w_t, _b_t, _h, site_out, _hb in forward[1:]]
+    pred_t = pred.T
+    size, scale = pred.size, np.array(2.0 / pred.size)
+
+    def step(x: np.ndarray, y: np.ndarray) -> float:
+        for a_t, w_t, b_t, h, site_out, hb in forward:
+            x.dot(a_t, h)
+            x.dot(w_t, site_out)
+            site_out += h.dot(b_t, hb)
+        for site_out in sums:
+            np.add(pred, site_out, pred)
+        diff = np.subtract(pred, y, pred)
+        loss = float(np.add.reduce(diff * diff, axis=None)) / size
+        if not math.isfinite(loss):
+            matrix(x)  # raises UsageError on a NaN/Inf entry; finite inputs pass
+            matrix(y)
+        np.multiply(diff, scale, diff)  # G, in place
+        for b, gb, gb_t, ga, h, gbb in backward:
+            pred.dot(b, gb)
+            gb_t.dot(x, ga)
+            pred_t.dot(h, gbb)
+        return loss
+
+    return step
+
+
+def loss_and_gradients(
+    backbone: FrozenBackbone, merged: MergedAdapterSet, x: np.ndarray, y: np.ndarray
+) -> tuple[float, MergedAdapterSet]:
+    """One step of `make_loss_and_gradients` on x and y (converted to
+    C-contiguous float64): the loss and a new gradient set laid out like
+    `merged`, so `grads.tensors()` lists each tensor's gradient view and
+    `grads.flat` holds the whole of it."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
-    if x.ndim != 2 or y.ndim != 2:
-        raise DimensionError(f"expected 2-D x and y, got ndim={x.ndim} and ndim={y.ndim}")
-    grads = merged.empty_like() if out is None else out
-    n, weights_t = x.shape[0], backbone.transposed
-    bufs = grads.scratch.get(n) or grads.scratch.setdefault(n, [
-        (np.empty((n, g.a.shape[0])), np.empty((n, g.b.shape[0])),
-         np.empty((n, g.b.shape[0])), np.empty((n, g.b.shape[1])))
-        for g in grads.sites
-    ])
-    pred = None
-    try:
-        for s, (a_t, b_t), (h, site_out, hb, _gb) in zip(merged.sites, merged.transposed, bufs):
-            x.dot(a_t, h)
-            x.dot(weights_t[s.site_id], site_out)
-            site_out += h.dot(b_t, hb)
-            pred = site_out if pred is None else np.add(pred, site_out, pred)
-    except ValueError as exc:  # misaligned operands
-        raise DimensionError(f"x of shape {x.shape} does not fit the set: {exc}") from None
-    except KeyError as exc:
-        raise UsageError(f"unknown site {exc.args[0]!r}") from None
-    _require_sites(pred)
-    diff, loss = _residual_and_loss(pred, y, pred)
-    if not math.isfinite(loss):
-        matrix(x)  # raises UsageError on a NaN/Inf entry; finite inputs pass
-        matrix(y)
-    g_out = np.multiply(diff, 2.0 / diff.size, diff)
-    g_out_t = g_out.T
-    for s, g, (h, _site_out, _hb, gb) in zip(merged.sites, grads.sites, bufs):
-        g_out.dot(s.b, gb).T.dot(x, g.a)
-        g_out_t.dot(h, g.b)
-    return loss, grads
+    grads = merged.empty_like()
+    return make_loss_and_gradients(backbone, merged, grads, x.shape, y.shape)(x, y), grads

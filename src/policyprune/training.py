@@ -27,7 +27,7 @@ from .controller import (
     reward_from_loss,
     select_p_star,
 )
-from .errors import TrainingDivergedError, UsageError, require_positive_int
+from .errors import TrainingDivergedError, UsageError, require_positive_int, require_real
 from .masking import (  # noqa: F401 (prune_threshold: perfbench traces this binding)
     ImportanceScale,
     SparsityMask,
@@ -39,9 +39,11 @@ from .masking import (  # noqa: F401 (prune_threshold: perfbench traces this bin
     require_ratio,
     sorted_threshold,
 )
-from .optim import OptimizerState, init_optimizer, install_mask, optimizer_step_and_reset
+from .optim import OptimizerState, init_optimizer, install_mask, make_optimizer_step
+from .optim import optimizer_step_and_reset  # noqa: F401 (perfbench traces this binding)
 from .toytask import DataSplit, ToyData, ToyTaskConfig, gen_toy_data, run_stream
-from .toytask import loss_and_gradients, model_forward, mse_loss
+from .toytask import loss_and_gradients  # noqa: F401 (perfbench traces this binding)
+from .toytask import make_loss_and_gradients, model_forward, mse_loss
 
 __all__ = [
     "LoraConfig",
@@ -86,6 +88,7 @@ class LoraConfig:
 
     def __post_init__(self) -> None:
         require_positive_int("rank", self.rank)
+        require_real("alpha", self.alpha)
         if not (self.alpha > 0 and math.isfinite(self.alpha)):
             raise UsageError(f"alpha must be positive, got {self.alpha}")
 
@@ -108,6 +111,8 @@ class TrainConfig:
     early_stop_patience: int | None = 3
 
     def __post_init__(self) -> None:
+        require_real("learning_rate", self.learning_rate)
+        require_real("weight_decay", self.weight_decay)
         if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
             raise UsageError(f"learning_rate must be positive, got {self.learning_rate}")
         if not (self.weight_decay >= 0 and math.isfinite(self.weight_decay)):
@@ -176,24 +181,39 @@ def _train_loop(
     `on_epoch()` runs after each epoch and returns True to stop: phase 3's
     dev early stopping. Returns the number of steps run and whether
     `on_epoch` stopped the run.
+
+    Both halves of the step are bound when the run starts: one
+    `make_loss_and_gradients` closure per batch row count (the full batch
+    and a short last one) writing one gradient set, and one
+    `make_optimizer_step` closure, which reads the mask's coefficients at
+    every call, so a mask `on_step` installs governs the next step.
     """
     step = 0
     grads = merged.empty_like()
-    size = train_cfg.batch_size
+    size, n = train_cfg.batch_size, split.n
+    xs, ys = np.empty_like(split.x), np.empty_like(split.y)  # each epoch's shuffle
+    by_rows = {}  # one loss-and-gradients closure per batch row count
+    batches = []
+    for lo in range(0, n, size):
+        x, y = xs[lo : lo + size], ys[lo : lo + size]
+        if x.shape not in by_rows:
+            by_rows[x.shape] = make_loss_and_gradients(backbone, merged, grads, x.shape, y.shape)
+        batches.append((x, y, by_rows[x.shape]))
+    update = make_optimizer_step(merged, grads, opt)
     for _ in range(train_cfg.epochs):
-        # one shuffle draw and one gather per epoch; steps take slices
-        order = rng.permutation(split.n)
-        xs, ys = split.x[order], split.y[order]
-        for lo in range(0, split.n, size):
-            loss, grads = loss_and_gradients(
-                backbone, merged, xs[lo : lo + size], ys[lo : lo + size], out=grads
-            )
+        # one shuffle draw and one gather per epoch into the buffers the
+        # batches view
+        order = rng.permutation(n)
+        np.take(split.x, order, 0, xs)
+        np.take(split.y, order, 0, ys)
+        for x, y, loss_and_grads in batches:
+            loss = loss_and_grads(x, y)
             step += 1
             if not math.isfinite(loss):
                 raise TrainingDivergedError(
                     f"training loss became non-finite ({loss}) at step {step}"
                 )
-            optimizer_step_and_reset(merged, grads, opt)
+            update()
             if on_step is not None:
                 on_step(step)
         if on_epoch is not None and on_epoch():

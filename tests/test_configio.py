@@ -247,6 +247,29 @@ def test_integer_settings_reject_floats_and_bools(config, key, value):
     config(**{key: 2})
 
 
+@pytest.mark.parametrize("config, key, value", [
+    (LoraConfig, "alpha", 2),
+    (TrainConfig, "learning_rate", 1),
+    (TrainConfig, "weight_decay", 0),
+    (ControllerConfig, "p_max", 1),
+    (ControllerConfig, "eta", 1),
+    (ToyTaskConfig, "interference", 1),
+    (ToyTaskConfig, "noise_std", 0),
+])
+def test_real_settings_reject_bools(config, key, value):
+    # a bool passes every range check as 0 or 1, and `render_ini` would
+    # write it as a word `load_run_config` refuses; ints are real numbers
+    with pytest.raises(UsageError, match=f"{key} must be an int or a float, got True"):
+        config(**{key: True})
+    config(**{key: value})
+
+
+def test_grid_ratios_reject_bools():
+    with pytest.raises(UsageError, match="ratio must be an int or a float, got True"):
+        GridSpec(ratios=(0.1, True))
+    assert GridSpec(ratios=(0, 1)).ratios == (0, 1)
+
+
 def test_readme_ini_block_is_the_stock_config(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     path = tmp_path / "readme.ini"

@@ -103,32 +103,39 @@ def test_missing_file_is_storage_error(tmp_path):
         read_container(tmp_path / "nope.adpk")
 
 
-_DEFECTS = {  # defect -> (ranks, alphas, records kept, NaN in A)
-    "nan_factor": ({"q": 2}, {"q": 2.0}, ("q.A", "q.B"), True),
-    "missing_rank": ({}, {"q": 2.0}, ("q.A", "q.B"), False),
-    "zero_rank": ({"q": 0}, {"q": 2.0}, ("q.A", "q.B"), False),
-    "rank_mismatch": ({"q": 3}, {"q": 2.0}, ("q.A", "q.B"), False),
-    "missing_alpha": ({"q": 2}, {}, ("q.A", "q.B"), False),
-    "missing_record": ({"q": 2}, {"q": 2.0}, ("q.A",), False),
+_DEFECTS = {  # defect -> (ranks, alphas, records written, NaN in A, header sites)
+    "nan_factor": ({"q": 2}, {"q": 2.0}, ("q.A", "q.B"), True, ["q"]),
+    "missing_rank": ({}, {"q": 2.0}, ("q.A", "q.B"), False, ["q"]),
+    "zero_rank": ({"q": 0}, {"q": 2.0}, ("q.A", "q.B"), False, ["q"]),
+    "rank_mismatch": ({"q": 3}, {"q": 2.0}, ("q.A", "q.B"), False, ["q"]),
+    "missing_alpha": ({"q": 2}, {}, ("q.A", "q.B"), False, ["q"]),
+    "missing_record": ({"q": 2}, {"q": 2.0}, ("q.A",), False, ["q"]),
     # the header's JSON types are kept, so none of these is coerced to a rank
     # of 2 or an alpha of 1.0 or 4.0
-    "float_rank": ({"q": 2.7}, {"q": 2.0}, ("q.A", "q.B"), False),
-    "bool_rank": ({"q": True}, {"q": 2.0}, ("q.A", "q.B"), False),
-    "bool_alpha": ({"q": 2}, {"q": True}, ("q.A", "q.B"), False),
-    "string_alpha": ({"q": 2}, {"q": "4"}, ("q.A", "q.B"), False),
-    "alpha_past_float_range": ({"q": 2}, {"q": 10**400}, ("q.A", "q.B"), False),
+    "float_rank": ({"q": 2.7}, {"q": 2.0}, ("q.A", "q.B"), False, ["q"]),
+    "bool_rank": ({"q": True}, {"q": 2.0}, ("q.A", "q.B"), False, ["q"]),
+    "bool_alpha": ({"q": 2}, {"q": True}, ("q.A", "q.B"), False, ["q"]),
+    "string_alpha": ({"q": 2}, {"q": "4"}, ("q.A", "q.B"), False, ["q"]),
+    "alpha_past_float_range": ({"q": 2}, {"q": 10**400}, ("q.A", "q.B"), False, ["q"]),
+    # a site listed twice would add its term to every forward twice; a
+    # repeated record would let the last one win; a record no site owns
+    # would be dropped unread
+    "site_listed_twice": ({"q": 2}, {"q": 2.0}, ("q.A", "q.B"), False, ["q", "q"]),
+    "site_not_a_name": ({"q": 2}, {"q": 2.0}, ("q.A", "q.B"), False, [["q"]]),
+    "record_written_twice": ({"q": 2}, {"q": 2.0}, ("q.A", "q.A", "q.B"), False, ["q"]),
+    "record_of_no_site": ({"q": 2}, {"q": 2.0}, ("q.A", "q.B", "junk.A"), False, ["q"]),
 }
 
 
 @pytest.mark.parametrize("defect", list(_DEFECTS))
 def test_malformed_adapter_records_are_storage_errors(tmp_path, defect):
-    ranks, alphas, kept, nan = _DEFECTS[defect]
+    ranks, alphas, written, nan, sites = _DEFECTS[defect]
     a, b = np.ones((2, 3)), np.ones((4, 2))
     if nan:
         a[0, 1] = np.nan
     path = tmp_path / "bad.ckpt"
-    header = ContainerHeader(kind="merged", sites=["q"], ranks=ranks, alphas=alphas)
-    write_container(path, header, [(n, m) for n, m in (("q.A", a), ("q.B", b)) if n in kept])
+    header = ContainerHeader(kind="merged", sites=sites, ranks=ranks, alphas=alphas)
+    write_container(path, header, [(n, a if n.endswith(".A") else b) for n in written])
     with pytest.raises(StorageError) as err:
         load_merged(path)
     assert str(path) in str(err.value) and "'q'" in str(err.value)

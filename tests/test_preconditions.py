@@ -128,13 +128,18 @@ def test_r4_phase_2_refuses_its_round_budget_before_any_optimizer_step(monkeypat
     step; one round past it trains nothing, and one round at it trains the
     whole budget."""
     calls = []
-    step = training.loss_and_gradients
+    real = training.make_loss_and_gradients
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return step(*args, **kwargs)
+    def counted(*args):
+        step = real(*args)
 
-    monkeypatch.setattr(training, "loss_and_gradients", counted)
+        def wrapped(x, y):
+            calls.append(1)
+            return step(x, y)
+
+        return wrapped
+
+    monkeypatch.setattr(training, "make_loss_and_gradients", counted)
     data, merged = _merge()
     budget = training.total_steps(TrainConfig(epochs=2), SMALL.target_train_n)
 

@@ -15,6 +15,7 @@ from policyprune.toytask import (
     ToyTaskConfig,
     gen_toy_data,
     loss_and_gradients,
+    make_loss_and_gradients,
     model_forward,
     _teacher_site,
     mse_loss,
@@ -291,21 +292,28 @@ def test_loss_and_gradients_equal_the_matmul_reference_bit_for_bit(rows):
     merged = random_adapter_set(data, 16, np.random.default_rng(6))
     x, y = data.target_train.x[rows], data.target_train.y[rows]
     ref_loss, ref_grads = _matmul_loss_and_gradients(data.backbone, merged, x, y)
-    reused = merged.empty_like()
-    for out in (None, reused):
-        loss, grads = loss_and_gradients(data.backbone, merged, x, y, out=out)
-        assert loss == ref_loss
-        assert (grads.flat == ref_grads).all()
+    loss, grads = loss_and_gradients(data.backbone, merged, x, y)
+    assert loss == ref_loss
+    assert (grads.flat == ref_grads).all()
+    bound = merged.empty_like()
+    step = make_loss_and_gradients(data.backbone, merged, bound, x.shape, y.shape)
+    for _ in range(2):  # a second call overwrites every buffer with the same bits
+        assert step(x, y) == ref_loss
+        assert (bound.flat == ref_grads).all()
 
 
-def test_one_reused_out_set_across_batch_sizes_equals_the_matmul_reference():
-    """The step keeps its scratch per batch row count in the `out` set; a
-    set reused across row counts, and right after a call that raised on a
-    NaN input, still gives the reference's bits on every call."""
+def test_one_step_closure_per_row_count_equals_the_matmul_reference():
+    """The training loop binds one step closure per batch row count, all
+    writing one gradient set; closures for 1, 5 and 3 rows, called in turn
+    and right after a call that raised on a NaN input, still give the
+    reference's bits on every call, and follow the factors as they change."""
     data = gen_toy_data(ToyTaskConfig(), 5)
     merged = random_adapter_set(data, 16, np.random.default_rng(6))
     xs, ys = data.target_train.x, data.target_train.y
-    out = merged.empty_like()
+    grads = merged.empty_like()
+    steps = {rows: make_loss_and_gradients(data.backbone, merged, grads,
+                                           (rows, xs.shape[1]), (rows, ys.shape[1]))
+             for rows in (1, 3, 5)}
     lo = 0
     for rows, nan_first in ((1, False), (5, False), (1, True), (3, True), (5, False)):
         x, y = xs[lo : lo + rows], ys[lo : lo + rows]
@@ -314,13 +322,11 @@ def test_one_reused_out_set_across_batch_sizes_equals_the_matmul_reference():
             bad = x.copy()
             bad[-1, -1] = np.nan
             with np.errstate(invalid="ignore"), pytest.raises(UsageError, match="finite"):
-                loss_and_gradients(data.backbone, merged, bad, y, out=out)
+                steps[rows](bad, y)
         ref_loss, ref_grads = _matmul_loss_and_gradients(data.backbone, merged, x, y)
-        loss, grads = loss_and_gradients(data.backbone, merged, x, y, out=out)
-        assert grads is out
-        assert loss == ref_loss
+        assert steps[rows](x, y) == ref_loss
         assert (grads.flat == ref_grads).all(), rows
-    assert sorted(out.scratch) == [1, 3, 5]
+        merged.flat *= 0.75  # the closures read the factors through the set's views
 
 
 def _bad_input_sets(data):
@@ -351,6 +357,7 @@ def test_a_non_finite_input_entry_raises_before_any_gradient_is_written(bad):
     for name, merged in _bad_input_sets(data).items():
         out = merged.empty_like()
         out.flat[:] = 7.0
+        step = make_loss_and_gradients(data.backbone, merged, out, x.shape, y.shape)
         for which, arr in (("x", x), ("y", y)):
             for idx in np.ndindex(arr.shape):
                 bad_arr = arr.copy()
@@ -358,10 +365,9 @@ def test_a_non_finite_input_entry_raises_before_any_gradient_is_written(bad):
                 args = (bad_arr, y) if which == "x" else (x, bad_arr)
                 with np.errstate(invalid="ignore", over="ignore"):
                     with pytest.raises(UsageError, match="finite"):
-                        loss_and_gradients(data.backbone, merged, *args, out=out)
+                        step(*args)
                 assert (out.flat == 7.0).all(), (name, which, idx)
-        loss, _ = loss_and_gradients(data.backbone, merged, x, y, out=out)
-        assert math.isfinite(loss)
+        assert math.isfinite(step(x, y))
 
 
 def test_loss_inputs_of_the_wrong_shape_raise_dimension_errors():

@@ -182,26 +182,31 @@ def test_non_finite_loss_raises_diverged():
 
 
 def test_divergence_names_the_1_based_step(monkeypatch):
-    real = training.loss_and_gradients
+    real = training.make_loss_and_gradients
     calls = 0
 
-    def nan_on_fifth_call(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        loss, grads = real(*args, **kwargs)
-        return (math.nan if calls == 5 else loss), grads
+    def nan_on_fifth_call(*args):
+        step = real(*args)
 
-    monkeypatch.setattr(training, "loss_and_gradients", nan_on_fifth_call)
+        def wrapped(x, y):
+            nonlocal calls
+            calls += 1
+            loss = step(x, y)
+            return math.nan if calls == 5 else loss
+
+        return wrapped
+
+    monkeypatch.setattr(training, "make_loss_and_gradients", nan_on_fifth_call)
     data = gen_toy_data(SMALL, 7)
     with pytest.raises(TrainingDivergedError, match=r"at step 5$"):
         train_adapter(data.backbone, data.target_train, LORA4, TrainConfig(epochs=1), _rng(3))
 
 
 def test_the_train_loop_equals_a_hand_loop_of_fresh_gradient_sets_with_a_short_last_batch():
-    """`_train_loop` reuses one gradient set, whose step scratch is kept per
-    batch row count; at batch size 5 on 32 examples each epoch ends on a
-    2-row batch, and the parameters match a loop that allocates every
-    gradient set anew, byte for byte."""
+    """`_train_loop` binds one step closure per batch row count, all writing
+    one gradient set; at batch size 5 on 32 examples each epoch ends on a
+    2-row batch, and the parameters match a loop of the one-shot functions,
+    which allocate every gradient set anew, byte for byte."""
     data = gen_toy_data(SMALL, 7)
     split, cfg = data.target_train, TrainConfig(batch_size=5, epochs=3, learning_rate=1e-2)
     assert split.n % cfg.batch_size == 2
@@ -214,11 +219,48 @@ def test_the_train_loop_equals_a_hand_loop_of_fresh_gradient_sets_with_a_short_l
         order = rng.permutation(split.n)
         for lo in range(0, split.n, cfg.batch_size):
             rows = order[lo : lo + cfg.batch_size]
-            _loss, grads = loss_and_gradients(
-                data.backbone, by_hand, split.x[rows], split.y[rows], out=None
-            )
+            _loss, grads = loss_and_gradients(data.backbone, by_hand, split.x[rows], split.y[rows])
             optimizer_step_and_reset(by_hand, grads, opt)
     assert looped.flat.tobytes() == by_hand.flat.tobytes()
+
+
+def test_a_mask_installed_mid_run_governs_the_next_step_of_the_train_loop():
+    """The update closure reads the mask's coefficients at every call: an
+    `on_step` hook that installs a new mask every 7 steps gives the bytes of
+    a hand loop of the one-shot functions doing the same, arena and both
+    moments."""
+    data = gen_toy_data(SMALL, 7)
+    split, cfg = data.target_train, TrainConfig(batch_size=3, epochs=2, learning_rate=1e-2)
+    start = train_adapter(data.backbone, split, LORA4, TrainConfig(epochs=1), _rng(1)).adapters
+    scale = ImportanceScale(1.0)
+
+    def masked_run():
+        merged = start.copy()
+        opt = init_optimizer(merged, cfg.learning_rate, cfg.weight_decay)
+        install_mask(merged, opt, build_mask(merged, 0.1, scale))
+        return merged, opt
+
+    def reprune(merged, opt, step):
+        if step % 7 == 0:
+            install_mask(merged, opt, build_mask(merged, min(0.1 + step / 200, 0.8), scale))
+
+    looped, opt = masked_run()
+    steps, _ = training._train_loop(data.backbone, looped, split, cfg, _rng(2), opt,
+                                    on_step=lambda step: reprune(looped, opt, step))
+    by_hand, hand_opt = masked_run()
+    rng, step = _rng(2), 0
+    for _ in range(cfg.epochs):
+        order = rng.permutation(split.n)
+        for lo in range(0, split.n, cfg.batch_size):
+            rows = order[lo : lo + cfg.batch_size]
+            _loss, grads = loss_and_gradients(data.backbone, by_hand, split.x[rows], split.y[rows])
+            optimizer_step_and_reset(by_hand, grads, hand_opt)
+            step += 1
+            reprune(by_hand, hand_opt, step)
+    assert step == steps and opt.mask.kept != build_mask(start, 0.1, scale).kept
+    assert looped.flat.tobytes() == by_hand.flat.tobytes()
+    assert opt.first_moment.tobytes() == hand_opt.first_moment.tobytes()
+    assert opt.second_moment.tobytes() == hand_opt.second_moment.tobytes()
 
 
 def test_microdev_loss_matches_direct_evaluation_and_guards_empty():
