@@ -248,8 +248,8 @@ class EfficiencyComparison:
 
 
 def compare_efficiency(
-    task_cfg: ToyTaskConfig,
-    lora_cfg: LoraConfig,
+    data: ToyData,
+    merged_init: MergedAdapterSet,
     train_cfg: TrainConfig,
     controller_cfg: ControllerConfig,
     seed: int,
@@ -258,7 +258,8 @@ def compare_efficiency(
 ) -> EfficiencyComparison:
     """Time the 2-run policy pipeline against the full grid on one host.
 
-    Both arms start from the same trained merge and run serialized in this
+    Both arms start from the caller's data and phase-1 merge (see
+    `train_and_merge`), which neither modifies, and run serialized in this
     process. The passes interleave (policy, grid, policy, grid, …), so a
     drift in host speed hits both arms alike. Each arm's wall clock is the
     best of its `repeats` passes (the standard way to time under scheduler
@@ -273,9 +274,7 @@ def compare_efficiency(
         )
     require_positive_int("repeats", repeats)
     grid = grid or GridSpec()
-    data = gen_toy_data(task_cfg, seed)
     scale = run_scale(data, controller_cfg)
-    _source, _target, merged_init = train_and_merge(data, lora_cfg, train_cfg, seed)
 
     grasp_seconds, grid_seconds = [], []
     for _ in range(repeats):

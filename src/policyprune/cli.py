@@ -16,11 +16,12 @@ and finishes by writing ``manifest.json`` — the marker that the phase
 completed — recording the seed, the resolved-config content hash, the
 SHA-256 of every file the phase wrote, and the parent file it consumed. A
 phase directory with content is never overwritten without ``--force``.
-Downstream phases refuse to run when their parent was produced under a
-different config hash or its file no longer matches the parent manifest;
-they run at the parent's seed, which ``--seed`` may only repeat, and
-``finalize`` reads ``p_star`` from ``--p-star`` or a completed controller
-phase. No artifact carries a timestamp or the output root, so a rerun at
+Downstream phases refuse a parent produced under another config hash or
+whose file no longer matches its manifest, and run at its seed, which
+``--seed`` may only repeat. All but ``ablate`` start from the verified merged
+checkpoint; a controller file (``finalize``'s ``p_star`` unless ``--p-star``
+is given, ``report``'s round log) counts only if it was learned on that
+merge. No artifact carries a timestamp or the output root, so a rerun at
 the same seed reproduces every byte under any root, but for ``report``'s
 wall-clock ``runtime.csv``, ``report.txt`` and so its ``manifest.json``.
 
@@ -160,7 +161,7 @@ def _verified_parent(root: Path, command: str, name: str, chash: str,
     the same config hash, the same seed (when `seed` is not None) and the
     bytes the manifest recorded. A mismatched hash or seed exits 2.
 
-    Returns (path, parent_seed, parent_record_for_manifest).
+    Returns (path, parent_manifest, parent_record_for_manifest).
     """
     man = _read_manifest(root, command)
     if man["config_hash"] != chash:
@@ -184,19 +185,29 @@ def _verified_parent(root: Path, command: str, name: str, chash: str,
             f"(file corrupted or edited); rerun {command}"
         )
     parent = {"path": f"{PHASE_DIRS[command]}/{name}", "sha256": actual}
-    return path, man["seed"], parent
+    return path, man, parent
 
 
-def _from_merge(cfg: RunConfig, args):
-    """The start of controller, finalize and grid: the config hash, the
-    verified merged-init checkpoint with its parent record, the merge's seed
-    (which --seed may only repeat) and that seed's task data."""
+def _from_merge(cfg: RunConfig, seed: int | None):
+    """The start of controller, finalize, grid and report: the config hash,
+    the verified merged-init checkpoint with its parent record, the merge's
+    seed (which `seed`, when not None, must equal) and that seed's task data."""
     chash = config_hash(cfg)
-    ckpt, seed, parent = _verified_parent(
-        Path(cfg.out), "train-adapters", "merged_init.ckpt", chash, args.seed
+    ckpt, man, parent = _verified_parent(
+        Path(cfg.out), "train-adapters", "merged_init.ckpt", chash, seed
     )
     merged_init, _header = load_merged(ckpt)
-    return chash, merged_init, parent, seed, gen_toy_data(cfg.task, seed)
+    return chash, merged_init, parent, man["seed"], gen_toy_data(cfg.task, man["seed"])
+
+
+def _require_same_merge(controller_manifest: dict, merge_parent: dict) -> None:
+    """A controller phase's files hold only for the merge it learned on: its
+    manifest's parent must be `merge_parent`, the current merge's record."""
+    if controller_manifest.get("parent") != merge_parent:
+        raise StorageError(
+            "lineage mismatch: the controller phase learned on another merge than "
+            "the train-adapters phase's current merged_init.ckpt; rerun controller"
+        )
 
 
 # --- subcommands -------------------------------------------------------------
@@ -221,7 +232,7 @@ def cmd_train_adapters(cfg: RunConfig, args) -> int:
 
 
 def cmd_controller(cfg: RunConfig, args) -> int:
-    chash, merged_init, parent, seed, data = _from_merge(cfg, args)
+    chash, merged_init, parent, seed, data = _from_merge(cfg, args.seed)
     d = _claim_phase_dir(cfg, "controller", args.force, (seed,))
     log_path = d / "rounds.jsonl"
     policy = policy_phase(
@@ -242,14 +253,16 @@ def cmd_controller(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _resolve_p_star(root: Path, chash: str, seed: int, args) -> tuple[float, str]:
+def _resolve_p_star(root: Path, chash: str, seed: int, merge_parent: dict,
+                    args) -> tuple[float, str]:
     """--p-star, else the p_star file of a completed controller phase run
-    under this config at this seed."""
+    under this config at this seed on the merge `merge_parent` records."""
     if args.p_star is not None:
         return float(args.p_star), "flag"
     manifest = _phase_dir(root, "controller") / "manifest.json"
     _require_upstream(manifest, "controller", " or pass --p-star")
-    path, _seed, _parent = _verified_parent(root, "controller", "p_star.json", chash, seed)
+    path, man, _parent = _verified_parent(root, "controller", "p_star.json", chash, seed)
+    _require_same_merge(man, merge_parent)
     try:
         return float(json.loads(path.read_text(encoding="utf-8"))["p_star"]), "file"
     except (OSError, ValueError, KeyError, TypeError) as exc:  # ValueError: bad JSON
@@ -257,8 +270,8 @@ def _resolve_p_star(root: Path, chash: str, seed: int, args) -> tuple[float, str
 
 
 def cmd_finalize(cfg: RunConfig, args) -> int:
-    chash, merged_init, parent, seed, data = _from_merge(cfg, args)
-    p_star, p_star_source = _resolve_p_star(Path(cfg.out), chash, seed, args)
+    chash, merged_init, parent, seed, data = _from_merge(cfg, args.seed)
+    p_star, p_star_source = _resolve_p_star(Path(cfg.out), chash, seed, parent, args)
     require_p_star_in_range(p_star, cfg.controller.p_min, cfg.controller.p_max, p_star_source)
     d = _claim_phase_dir(cfg, "finalize", args.force, (seed,))
     fin = final_phase(data, merged_init, p_star, cfg.controller, cfg.training, seed)
@@ -290,7 +303,7 @@ def cmd_finalize(cfg: RunConfig, args) -> int:
 
 
 def cmd_grid(cfg: RunConfig, args) -> int:
-    chash, merged_init, parent, seed, data = _from_merge(cfg, args)
+    chash, merged_init, parent, seed, data = _from_merge(cfg, args.seed)
     d = _claim_phase_dir(cfg, "grid", args.force, (seed,))
     outcome = grid_search(
         data.backbone, merged_init, data.target_train, data.dev,
@@ -327,11 +340,11 @@ def cmd_ablate(cfg: RunConfig, args) -> int:
 
 
 def cmd_report(cfg: RunConfig, args) -> int:
-    root = Path(cfg.out)
-    chash = config_hash(cfg)
-    log_path, seed, parent = _verified_parent(
-        root, "controller", "rounds.jsonl", chash, args.seed
+    log_path, ctrl, parent = _verified_parent(
+        Path(cfg.out), "controller", "rounds.jsonl", config_hash(cfg), args.seed
     )
+    chash, merged_init, merge_parent, seed, data = _from_merge(cfg, ctrl["seed"])
+    _require_same_merge(ctrl, merge_parent)
     records = read_round_log(log_path)
     d = _claim_phase_dir(cfg, "report", args.force, (seed,))
     series = rolling_pcurr(records)
@@ -340,7 +353,7 @@ def cmd_report(cfg: RunConfig, args) -> int:
     # the full step budget, so early stopping is disabled for timing only
     timing_train = dataclasses.replace(cfg.training, early_stop_patience=None)
     comp = compare_efficiency(
-        cfg.task, cfg.lora, timing_train, cfg.controller, seed,
+        data, merged_init, timing_train, cfg.controller, seed,
         grid=cfg.grid, repeats=args.repeats,
     )
     write_runtime_csv(d / "runtime.csv", comp)
@@ -414,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("report", parents=[common],
-                       help="runtime comparison and rolling ratio series")
+                       help="rolling ratio series and runtime comparison from the merge")
     p.add_argument("--repeats", type=_at_least_one, default=3,
                    help="timing passes per arm, interleaved; each arm's best is reported")
     p.set_defaults(func=cmd_report)

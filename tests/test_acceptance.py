@@ -58,6 +58,7 @@ from policyprune.training import (
     run_pipeline,
     sparsity_policy_learning,
     train_adapter,
+    train_and_merge,
 )
 
 from landscapes import microdev_noise, narrow_optimum_env
@@ -426,8 +427,10 @@ def test_criterion_08_two_runs_beat_the_grid_budget():
     cfg = _stock()
     train = dataclasses.replace(cfg.training, early_stop_patience=None)
     t0 = perf_counter()
+    data = gen_toy_data(cfg.task, cfg.seed)
+    _source, _target, merged = train_and_merge(data, cfg.lora, train, cfg.seed)
     comp = compare_efficiency(
-        cfg.task, cfg.lora, train, cfg.controller, cfg.seed,
+        data, merged, train, cfg.controller, cfg.seed,
         grid=cfg.grid, repeats=3,
     )
     elapsed = perf_counter() - t0

@@ -64,6 +64,12 @@ def _trained_merge(data, train_cfg, seed):
     return merge_adapter_sets([src.adapters, tgt.adapters], data.backbone.site_ids())
 
 
+def small_phase1(train_cfg, seed):
+    """`SMALL`'s data at `seed` and its phase-1 merge, as a run hands them on."""
+    data = gen_toy_data(SMALL, seed)
+    return data, train_and_merge(data, LORA4, train_cfg, seed)[2]
+
+
 def test_grid_spec_validation():
     assert len(GridSpec().ratios) == 8
     with pytest.raises(UsageError):
@@ -243,7 +249,7 @@ def test_noprune_baselines_reference_points(batch_size, patience, lr):
 
 def test_efficiency_comparison_step_accounting_is_exact():
     cfg = TrainConfig(epochs=2, early_stop_patience=None)
-    comp = compare_efficiency(SMALL, LORA4, cfg, CTRL8, 3, repeats=1)
+    comp = compare_efficiency(*small_phase1(cfg, 3), cfg, CTRL8, 3, repeats=1)
     assert comp.step_speedup == 4.0  # 8 grid runs / 2 policy runs, exactly
     assert comp.grasp.run_count == 2
     assert comp.grid.run_count == 8
@@ -268,7 +274,7 @@ def test_efficiency_comparison_reports_median_and_spread_per_arm(monkeypatch):
     monkeypatch.setattr(baselines, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
     cfg = TrainConfig(epochs=1, early_stop_patience=None)
     comp = compare_efficiency(
-        SMALL, LORA4, cfg, CTRL8, 3, grid=GridSpec(ratios=(0.2, 0.4)), repeats=3
+        *small_phase1(cfg, 3), cfg, CTRL8, 3, grid=GridSpec(ratios=(0.2, 0.4)), repeats=3
     )
     got = [(r.seconds, r.median_seconds, r.spread_seconds, r.speedup)
            for r in (comp.grasp, comp.grid)]
@@ -280,19 +286,38 @@ def test_efficiency_comparison_reports_median_and_spread_per_arm(monkeypatch):
 def test_efficiency_comparison_with_half_grid_is_two_fold():
     cfg = TrainConfig(epochs=1, early_stop_patience=None)
     comp = compare_efficiency(
-        SMALL, LORA4, cfg, CTRL8, 3,
+        *small_phase1(cfg, 3), cfg, CTRL8, 3,
         grid=GridSpec(ratios=(0.2, 0.4, 0.6, 0.8)), repeats=1,
     )
     assert comp.step_speedup == 2.0
 
 
 def test_efficiency_comparison_guards():
+    data, merged = small_phase1(TrainConfig(), 3)
     with pytest.raises(UsageError):
         compare_efficiency(
-            SMALL, LORA4, TrainConfig(early_stop_patience=3), CTRL8, 3
+            data, merged, TrainConfig(early_stop_patience=3), CTRL8, 3
         )
     with pytest.raises(UsageError):
-        compare_efficiency(SMALL, LORA4, TrainConfig(), CTRL8, 3, repeats=0)
+        compare_efficiency(data, merged, TrainConfig(), CTRL8, 3, repeats=0)
+
+
+def test_efficiency_comparison_times_the_callers_merge(monkeypatch):
+    """Both arms start from the caller's phase 1: the comparison generates no
+    data and trains no adapter, and leaves the merge it was given alone."""
+    cfg = TrainConfig(epochs=1, early_stop_patience=None)
+    data, merged = small_phase1(cfg, 3)
+    before = merged.checksum()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("compare_efficiency redid phase 1")
+
+    monkeypatch.setattr(baselines, "gen_toy_data", refuse)
+    monkeypatch.setattr(baselines, "train_and_merge", refuse)
+    comp = compare_efficiency(data, merged, cfg, CTRL8, 3,
+                              grid=GridSpec(ratios=(0.2, 0.4)), repeats=1)
+    assert comp.step_speedup == 1.0
+    assert merged.checksum() == before
 
 
 @pytest.fixture(scope="module")
@@ -376,10 +401,8 @@ def test_csv_writers_round_trip(tmp_path):
     assert len(rows) == 3
     assert float(rows[1][1]) == out.points[0].dev_loss
 
-    comp = compare_efficiency(
-        SMALL, LORA4, TrainConfig(epochs=1, early_stop_patience=None),
-        CTRL8, 5, repeats=1,
-    )
+    timing = TrainConfig(epochs=1, early_stop_patience=None)
+    comp = compare_efficiency(*small_phase1(timing, 5), timing, CTRL8, 5, repeats=1)
     q = tmp_path / "runtime.csv"
     write_runtime_csv(q, comp)
     rows = list(csv.reader(q.open()))

@@ -9,7 +9,7 @@ import pytest
 
 from policyprune import cli, training
 from policyprune.configio import load_run_config, render_ini
-from policyprune.container import load_merged
+from policyprune.container import load_merged, save_merged
 from policyprune.controller import read_round_log
 from policyprune.errors import TrainingDivergedError
 from policyprune.serialize import sha256_file
@@ -57,15 +57,17 @@ def digests(d: Path) -> dict[str, str]:
 
 def vouch_p_star(out: Path, text: str, **manifest) -> None:
     """A controller phase of `text` as its p_star.json, with a manifest that
-    vouches for those bytes at the merge's seed and config hash unless
-    `manifest` sets other fields."""
+    vouches for those bytes at the merge's seed and config hash, learned on
+    the merge as its parent record, unless `manifest` sets other fields."""
     ctrl = out / "controller"
     ctrl.mkdir()
     (ctrl / "p_star.json").write_text(text)
     merge = read_json(out / "adapters" / "manifest.json")
+    parent = {"path": "adapters/merged_init.ckpt",
+              "sha256": merge["files"]["merged_init.ckpt"]}
     (ctrl / "manifest.json").write_text(json.dumps({
         "phase": "controller", "seed": merge["seed"],
-        "config_hash": merge["config_hash"], "parent": None,
+        "config_hash": merge["config_hash"], "parent": parent,
         "files": {"p_star.json": sha256_file(ctrl / "p_star.json")}, **manifest,
     }))
 
@@ -232,6 +234,65 @@ def test_report_refuses_a_round_log_its_manifest_does_not_match(chain, capsys, t
                    "--repeats", "1") == 3
     assert "does not match" in capsys.readouterr().err
     assert not (out / "report").exists()
+
+
+def test_report_refuses_a_merged_checkpoint_its_manifest_does_not_match(
+    chain, capsys, tmp_path
+):
+    """Report times both arms from the chain's merge, so it checks that
+    checkpoint's bytes as controller, finalize and grid do."""
+    ini, src_out = chain
+    out = tmp_path / "out"
+    shutil.copytree(src_out, out, ignore=shutil.ignore_patterns("report"))
+    ckpt = out / "adapters" / "merged_init.ckpt"
+    blob = bytearray(ckpt.read_bytes())
+    blob[-1] ^= 0xFF
+    ckpt.write_bytes(bytes(blob))
+    assert run_cli("report", "--config", str(ini), "--out", str(out),
+                   "--repeats", "1") == 3
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and "does not match" in err
+    assert not (out / "report").exists()
+
+
+def remerge(out: Path) -> None:
+    """Replace the merged checkpoint with a rescaled merge and re-hash it in
+    the adapters manifest, as a train-adapters rerun under another program
+    version would leave it: a valid phase 1 that no controller learned on."""
+    d = out / "adapters"
+    ckpt = d / "merged_init.ckpt"
+    merged, header = load_merged(ckpt)
+    merged.flat *= 1.5
+    save_merged(ckpt, merged, kind=header.kind, seed=header.seed,
+                config_hash=header.config_hash)
+    man = read_json(d / "manifest.json")
+    man["files"]["merged_init.ckpt"] = sha256_file(ckpt)
+    (d / "manifest.json").write_text(json.dumps(man))
+
+
+@pytest.mark.parametrize("command, flags, phase_dir", [
+    ("finalize", (), "final"),
+    ("report", ("--repeats", "1"), "report"),
+])
+def test_a_controller_phase_learned_on_another_merge_exits_3_and_claims_nothing(
+    chain, capsys, tmp_path, command, flags, phase_dir
+):
+    """The controller's p_star and round log hold for the merge it learned on;
+    once train-adapters holds another one, finalize and report refuse them,
+    while finalize --p-star, which reads no controller file, still runs."""
+    ini, src_out = chain
+    out = tmp_path / "out"
+    for phase in ("adapters", "controller"):
+        shutil.copytree(src_out / phase, out / phase)
+    remerge(out)
+    assert run_cli(command, "--config", str(ini), "--out", str(out), *flags) == 3
+    err = capsys.readouterr().err
+    assert "controller phase learned on another merge" in err
+    assert "train-adapters" in err and "rerun controller" in err
+    assert not (out / phase_dir).exists()
+    if command == "finalize":
+        assert run_cli(command, "--config", str(ini), "--out", str(out),
+                       "--p-star", "0.3") == 0
 
 
 def test_rerun_without_force_is_refused_then_reruns_byte_identically(fresh):

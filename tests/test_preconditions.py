@@ -39,7 +39,7 @@ from policyprune.training import (
     pool_map,
     sparsity_policy_learning,
 )
-from test_baselines import LORA4, SMALL
+from test_baselines import LORA4, SMALL, small_phase1
 from test_cli import SMALL_INI, run_cli, vouch_p_star
 
 
@@ -207,7 +207,8 @@ def test_r8_the_shape_mismatch_text_is_the_same_from_the_loss_and_the_step():
     ("n", lambda: gen_toy_data(SMALL, 1).microdev.head(2.5)),
     ("workers", lambda: pool_map(abs, [-1, -2], True)),
     ("repeats", lambda: compare_efficiency(
-        SMALL, LORA4, TrainConfig(epochs=1, early_stop_patience=None),
+        *small_phase1(TrainConfig(epochs=1), 1),
+        TrainConfig(epochs=1, early_stop_patience=None),
         ControllerConfig(microdev_n=8), 1, repeats=1.0)),
 ], ids=["adapter-rank-true", "head-true", "head-float", "pool-workers-true",
         "efficiency-repeats-float"])
