@@ -47,7 +47,6 @@ __all__ = [
     "MicrodevCell",
     "REGULARIZER_SWEEP",
     "MICRODEV_SIZES",
-    "REFERENCE_SPEEDUP_BAND",
     "grid_run_rng",
     "grid_search",
     "run_noprune_baselines",
@@ -63,10 +62,6 @@ __all__ = [
     "write_microdev_csv",
     "write_rolling_csv",
 ]
-
-# Wall-clock band observed on the reference full-scale runs, printed next to
-# every local measurement for context.
-REFERENCE_SPEEDUP_BAND = "3.90× to 7.45×"
 
 # (anchoring weight, exploration offset) cells of the regularizer ablation.
 REGULARIZER_SWEEP: tuple[tuple[float, float], ...] = (
@@ -145,8 +140,8 @@ def grid_search(
     scale: ImportanceScale,
     train_cfg: TrainConfig,
     seed: int,
-    grid: GridSpec | None = None,
-    test: DataSplit | None = None,
+    grid: GridSpec,
+    test: DataSplit,
     workers: int = 1,
 ) -> GridOutcome:
     """One full prune-then-train run per ratio; best = lowest dev loss.
@@ -155,9 +150,9 @@ def grid_search(
     config; only the fixed prune ratio differs. A diverging cell is kept in
     the table as failed and excluded from the argmin. Ties go to the
     smaller ratio. `workers` > 1 spreads the independent cells over a
-    process pool without changing any result.
+    process pool without changing any result. Each row reports the cell's
+    loss on `test` as well.
     """
-    grid = grid or GridSpec()
     cells = [
         (backbone, merged_init, p, i, target_train, dev, scale, train_cfg, seed, test)
         for i, p in enumerate(grid.ratios)
@@ -253,8 +248,8 @@ def compare_efficiency(
     train_cfg: TrainConfig,
     controller_cfg: ControllerConfig,
     seed: int,
-    grid: GridSpec | None = None,
-    repeats: int = 3,
+    grid: GridSpec,
+    repeats: int,
 ) -> EfficiencyComparison:
     """Time the 2-run policy pipeline against the full grid on one host.
 
@@ -264,16 +259,12 @@ def compare_efficiency(
     drift in host speed hits both arms alike. Each arm's wall clock is the
     best of its `repeats` passes (the standard way to time under scheduler
     noise), reported with the median and spread of the passes; the work is
-    deterministic, so repeats change nothing but the clock. Early stopping
-    must be off so every run spends an identical step budget.
+    deterministic, so repeats change nothing but the clock. It is a
+    fixed-budget measurement: every run of both arms spends its full step
+    budget, whatever early stopping `train_cfg` sets.
     """
-    if train_cfg.early_stop_patience is not None:
-        raise UsageError(
-            "the efficiency comparison needs identical per-run budgets; "
-            "disable early stopping"
-        )
     require_positive_int("repeats", repeats)
-    grid = grid or GridSpec()
+    train_cfg = replace(train_cfg, early_stop_patience=None)
     scale = run_scale(data, controller_cfg)
 
     grasp_seconds, grid_seconds = [], []
@@ -298,7 +289,7 @@ def compare_efficiency(
 
 
 def format_runtime_table(comp: EfficiencyComparison) -> str:
-    """Human-readable block for the runtime comparison, with the reference band."""
+    """Human-readable block for the runtime comparison."""
     lines = [
         f"{'method':<8} {'dataset':<16} {'runs':>4} {'steps':>8} {'runtime_s':>10} "
         f"{'median_s':>9} {'spread_s':>9} {'speedup':>8}",
@@ -311,8 +302,7 @@ def format_runtime_table(comp: EfficiencyComparison) -> str:
         )
     lines.append(
         f"optimizer-step speedup {comp.step_speedup:.1f}×; "
-        f"wall-clock speedup {comp.grasp.speedup:.2f}× on this host "
-        f"(reference band {REFERENCE_SPEEDUP_BAND} on the full-scale runs)"
+        f"wall-clock speedup {comp.grasp.speedup:.2f}× on this host"
     )
     lines.append("timed serialized on one host: yes")
     return "\n".join(lines)

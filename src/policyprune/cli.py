@@ -349,11 +349,8 @@ def cmd_report(cfg: RunConfig, args) -> int:
     d = _claim_phase_dir(cfg, "report", args.force, (seed,))
     series = rolling_pcurr(records)
     write_rolling_csv(d / "rolling.csv", series)
-    # the runtime comparison is a fixed-budget measurement: both arms run
-    # the full step budget, so early stopping is disabled for timing only
-    timing_train = dataclasses.replace(cfg.training, early_stop_patience=None)
     comp = compare_efficiency(
-        data, merged_init, timing_train, cfg.controller, seed,
+        data, merged_init, cfg.training, cfg.controller, seed,
         grid=cfg.grid, repeats=args.repeats,
     )
     write_runtime_csv(d / "runtime.csv", comp)

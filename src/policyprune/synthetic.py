@@ -61,7 +61,7 @@ class SyntheticEnv:
 def quadratic_env(
     rng: np.random.Generator,
     p_target: float,
-    noise_std: float = 0.01,
+    noise_std: float,
 ) -> SyntheticEnv:
     """Single planted optimum: clean reward -(p - p_target)^2."""
     return SyntheticEnv(
@@ -75,7 +75,7 @@ def run_synthetic(
     cfg: ControllerConfig,
     env: SyntheticEnv,
     seed: int,
-    rounds: int = 100,
+    rounds: int,
 ) -> tuple[list[ControllerRecord], float]:
     """Drive the controller against an oracle for a fixed number of rounds.
 

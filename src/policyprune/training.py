@@ -500,13 +500,13 @@ def sparsity_policy_learning(
     train_cfg: TrainConfig,
     rng_train: np.random.Generator,
     rng_policy: np.random.Generator,
-    on_round=None,
+    on_round,
 ) -> PolicyLearningResult:
     """Phase 2: fine-tune under the committed mask, one controller round
     every `round_every` steps, and select p_star from the round log.
 
     `merged_init` is never modified; the phase trains a copy.
-    `on_round`, if given, is called with each record as soon as its round
+    `on_round`, unless None, is called with each record as soon as its round
     finishes — the hook that lets callers persist an append-only log that
     stays valid even when the run is cut short. The phase never stops
     early, so a round interval past its step budget fails before any step.
@@ -564,11 +564,14 @@ def require_p_star_in_range(p_star: float, p_min: float, p_max: float, source: s
 
 @dataclass
 class FinalRunResult:
+    """Phase 3's pruned model, its mask and its step count, with its dev and
+    test losses after the last epoch run."""
+
     merged: MergedAdapterSet
     mask: SparsityMask
     steps_run: int
     dev_loss: float
-    test_loss: float | None
+    test_loss: float
     stopped_early: bool
 
 
@@ -583,14 +586,14 @@ def final_prune_finetune(
     rng: np.random.Generator,
     p_min: float,
     p_max: float,
-    test: DataSplit | None = None,
+    test: DataSplit,
 ) -> FinalRunResult:
     """Phase 3: restart from the pre-controller merge, mask once, train.
 
     The mask is built at p_star from the merged initialization and never
     rebuilt. Early stopping watches the dev split at each epoch end (the dev
     split must be disjoint from the controller's micro-dev slice; the data
-    generator guarantees this).
+    generator guarantees this). The trained model is then scored on `test`.
     """
     require_p_star_in_range(p_star, p_min, p_max, "argument")
     merged, opt = _masked_start(merged_init, p_star, scale, train_cfg)
@@ -607,13 +610,12 @@ def final_prune_finetune(
         backbone, merged, target_train, train_cfg, rng, opt,
         on_epoch=early_stop_hook,
     )
-    test_loss = microdev_loss(backbone, merged, test) if test is not None else None
     return FinalRunResult(
         merged=merged,
         mask=opt.mask,
         steps_run=steps,
         dev_loss=dev_history[-1],
-        test_loss=test_loss,
+        test_loss=microdev_loss(backbone, merged, test),
         stopped_early=stopped,
     )
 

@@ -122,7 +122,7 @@ def test_every_merged_set_is_one_arena_of_views(tmp_path):
         sites=tuple((sid, rng.normal(size=(3, 5))) for sid in ("q", "v"))
     )
     fresh = init_adapter_factors(backbone, LoraConfig(rank=2), rng)
-    save_merged(tmp_path / "m.ckpt", merged)
+    save_merged(tmp_path / "m.ckpt", merged, kind="merged", seed=None)
     loaded, _ = load_merged(tmp_path / "m.ckpt")
     unpickled = pickle.loads(pickle.dumps(merged))
     assert unpickled.checksum() == merged.checksum()

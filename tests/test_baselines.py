@@ -10,7 +10,6 @@ import policyprune.baselines as baselines
 from policyprune.adapters import merge_adapter_sets
 from policyprune.baselines import (
     MICRODEV_SIZES,
-    REFERENCE_SPEEDUP_BAND,
     REGULARIZER_SWEEP,
     EfficiencyComparison,
     GridSpec,
@@ -39,6 +38,7 @@ from policyprune.training import (
     microdev_loss,
     pipeline_rngs,
     run_pipeline,
+    run_scale,
     train_adapter,
     train_and_merge,
 )
@@ -88,7 +88,8 @@ def test_default_grid_trains_exactly_eight_runs():
     merged = _trained_merge(data, cfg, 5)
     scale = estimate_scale(data.microdev.x)
     out = grid_search(
-        data.backbone, merged, data.target_train, data.dev, scale, cfg, 5
+        data.backbone, merged, data.target_train, data.dev, scale, cfg, 5,
+        grid=GridSpec(), test=data.test,
     )
     assert len(out.points) == 8
     assert [pt.p for pt in out.points] == list(GridSpec().ratios)
@@ -126,7 +127,8 @@ def test_grid_prefers_lightest_pruning_when_all_pruning_harms():
     merged = _trained_merge(data, cfg, 1337)
     scale = estimate_scale(data.microdev.x)
     out = grid_search(
-        data.backbone, merged, data.target_train, data.dev, scale, cfg, 1337
+        data.backbone, merged, data.target_train, data.dev, scale, cfg, 1337,
+        grid=GridSpec(), test=data.test,
     )
     assert out.best.p == 0.10
     devs = [pt.dev_loss for pt in out.points]
@@ -148,7 +150,7 @@ def test_grid_ties_resolve_to_the_smaller_ratio(monkeypatch):
     )
     out = grid_search(
         None, None, None, None, None, TrainConfig(), 0,
-        grid=GridSpec(ratios=(0.2, 0.4, 0.6, 0.8)),
+        grid=GridSpec(ratios=(0.2, 0.4, 0.6, 0.8)), test=None,
     )
     assert out.best.p == 0.4  # 0.4 and 0.6 tie; the smaller ratio wins
 
@@ -168,7 +170,7 @@ def test_grid_excludes_diverged_cells_from_the_argmin(monkeypatch):
     monkeypatch.setattr(baselines, "final_prune_finetune", fake_run)
     out = grid_search(
         None, None, None, None, None, TrainConfig(), 0,
-        grid=GridSpec(ratios=(0.2, 0.4, 0.6)),
+        grid=GridSpec(ratios=(0.2, 0.4, 0.6)), test=None,
     )
     assert out.points[0].failed and out.points[0].dev_loss is None
     assert out.best.p == 0.6
@@ -180,7 +182,7 @@ def test_grid_excludes_diverged_cells_from_the_argmin(monkeypatch):
     with pytest.raises(NumericalError):
         grid_search(
             None, None, None, None, None, TrainConfig(), 0,
-            grid=GridSpec(ratios=(0.2, 0.4)),
+            grid=GridSpec(ratios=(0.2, 0.4)), test=None,
         )
 
 
@@ -249,7 +251,7 @@ def test_noprune_baselines_reference_points(batch_size, patience, lr):
 
 def test_efficiency_comparison_step_accounting_is_exact():
     cfg = TrainConfig(epochs=2, early_stop_patience=None)
-    comp = compare_efficiency(*small_phase1(cfg, 3), cfg, CTRL8, 3, repeats=1)
+    comp = compare_efficiency(*small_phase1(cfg, 3), cfg, CTRL8, 3, grid=GridSpec(), repeats=1)
     assert comp.step_speedup == 4.0  # 8 grid runs / 2 policy runs, exactly
     assert comp.grasp.run_count == 2
     assert comp.grid.run_count == 8
@@ -263,7 +265,6 @@ def test_efficiency_comparison_step_accounting_is_exact():
     table = format_runtime_table(comp)
     assert table.endswith("\ntimed serialized on one host: yes")
     assert "median_s" in table and "spread_s" in table
-    assert REFERENCE_SPEEDUP_BAND in table
     assert "4.0×" in table
     assert "policy" in table and "grid" in table
 
@@ -295,11 +296,25 @@ def test_efficiency_comparison_with_half_grid_is_two_fold():
 def test_efficiency_comparison_guards():
     data, merged = small_phase1(TrainConfig(), 3)
     with pytest.raises(UsageError):
-        compare_efficiency(
-            data, merged, TrainConfig(early_stop_patience=3), CTRL8, 3
-        )
-    with pytest.raises(UsageError):
-        compare_efficiency(data, merged, TrainConfig(), CTRL8, 3, repeats=0)
+        compare_efficiency(data, merged, TrainConfig(), CTRL8, 3, grid=GridSpec(), repeats=0)
+
+
+def test_efficiency_comparison_runs_every_run_at_full_budget():
+    """Early stopping in the config moves no step count: both arms spend
+    the same budget as with early stopping off."""
+    stopping = TrainConfig(epochs=2, early_stop_patience=1, learning_rate=3e-2)
+    data, merged = small_phase1(TrainConfig(epochs=2), 3)
+    alone = grid_search(
+        data.backbone, merged, data.target_train, data.dev, run_scale(data, CTRL8),
+        stopping, 3, grid=GridSpec(), test=data.test,
+    )
+    assert alone.total_steps == 8 * 32  # outside the comparison every cell stops early
+    comps = [
+        compare_efficiency(data, merged, cfg, CTRL8, 3, grid=GridSpec(), repeats=1)
+        for cfg in (stopping, TrainConfig(epochs=2, early_stop_patience=None, learning_rate=3e-2))
+    ]
+    assert [(c.grasp.total_steps, c.grid.total_steps) for c in comps] == [(2 * 64, 8 * 64)] * 2
+    assert comps[0].step_speedup == 4.0
 
 
 def test_efficiency_comparison_times_the_callers_merge(monkeypatch):
@@ -402,7 +417,8 @@ def test_csv_writers_round_trip(tmp_path):
     assert float(rows[1][1]) == out.points[0].dev_loss
 
     timing = TrainConfig(epochs=1, early_stop_patience=None)
-    comp = compare_efficiency(*small_phase1(timing, 5), timing, CTRL8, 5, repeats=1)
+    comp = compare_efficiency(*small_phase1(timing, 5), timing, CTRL8, 5,
+                              grid=GridSpec(), repeats=1)
     q = tmp_path / "runtime.csv"
     write_runtime_csv(q, comp)
     rows = list(csv.reader(q.open()))

@@ -40,3 +40,12 @@ def test_a_missing_file_is_a_difference(trees):
     parent, change = trees
     (change / "grid.csv").unlink()
     assert chain_diff.tree_diff(parent, change) == ["only in parent: grid.csv"]
+
+
+def test_only_the_report_wall_clock_files_may_differ(trees):
+    parent, change = trees
+    for root, text in ((parent, b"0.912\n"), (change, b"0.874\n")):
+        (root / "report").mkdir()
+        (root / "report" / "report.txt").write_bytes(text)
+        (root / "report" / "rolling.csv").write_bytes(text)
+    assert chain_diff.tree_diff(parent, change) == ["differs: report/rolling.csv"]

@@ -37,7 +37,7 @@ def test_values_survive_exactly(tmp_path):
     rng = np.random.default_rng(1337)
     ads = _adapters(rng)
     path = tmp_path / "c.adpk"
-    save_merged(path, ads, kind="target")
+    save_merged(path, ads, kind="target", seed=None)
     loaded, header = load_merged(path)
     assert header.kind == "target"
     assert header.sites == ["q", "v"]
@@ -59,7 +59,7 @@ def test_merged_round_trip_preserves_checksum(tmp_path):
         ]
     )
     path = tmp_path / "m.adpk"
-    save_merged(path, merged, seed=7, config_hash="00" * 32)
+    save_merged(path, merged, kind="merged", seed=7, config_hash="00" * 32)
     back, header = load_merged(path)
     assert back.checksum() == merged.checksum()
     assert header.kind == "merged"
@@ -81,7 +81,7 @@ def test_rejects_bad_magic(tmp_path):
 def test_rejects_truncation(tmp_path):
     rng = np.random.default_rng(3)
     path = tmp_path / "t.adpk"
-    save_merged(path, _adapters(rng), kind="source")
+    save_merged(path, _adapters(rng), kind="source", seed=None)
     whole = path.read_bytes()
     for cut in (len(MAGIC) + 4, len(whole) // 2, len(whole) - 5):
         path.write_bytes(whole[:cut])
@@ -92,7 +92,7 @@ def test_rejects_truncation(tmp_path):
 def test_rejects_trailing_garbage(tmp_path):
     rng = np.random.default_rng(4)
     path = tmp_path / "g.adpk"
-    save_merged(path, _adapters(rng), kind="source")
+    save_merged(path, _adapters(rng), kind="source", seed=None)
     path.write_bytes(path.read_bytes() + b"x")
     with pytest.raises(StorageError, match="trailing"):
         read_container(path)

@@ -16,7 +16,7 @@ import numpy as np
 from policyprune.adapters import MergedAdapterSet, SiteFactors
 from policyprune.configio import config_hash, load_run_config, render_ini
 from policyprune.container import (
-    ContainerHeader, load_adapters, save_adapters, save_merged, write_container,
+    ContainerHeader, load_merged, save_adapters, save_merged, write_container,
 )
 from policyprune.controller import append_round_log
 
@@ -48,7 +48,7 @@ def test_config_and_checkpoint_bytes_are_pinned(tmp_path):
 
     merged = MergedAdapterSet(SiteFactors(*site) for site in _SITES)
     save_adapters(tmp_path / "a.ckpt", merged, kind="source", seed=7, config_hash="abc")
-    save_merged(tmp_path / "m.ckpt", merged, kind="final")
+    save_merged(tmp_path / "m.ckpt", merged, kind="final", seed=None)
     assert _sha256((tmp_path / "a.ckpt").read_bytes()) == ADAPTERS_SHA256
     assert _sha256((tmp_path / "m.ckpt").read_bytes()) == MERGED_SHA256
 
@@ -60,7 +60,7 @@ def test_a_raw_factor_checkpoint_loads_with_alpha_over_rank_folded_into_a(tmp_pa
     write_container(path, header, [(f"{sid}.{f}", m) for sid, a, b in _SITES
                                    for f, m in (("A", a), ("B", b))])
     assert _sha256(path.read_bytes()) == RAW_ALPHA_ADAPTERS_SHA256
-    loaded, _header = load_adapters(path)
+    loaded, _header = load_merged(path)
     assert [s.site_id for s in loaded.sites] == ["q", "v"]
     for (_sid, a, b), fold, site in zip(_SITES, (8.0, 3.5), loaded.sites):
         assert site.a.tobytes() == (fold * a).tobytes()

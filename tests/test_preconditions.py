@@ -92,7 +92,7 @@ def test_r2_the_p_star_range_text_is_the_same_from_the_cli_and_the_library(
     assert _raised(
         final_prune_finetune, data.backbone, merged, p_star, data.target_train, data.dev,
         estimate_scale(data.microdev.x), train_cfg, np.random.default_rng(0),
-        p_min=0.1, p_max=0.8,
+        p_min=0.1, p_max=0.8, test=data.test,
     ) == text.format(p_star, "argument")
     ini = tmp_path / "run.ini"
     ini.write_text(SMALL_INI)
@@ -120,7 +120,7 @@ def test_r4_the_round_budget_text_is_the_same_from_the_config_and_phase_2():
     data, merged = _merge(cfg=ToyTaskConfig(), lora=LoraConfig())
     assert _raised(sparsity_policy_learning, data.backbone, merged, data.target_train,
                    data.microdev.head(16), ctrl, train_cfg, np.random.default_rng(1),
-                   np.random.default_rng(2)) == text
+                   np.random.default_rng(2), on_round=None) == text
 
 
 def test_r4_phase_2_refuses_its_round_budget_before_any_optimizer_step(monkeypatch):
@@ -147,7 +147,7 @@ def test_r4_phase_2_refuses_its_round_budget_before_any_optimizer_step(monkeypat
         return sparsity_policy_learning(
             data.backbone, merged, data.target_train, data.microdev.head(8),
             ControllerConfig(microdev_n=8, round_every=round_every), TrainConfig(epochs=2),
-            np.random.default_rng(1), np.random.default_rng(2))
+            np.random.default_rng(1), np.random.default_rng(2), on_round=None)
 
     with pytest.raises(UsageError, match=f"exceeds the phase-2 step budget {budget}"):
         phase_2(budget + 1)
@@ -209,7 +209,7 @@ def test_r8_the_shape_mismatch_text_is_the_same_from_the_loss_and_the_step():
     ("repeats", lambda: compare_efficiency(
         *small_phase1(TrainConfig(epochs=1), 1),
         TrainConfig(epochs=1, early_stop_patience=None),
-        ControllerConfig(microdev_n=8), 1, repeats=1.0)),
+        ControllerConfig(microdev_n=8), 1, grid=GridSpec(), repeats=1.0)),
 ], ids=["adapter-rank-true", "head-true", "head-float", "pool-workers-true",
         "efficiency-repeats-float"])
 def test_a_count_that_is_a_bool_or_a_float_is_refused(name, call):

@@ -1,8 +1,8 @@
-"""Every module-level function, class and upper-case constant of the
-package, every method and property of its classes other than the dunders,
-every attribute its classes set on `self` and every field of its
-dataclasses has a use outside the tests, and every defaulted parameter of
-its functions and methods is set there.
+"""Every module-level function, class, upper-case constant and function
+alias of the package, every method and property of its classes other than
+the dunders, every attribute its classes set on `self` and every field of
+its dataclasses has a use outside the tests, and every defaulted parameter
+of its functions and methods is both set and left out there.
 
 A name is used when code other than its own definition mentions it: a
 package module, a demo, a tool, or the benchmark, whose binding tables name
@@ -13,15 +13,19 @@ read. A dataclass serialized whole reads every field: its own code reads
 `self.__dict__`, or it is passed to `fields` or `asdict`, directly or
 through a helper that passes its parameter on to one of them. A defaulted
 parameter is set when a call to a function of its name passes it by
-keyword, or by position (after `self` or `cls` for a method). Test files do
-not count, so a helper, a field or a default that only tests use is
-caught, as is one that a deletion left behind. The scans match by name, so
-a same-named attribute or function elsewhere also counts as a use: they can
-miss a dead name, but never report a live one.
+keyword, or by position (after `self` or `cls` for a method), and left out
+when a call passes it neither way; a call through a module-level alias
+(`alias = function`) is a call of the function. A default that no call
+sets never changes, and one that every call sets is never used: either
+way the parameter needs no default. Test files do not count, so a helper,
+a field or a default that only tests use is caught, as is one that a
+deletion left behind. The scans match by name, so a same-named attribute or
+function elsewhere also counts as a use, and an argument list unpacked with
+`*` or `**` may both set and leave out any parameter: they can miss a dead
+name, but never report a live one.
 """
 
 import ast
-import math
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -30,10 +34,24 @@ ROOT = Path(__file__).resolve().parents[1]
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
+def _aliases(tree: ast.Module) -> dict[str, str]:
+    """Alias -> function for each module-level `alias = function` naming a
+    function the module defines."""
+    functions = {node.name for node in tree.body if isinstance(node, _FUNCTIONS)}
+    return {
+        target.id: node.value.id
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Name)
+        and node.value.id in functions
+        for target in node.targets if isinstance(target, ast.Name)
+    }
+
+
 def _defined(tree: ast.Module) -> dict[str, tuple[str, ast.stmt]]:
-    """Qualified name -> (bare name, node) for the module-level defs, classes
-    and upper-case constants, and for each class's non-dunder methods and
-    properties (`Class.name`)."""
+    """Qualified name -> (bare name, node) for the module-level defs, classes,
+    upper-case constants and function aliases, and for each class's
+    non-dunder methods and properties (`Class.name`)."""
+    aliases = _aliases(tree)
     names = {}
     for node in tree.body:
         if isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
@@ -48,7 +66,8 @@ def _defined(tree: ast.Module) -> dict[str, tuple[str, ast.stmt]]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.update(
-                (t.id, (t.id, node)) for t in targets if isinstance(t, ast.Name) and t.id.isupper()
+                (t.id, (t.id, node)) for t in targets
+                if isinstance(t, ast.Name) and (t.id.isupper() or t.id in aliases)
             )
     return names
 
@@ -239,27 +258,64 @@ def _defaulted_parameters(tree: ast.Module) -> dict[str, tuple[str, list[tuple[s
     return found
 
 
-def _unset_defaults(package: dict[str, str], outside: list[str]) -> list[str]:
-    """`module.function(name, ...)` listing each defaulted parameter that no
-    call in a package module, demo, tool or benchmark source passes."""
+def _passes(call: ast.Call, param: str, at: int | None) -> tuple[bool, bool]:
+    """Whether `call` may pass `param`, and whether it may leave it out; `at`
+    is the parameter's position, None for a keyword-only one. Arguments
+    unpacked with `*` or `**` may do either."""
+    keywords = {k.arg for k in call.keywords}  # None stands for a `**` mapping
+    args = call.args
+    # positions are known only up to the first `*`
+    known = next((i for i, a in enumerate(args) if isinstance(a, ast.Starred)), len(args))
+    named = param in keywords
+    positional = at is not None and (len(args) > at or known < len(args))
+    return named or None in keywords or positional, not named and (at is None or known <= at)
+
+
+def _default_uses(package: dict[str, str], outside: list[str]) -> list[tuple[str, str, bool, bool]]:
+    """(`module.function`, parameter, passed, left out) for each defaulted
+    parameter: whether some call in a package module, demo, tool or
+    benchmark source passes it, and whether some call leaves it out. A call
+    through a module-level alias (`alias = function`) is a call of the
+    function."""
     trees = {mod: ast.parse(src) for mod, src in package.items()}
-    passed: dict[str, tuple[int, set[str]]] = {}  # callee -> (most positional, keywords)
+    aliases = {}
+    for tree in trees.values():
+        aliases.update(_aliases(tree))
+    calls: dict[str, list[ast.Call]] = {}
     for tree in [*trees.values(), *(ast.parse(src) for src in outside)]:
         for call in (node for node in ast.walk(tree) if isinstance(node, ast.Call)):
-            n = math.inf if any(isinstance(a, ast.Starred) for a in call.args) else len(call.args)
-            names = {k.arg for k in call.keywords}  # None stands for a `**` mapping
-            most, keywords = passed.get(callee := _callee(call), (0, set()))
-            passed[callee] = (max(most, n), keywords | names)
-    unset = []
+            callee = _callee(call)
+            calls.setdefault(aliases.get(callee, callee), []).append(call)
+    uses = []
     for mod, tree in trees.items():
         for qualified, (name, params) in _defaulted_parameters(tree).items():
-            most, keywords = passed.get(name, (0, set()))
-            dead = [p for p, at in params
-                    if None not in keywords and p not in keywords
-                    and (at is None or most <= at)]
-            if dead:
-                unset.append(f"{mod}.{qualified}({', '.join(dead)})")
-    return sorted(unset)
+            for param, at in params:
+                shapes = [_passes(call, param, at) for call in calls.get(name, [])]
+                uses.append((f"{mod}.{qualified}", param,
+                             any(passes for passes, _ in shapes),
+                             any(left_out for _, left_out in shapes)))
+    return uses
+
+
+def _listed(pairs) -> list[str]:
+    """`module.function(name, ...)` per function of the (function,
+    parameter) pairs."""
+    grouped: dict[str, list[str]] = {}
+    for function, param in pairs:
+        grouped.setdefault(function, []).append(param)
+    return sorted(f"{function}({', '.join(params)})" for function, params in grouped.items())
+
+
+def _unset_defaults(package: dict[str, str], outside: list[str]) -> list[str]:
+    """Each defaulted parameter that no call outside the tests passes."""
+    return _listed((fn, param) for fn, param, passed, _ in _default_uses(package, outside)
+                   if not passed)
+
+
+def _always_set_defaults(package: dict[str, str], outside: list[str]) -> list[str]:
+    """Each defaulted parameter that every call outside the tests passes."""
+    return _listed((fn, param) for fn, param, _, left_out in _default_uses(package, outside)
+                   if not left_out)
 
 
 def _sources(*dirs: str) -> dict[str, str]:
@@ -292,6 +348,10 @@ def test_every_dataclass_field_is_read_outside_the_tests():
 
 def test_every_defaulted_parameter_is_set_outside_the_tests():
     assert _unset_defaults(*_package_and_outside()) == []
+
+
+def test_every_defaulted_parameter_is_left_out_outside_the_tests():
+    assert _always_set_defaults(*_package_and_outside()) == []
 
 
 def test_a_name_only_tests_use_is_caught():
@@ -398,3 +458,43 @@ def test_a_default_only_tests_set_is_caught():
     assert _unset_defaults(package, [bench]) == [
         "a.Box.fit(verbose)", "a.Box.make(n)", "a.scale(factor, mode)", "a.unset(x)",
     ]
+
+
+def test_a_default_every_call_passes_is_caught():
+    package = {
+        "a": (
+            "def save(path, kind='m', seed=None):\n    return path\n"
+            "def load(path, strict=True):\n    return path\n"
+            "def fit(data, *, epochs=1, verbose=False):\n    return data\n"
+            "def pad(x, width=1, fill=0):\n    return x\n"
+            "class Box:\n"
+            "    def put(self, item, count=1):\n        return item\n"
+            "save_as = save\n"
+        ),
+        "b": (
+            "from .a import Box, fit, save_as\n"
+            "save_as('p', 'k')\nfit([], epochs=2)\nfit([], epochs=3, verbose=True)\n"
+            "Box().put(1, 2)\n"
+        ),
+    }
+    # a call through the alias leaves `seed` out; `*` and `**` may leave any out
+    bench = (
+        "from a import load, pad, save\n"
+        "save('p', kind='k', seed=1)\nload('p', True)\nload('q')\n"
+        "def run(args, kw):\n    return pad(1, *args), pad(1, 2, **kw)\n"
+    )
+    assert _always_set_defaults(package, [bench]) == [
+        "a.Box.put(count)", "a.fit(epochs)", "a.save(kind)",
+    ]
+
+
+def test_an_alias_only_tests_call_is_caught():
+    package = {
+        "a": (
+            "def save(path):\n    return path\n"
+            "def load(path):\n    return path\n"
+            "write = save\nread = load\nLIMIT = 3\n"
+        ),
+        "b": "from .a import LIMIT, write\nwrite(LIMIT)\n",
+    }
+    assert _unused(package, []) == ["a.read"]

@@ -37,7 +37,7 @@ def test_env_evaluates_clean_function_at_the_right_points():
 
 
 def test_env_checksum_is_constant_across_probes():
-    env = quadratic_env(np.random.Generator(np.random.PCG64(3)), p_target=0.3)
+    env = quadratic_env(np.random.Generator(np.random.PCG64(3)), p_target=0.3, noise_std=0.01)
     before = env.checksum()
     env.baseline_reward()
     env.candidate_reward(0.5)
@@ -106,7 +106,7 @@ def test_narrow_optimum_env_landscape():
 def test_run_synthetic_is_deterministic_and_resets_env_state():
     cfg = ControllerConfig()
     env = quadratic_env(
-        np.random.Generator(np.random.PCG64(999)), p_target=0.25
+        np.random.Generator(np.random.PCG64(999)), p_target=0.25, noise_std=0.01
     )
     records_a, p_star_a = run_synthetic(cfg, env, seed=42, rounds=20)
     # Reuse the *same* env object: the runner re-seeds its noise stream and
@@ -123,7 +123,7 @@ def test_run_synthetic_is_deterministic_and_resets_env_state():
 
 def test_run_synthetic_round_and_step_bookkeeping():
     cfg = ControllerConfig()
-    env = quadratic_env(np.random.Generator(np.random.PCG64(0)), p_target=0.3)
+    env = quadratic_env(np.random.Generator(np.random.PCG64(0)), p_target=0.3, noise_std=0.01)
     records, _ = run_synthetic(cfg, env, seed=1, rounds=5)
     assert [r.round for r in records] == [0, 1, 2, 3, 4]
     assert [r.step for r in records] == [10, 20, 30, 40, 50]
@@ -132,7 +132,7 @@ def test_run_synthetic_round_and_step_bookkeeping():
 
 def test_run_synthetic_converges_on_a_clean_quadratic():
     cfg = ControllerConfig()
-    env = quadratic_env(np.random.Generator(np.random.PCG64(0)), p_target=0.25)
+    env = quadratic_env(np.random.Generator(np.random.PCG64(0)), p_target=0.25, noise_std=0.01)
     records, p_star = run_synthetic(cfg, env, seed=0, rounds=100)
     assert abs(p_star - 0.25) <= 0.05
     assert audit_records(records, cfg) == []

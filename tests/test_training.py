@@ -935,6 +935,7 @@ def test_policy_learning_invariants_and_round_bookkeeping():
         cfg,
         _rng(32),
         _rng(33),
+        on_round=None,
     )
     assert merged_init.checksum() == frozen  # phase input never mutated
     steps = total_steps(cfg, SMALL.target_train_n)
@@ -957,6 +958,7 @@ def test_policy_learning_requires_at_least_one_round():
             TrainConfig(epochs=1),
             _rng(41),
             _rng(42),
+            on_round=None,
         )
 
 
@@ -1005,6 +1007,7 @@ def test_final_run_rejects_ratios_outside_the_prune_range():
                 _rng(51),
                 p_min=0.10,
                 p_max=0.80,
+                test=data.test,
             )
 
 
@@ -1045,6 +1048,7 @@ def test_final_run_stops_early_on_a_dev_plateau():
         _rng(4),
         p_min=0.10,
         p_max=0.80,
+        test=data.test,
     )
     assert fin.stopped_early
     assert fin.steps_run < total_steps(patient, clean.target_train_n)

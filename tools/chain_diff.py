@@ -6,11 +6,13 @@ Run from the root of a checkout::
     python3 tools/chain_diff.py --parent main --seeds 42,1337,9001
 
 The parent ref's committed files are unpacked (`bench_pairs.unpack`) into a
-temporary directory. At each seed, `train-adapters`, `controller`,
-`finalize` and `grid` run under the stock config with `--seed`, once from
-that copy and once from the working tree, each side into its own output
-root, and the two roots must hold the same files with the same bytes. A
-change meant to keep every bit of the chain passes when they do. The last
+temporary directory. At each seed, every CLI phase runs under the stock
+config with `--seed`: `train-adapters`, `controller`, `finalize` and `grid`,
+then `ablate` and `report --repeats 1`, once from that copy and once from
+the working tree, each side into its own output root. The two roots must
+hold the same files with the same bytes, except for `report`'s wall-clock
+files (`WALL_CLOCK`), whose bytes are not compared. A change meant to keep
+every bit of every phase passes when they do. The last
 line of standard output is one JSON object holding the parent ref, the
 seeds, each seed's differences (a file only one side wrote, or one whose
 bytes differ) and each command that exited nonzero. The tool exits 1 on any
@@ -29,27 +31,31 @@ from pathlib import Path
 
 from bench_pairs import ROOT, SIDES, unpack
 
-COMMANDS = ("train-adapters", "controller", "finalize", "grid")
+COMMANDS = (("train-adapters",), ("controller",), ("finalize",), ("grid",), ("ablate",),
+            ("report", "--repeats", "1"))
+# the files that hold a time measurement, and so differ between any two runs
+WALL_CLOCK = {"report/runtime.csv", "report/report.txt", "report/manifest.json"}
 
 
 def tree_diff(parent: Path, change: Path) -> list[str]:
-    """Each file, by its path under the root, that only one root holds or
-    whose bytes differ between the two; empty when the trees are identical."""
+    """Each file, by its path under the root, that only one root holds or,
+    outside `WALL_CLOCK`, whose bytes differ between the two; empty when the
+    trees match."""
     files = [{p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
              for root in (parent, change)]
     return ([f"only in parent: {n}" for n in sorted(files[0] - files[1])]
             + [f"only in change: {n}" for n in sorted(files[1] - files[0])]
-            + [f"differs: {n}" for n in sorted(files[0] & files[1])
+            + [f"differs: {n}" for n in sorted(files[0] & files[1] - WALL_CLOCK)
                if (parent / n).read_bytes() != (change / n).read_bytes()])
 
 
 def run_chain(checkout: Path, out: Path, seed: int) -> str | None:
-    """The four commands of `checkout`'s package at `seed` into `out`; the
+    """The `COMMANDS` of `checkout`'s package at `seed` into `out`; the
     first failure, or None."""
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
-    for command in COMMANDS:
+    for command, *flags in COMMANDS:
         proc = subprocess.run(
-            [sys.executable, "-m", "policyprune.cli", command,
+            [sys.executable, "-m", "policyprune.cli", command, *flags,
              "--seed", str(seed), "--out", str(out)],
             cwd=checkout, env=env, capture_output=True, text=True, check=False)
         if proc.returncode != 0:
